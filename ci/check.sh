@@ -16,7 +16,7 @@ cd "$(dirname "$0")/.."
 # Gate registry: every name listed here MUST run, or the suite fails.
 EXPECTED_GATES="fmt clippy build-release tier1-tests workspace-tests obs-layer \
 wire-smoke telemetry-smoke trace-smoke recovery-smoke mvcc-stress mvcc-bench \
-gate-smoke planner-smoke"
+gate-smoke planner-smoke e2ebench-build"
 
 GATES_RUN=""
 GATES_FAILED=""
@@ -67,10 +67,11 @@ gate_tier1_tests() {
   run cargo test -q --offline --locked
 }
 
-# Full workspace suite, including the executor fast-path differential
-# (crates/minidb/tests/fastpath_differential.rs), the savepoint and engine
-# proptests, and the crashlab differentials (single-session kill points
-# plus the interleaved concurrent-commit scenario).
+# Full workspace suite, including the planner-vs-reference differential
+# (tests/planner_differential.rs: BIRD-Ext gold SQL plus the seeded
+# mutation workload), the savepoint and engine proptests, and the crashlab
+# differentials (single-session kill points plus the interleaved
+# concurrent-commit scenario).
 gate_workspace_tests() {
   run cargo test -q --workspace --offline --locked
 }
@@ -273,6 +274,14 @@ gate_planner_smoke() {
     || { echo "FAIL: LIMIT pushdown only ${limit_speedup}x the unpushed plan (need >= 1.5x)"; return 1; }
 }
 
+# The layered benchmark is its own cargo package (own workspace and lock
+# file, path-deps on ../crates/*), so the workspace gates above never
+# compile it. Build it and run its unit tests here, so an API change that
+# breaks it fails CI instead of the next benchmark run.
+gate_e2ebench_build() {
+  run bash e2ebench/run.sh test
+}
+
 # ------------------------------------------------------------- execution --
 
 run_gate fmt             gate_fmt
@@ -289,6 +298,7 @@ run_gate mvcc-stress     gate_mvcc_stress
 run_gate mvcc-bench      gate_mvcc_bench
 run_gate gate-smoke      gate_gate_smoke
 run_gate planner-smoke   gate_planner_smoke
+run_gate e2ebench-build  gate_e2ebench_build
 
 # -------------------------------------------------------------- summary --
 

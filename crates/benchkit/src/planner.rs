@@ -200,14 +200,14 @@ fn time_query(
     let mut last = None;
     for _ in 0..iters.max(1) {
         let t0 = Instant::now();
-        let (result, summary) = s
+        let (result, plan) = s
             .query_with_options(sql, opts)
             .unwrap_or_else(|e| panic!("bench query failed: {sql}: {e}"));
         best = best.min(t0.elapsed().as_nanos() as u64);
-        last = Some((result, summary.tree.join("\n")));
+        last = Some((result, plan.map(|p| p.render().join("\n"))));
     }
     let (result, plan) = last.expect("at least one iteration");
-    (best, result, plan)
+    (best, result, plan.unwrap_or_default())
 }
 
 /// Run the planner microbenchmark. Panics if any timed pair disagrees on

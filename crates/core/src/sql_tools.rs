@@ -15,7 +15,7 @@
 use crate::bridge::{db_error_to_tool, result_to_output, BridgeContext};
 use gate::PreparedPlan;
 use obs::SpanGuard;
-use sqlkit::ast::Action;
+use sqlkit::ast::{Action, Statement};
 use std::sync::Arc;
 use toolproto::{ArgSpec, ArgType, Args, FnTool, Risk, Signature, Tool, ToolError, ToolResult};
 
@@ -198,36 +198,33 @@ fn verify_and_run(
             guard.execute(stmt).map_err(db_error_to_tool)?
         } else {
             drop(guard);
-            let ephemeral = ctx
+            let mut ephemeral = ctx
                 .db
                 .session(&ctx.user)
                 .map_err(|e| ToolError::Execution(e.to_string()))?;
-            if span.enabled() {
-                // Traced execution: same fast path, but with per-operator
-                // profiling on, so the span carries the annotated operator
-                // tree (actual rows *and* wall time per node). The cost is
-                // two clock reads per operator dispatch — negligible next
-                // to the wire round-trip — and when the flight recorder
-                // later retains this call as slow, the profile explains
-                // where the time went.
-                let opts = minidb::ExecOptions {
-                    profiling: true,
-                    ..minidb::ExecOptions::default()
-                };
-                let (result, plan) = ephemeral
-                    .query_with_options(sql, &opts)
-                    .map_err(db_error_to_tool)?;
+            // A traced call also profiles, so the span carries the annotated
+            // operator tree (actual rows *and* wall time per node). The cost
+            // is two clock reads per operator dispatch — negligible next to
+            // the wire round-trip — and when the flight recorder later
+            // retains this call as slow, the profile explains where the
+            // time went.
+            let opts = minidb::ExecOptions {
+                profiling: span.enabled(),
+                ..minidb::ExecOptions::default()
+            };
+            let (result, plan) = match stmt {
+                Statement::Select(_) => ephemeral.query(stmt, &opts),
+                // EXPLAIN [ANALYZE] SELECT shares the action; no plan to attach.
+                _ => ephemeral.execute(stmt).map(|result| (result, None)),
+            }
+            .map_err(db_error_to_tool)?;
+            if let (true, Some(plan)) = (span.enabled(), plan) {
                 for (key, count) in plan.attr_counts() {
                     span.attr(key, count);
                 }
-                if !plan.tree.is_empty() {
-                    span.attr("plan.profile", plan.tree.join("\n"));
-                }
-                result
-            } else {
-                let mut ephemeral = ephemeral;
-                ephemeral.execute(stmt).map_err(db_error_to_tool)?
+                span.attr("plan.profile", plan.render().join("\n"));
             }
+            result
         }
     } else {
         ctx.session.lock().execute(stmt).map_err(db_error_to_tool)?

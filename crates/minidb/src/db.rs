@@ -17,7 +17,8 @@
 use crate::error::{DbError, DbResult};
 use crate::exec::{self, DbState, QueryResult};
 use crate::mvcc::{self, CommittedVersion, TimestampOracle, Ts};
-use crate::plan::{ExecOptions, PlanSummary};
+use crate::plan::ExecOptions;
+use crate::planner::{self, physical::PhysPlan};
 use crate::privilege::PrivilegeCatalog;
 use crate::schema::TableSchema;
 use crate::storage::{
@@ -623,47 +624,19 @@ impl Database {
             .data
             .get(table)
             .ok_or_else(|| DbError::UnknownTable(table.to_owned()))?;
-        let opts = ExecOptions::default();
-        let workers = opts.workers_for(data.len());
-        if workers < 2 {
-            let mut values: Vec<Value> = Vec::new();
-            let mut seen = std::collections::BTreeSet::new();
-            for (_, row) in data.iter() {
-                let v = &row[pos];
-                if !v.is_null() && seen.insert(crate::value::Key(vec![v.clone()])) {
-                    values.push(v.clone());
-                }
-            }
-            values.sort_by(|a, b| a.total_cmp(b));
-            return Ok(values);
-        }
         // Chunked distinct-scan: per-worker sets over contiguous row-order
         // chunks, merged in chunk order so the first occurrence of each
         // total-order-equal group (e.g. Int(1) vs Float(1.0)) wins, exactly
-        // as in the sequential loop. A BTreeSet<Key> already iterates in
+        // as in a sequential pass. A BTreeSet<Key> already iterates in
         // total order, so the merged set *is* the sorted result.
-        let refs: Vec<&Value> = data.iter().map(|(_, row)| &row[pos]).collect();
-        let chunk = refs.len().div_ceil(workers);
-        let sets: Vec<std::collections::BTreeSet<crate::value::Key>> = std::thread::scope(|s| {
-            let handles: Vec<_> = refs
-                .chunks(chunk.max(1))
-                .map(|part| {
-                    s.spawn(move || {
-                        let mut set = std::collections::BTreeSet::new();
-                        for v in part {
-                            if !v.is_null() {
-                                set.insert(crate::value::Key(vec![(*v).clone()]));
-                            }
-                        }
-                        set
-                    })
-                })
-                .collect();
-            handles
+        let values: Vec<&Value> = data.iter().map(|(_, row)| &row[pos]).collect();
+        let sets = exec::chunked(values, planner::workers_for(data.len()), |part| {
+            Ok(part
                 .into_iter()
-                .map(|h| h.join().expect("column scan worker panicked"))
-                .collect()
-        });
+                .filter(|v| !v.is_null())
+                .map(|v| crate::value::Key(vec![v.clone()]))
+                .collect::<std::collections::BTreeSet<_>>())
+        })?;
         let mut merged = std::collections::BTreeSet::new();
         for set in sets {
             // `insert` keeps the existing (earlier-chunk) representative.
@@ -789,39 +762,19 @@ impl Session {
             Statement::Savepoint(name) => return self.savepoint(name),
             Statement::RollbackTo(name) => return self.rollback_to(name),
             Statement::Release(name) => return self.release(name),
+            Statement::Select(_) => {
+                return self
+                    .query(stmt, &ExecOptions::default())
+                    .map(|(result, _)| result)
+            }
             _ => {}
         }
-        if self.status == TxnStatus::Aborted {
-            return Err(DbError::TransactionState(
-                "current transaction is aborted, commands ignored until ROLLBACK".into(),
-            ));
-        }
-        // Privilege checks from static analysis, always against the latest
-        // committed privileges (grants are non-transactional).
-        let profile = sqlkit::analyze(stmt);
-        let snap = self.db.snapshot();
+        let snap = self.authorize(stmt)?;
         if let Statement::GrantRevoke(g) = stmt {
-            if !snap.privileges.user(&self.user)?.superuser {
-                return Err(DbError::PrivilegeDenied {
-                    user: self.user.clone(),
-                    action: Action::GrantRevoke,
-                    object: profile.all_objects().into_iter().next().unwrap_or_default(),
-                });
-            }
             return self.db.apply_grant_revoke(g);
-        }
-        for (action, object) in profile.required_privileges() {
-            snap.privileges.check(&self.user, action, &object)?;
         }
         // Reads: a transaction sees its own workspace; otherwise the latest
         // committed snapshot. Either way, no lock is held during execution.
-        if let Statement::Select(sel) = stmt {
-            let state = match &self.txn {
-                Some(t) => &t.work,
-                None => &snap.state,
-            };
-            return exec::execute_select(state, sel);
-        }
         if let Statement::Explain { stmt, analyze } = stmt {
             let state = match &self.txn {
                 Some(t) => &t.work,
@@ -895,42 +848,66 @@ impl Session {
         }
     }
 
-    /// Parse and run a SELECT under explicit [`ExecOptions`], returning the
-    /// result together with the [`PlanSummary`] of every access path taken.
-    /// Runs the same privilege checks as [`Session::execute`]; only SELECT
-    /// statements are accepted (writes trace through
-    /// [`exec::execute_with_options`] at the engine layer).
-    pub fn query_with_options(
-        &self,
-        sql: &str,
-        opts: &ExecOptions,
-    ) -> DbResult<(QueryResult, PlanSummary)> {
-        let stmt = parse_statement(sql)?;
-        let Statement::Select(sel) = &stmt else {
-            return Err(DbError::Execution(
-                "query_with_options accepts only SELECT statements".into(),
-            ));
-        };
+    /// What every statement passes before it runs: the transaction is not
+    /// aborted, and the user holds every privilege the statement's static
+    /// access profile requires — checked against the latest committed
+    /// version (grants are non-transactional), which is returned.
+    fn authorize(&self, stmt: &Statement) -> DbResult<Arc<CommittedVersion>> {
         if self.status == TxnStatus::Aborted {
             return Err(DbError::TransactionState(
                 "current transaction is aborted, commands ignored until ROLLBACK".into(),
             ));
         }
-        let profile = sqlkit::analyze(&stmt);
+        let profile = sqlkit::analyze(stmt);
         let snap = self.db.snapshot();
+        if let Statement::GrantRevoke(_) = stmt {
+            if !snap.privileges.user(&self.user)?.superuser {
+                return Err(DbError::PrivilegeDenied {
+                    user: self.user.clone(),
+                    action: Action::GrantRevoke,
+                    object: profile.all_objects().into_iter().next().unwrap_or_default(),
+                });
+            }
+            return Ok(snap);
+        }
         for (action, object) in profile.required_privileges() {
             snap.privileges.check(&self.user, action, &object)?;
         }
+        Ok(snap)
+    }
+
+    /// The one SELECT entry point: run a parsed SELECT under explicit
+    /// [`ExecOptions`] with the session's privilege checks, reading the
+    /// open transaction's workspace or else the latest committed snapshot
+    /// (no lock is held during execution either way). Returns the result
+    /// and, when the planner ran, the executed [`PhysPlan`] with each
+    /// operator's actual row count (and wall time under
+    /// [`ExecOptions::profiling`]). Only SELECT statements are accepted.
+    pub fn query(
+        &self,
+        stmt: &Statement,
+        opts: &ExecOptions,
+    ) -> DbResult<(QueryResult, Option<PhysPlan>)> {
+        let Statement::Select(sel) = stmt else {
+            return Err(DbError::Execution(
+                "query accepts only SELECT statements".into(),
+            ));
+        };
+        let snap = self.authorize(stmt)?;
         let state = match &self.txn {
             Some(t) => &t.work,
             None => &snap.state,
         };
-        exec::execute_select_traced(state, sel, opts)
+        exec::execute_select(state, sel, opts)
     }
 
-    /// [`Session::query_with_options`] with the default (fast-path) options.
-    pub fn query_traced(&self, sql: &str) -> DbResult<(QueryResult, PlanSummary)> {
-        self.query_with_options(sql, &ExecOptions::default())
+    /// Parse `sql` and run it through [`Session::query`].
+    pub fn query_with_options(
+        &self,
+        sql: &str,
+        opts: &ExecOptions,
+    ) -> DbResult<(QueryResult, Option<PhysPlan>)> {
+        self.query(&parse_statement(sql)?, opts)
     }
 
     /// BEGIN an explicit transaction: pin the latest committed version as

@@ -5,6 +5,7 @@
 use super::{execute_select, DbState, QueryResult};
 use crate::error::{DbError, DbResult};
 use crate::expr::{eval, Scope};
+use crate::plan::ExecOptions;
 use crate::schema::{Column, ForeignKey, IndexDef, TableSchema};
 use crate::storage::{RowId, TableData};
 use crate::txn::UndoOp;
@@ -220,7 +221,7 @@ pub(super) fn execute_create_view(
         return Err(DbError::AlreadyExists(cv.name.clone()));
     }
     // Validate the defining query and fix the output column names now.
-    let result = execute_select(state, &cv.query)?;
+    let (result, _) = execute_select(state, &cv.query, &ExecOptions::default())?;
     let columns = match result {
         QueryResult::Rows { columns, .. } => columns,
         _ => unreachable!("select returns rows"),

@@ -3,11 +3,12 @@
 //! directions (outbound existence, inbound RESTRICT). Every applied change
 //! pushes an [`UndoOp`] for transactional rollback.
 
-use super::eval::{dml_candidates, resolve_expr, resolve_opt};
-use super::{execute_select_opts, DbState, QueryResult};
+use super::eval::{resolve_expr, row_matches, scope_cols_of, select_rows};
+use super::{probe_index, DbState, QueryResult};
 use crate::error::{DbError, DbResult};
 use crate::expr::{self, eval, Scope, ScopeCol};
-use crate::plan::{ExecOptions, PlanSummary};
+use crate::plan::ExecOptions;
+use crate::planner::choose_probe;
 use crate::schema::{ForeignKey, TableSchema};
 use crate::storage::{RowId, TableData};
 use crate::txn::UndoOp;
@@ -165,12 +166,39 @@ pub(super) fn reject_view_dml(state: &DbState, name: &str) -> DbResult<()> {
     Ok(())
 }
 
+/// Resolve the uncorrelated subqueries of a DML expression to constants.
+fn resolved(state: &DbState, e: &Expr) -> DbResult<Expr> {
+    let mut e = e.clone();
+    resolve_expr(state, &mut e, &ExecOptions::default())?;
+    Ok(e)
+}
+
+/// Candidate `(rid, row)` pairs for UPDATE/DELETE, before the caller applies
+/// the full predicate: an index probe when the planner's access-path
+/// chooser prices one under the scan, otherwise every live row.
+fn candidates(
+    state: &DbState,
+    table: &str,
+    predicate: Option<&Expr>,
+) -> DbResult<Vec<(RowId, Row)>> {
+    let data = state
+        .data
+        .get(table)
+        .ok_or_else(|| DbError::UnknownTable(table.to_owned()))?;
+    let rids = match predicate.and_then(|p| choose_probe(state, table, table, p, None)) {
+        Some(probe) => probe_index(data, table, &probe.index, &probe.key)?,
+        None => return Ok(data.iter().map(|(rid, r)| (rid, r.clone())).collect()),
+    };
+    Ok(rids
+        .into_iter()
+        .filter_map(|rid| data.get(rid).map(|r| (rid, r.clone())))
+        .collect())
+}
+
 pub(super) fn execute_insert(
     state: &mut DbState,
     ins: &Insert,
     undo: &mut Vec<UndoOp>,
-    opts: &ExecOptions,
-    summary: &mut PlanSummary,
 ) -> DbResult<QueryResult> {
     reject_view_dml(state, &ins.table)?;
     let schema = state.catalog.table(&ins.table)?.clone();
@@ -191,17 +219,13 @@ pub(super) fn execute_insert(
             for row_exprs in rows {
                 let mut resolved = Vec::with_capacity(row_exprs.len());
                 for e in row_exprs {
-                    let e = resolve_expr(state, e, opts, summary)?;
-                    resolved.push(eval(&e, &scope)?);
+                    resolved.push(eval(&self::resolved(state, e)?, &scope)?);
                 }
                 out.push(resolved);
             }
             out
         }
-        InsertSource::Select(sel) => match execute_select_opts(state, sel, opts, summary)? {
-            QueryResult::Rows { rows, .. } => rows,
-            _ => unreachable!(),
-        },
+        InsertSource::Select(sel) => select_rows(state, sel, &ExecOptions::default())?,
     };
     let mut inserted = 0usize;
     for source in source_rows {
@@ -242,19 +266,10 @@ pub(super) fn execute_update(
     state: &mut DbState,
     up: &Update,
     undo: &mut Vec<UndoOp>,
-    opts: &ExecOptions,
-    summary: &mut PlanSummary,
 ) -> DbResult<QueryResult> {
     reject_view_dml(state, &up.table)?;
     let schema = state.catalog.table(&up.table)?.clone();
-    let scope_cols: Vec<ScopeCol> = schema
-        .columns
-        .iter()
-        .map(|c| ScopeCol {
-            binding: Some(up.table.clone()),
-            name: c.name.clone(),
-        })
-        .collect();
+    let scope_cols = scope_cols_of(state, &up.table, &up.table)?;
     let assignments: Vec<(usize, Expr)> = up
         .assignments
         .iter()
@@ -262,27 +277,27 @@ pub(super) fn execute_update(
             let pos = schema
                 .column_index(name)
                 .ok_or_else(|| DbError::UnknownColumn(format!("{}.{name}", up.table)))?;
-            Ok((pos, resolve_expr(state, e, opts, summary)?))
+            Ok((pos, resolved(state, e)?))
         })
         .collect::<DbResult<_>>()?;
-    let predicate = resolve_opt(state, &up.where_clause, opts, summary)?;
+    let predicate = up
+        .where_clause
+        .as_ref()
+        .map(|p| resolved(state, p))
+        .transpose()?;
 
     // Phase 1: compute new rows (index-pruned when the predicate allows).
-    let data = state
-        .data
-        .get(&up.table)
-        .ok_or_else(|| DbError::UnknownTable(up.table.clone()))?;
     let mut changes: Vec<(RowId, Row, Row)> = Vec::new();
-    for (rid, row) in dml_candidates(&schema, data, &up.table, predicate.as_ref(), opts, summary) {
+    for (rid, row) in candidates(state, &up.table, predicate.as_ref())? {
+        if let Some(pred) = &predicate {
+            if !row_matches(&scope_cols, pred, &row)? {
+                continue;
+            }
+        }
         let scope = Scope {
             columns: &scope_cols,
             values: &row,
         };
-        if let Some(pred) = &predicate {
-            if expr::truth(&eval(pred, &scope)?) != Some(true) {
-                continue;
-            }
-        }
         let mut new_row = row.clone();
         for (pos, e) in &assignments {
             let v = eval(e, &scope)?;
@@ -344,32 +359,18 @@ pub(super) fn execute_delete(
     state: &mut DbState,
     del: &Delete,
     undo: &mut Vec<UndoOp>,
-    opts: &ExecOptions,
-    summary: &mut PlanSummary,
 ) -> DbResult<QueryResult> {
     reject_view_dml(state, &del.table)?;
-    let schema = state.catalog.table(&del.table)?.clone();
-    let scope_cols: Vec<ScopeCol> = schema
-        .columns
-        .iter()
-        .map(|c| ScopeCol {
-            binding: Some(del.table.clone()),
-            name: c.name.clone(),
-        })
-        .collect();
-    let predicate = resolve_opt(state, &del.where_clause, opts, summary)?;
-    let data = state
-        .data
-        .get(&del.table)
-        .ok_or_else(|| DbError::UnknownTable(del.table.clone()))?;
+    let scope_cols = scope_cols_of(state, &del.table, &del.table)?;
+    let predicate = del
+        .where_clause
+        .as_ref()
+        .map(|p| resolved(state, p))
+        .transpose()?;
     let mut victims: Vec<(RowId, Row)> = Vec::new();
-    for (rid, row) in dml_candidates(&schema, data, &del.table, predicate.as_ref(), opts, summary) {
-        let scope = Scope {
-            columns: &scope_cols,
-            values: &row,
-        };
+    for (rid, row) in candidates(state, &del.table, predicate.as_ref())? {
         let keep = match &predicate {
-            Some(pred) => expr::truth(&eval(pred, &scope)?) == Some(true),
+            Some(pred) => row_matches(&scope_cols, pred, &row)?,
             None => true,
         };
         if keep {

@@ -1,46 +1,42 @@
-//! Shared execution machinery: subquery resolution, scans, joins, filters,
-//! grouping, aggregates, and projection. Both the sequential reference
-//! pipeline ([`super::seq`]) and the plan-driven executor
-//! ([`super::volcano`]) build on these, so their row-level semantics can
-//! never drift apart.
+//! Shared row-level machinery: subquery resolution, projection, the
+//! sequential filter / group / join kernels, and aggregates. Both the
+//! sequential reference pipeline ([`super::seq`]) and the plan-driven
+//! executor ([`super::volcano`]) build on these, so their row-level
+//! semantics can never drift apart. Nothing here probes an index or spawns
+//! a thread: the planned executor reaches those through
+//! [`super::parallel`] and its own scan operators.
 
-use super::{execute_select_opts, DbState, QueryResult};
+use super::{execute_select, DbState, QueryResult};
 use crate::error::{DbError, DbResult};
 use crate::expr::{self, eval, Scope, ScopeCol};
-use crate::plan::{self, ExecOptions, JoinPath, PlanSummary, ScanPath};
-use crate::schema::TableSchema;
-use crate::storage::{canonical_key, HashedKey, RowId, TableData};
+use crate::plan::ExecOptions;
+use crate::storage::{canonical_key, HashedKey};
 use crate::value::{Key, Row, Value};
-use sqlkit::ast::{Expr, JoinKind, OrderDir, Select, SelectItem};
-use std::collections::BTreeMap;
-use std::collections::HashMap;
-use std::hash::{BuildHasher, RandomState};
+use sqlkit::ast::{Expr, JoinKind, Literal, OrderDir, Select, SelectItem};
+use std::collections::{BTreeMap, HashMap};
 
 // ---------------------------------------------------------------------------
 // Subquery resolution
 // ---------------------------------------------------------------------------
 
-/// Replace uncorrelated subqueries in an expression with constants by
-/// executing them eagerly (under the caller's options, recording their
-/// accesses in the caller's summary).
-pub(super) fn resolve_expr(
-    state: &DbState,
-    e: &Expr,
-    opts: &ExecOptions,
-    summary: &mut PlanSummary,
-) -> DbResult<Expr> {
-    Ok(match e {
+/// Run a nested SELECT (subquery or view body) under the caller's options.
+pub(super) fn select_rows(state: &DbState, sel: &Select, opts: &ExecOptions) -> DbResult<Vec<Row>> {
+    match execute_select(state, sel, opts)?.0 {
+        QueryResult::Rows { rows, .. } => Ok(rows),
+        _ => unreachable!("select returns rows"),
+    }
+}
+
+/// Replace the uncorrelated subqueries in an expression with constants, in
+/// place, by executing them eagerly under the caller's options.
+pub(super) fn resolve_expr(state: &DbState, e: &mut Expr, opts: &ExecOptions) -> DbResult<()> {
+    match e {
         Expr::InSubquery {
             expr,
             subquery,
             negated,
         } => {
-            let result = execute_select_opts(state, subquery, opts, summary)?;
-            let rows = match result {
-                QueryResult::Rows { rows, .. } => rows,
-                _ => unreachable!("select returns rows"),
-            };
-            let list = rows
+            let list = select_rows(state, subquery, opts)?
                 .into_iter()
                 .map(|mut r| {
                     if r.is_empty() {
@@ -50,128 +46,73 @@ pub(super) fn resolve_expr(
                     }
                 })
                 .collect::<DbResult<Vec<_>>>()?;
-            Expr::InList {
-                expr: Box::new(resolve_expr(state, expr, opts, summary)?),
+            resolve_expr(state, expr, opts)?;
+            *e = Expr::InList {
+                expr: std::mem::replace(expr, Box::new(Expr::Literal(Literal::Null))),
                 list,
                 negated: *negated,
-            }
+            };
         }
         Expr::ScalarSubquery(sub) => {
-            let result = execute_select_opts(state, sub, opts, summary)?;
-            let value = match result {
-                QueryResult::Rows { rows, .. } => match rows.into_iter().next() {
-                    Some(mut row) if !row.is_empty() => row.swap_remove(0),
-                    _ => Value::Null,
-                },
-                _ => unreachable!("select returns rows"),
+            let value = match select_rows(state, sub, opts)?.into_iter().next() {
+                Some(mut row) if !row.is_empty() => row.swap_remove(0),
+                _ => Value::Null,
             };
-            Expr::Literal(value_to_literal(value))
+            *e = Expr::Literal(value_to_literal(value));
         }
-        Expr::Literal(_) | Expr::Column(_) => e.clone(),
-        Expr::Unary { op, expr } => Expr::Unary {
-            op: *op,
-            expr: Box::new(resolve_expr(state, expr, opts, summary)?),
-        },
-        Expr::Binary { left, op, right } => Expr::Binary {
-            left: Box::new(resolve_expr(state, left, opts, summary)?),
-            op: *op,
-            right: Box::new(resolve_expr(state, right, opts, summary)?),
-        },
-        Expr::Function {
-            name,
-            args,
-            distinct,
-            star,
-        } => Expr::Function {
-            name: name.clone(),
-            args: args
-                .iter()
-                .map(|a| resolve_expr(state, a, opts, summary))
-                .collect::<DbResult<_>>()?,
-            distinct: *distinct,
-            star: *star,
-        },
-        Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(resolve_expr(state, expr, opts, summary)?),
-            negated: *negated,
-        },
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => Expr::InList {
-            expr: Box::new(resolve_expr(state, expr, opts, summary)?),
-            list: list
-                .iter()
-                .map(|i| resolve_expr(state, i, opts, summary))
-                .collect::<DbResult<_>>()?,
-            negated: *negated,
-        },
+        Expr::Literal(_) | Expr::Column(_) => {}
+        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
+            resolve_expr(state, expr, opts)?;
+        }
+        Expr::Binary { left, right, .. } => {
+            resolve_expr(state, left, opts)?;
+            resolve_expr(state, right, opts)?;
+        }
+        Expr::Function { args, .. } => {
+            for a in args {
+                resolve_expr(state, a, opts)?;
+            }
+        }
+        Expr::InList { expr, list, .. } => {
+            resolve_expr(state, expr, opts)?;
+            for i in list {
+                resolve_expr(state, i, opts)?;
+            }
+        }
         Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => Expr::Between {
-            expr: Box::new(resolve_expr(state, expr, opts, summary)?),
-            low: Box::new(resolve_expr(state, low, opts, summary)?),
-            high: Box::new(resolve_expr(state, high, opts, summary)?),
-            negated: *negated,
-        },
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => Expr::Like {
-            expr: Box::new(resolve_expr(state, expr, opts, summary)?),
-            pattern: Box::new(resolve_expr(state, pattern, opts, summary)?),
-            negated: *negated,
-        },
+            expr, low, high, ..
+        } => {
+            resolve_expr(state, expr, opts)?;
+            resolve_expr(state, low, opts)?;
+            resolve_expr(state, high, opts)?;
+        }
+        Expr::Like { expr, pattern, .. } => {
+            resolve_expr(state, expr, opts)?;
+            resolve_expr(state, pattern, opts)?;
+        }
         Expr::Case {
             branches,
             else_expr,
-        } => Expr::Case {
-            branches: branches
-                .iter()
-                .map(|(c, v)| {
-                    Ok((
-                        resolve_expr(state, c, opts, summary)?,
-                        resolve_expr(state, v, opts, summary)?,
-                    ))
-                })
-                .collect::<DbResult<_>>()?,
-            else_expr: match else_expr {
-                Some(e) => Some(Box::new(resolve_expr(state, e, opts, summary)?)),
-                None => None,
-            },
-        },
-        Expr::Cast { expr, ty } => Expr::Cast {
-            expr: Box::new(resolve_expr(state, expr, opts, summary)?),
-            ty: *ty,
-        },
-    })
+        } => {
+            for (c, v) in branches {
+                resolve_expr(state, c, opts)?;
+                resolve_expr(state, v, opts)?;
+            }
+            if let Some(e) = else_expr {
+                resolve_expr(state, e, opts)?;
+            }
+        }
+    }
+    Ok(())
 }
 
-pub(super) fn value_to_literal(v: Value) -> sqlkit::ast::Literal {
-    use sqlkit::ast::Literal;
+pub(super) fn value_to_literal(v: Value) -> Literal {
     match v {
         Value::Null => Literal::Null,
         Value::Int(i) => Literal::Int(i),
         Value::Float(f) => Literal::Float(f),
         Value::Text(s) => Literal::Str(s),
         Value::Bool(b) => Literal::Bool(b),
-    }
-}
-
-pub(super) fn resolve_opt(
-    state: &DbState,
-    e: &Option<Expr>,
-    opts: &ExecOptions,
-    summary: &mut PlanSummary,
-) -> DbResult<Option<Expr>> {
-    match e {
-        Some(e) => Ok(Some(resolve_expr(state, e, opts, summary)?)),
-        None => Ok(None),
     }
 }
 
@@ -182,24 +123,21 @@ pub(super) fn resolve_select(
     state: &DbState,
     sel: &Select,
     opts: &ExecOptions,
-    summary: &mut PlanSummary,
 ) -> DbResult<Select> {
     let mut sel = sel.clone();
-    sel.where_clause = resolve_opt(state, &sel.where_clause, opts, summary)?;
-    sel.having = resolve_opt(state, &sel.having, opts, summary)?;
-    for item in &mut sel.items {
-        if let SelectItem::Expr { expr, .. } = item {
-            *expr = resolve_expr(state, expr, opts, summary)?;
-        }
-    }
-    for g in &mut sel.group_by {
-        *g = resolve_expr(state, g, opts, summary)?;
-    }
-    for o in &mut sel.order_by {
-        o.expr = resolve_expr(state, &o.expr, opts, summary)?;
-    }
-    for j in &mut sel.joins {
-        j.on = resolve_opt(state, &j.on, opts, summary)?;
+    let exprs = sel
+        .where_clause
+        .iter_mut()
+        .chain(sel.having.iter_mut())
+        .chain(sel.items.iter_mut().filter_map(|item| match item {
+            SelectItem::Expr { expr, .. } => Some(expr),
+            _ => None,
+        }))
+        .chain(sel.group_by.iter_mut())
+        .chain(sel.order_by.iter_mut().map(|o| &mut o.expr))
+        .chain(sel.joins.iter_mut().filter_map(|j| j.on.as_mut()));
+    for e in exprs {
+        resolve_expr(state, e, opts)?;
     }
     Ok(sel)
 }
@@ -220,7 +158,7 @@ pub(super) fn order_key(
     has_aggregate: bool,
 ) -> DbResult<Value> {
     // ORDER BY <n> — positional reference.
-    if let Expr::Literal(sqlkit::ast::Literal::Int(n)) = e {
+    if let Expr::Literal(Literal::Int(n)) = e {
         let idx = *n as usize;
         if idx >= 1 && idx <= out.len() {
             return Ok(out[idx - 1].clone());
@@ -285,7 +223,7 @@ pub(super) fn output_columns(sel: &Select, scope_cols: &[ScopeCol]) -> DbResult<
     Ok(out)
 }
 
-pub(crate) fn derive_name(e: &Expr) -> String {
+fn derive_name(e: &Expr) -> String {
     match e {
         Expr::Column(c) => c.column.clone(),
         Expr::Function { name, .. } => name.clone(),
@@ -325,221 +263,59 @@ pub(super) fn project_row(sel: &Select, scope_cols: &[ScopeCol], row: &Row) -> D
 }
 
 // ---------------------------------------------------------------------------
-// Scans
+// Filter / group / join kernels (sequential; one call = one chunk)
 // ---------------------------------------------------------------------------
 
-/// Scan a table. Access path, in preference order:
-///
-/// 1. **Index probe** — the predicate pins every column of some index to
-///    non-NULL constants; the probe is a sound *pre-filter* (the caller
-///    still applies the full predicate), so the flag returns `false`.
-/// 2. **Parallel scan** — large tables with a predicate are filtered in
-///    row-partition chunks across scoped threads, each worker evaluating
-///    the *full* predicate; chunks concatenate in row order, so the output
-///    equals the sequential scan and the flag returns `true`.
-/// 3. **Sequential scan** — everything else.
-///
-/// Views expand to their defining query (definer semantics: privilege
-/// checks happened at the session layer against the view object) under the
-/// same options, recording their own accesses.
-pub(super) fn scan_table_filtered(
-    state: &DbState,
-    binding: &str,
-    table: &str,
-    predicate: Option<&Expr>,
-    opts: &ExecOptions,
-    summary: &mut PlanSummary,
-) -> DbResult<(Vec<ScopeCol>, Vec<Row>, bool)> {
-    if let Some(view) = state.catalog.view(table) {
-        summary.scans.push(ScanPath::ViewExpand {
-            view: table.to_owned(),
-        });
-        let result = execute_select_opts(state, &view.query.clone(), opts, summary)?;
-        let rows = match result {
-            QueryResult::Rows { rows, .. } => rows,
-            _ => unreachable!("select returns rows"),
-        };
-        let cols = view
+/// Scope columns a FROM item (table or view) contributes.
+pub(crate) fn scope_cols_of(state: &DbState, binding: &str, name: &str) -> DbResult<Vec<ScopeCol>> {
+    let names: Vec<&String> = match state.catalog.view(name) {
+        Some(view) => view.columns.iter().collect(),
+        None => state
+            .catalog
+            .table(name)?
             .columns
             .iter()
-            .map(|c| ScopeCol {
-                binding: Some(binding.to_owned()),
-                name: c.clone(),
-            })
-            .collect();
-        return Ok((cols, rows, false));
-    }
-    let schema = state.catalog.table(table)?;
-    let data = state
-        .data
-        .get(table)
-        .ok_or_else(|| DbError::UnknownTable(table.to_owned()))?;
-    let cols: Vec<ScopeCol> = schema
-        .columns
-        .iter()
-        .map(|c| ScopeCol {
+            .map(|c| &c.name)
+            .collect(),
+    };
+    Ok(names
+        .into_iter()
+        .map(|n| ScopeCol {
             binding: Some(binding.to_owned()),
-            name: c.name.clone(),
+            name: n.clone(),
         })
-        .collect();
-    if opts.use_indexes {
-        if let Some(pred) = predicate {
-            if let Some((index, rids)) = index_candidates(schema, data, binding, pred) {
-                summary.scans.push(ScanPath::IndexProbe {
-                    table: table.to_owned(),
-                    index,
-                    candidates: rids.len(),
-                });
-                let rows = rids
-                    .into_iter()
-                    .filter_map(|rid| data.get(rid).cloned())
-                    .collect();
-                return Ok((cols, rows, false));
-            }
-        }
-    }
-    let total = data.len();
-    if let Some(pred) = predicate {
-        let workers = opts.workers_for(total);
-        if workers >= 2 {
-            let rows = parallel_filter_scan(data, &cols, pred, workers)?;
-            summary.scans.push(ScanPath::ParallelSeq {
-                table: table.to_owned(),
-                rows: total,
-                workers,
-            });
-            return Ok((cols, rows, true));
-        }
-    }
-    summary.scans.push(ScanPath::Seq {
-        table: table.to_owned(),
-        rows: total,
-    });
-    let rows = data.iter().map(|(_, r)| r.clone()).collect();
-    Ok((cols, rows, false))
+        .collect())
 }
 
-/// Filter a table's live rows with the full predicate across scoped worker
-/// threads. Workers take contiguous chunks of the row-id-ordered scan, so
-/// concatenating their outputs in chunk order reproduces the sequential
-/// scan exactly; the first error in row order wins, as it would serially.
-pub(super) fn parallel_filter_scan(
-    data: &TableData,
-    cols: &[ScopeCol],
-    pred: &Expr,
-    workers: usize,
-) -> DbResult<Vec<Row>> {
-    let refs: Vec<&Row> = data.iter().map(|(_, r)| r).collect();
-    let chunk = refs.len().div_ceil(workers).max(1);
-    let chunk_results: Vec<DbResult<Vec<Row>>> = std::thread::scope(|s| {
-        let handles: Vec<_> = refs
-            .chunks(chunk)
-            .map(|part| {
-                s.spawn(move || {
-                    let mut kept = Vec::new();
-                    for row in part {
-                        let scope = Scope {
-                            columns: cols,
-                            values: row,
-                        };
-                        if expr::truth(&eval(pred, &scope)?) == Some(true) {
-                            kept.push((*row).clone());
-                        }
-                    }
-                    Ok(kept)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("scan worker panicked"))
-            .collect()
-    });
-    let mut out = Vec::new();
-    for part in chunk_results {
-        out.extend(part?);
-    }
-    Ok(out)
+/// Whether `row` satisfies `pred` (SQL truth: NULL is not TRUE).
+pub(super) fn row_matches(cols: &[ScopeCol], pred: &Expr, row: &[Value]) -> DbResult<bool> {
+    let scope = Scope {
+        columns: cols,
+        values: row,
+    };
+    Ok(expr::truth(&eval(pred, &scope)?) == Some(true))
 }
 
-/// Split owned rows into up to `workers` contiguous chunks.
-fn split_chunks(mut rows: Vec<Row>, workers: usize) -> Vec<Vec<Row>> {
-    let chunk = rows.len().div_ceil(workers).max(1);
-    let mut parts = Vec::with_capacity(workers);
-    while rows.len() > chunk {
-        let tail = rows.split_off(chunk);
-        parts.push(std::mem::replace(&mut rows, tail));
-    }
-    parts.push(rows);
-    parts
-}
-
-/// Filter already-materialized rows (post-join WHERE), in parallel when
-/// large. Order and error behavior match the sequential loop.
-pub(super) fn filter_rows(
-    rows: Vec<Row>,
-    cols: &[ScopeCol],
-    pred: &Expr,
-    opts: &ExecOptions,
-) -> DbResult<Vec<Row>> {
-    let workers = opts.workers_for(rows.len());
-    if workers < 2 {
-        let mut kept = Vec::with_capacity(rows.len());
-        for row in rows {
-            let scope = Scope {
-                columns: cols,
-                values: &row,
-            };
-            if expr::truth(&eval(pred, &scope)?) == Some(true) {
-                kept.push(row);
-            }
+/// Keep the rows satisfying `pred`, in order; the first error stops.
+pub(super) fn filter_rows(rows: Vec<Row>, cols: &[ScopeCol], pred: &Expr) -> DbResult<Vec<Row>> {
+    let mut kept = Vec::with_capacity(rows.len());
+    for row in rows {
+        if row_matches(cols, pred, &row)? {
+            kept.push(row);
         }
-        return Ok(kept);
-    }
-    let parts = split_chunks(rows, workers);
-    let chunk_results: Vec<DbResult<Vec<Row>>> = std::thread::scope(|s| {
-        let handles: Vec<_> = parts
-            .into_iter()
-            .map(|part| {
-                s.spawn(move || {
-                    let mut kept = Vec::with_capacity(part.len());
-                    for row in part {
-                        let scope = Scope {
-                            columns: cols,
-                            values: &row,
-                        };
-                        if expr::truth(&eval(pred, &scope)?) == Some(true) {
-                            kept.push(row);
-                        }
-                    }
-                    Ok(kept)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("filter worker panicked"))
-            .collect()
-    });
-    let mut kept = Vec::new();
-    for part in chunk_results {
-        kept.extend(part?);
     }
     Ok(kept)
 }
 
-/// Group rows by GROUP BY key expressions, in parallel when large: each
-/// worker groups one contiguous chunk, and the per-chunk maps merge in
-/// chunk order so rows within a group keep scan order (float aggregate
-/// accumulation order — and thus exact results — match the sequential
-/// path).
+/// Group rows by the GROUP BY key expressions; rows within a group keep
+/// input order (so float aggregates accumulate in scan order).
 pub(super) fn group_rows(
     rows: Vec<Row>,
     cols: &[ScopeCol],
     group_by: &[Expr],
-    opts: &ExecOptions,
 ) -> DbResult<BTreeMap<Key, Vec<Row>>> {
-    let group_one = |groups: &mut BTreeMap<Key, Vec<Row>>, row: Row| -> DbResult<()> {
+    let mut groups: BTreeMap<Key, Vec<Row>> = BTreeMap::new();
+    for row in rows {
         let scope = Scope {
             columns: cols,
             values: &row,
@@ -549,165 +325,70 @@ pub(super) fn group_rows(
             .map(|g| eval(g, &scope))
             .collect::<DbResult<Vec<_>>>()?);
         groups.entry(key).or_default().push(row);
-        Ok(())
-    };
-    let workers = opts.workers_for(rows.len());
-    if workers < 2 {
-        let mut groups = BTreeMap::new();
-        for row in rows {
-            group_one(&mut groups, row)?;
-        }
-        return Ok(groups);
-    }
-    let parts = split_chunks(rows, workers);
-    let group_one = &group_one;
-    let chunk_maps: Vec<DbResult<BTreeMap<Key, Vec<Row>>>> = std::thread::scope(|s| {
-        let handles: Vec<_> = parts
-            .into_iter()
-            .map(|part| {
-                s.spawn(move || {
-                    let mut groups = BTreeMap::new();
-                    for row in part {
-                        group_one(&mut groups, row)?;
-                    }
-                    Ok(groups)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("group worker panicked"))
-            .collect()
-    });
-    let mut groups: BTreeMap<Key, Vec<Row>> = BTreeMap::new();
-    for map in chunk_maps {
-        for (key, part_rows) in map? {
-            groups.entry(key).or_default().extend(part_rows);
-        }
     }
     Ok(groups)
 }
 
-/// Candidate `(rid, row)` pairs for a DML statement: index-pruned when the
-/// predicate pins an index, otherwise a full scan.
-pub(super) fn dml_candidates(
-    schema: &TableSchema,
-    data: &TableData,
-    table: &str,
-    predicate: Option<&Expr>,
-    opts: &ExecOptions,
-    summary: &mut PlanSummary,
-) -> Vec<(RowId, Row)> {
-    if opts.use_indexes {
-        if let Some(pred) = predicate {
-            if let Some((index, rids)) = index_candidates(schema, data, table, pred) {
-                summary.scans.push(ScanPath::IndexProbe {
-                    table: table.to_owned(),
-                    index,
-                    candidates: rids.len(),
-                });
-                return rids
-                    .into_iter()
-                    .filter_map(|rid| data.get(rid).map(|r| (rid, r.clone())))
-                    .collect();
+/// Evaluate HAVING and the SELECT items over each group, pairing every
+/// output row with the group that produced it (ORDER BY may still need it).
+pub(super) fn aggregate_groups(
+    sel: &Select,
+    cols: &[ScopeCol],
+    groups: BTreeMap<Key, Vec<Row>>,
+) -> DbResult<Vec<(Row, Vec<Row>)>> {
+    let mut produced = Vec::new();
+    for (_, group_rows) in groups {
+        // An empty global group still yields one row of aggregates (e.g.
+        // COUNT(*) = 0), but grouped queries skip empty groups.
+        if group_rows.is_empty() && !sel.group_by.is_empty() {
+            continue;
+        }
+        if let Some(h) = &sel.having {
+            if expr::truth(&eval_agg(h, cols, &group_rows)?) != Some(true) {
+                continue;
             }
         }
-    }
-    summary.scans.push(ScanPath::Seq {
-        table: table.to_owned(),
-        rows: data.len(),
-    });
-    data.iter().map(|(rid, r)| (rid, r.clone())).collect()
-}
-
-/// If the predicate's top-level AND conjuncts pin every column of some index
-/// to non-NULL constants, return the chosen index's name and the matching
-/// row ids. Index preference lives in [`plan::choose_index`].
-pub(super) fn index_candidates(
-    schema: &TableSchema,
-    data: &TableData,
-    binding: &str,
-    predicate: &Expr,
-) -> Option<(String, Vec<RowId>)> {
-    let pinned = plan::equality_bindings(schema, binding, predicate);
-    if pinned.is_empty() {
-        return None;
-    }
-    let (name, idx, key) = plan::choose_index(data, &pinned)?;
-    Some((name.to_owned(), idx.lookup(&key)))
-}
-
-// ---------------------------------------------------------------------------
-// Joins
-// ---------------------------------------------------------------------------
-
-/// Join accumulated left rows with a new right table, picking a grace-hash
-/// join when the ON condition yields equi-keys (and options allow), else
-/// the nested loop.
-#[allow(clippy::too_many_arguments)]
-pub(super) fn join_rows(
-    left_cols: Vec<ScopeCol>,
-    left_rows: Vec<Row>,
-    right_cols: Vec<ScopeCol>,
-    right_rows: Vec<Row>,
-    kind: JoinKind,
-    on: Option<&Expr>,
-    right_binding: &str,
-    opts: &ExecOptions,
-    summary: &mut PlanSummary,
-) -> DbResult<(Vec<ScopeCol>, Vec<Row>)> {
-    if opts.hash_join && kind != JoinKind::Cross {
-        if let Some(on) = on {
-            if let Some(equi) = plan::analyze_equi_join(&left_cols, &right_cols, on) {
-                // Grace-style partition count: scale with the build side,
-                // bounded so tiny tables stay in one partition.
-                let partitions = (right_rows.len() / 4096).clamp(1, 16);
-                summary.joins.push(JoinPath::HashJoin {
-                    table: right_binding.to_owned(),
-                    build_rows: right_rows.len(),
-                    partitions,
-                });
-                return hash_join_rows(
-                    left_cols, left_rows, right_cols, right_rows, kind, on, &equi, opts, partitions,
-                );
+        let mut out = Vec::new();
+        for item in &sel.items {
+            match item {
+                SelectItem::Expr { expr, .. } => out.push(eval_agg(expr, cols, &group_rows)?),
+                SelectItem::Wildcard | SelectItem::QualifiedWildcard(_) => {
+                    return Err(DbError::Execution(
+                        "wildcard projection is not valid in aggregate queries".into(),
+                    ));
+                }
             }
         }
+        produced.push((out, group_rows));
     }
-    summary.joins.push(JoinPath::NestedLoop {
-        table: right_binding.to_owned(),
-    });
-    nl_join_rows(left_cols, left_rows, right_cols, right_rows, kind, on)
+    Ok(produced)
+}
+
+/// `l` followed by `r`.
+fn combine(l: &Row, r: impl IntoIterator<Item = Value>) -> Row {
+    let mut combined = l.clone();
+    combined.extend(r);
+    combined
 }
 
 /// The nested-loop join: the reference semantics every other join strategy
-/// must reproduce.
+/// must reproduce. `cols` is the combined (left then right) scope.
 pub(super) fn nl_join_rows(
-    left_cols: Vec<ScopeCol>,
-    left_rows: Vec<Row>,
-    right_cols: Vec<ScopeCol>,
-    right_rows: Vec<Row>,
+    cols: &[ScopeCol],
+    left_rows: &[Row],
+    right_rows: &[Row],
+    right_width: usize,
     kind: JoinKind,
     on: Option<&Expr>,
-) -> DbResult<(Vec<ScopeCol>, Vec<Row>)> {
-    let mut cols = left_cols;
-    let right_width = right_cols.len();
-    cols.extend(right_cols);
+) -> DbResult<Vec<Row>> {
     let mut out = Vec::new();
-    for l in &left_rows {
+    for l in left_rows {
         let mut matched = false;
-        for r in &right_rows {
-            let mut combined = l.clone();
-            combined.extend(r.iter().cloned());
+        for r in right_rows {
+            let combined = combine(l, r.iter().cloned());
             let keep = match (kind, on) {
-                (JoinKind::Cross, _) => true,
-                (_, Some(on)) => {
-                    let scope = Scope {
-                        columns: &cols,
-                        values: &combined,
-                    };
-                    expr::truth(&eval(on, &scope)?) == Some(true)
-                }
-                (_, None) => true,
+                (JoinKind::Cross, _) | (_, None) => true,
+                (_, Some(on)) => row_matches(cols, on, &combined)?,
             };
             if keep {
                 matched = true;
@@ -715,12 +396,10 @@ pub(super) fn nl_join_rows(
             }
         }
         if kind == JoinKind::Left && !matched {
-            let mut combined = l.clone();
-            combined.extend(std::iter::repeat_n(Value::Null, right_width));
-            out.push(combined);
+            out.push(combine(l, std::iter::repeat_n(Value::Null, right_width)));
         }
     }
-    Ok((cols, out))
+    Ok(out)
 }
 
 /// Extract a canonicalized join key from a row. `None` (no possible match)
@@ -728,7 +407,7 @@ pub(super) fn nl_join_rows(
 /// can never evaluate to TRUE, so the nested loop would reject every pair
 /// too. `-0.0` collapses to `0.0` so key equality (total order) agrees
 /// with SQL equality wherever the latter says "equal".
-pub(super) fn join_key(row: &Row, positions: &[usize]) -> Option<HashedKey> {
+fn join_key(row: &Row, positions: &[usize]) -> Option<HashedKey> {
     let mut vals = Vec::with_capacity(positions.len());
     for &p in positions {
         match &row[p] {
@@ -740,102 +419,68 @@ pub(super) fn join_key(row: &Row, positions: &[usize]) -> Option<HashedKey> {
     Some(HashedKey(canonical_key(Key(vals))))
 }
 
-/// Grace-hash join: partition the build (right) side by key hash, then
-/// probe from the left — in parallel chunks when large. For every
-/// key-matching candidate pair the *full* ON condition is re-evaluated
-/// exactly as the nested loop would, so key hashing is purely a sound
-/// pre-filter and the output (content and order: left order outer, right
-/// insertion order inner, LEFT null-extension included) is identical to
-/// the nested loop's.
-#[allow(clippy::too_many_arguments)]
-pub(super) fn hash_join_rows(
-    left_cols: Vec<ScopeCol>,
-    left_rows: Vec<Row>,
-    right_cols: Vec<ScopeCol>,
-    right_rows: Vec<Row>,
-    kind: JoinKind,
-    on: &Expr,
-    equi: &plan::EquiJoin,
-    opts: &ExecOptions,
-    partitions: usize,
-) -> DbResult<(Vec<ScopeCol>, Vec<Row>)> {
-    let mut cols = left_cols;
-    let right_width = right_cols.len();
-    cols.extend(right_cols);
+/// A built hash join: the right side bucketed by canonical key, ready to be
+/// probed from the left. Key hashing is purely a sound pre-filter — every
+/// key-matching candidate pair is still put to `matches` (the full ON
+/// condition, or SQL equality on each key pair), so the output (content and
+/// order: left order outer, right scan order inner, LEFT null-extension
+/// included) is identical to the nested loop's.
+pub(super) struct HashJoin<'a> {
+    right_rows: &'a [Row],
+    buckets: HashMap<HashedKey, Vec<usize>>,
+    left_keys: &'a [usize],
+    /// `Some(right width)` null-extends unmatched left rows (LEFT join).
+    pad: Option<usize>,
+    matches: &'a (dyn Fn(&Row) -> DbResult<bool> + Sync),
+}
 
-    // Build phase: right row indices bucketed by key, partitioned by hash.
-    // Indices append in scan order, preserving the nested loop's inner
-    // iteration order.
-    let hasher = RandomState::new();
-    let mut parts: Vec<HashMap<HashedKey, Vec<usize>>> = vec![HashMap::new(); partitions];
-    for (i, r) in right_rows.iter().enumerate() {
-        if let Some(key) = join_key(r, &equi.right_keys) {
-            let slot = (hasher.hash_one(&key) as usize) % partitions;
-            parts[slot].entry(key).or_default().push(i);
-        }
-    }
-
-    // Probe phase.
-    let probe_one = |l: &Row| -> DbResult<Vec<Row>> {
-        let mut out = Vec::new();
-        let mut matched = false;
-        if let Some(key) = join_key(l, &equi.left_keys) {
-            let slot = (hasher.hash_one(&key) as usize) % partitions;
-            if let Some(cands) = parts[slot].get(&key) {
-                for &ri in cands {
-                    let mut combined = l.clone();
-                    combined.extend(right_rows[ri].iter().cloned());
-                    let scope = Scope {
-                        columns: &cols,
-                        values: &combined,
-                    };
-                    if expr::truth(&eval(on, &scope)?) == Some(true) {
-                        matched = true;
-                        out.push(combined);
-                    }
-                }
+impl<'a> HashJoin<'a> {
+    /// Build phase. Indices append in scan order, preserving the nested
+    /// loop's inner iteration order.
+    pub(super) fn build(
+        right_rows: &'a [Row],
+        left_keys: &'a [usize],
+        right_keys: &[usize],
+        pad: Option<usize>,
+        matches: &'a (dyn Fn(&Row) -> DbResult<bool> + Sync),
+    ) -> Self {
+        let mut buckets: HashMap<HashedKey, Vec<usize>> = HashMap::new();
+        for (i, r) in right_rows.iter().enumerate() {
+            if let Some(key) = join_key(r, right_keys) {
+                buckets.entry(key).or_default().push(i);
             }
         }
-        if kind == JoinKind::Left && !matched {
-            let mut combined = l.clone();
-            combined.extend(std::iter::repeat_n(Value::Null, right_width));
-            out.push(combined);
-        }
-        Ok(out)
-    };
-
-    let workers = opts.workers_for(left_rows.len());
-    let mut out = Vec::new();
-    if workers < 2 {
-        for l in &left_rows {
-            out.extend(probe_one(l)?);
-        }
-    } else {
-        let chunk = left_rows.len().div_ceil(workers).max(1);
-        let probe_one = &probe_one;
-        let chunk_results: Vec<DbResult<Vec<Row>>> = std::thread::scope(|s| {
-            let handles: Vec<_> = left_rows
-                .chunks(chunk)
-                .map(|part| {
-                    s.spawn(move || {
-                        let mut kept = Vec::new();
-                        for l in part {
-                            kept.extend(probe_one(l)?);
-                        }
-                        Ok(kept)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("probe worker panicked"))
-                .collect()
-        });
-        for part in chunk_results {
-            out.extend(part?);
+        HashJoin {
+            right_rows,
+            buckets,
+            left_keys,
+            pad,
+            matches,
         }
     }
-    Ok((cols, out))
+
+    /// Probe with a run of left rows, in order.
+    pub(super) fn probe<'r>(
+        &self,
+        left_rows: impl IntoIterator<Item = &'r Row>,
+    ) -> DbResult<Vec<Row>> {
+        let mut out = Vec::new();
+        for l in left_rows {
+            let mut matched = false;
+            let candidates = join_key(l, self.left_keys).and_then(|key| self.buckets.get(&key));
+            for &ri in candidates.into_iter().flatten() {
+                let combined = combine(l, self.right_rows[ri].iter().cloned());
+                if (self.matches)(&combined)? {
+                    matched = true;
+                    out.push(combined);
+                }
+            }
+            if let (Some(width), false) = (self.pad, matched) {
+                out.push(combine(l, std::iter::repeat_n(Value::Null, width)));
+            }
+        }
+        Ok(out)
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@
 
 use super::{eval, volcano, DbState, QueryResult};
 use crate::error::DbResult;
-use crate::plan::{ExecOptions, PlanSummary};
-use crate::schema::TableSchema;
+use crate::plan::ExecOptions;
+use crate::planner;
 use crate::value::Value;
 use sqlkit::ast::{Expr, InsertSource, Select, Statement};
 
@@ -29,19 +29,19 @@ pub fn explain(state: &DbState, stmt: &Statement, analyze: bool) -> DbResult<Que
             }
         }
         Statement::Update(up) => {
-            let schema = state.catalog.table(&up.table)?;
+            state.catalog.table(&up.table)?;
             lines.push(format!(
                 "Update on {} ({})",
                 up.table,
-                access_path(state, schema, &up.table, up.where_clause.as_ref())
+                access_path(state, &up.table, up.where_clause.as_ref())
             ));
         }
         Statement::Delete(del) => {
-            let schema = state.catalog.table(&del.table)?;
+            state.catalog.table(&del.table)?;
             lines.push(format!(
                 "Delete on {} ({})",
                 del.table,
-                access_path(state, schema, &del.table, del.where_clause.as_ref())
+                access_path(state, &del.table, del.where_clause.as_ref())
             ));
         }
         Statement::Analyze { table } => {
@@ -73,35 +73,26 @@ fn plan_lines(state: &DbState, sel: &Select, analyze: bool, depth: usize) -> DbR
         profiling: analyze,
         ..ExecOptions::default()
     };
-    let mut summary = PlanSummary::default();
-    let sel = eval::resolve_select(state, sel, &opts, &mut summary)?;
-    let plan = crate::planner::plan_select(state, &sel, &opts)?;
-    let lines = if analyze {
-        let (_, counts, times) =
-            volcano::execute_planned_profiled(state, &plan, &opts, &mut summary)?;
-        plan.render_profiled(Some(&counts), times.as_ref())
-    } else {
-        plan.render(None)
-    };
+    let sel = eval::resolve_select(state, sel, &opts)?;
+    let mut plan = planner::plan_select(state, &sel, &opts)?;
+    if analyze {
+        volcano::execute_planned(state, &mut plan, &opts)?;
+    }
     let pad = "  ".repeat(depth);
-    Ok(lines.into_iter().map(|l| format!("{pad}{l}")).collect())
+    Ok(plan
+        .render()
+        .into_iter()
+        .map(|l| format!("{pad}{l}"))
+        .collect())
 }
 
-fn access_path(
-    state: &DbState,
-    schema: &TableSchema,
-    table: &str,
-    predicate: Option<&Expr>,
-) -> String {
+/// The access path UPDATE/DELETE candidate selection would take.
+fn access_path(state: &DbState, table: &str, predicate: Option<&Expr>) -> &'static str {
     match predicate {
-        Some(pred) => {
-            if let Some(data) = state.data.get(&schema.name) {
-                if eval::index_candidates(schema, data, table, pred).is_some() {
-                    return "index scan".into();
-                }
-            }
-            "seq scan".into()
+        Some(pred) if planner::choose_probe(state, table, table, pred, None).is_some() => {
+            "index scan"
         }
-        None => "seq scan, all rows".into(),
+        Some(_) => "seq scan",
+        None => "seq scan, all rows",
     }
 }

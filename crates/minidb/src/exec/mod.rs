@@ -2,19 +2,22 @@
 //! physical plan:
 //!
 //! - [`seq`] — the **sequential reference pipeline**: the semantic ground
-//!   truth every optimized plan must reproduce row-for-row.
+//!   truth every optimized plan must reproduce row-for-row. Full scans on
+//!   the calling thread only.
 //! - [`volcano`] — the plan-driven executor: interprets the operator tree
-//!   the cost-based planner ([`crate::planner`]) produces, with per-operator
-//!   row accounting for `EXPLAIN ANALYZE`.
-//! - [`eval`] — shared machinery: subquery resolution, scans, joins,
-//!   filtering, grouping, aggregates, projection.
+//!   the cost-based planner ([`crate::planner`]) produces and records what
+//!   each operator actually did on the tree itself.
+//! - [`parallel`] — the one chunked fan-out helper and the operators built
+//!   on it; only `volcano` reaches it.
+//! - [`eval`] — shared sequential machinery: subquery resolution, filter /
+//!   group / join kernels, aggregates, projection.
 //! - [`dml`] / [`ddl`] — writes with constraint enforcement, schema changes,
 //!   and `ANALYZE`.
 //! - [`explain`] — renders the physical plan (with cost estimates, and
 //!   measured row counts under `EXPLAIN ANALYZE`).
 //!
-//! Which path ran is recorded in a [`PlanSummary`] so tests and tools can
-//! assert on the choice. Every optimizer-chosen plan must produce rows
+//! A SELECT runs through exactly one of `seq` and `volcano`, chosen by
+//! [`ExecOptions::planner`]. Every optimizer-chosen plan must produce rows
 //! identical (content *and* order) to the sequential path; see
 //! `crate::plan` for the invariants and the two sanctioned error-surfacing
 //! divergences.
@@ -23,20 +26,23 @@ mod ddl;
 mod dml;
 mod eval;
 mod explain;
+mod parallel;
 mod seq;
 mod volcano;
 
 pub(crate) use ddl::build_auto_indexes;
 pub(crate) use dml::{foreign_key_target_exists, rows_match_key};
-pub(crate) use eval::derive_name;
+pub(crate) use eval::scope_cols_of;
 pub use explain::explain;
+pub(crate) use parallel::chunked;
 
 use crate::error::{DbError, DbResult};
-use crate::plan::{ExecOptions, PlanSummary};
+use crate::plan::ExecOptions;
+use crate::planner::physical::PhysPlan;
 use crate::schema::Catalog;
-use crate::storage::DataMap;
+use crate::storage::{DataMap, RowId, TableData};
 use crate::txn::UndoOp;
-use crate::value::Row;
+use crate::value::{Key, Row};
 use sqlkit::ast::{Select, Statement};
 
 /// Mutable database state: catalog + per-table storage.
@@ -83,35 +89,13 @@ pub fn execute(
     stmt: &Statement,
     undo: &mut Vec<UndoOp>,
 ) -> DbResult<QueryResult> {
-    execute_with_options(state, stmt, undo, &ExecOptions::default()).map(|(r, _)| r)
-}
-
-/// Execute a statement under explicit [`ExecOptions`], returning the result
-/// together with the [`PlanSummary`] of every table access and join the
-/// statement (including its subqueries and view expansions) performed.
-pub fn execute_with_options(
-    state: &mut DbState,
-    stmt: &Statement,
-    undo: &mut Vec<UndoOp>,
-    opts: &ExecOptions,
-) -> DbResult<(QueryResult, PlanSummary)> {
-    let mut summary = PlanSummary::default();
-    let result = execute_inner(state, stmt, undo, opts, &mut summary)?;
-    Ok((result, summary))
-}
-
-fn execute_inner(
-    state: &mut DbState,
-    stmt: &Statement,
-    undo: &mut Vec<UndoOp>,
-    opts: &ExecOptions,
-    summary: &mut PlanSummary,
-) -> DbResult<QueryResult> {
     match stmt {
-        Statement::Select(sel) => execute_select_opts(state, sel, opts, summary),
-        Statement::Insert(ins) => dml::execute_insert(state, ins, undo, opts, summary),
-        Statement::Update(up) => dml::execute_update(state, up, undo, opts, summary),
-        Statement::Delete(del) => dml::execute_delete(state, del, undo, opts, summary),
+        Statement::Select(sel) => {
+            execute_select(state, sel, &ExecOptions::default()).map(|(result, _)| result)
+        }
+        Statement::Insert(ins) => dml::execute_insert(state, ins, undo),
+        Statement::Update(up) => dml::execute_update(state, up, undo),
+        Statement::Delete(del) => dml::execute_delete(state, del, undo),
         Statement::CreateTable(ct) => ddl::execute_create_table(state, ct, undo),
         Statement::DropTable(dt) => {
             let mut total = 0;
@@ -142,50 +126,35 @@ fn execute_inner(
     }
 }
 
-/// Execute a SELECT against a read-only state snapshot.
-pub fn execute_select(state: &DbState, sel: &Select) -> DbResult<QueryResult> {
-    let mut summary = PlanSummary::default();
-    execute_select_opts(state, sel, &ExecOptions::default(), &mut summary)
-}
-
-/// Execute a SELECT under explicit options, returning the plan summary of
-/// every table access and join performed (including subqueries and views).
-pub fn execute_select_traced(
+/// Execute a SELECT against a read-only state snapshot: resolve subqueries
+/// (plans are built over the resolved statement, exactly as the reference
+/// pipeline evaluates it), then either plan + execute through the Volcano
+/// tree — returning the executed plan, each node annotated with the rows it
+/// actually emitted — or run the sequential reference pipeline (no plan)
+/// when [`ExecOptions::planner`] is off.
+pub fn execute_select(
     state: &DbState,
     sel: &Select,
     opts: &ExecOptions,
-) -> DbResult<(QueryResult, PlanSummary)> {
-    let mut summary = PlanSummary::default();
-    let result = execute_select_opts(state, sel, opts, &mut summary)?;
-    Ok((result, summary))
-}
-
-/// Route a SELECT: resolve subqueries (the reference pipeline does this
-/// first too — plans are built over the resolved statement), then either
-/// plan + execute through the Volcano tree, or run the sequential
-/// reference pipeline when the planner is disabled.
-pub(crate) fn execute_select_opts(
-    state: &DbState,
-    sel: &Select,
-    opts: &ExecOptions,
-    summary: &mut PlanSummary,
-) -> DbResult<QueryResult> {
-    let sel = eval::resolve_select(state, sel, opts, summary)?;
+) -> DbResult<(QueryResult, Option<PhysPlan>)> {
+    let sel = eval::resolve_select(state, sel, opts)?;
     if opts.planner {
-        let plan = crate::planner::plan_select(state, &sel, opts)?;
-        if opts.profiling {
-            // Profiled execution: the summary's rendered tree carries the
-            // measured per-operator rows and wall times, so callers (e.g.
-            // the SQL tools' slow-call profiles) get the annotated plan.
-            let (result, counts, times) =
-                volcano::execute_planned_profiled(state, &plan, opts, summary)?;
-            summary.tree = plan.render_profiled(Some(&counts), times.as_ref());
-            Ok(result)
-        } else {
-            summary.tree = plan.render(None);
-            volcano::execute_planned(state, &plan, opts, summary)
-        }
+        let mut plan = crate::planner::plan_select(state, &sel, opts)?;
+        let result = volcano::execute_planned(state, &mut plan, opts)?;
+        Ok((result, Some(plan)))
     } else {
-        seq::execute_resolved(state, &sel, opts, summary)
+        Ok((seq::execute_resolved(state, &sel, opts)?, None))
     }
+}
+
+/// Row ids an index probe returns. The plan names the index it chose from
+/// this same state, so a missing index is an internal error — never a
+/// silently different access path.
+fn probe_index(data: &TableData, table: &str, index: &str, key: &Key) -> DbResult<Vec<RowId>> {
+    let idx = data.indexes.get(index).ok_or_else(|| {
+        DbError::Execution(format!(
+            "internal error: planned index \"{index}\" is missing on \"{table}\""
+        ))
+    })?;
+    Ok(idx.lookup(key))
 }

@@ -3,17 +3,21 @@
 //! This is the semantic ground truth. Every plan the cost-based planner
 //! produces must yield rows identical — content *and* order — to this
 //! pipeline (modulo the two sanctioned error-surfacing divergences
-//! documented in [`crate::plan`]). It is kept deliberately simple and is
-//! always reachable via [`ExecOptions::sequential`], so differential tests
-//! can compare any optimized plan against it.
+//! documented in [`crate::plan`]). It is kept deliberately simple — full
+//! scans, materialized stages, the calling thread only; nothing it calls
+//! can probe an index or spawn a thread — and is always reachable via
+//! [`ExecOptions::sequential`], so differential tests can compare any
+//! optimized plan against it. Its one switch, [`ExecOptions::hash_join`],
+//! swaps the quadratic nested loop for a single-threaded hash join with the
+//! same output, for oracles over inputs the nested loop cannot finish.
 
 use super::eval;
 use super::{DbState, QueryResult};
 use crate::error::{DbError, DbResult};
 use crate::expr::{self, ScopeCol};
-use crate::plan::{ExecOptions, PlanSummary};
+use crate::plan::{self, ExecOptions};
 use crate::value::{Key, Row, Value};
-use sqlkit::ast::{Select, SelectItem};
+use sqlkit::ast::{JoinKind, Select};
 use std::collections::BTreeMap;
 
 /// Execute an already-resolved SELECT (no subqueries remain) stage by
@@ -23,78 +27,33 @@ pub(super) fn execute_resolved(
     state: &DbState,
     sel: &Select,
     opts: &ExecOptions,
-    summary: &mut PlanSummary,
 ) -> DbResult<QueryResult> {
-    // Build the base row set (FROM + JOINs). `prefiltered` means the scan
-    // already applied the full WHERE clause (parallel filtered scan).
-    let (scope_cols, mut rows, prefiltered) = build_from(state, sel, opts, summary)?;
-
-    // WHERE.
-    if !prefiltered {
-        if let Some(pred) = &sel.where_clause {
-            rows = eval::filter_rows(rows, &scope_cols, pred, opts)?;
-        }
+    let (scope_cols, mut rows) = build_from(state, sel, opts)?;
+    if let Some(pred) = &sel.where_clause {
+        rows = eval::filter_rows(rows, &scope_cols, pred)?;
     }
-
-    let has_aggregate = !sel.group_by.is_empty()
-        || sel
-            .items
-            .iter()
-            .any(|i| matches!(i, SelectItem::Expr { expr, .. } if expr::contains_aggregate(expr)))
-        || sel.having.as_ref().is_some_and(expr::contains_aggregate)
-        || sel
-            .order_by
-            .iter()
-            .any(|o| expr::contains_aggregate(&o.expr));
-
+    let has_aggregate = expr::select_aggregates(sel);
     let out_columns = eval::output_columns(sel, &scope_cols)?;
 
     // Each output row pairs the projected values with the rows that produced
     // it (one row, or a whole group) so ORDER BY can evaluate expressions
     // not present in the projection.
-    let mut produced: Vec<(Row, Vec<Row>)> = Vec::new();
-
-    if has_aggregate {
+    let mut produced: Vec<(Row, Vec<Row>)> = if has_aggregate {
         // Group rows by GROUP BY keys (single group if none).
-        let mut groups: BTreeMap<Key, Vec<Row>> = BTreeMap::new();
-        if sel.group_by.is_empty() {
-            groups.insert(Key(vec![]), rows);
+        let groups = if sel.group_by.is_empty() {
+            BTreeMap::from([(Key(vec![]), rows)])
         } else {
-            groups = eval::group_rows(rows, &scope_cols, &sel.group_by, opts)?;
-        }
-        for (_, group_rows) in groups {
-            // An empty global group still yields one row of aggregates
-            // (e.g. COUNT(*) = 0), but grouped queries skip empty groups.
-            if group_rows.is_empty() && !sel.group_by.is_empty() {
-                continue;
-            }
-            if let Some(h) = &sel.having {
-                let keep = eval::eval_agg(h, &scope_cols, &group_rows)?;
-                if expr::truth(&keep) != Some(true) {
-                    continue;
-                }
-            }
-            let mut out = Vec::new();
-            for item in &sel.items {
-                match item {
-                    SelectItem::Expr { expr, .. } => {
-                        out.push(eval::eval_agg(expr, &scope_cols, &group_rows)?);
-                    }
-                    SelectItem::Wildcard | SelectItem::QualifiedWildcard(_) => {
-                        return Err(DbError::Execution(
-                            "wildcard projection is not valid in aggregate queries".into(),
-                        ));
-                    }
-                }
-            }
-            produced.push((out, group_rows));
-        }
+            eval::group_rows(rows, &scope_cols, &sel.group_by)?
+        };
+        eval::aggregate_groups(sel, &scope_cols, groups)?
     } else {
+        let mut produced = Vec::with_capacity(rows.len());
         for row in rows {
             let out = eval::project_row(sel, &scope_cols, &row)?;
             produced.push((out, vec![row]));
         }
-    }
+        produced
+    };
 
     // ORDER BY.
     if !sel.order_by.is_empty() {
@@ -146,48 +105,64 @@ pub(super) fn execute_resolved(
     })
 }
 
-/// Build the FROM/JOIN row set and its scope columns. The returned flag
-/// reports whether the base scan already applied the full WHERE clause
-/// (parallel filtered scan), letting the caller skip re-filtering.
+/// Build the FROM/JOIN row set and its scope columns: a full scan of every
+/// FROM item, joined left to right.
 fn build_from(
     state: &DbState,
     sel: &Select,
     opts: &ExecOptions,
-    summary: &mut PlanSummary,
-) -> DbResult<(Vec<ScopeCol>, Vec<Row>, bool)> {
+) -> DbResult<(Vec<ScopeCol>, Vec<Row>)> {
     let Some(from) = &sel.from else {
         // SELECT without FROM: one empty row.
-        return Ok((Vec::new(), vec![Vec::new()], false));
+        return Ok((Vec::new(), vec![Vec::new()]));
     };
-    // Single-table queries push the WHERE clause down to the scan so point
-    // predicates use indexes; joined queries filter after the join.
-    let pushdown = if sel.joins.is_empty() {
-        sel.where_clause.as_ref()
-    } else {
-        None
-    };
-    let (mut cols, mut rows, prefiltered) =
-        eval::scan_table_filtered(state, from.binding(), &from.name, pushdown, opts, summary)?;
+    let mut cols = eval::scope_cols_of(state, from.binding(), &from.name)?;
+    let mut rows = scan(state, &from.name, opts)?;
     for join in &sel.joins {
-        let (right_cols, right_rows, _) = eval::scan_table_filtered(
-            state,
-            join.table.binding(),
-            &join.table.name,
-            None,
-            opts,
-            summary,
-        )?;
-        (cols, rows) = eval::join_rows(
-            cols,
-            rows,
-            right_cols,
-            right_rows,
-            join.kind,
-            join.on.as_ref(),
-            join.table.binding(),
-            opts,
-            summary,
-        )?;
+        let right_cols = eval::scope_cols_of(state, join.table.binding(), &join.table.name)?;
+        let right_rows = scan(state, &join.table.name, opts)?;
+        let equi = match (&join.on, opts.hash_join && join.kind != JoinKind::Cross) {
+            (Some(on), true) => plan::analyze_equi_join(&cols, &right_cols, on).map(|e| (e, on)),
+            _ => None,
+        };
+        let right_width = right_cols.len();
+        cols.extend(right_cols);
+        rows = match equi {
+            Some((equi, on)) => {
+                let matches = |combined: &Row| eval::row_matches(&cols, on, combined);
+                let pad = (join.kind == JoinKind::Left).then_some(right_width);
+                eval::HashJoin::build(
+                    &right_rows,
+                    &equi.left_keys,
+                    &equi.right_keys,
+                    pad,
+                    &matches,
+                )
+                .probe(&rows)?
+            }
+            None => eval::nl_join_rows(
+                &cols,
+                &rows,
+                &right_rows,
+                right_width,
+                join.kind,
+                join.on.as_ref(),
+            )?,
+        };
     }
-    Ok((cols, rows, prefiltered))
+    Ok((cols, rows))
+}
+
+/// Every row of a FROM item, in row-id order. A view expands to its
+/// defining query (definer semantics: privilege checks happened at the
+/// session layer against the view object), run under the same options.
+fn scan(state: &DbState, name: &str, opts: &ExecOptions) -> DbResult<Vec<Row>> {
+    if let Some(view) = state.catalog.view(name) {
+        return eval::select_rows(state, &view.query, opts);
+    }
+    let data = state
+        .data
+        .get(name)
+        .ok_or_else(|| DbError::UnknownTable(name.to_owned()))?;
+    Ok(data.iter().map(|(_, r)| r.clone()).collect())
 }

@@ -1,5 +1,9 @@
 //! The plan-driven executor: interprets the physical operator tree the
-//! cost-based planner produces.
+//! cost-based planner produces, obeying every decision recorded on it —
+//! access path, join algorithm and keys, scan worker count. The one thing it
+//! sizes itself is the fan-out of a filter, grouping pass or hash-join probe
+//! over intermediate rows: the planner's rule (`planner::workers_for`) applied
+//! to the rows that actually arrived, which no estimate can stand in for.
 //!
 //! Operators are *blocking* — each drains its child fully before producing
 //! output — which preserves the reference pipeline's stage-at-a-time error
@@ -9,90 +13,80 @@
 //! the planner emits for LIMIT pushdown, which stops scanning once the
 //! limit is filled.
 //!
-//! Every operator counts the rows it emits, keyed by its plan node id, so
-//! `EXPLAIN ANALYZE` can annotate the rendered tree with actual
-//! cardinalities.
+//! Every operator records the rows it emitted (and, under profiling, its
+//! inclusive wall time) on its own plan node, so the executed tree is the
+//! one report of what ran: `EXPLAIN ANALYZE` renders it and the SQL tools
+//! derive their `plan.*` span attributes from it.
 
-use super::eval;
+use super::{eval, parallel};
 use super::{DbState, QueryResult};
 use crate::error::{DbError, DbResult};
-use crate::expr::{self, eval as eval_expr, Scope};
-use crate::plan::{self, ExecOptions, JoinPath, PlanSummary, ScanPath};
+use crate::expr::ScopeCol;
+use crate::plan::ExecOptions;
 use crate::planner::physical::{PhysNode, PhysOp, PhysPlan};
-use crate::storage::HashedKey;
+use crate::planner::workers_for;
+use crate::storage::TableData;
 use crate::value::{Key, Row, Value};
-use std::collections::{BTreeMap, HashMap};
+use sqlkit::ast::{JoinKind, Select};
+use std::collections::BTreeMap;
+use std::time::Instant;
 
-/// Per-operator tallies (row counts or inclusive nanoseconds) keyed by
-/// plan node id.
-pub(super) type NodeTally = BTreeMap<usize, u64>;
-
-/// Execute a physical plan, discarding the per-operator row counts.
+/// Execute a physical plan, annotating every node with its actual row
+/// count and — when [`ExecOptions::profiling`] is set — its *inclusive*
+/// wall time (each node's time contains its children's, so a child's time
+/// never exceeds its parent's).
 pub(super) fn execute_planned(
     state: &DbState,
-    plan: &PhysPlan,
+    plan: &mut PhysPlan,
     opts: &ExecOptions,
-    summary: &mut PlanSummary,
 ) -> DbResult<QueryResult> {
-    execute_planned_profiled(state, plan, opts, summary).map(|(r, _, _)| r)
-}
-
-/// Execute a physical plan, returning the result, per-operator row counts,
-/// and — when [`ExecOptions::profiling`] is set — per-operator *inclusive*
-/// wall time in nanoseconds (node id → ns, each node's time containing its
-/// children's, so a child's time never exceeds its parent's).
-pub(super) fn execute_planned_profiled(
-    state: &DbState,
-    plan: &PhysPlan,
-    opts: &ExecOptions,
-    summary: &mut PlanSummary,
-) -> DbResult<(QueryResult, NodeTally, Option<NodeTally>)> {
-    let mut ctx = Ctx {
+    let ctx = Ctx {
         state,
-        plan,
         opts,
-        counts: BTreeMap::new(),
-        times: BTreeMap::new(),
+        sel: &plan.sel,
+        scope_cols: &plan.scope_cols,
+        has_aggregate: plan.has_aggregate,
     };
-    let columns = eval::output_columns(&plan.sel, &plan.scope_cols)?;
-    let rows = if let Some(rows) = ctx.try_streaming(&plan.root, summary)? {
-        rows
-    } else {
-        ctx.exec_rows(&plan.root, summary)?
+    let columns = eval::output_columns(ctx.sel, ctx.scope_cols)?;
+    let rows = match ctx.try_streaming(&mut plan.root)? {
+        Some(rows) => rows,
+        None => ctx.exec_rows(&mut plan.root)?,
     };
-    let times = opts.profiling.then_some(ctx.times);
-    Ok((QueryResult::Rows { columns, rows }, ctx.counts, times))
+    Ok(QueryResult::Rows { columns, rows })
 }
 
 struct Ctx<'a> {
     state: &'a DbState,
-    plan: &'a PhysPlan,
     opts: &'a ExecOptions,
-    counts: BTreeMap<usize, u64>,
-    /// Inclusive per-node wall time (ns), populated only when profiling.
-    times: BTreeMap<usize, u64>,
+    sel: &'a Select,
+    scope_cols: &'a [ScopeCol],
+    has_aggregate: bool,
 }
 
-impl<'a> Ctx<'a> {
-    fn count(&mut self, id: usize, n: usize) {
-        self.counts.insert(id, n as u64);
+impl Ctx<'_> {
+    /// Run one operator, recording its output row count and — when
+    /// profiling — its inclusive wall time on the node. One `Instant` pair
+    /// per operator *dispatch*, not per row, so disabled profiling is a
+    /// single branch. A node that dispatches through two frames (Project
+    /// via both `exec_rows` and `exec_produce`) is written twice; the outer
+    /// frame finishes last with the larger, still-inclusive figure.
+    fn measured<T>(
+        &self,
+        node: &mut PhysNode,
+        body: impl FnOnce(&Self, &mut PhysNode) -> DbResult<Vec<T>>,
+    ) -> DbResult<Vec<T>> {
+        let started = self.opts.profiling.then(Instant::now);
+        let out = body(self, node)?;
+        node.actual_rows = Some(out.len() as u64);
+        node.actual_ns = started.map(|t| t.elapsed().as_nanos() as u64);
+        Ok(out)
     }
 
-    /// Run `body`, charging its inclusive wall time to node `id` when
-    /// profiling is on. One `Instant` pair per operator *dispatch* — not
-    /// per row — so disabled profiling is a single branch. A node that
-    /// dispatches through two frames (e.g. Project via both `exec_rows`
-    /// and `exec_produce`) is written twice; the outer frame finishes last
-    /// and overwrites with the larger, still-inclusive figure.
-    fn timed<T>(&mut self, id: usize, body: impl FnOnce(&mut Self) -> DbResult<T>) -> DbResult<T> {
-        if !self.opts.profiling {
-            return body(self);
-        }
-        let start = std::time::Instant::now();
-        let out = body(self);
-        let ns = start.elapsed().as_nanos() as u64;
-        self.times.insert(id, ns);
-        out
+    fn table(&self, table: &str) -> DbResult<&TableData> {
+        self.state
+            .data
+            .get(table)
+            .ok_or_else(|| DbError::UnknownTable(table.to_owned()))
     }
 
     // -- streaming pipeline -------------------------------------------------
@@ -102,100 +96,76 @@ impl<'a> Ctx<'a> {
     /// stop once the limit is filled. Rows before the limit — including
     /// offset-skipped ones — are filtered and projected exactly as the
     /// reference pipeline would, so errors they raise still surface.
-    fn try_streaming(
-        &mut self,
-        root: &PhysNode,
-        summary: &mut PlanSummary,
-    ) -> DbResult<Option<Vec<Row>>> {
-        let started = self.opts.profiling.then(std::time::Instant::now);
+    fn try_streaming(&self, root: &mut PhysNode) -> DbResult<Option<Vec<Row>>> {
+        let started = self.opts.profiling.then(Instant::now);
         let PhysOp::Limit {
             input: project,
             limit: Some(limit),
             offset,
             streaming: true,
-        } = &root.op
+        } = &mut root.op
         else {
             return Ok(None);
         };
         let PhysOp::Project {
             input: below,
             streaming: true,
-        } = &project.op
+        } = &mut project.op
         else {
             return Ok(None);
         };
-        let (pred, filter_id, scan) = match &below.op {
+        let (pred, filter, scan) = match &mut below.op {
             PhysOp::Filter {
                 input,
                 predicate,
                 streaming: true,
-            } => (Some(predicate), Some(below.id), input),
-            _ => (None, None, below),
+                ..
+            } => (Some(&*predicate), true, &mut **input),
+            _ => (None, false, &mut **below),
         };
         let PhysOp::SeqScan {
             table,
             pushed: None,
-            parallel: false,
+            workers: 1,
             ..
         } = &scan.op
         else {
             return Ok(None);
         };
-        let data = self
-            .state
-            .data
-            .get(table)
-            .ok_or_else(|| DbError::UnknownTable(table.clone()))?;
-        summary.scans.push(ScanPath::Seq {
-            table: table.clone(),
-            rows: data.len(),
-        });
-        let sel = &self.plan.sel;
-        let cols = &self.plan.scope_cols;
         let k = limit.saturating_add(*offset);
         let mut out = Vec::new();
-        let mut passed = 0u64;
-        let mut scanned = 0usize;
-        let mut projected = 0usize;
-        for (_, row) in data.iter() {
+        let (mut scanned, mut passed) = (0u64, 0u64);
+        for (_, row) in self.table(table)?.iter() {
             if passed >= k {
                 break;
             }
             scanned += 1;
             if let Some(pred) = pred {
-                let scope = Scope {
-                    columns: cols,
-                    values: row,
-                };
-                if expr::truth(&eval_expr(pred, &scope)?) != Some(true) {
+                if !eval::row_matches(self.scope_cols, pred, row)? {
                     continue;
                 }
             }
-            let projected_row = eval::project_row(sel, cols, row)?;
-            projected += 1;
+            let projected = eval::project_row(self.sel, self.scope_cols, row)?;
             if passed >= *offset {
-                out.push(projected_row);
+                out.push(projected);
             }
             passed += 1;
         }
-        self.count(scan.id, scanned);
-        if let Some(fid) = filter_id {
-            self.count(fid, passed as usize);
+        // The fused pipeline executes all four operators per row, so
+        // per-node time attribution is meaningless; each node is charged
+        // the whole pipeline's time (inclusive semantics hold trivially).
+        let ns = started.map(|t| t.elapsed().as_nanos() as u64);
+        let emitted = out.len() as u64;
+        let stamp = |node: &mut PhysNode, rows: u64| {
+            node.actual_rows = Some(rows);
+            node.actual_ns = ns;
+        };
+        stamp(scan, scanned);
+        if filter {
+            stamp(below, passed);
         }
-        self.count(project.id, projected);
-        self.count(root.id, out.len());
-        if let Some(started) = started {
-            // The fused pipeline executes all four operators per row, so
-            // per-node attribution is meaningless; each node is charged the
-            // whole pipeline's time (inclusive semantics hold trivially).
-            let ns = started.elapsed().as_nanos() as u64;
-            for id in [Some(scan.id), filter_id, Some(project.id), Some(root.id)]
-                .into_iter()
-                .flatten()
-            {
-                self.times.insert(id, ns);
-            }
-        }
+        stamp(project, passed);
+        stamp(root, emitted);
         Ok(Some(out))
     }
 
@@ -203,55 +173,38 @@ impl<'a> Ctx<'a> {
 
     /// Execute a head operator (everything above the relational part),
     /// producing final output rows.
-    fn exec_rows(&mut self, node: &PhysNode, summary: &mut PlanSummary) -> DbResult<Vec<Row>> {
-        self.timed(node.id, |ctx| ctx.exec_rows_inner(node, summary))
-    }
-
-    fn exec_rows_inner(
-        &mut self,
-        node: &PhysNode,
-        summary: &mut PlanSummary,
-    ) -> DbResult<Vec<Row>> {
-        match &node.op {
+    fn exec_rows(&self, node: &mut PhysNode) -> DbResult<Vec<Row>> {
+        self.measured(node, |ctx, node| match &mut node.op {
             PhysOp::Limit {
                 input,
                 limit,
                 offset,
                 ..
             } => {
-                let mut rows = self.exec_rows(input, summary)?;
-                let off = *offset as usize;
-                if off > 0 {
-                    rows = if off >= rows.len() {
-                        Vec::new()
-                    } else {
-                        rows.split_off(off)
-                    };
-                }
+                let mut rows = ctx.exec_rows(input)?;
+                let off = (*offset as usize).min(rows.len());
+                rows.drain(..off);
                 if let Some(lim) = limit {
                     rows.truncate(*lim as usize);
                 }
-                self.count(node.id, rows.len());
                 Ok(rows)
             }
             PhysOp::Distinct { input } => {
-                let mut rows = self.exec_rows(input, summary)?;
+                let mut rows = ctx.exec_rows(input)?;
                 let mut seen = std::collections::BTreeSet::new();
                 rows.retain(|r| seen.insert(Key(r.clone())));
-                self.count(node.id, rows.len());
                 Ok(rows)
             }
             PhysOp::Sort { input, top_k, .. } => {
-                let produced = self.exec_produce(input, summary)?;
-                let rows = self.exec_sort(node, &produced, *top_k, summary)?;
-                Ok(rows)
+                let produced = ctx.exec_produce(input)?;
+                ctx.exec_sort(produced, *top_k)
             }
             PhysOp::Project { .. } | PhysOp::HashAggregate { .. } => {
-                let produced = self.exec_produce(node, summary)?;
+                let produced = ctx.exec_produce(node)?;
                 Ok(produced.into_iter().map(|(out, _)| out).collect())
             }
             _ => unreachable!("relational operator at head position"),
-        }
+        })
     }
 
     /// Sort the produced pairs. Keys are computed for *every* row first
@@ -261,143 +214,91 @@ impl<'a> Ctx<'a> {
     /// rows (the comparator is made total by tie-breaking on the original
     /// row index).
     fn exec_sort(
-        &mut self,
-        node: &PhysNode,
-        produced: &[(Row, Vec<Row>)],
+        &self,
+        produced: Vec<(Row, Vec<Row>)>,
         top_k: Option<usize>,
-        _summary: &mut PlanSummary,
     ) -> DbResult<Vec<Row>> {
-        let sel = &self.plan.sel;
-        let out_columns = eval::output_columns(sel, &self.plan.scope_cols)?;
+        let sel = self.sel;
+        let out_columns = eval::output_columns(sel, self.scope_cols)?;
         let mut keyed: Vec<(Vec<Value>, usize, Row)> = Vec::with_capacity(produced.len());
-        for (i, (out, source_rows)) in produced.iter().enumerate() {
+        for (i, (out, source_rows)) in produced.into_iter().enumerate() {
             let mut keys = Vec::with_capacity(sel.order_by.len());
             for item in &sel.order_by {
                 keys.push(eval::order_key(
                     &item.expr,
                     sel,
                     &out_columns,
-                    out,
-                    &self.plan.scope_cols,
-                    source_rows,
-                    self.plan.has_aggregate,
+                    &out,
+                    self.scope_cols,
+                    &source_rows,
+                    self.has_aggregate,
                 )?);
             }
-            keyed.push((keys, i, out.clone()));
+            keyed.push((keys, i, out));
         }
-        let rows = match top_k {
-            Some(k) if k < keyed.len() => {
-                // Total order: ORDER BY keys, ties broken by original index.
-                // With no equal elements, an unstable partial selection +
-                // sort of the prefix yields exactly the stable full sort's
-                // first k rows.
-                let cmp = |a: &(Vec<Value>, usize, Row), b: &(Vec<Value>, usize, Row)| {
-                    eval::order_cmp(&sel.order_by, &a.0, &b.0).then(a.1.cmp(&b.1))
-                };
-                if k == 0 {
-                    Vec::new()
-                } else {
-                    keyed.select_nth_unstable_by(k - 1, cmp);
-                    keyed.truncate(k);
-                    keyed.sort_by(cmp);
-                    keyed.into_iter().map(|(_, _, out)| out).collect()
-                }
-            }
-            _ => {
-                keyed.sort_by(|(ka, _, _), (kb, _, _)| eval::order_cmp(&sel.order_by, ka, kb));
-                keyed.into_iter().map(|(_, _, out)| out).collect()
-            }
+        // Total order: ORDER BY keys, ties broken by original index. With no
+        // equal elements, an unstable partial selection + sort of the prefix
+        // yields exactly the stable full sort's first k rows.
+        let cmp = |a: &(Vec<Value>, usize, Row), b: &(Vec<Value>, usize, Row)| {
+            eval::order_cmp(&sel.order_by, &a.0, &b.0).then(a.1.cmp(&b.1))
         };
-        self.count(node.id, rows.len());
-        Ok(rows)
+        match top_k {
+            Some(0) => keyed.clear(),
+            Some(k) if k < keyed.len() => {
+                keyed.select_nth_unstable_by(k - 1, cmp);
+                keyed.truncate(k);
+                keyed.sort_by(cmp);
+            }
+            _ => keyed.sort_by(|a, b| eval::order_cmp(&sel.order_by, &a.0, &b.0)),
+        }
+        Ok(keyed.into_iter().map(|(_, _, out)| out).collect())
     }
 
     /// Execute the producing operator (Project or HashAggregate), returning
     /// output rows paired with their source rows (for ORDER BY expressions
     /// not present in the projection).
-    fn exec_produce(
-        &mut self,
-        node: &PhysNode,
-        summary: &mut PlanSummary,
-    ) -> DbResult<Vec<(Row, Vec<Row>)>> {
-        self.timed(node.id, |ctx| ctx.exec_produce_inner(node, summary))
-    }
-
-    fn exec_produce_inner(
-        &mut self,
-        node: &PhysNode,
-        summary: &mut PlanSummary,
-    ) -> DbResult<Vec<(Row, Vec<Row>)>> {
-        let sel = &self.plan.sel;
-        match &node.op {
+    fn exec_produce(&self, node: &mut PhysNode) -> DbResult<Vec<(Row, Vec<Row>)>> {
+        self.measured(node, |ctx, node| match &mut node.op {
             PhysOp::Project { input, .. } => {
-                let rows = self.eval_rel(input, 0, false, summary)?;
+                let rows = ctx.eval_rel(input, 0, false)?;
                 let mut produced = Vec::with_capacity(rows.len());
                 for row in rows {
-                    let out = eval::project_row(sel, &self.plan.scope_cols, &row)?;
+                    let out = eval::project_row(ctx.sel, ctx.scope_cols, &row)?;
                     produced.push((out, vec![row]));
                 }
-                self.count(node.id, produced.len());
                 Ok(produced)
             }
             PhysOp::HashAggregate { input, .. } => {
-                let rows = self.eval_rel(input, 0, false, summary)?;
-                let scope_cols = &self.plan.scope_cols;
-                let mut groups: BTreeMap<Key, Vec<Row>> = BTreeMap::new();
-                if sel.group_by.is_empty() {
-                    groups.insert(Key(vec![]), rows);
+                let rows = ctx.eval_rel(input, 0, false)?;
+                let groups = if ctx.sel.group_by.is_empty() {
+                    BTreeMap::from([(Key(vec![]), rows)])
                 } else {
-                    groups = eval::group_rows(rows, scope_cols, &sel.group_by, self.opts)?;
-                }
-                let mut produced = Vec::new();
-                for (_, group_rows) in groups {
-                    // An empty global group still yields one row of
-                    // aggregates (e.g. COUNT(*) = 0), but grouped queries
-                    // skip empty groups.
-                    if group_rows.is_empty() && !sel.group_by.is_empty() {
-                        continue;
-                    }
-                    if let Some(h) = &sel.having {
-                        let keep = eval::eval_agg(h, scope_cols, &group_rows)?;
-                        if expr::truth(&keep) != Some(true) {
-                            continue;
-                        }
-                    }
-                    let mut out = Vec::new();
-                    for item in &sel.items {
-                        match item {
-                            sqlkit::ast::SelectItem::Expr { expr, .. } => {
-                                out.push(eval::eval_agg(expr, scope_cols, &group_rows)?);
-                            }
-                            sqlkit::ast::SelectItem::Wildcard
-                            | sqlkit::ast::SelectItem::QualifiedWildcard(_) => {
-                                return Err(DbError::Execution(
-                                    "wildcard projection is not valid in aggregate queries".into(),
-                                ));
-                            }
-                        }
-                    }
-                    produced.push((out, group_rows));
-                }
-                self.count(node.id, produced.len());
-                Ok(produced)
+                    let workers = workers_for(rows.len());
+                    parallel::group_rows(rows, ctx.scope_cols, &ctx.sel.group_by, workers)?
+                };
+                eval::aggregate_groups(ctx.sel, ctx.scope_cols, groups)
             }
             _ => unreachable!("producer must be Project or HashAggregate"),
-        }
+        })
     }
 
     // -- relational operators (blocking) ------------------------------------
+
+    fn table_width(&self, table: &str) -> usize {
+        self.state
+            .catalog
+            .table(table)
+            .map_or(0, |s| s.columns.len())
+    }
 
     /// Width (visible columns) of a relational subtree, for slicing the
     /// plan's combined scope.
     fn width_of(&self, node: &PhysNode) -> usize {
         match &node.op {
             PhysOp::ResultRow => 0,
-            PhysOp::SeqScan { table, .. } | PhysOp::IndexScan { table, .. } => self
-                .state
-                .catalog
-                .table(table)
-                .map_or(0, |s| s.columns.len()),
+            PhysOp::SeqScan { table, .. } | PhysOp::IndexScan { table, .. } => {
+                self.table_width(table)
+            }
             PhysOp::ViewScan { view, .. } => {
                 self.state.catalog.view(view).map_or(0, |v| v.columns.len())
             }
@@ -414,137 +315,55 @@ impl<'a> Ctx<'a> {
     /// subtree's column offset within the plan's combined scope.
     /// `append_seq` makes scans append a hidden `Value::Int` sequence column
     /// (reordered join chains restore the original row order from it).
-    fn eval_rel(
-        &mut self,
-        node: &PhysNode,
-        base: usize,
-        append_seq: bool,
-        summary: &mut PlanSummary,
-    ) -> DbResult<Vec<Row>> {
-        self.timed(node.id, |ctx| {
-            ctx.eval_rel_inner(node, base, append_seq, summary)
-        })
-    }
-
-    fn eval_rel_inner(
-        &mut self,
-        node: &PhysNode,
-        base: usize,
-        append_seq: bool,
-        summary: &mut PlanSummary,
-    ) -> DbResult<Vec<Row>> {
-        match &node.op {
-            PhysOp::ResultRow => {
-                self.count(node.id, 1);
-                Ok(vec![Vec::new()])
-            }
+    fn eval_rel(&self, node: &mut PhysNode, base: usize, append_seq: bool) -> DbResult<Vec<Row>> {
+        self.measured(node, |ctx, node| match &mut node.op {
+            PhysOp::ResultRow => Ok(vec![Vec::new()]),
             PhysOp::SeqScan {
                 table,
-                pushed,
-                parallel,
+                pushed: Some(pred),
+                workers,
                 ..
             } => {
-                let data = self
-                    .state
-                    .data
-                    .get(table)
-                    .ok_or_else(|| DbError::UnknownTable(table.clone()))?;
-                let total = data.len();
-                let rows = match (pushed, parallel) {
-                    (Some(pred), true) => {
-                        let cols = &self.plan.scope_cols[base..base + self.width_of(node)];
-                        let workers = self.opts.workers_for(total).max(1);
-                        summary.scans.push(ScanPath::ParallelSeq {
-                            table: table.clone(),
-                            rows: total,
-                            workers,
-                        });
-                        eval::parallel_filter_scan(data, cols, pred, workers)?
-                    }
-                    _ => {
-                        summary.scans.push(ScanPath::Seq {
-                            table: table.clone(),
-                            rows: total,
-                        });
-                        if append_seq {
-                            data.iter()
-                                .enumerate()
-                                .map(|(i, (_, r))| {
-                                    let mut row = r.clone();
-                                    row.push(Value::Int(i as i64));
-                                    row
-                                })
-                                .collect()
-                        } else {
-                            data.iter().map(|(_, r)| r.clone()).collect()
-                        }
-                    }
-                };
-                self.count(node.id, rows.len());
-                Ok(rows)
+                let cols = &ctx.scope_cols[base..base + ctx.table_width(table)];
+                parallel::filter_scan(ctx.table(table)?, cols, pred, *workers)
             }
-            PhysOp::IndexScan { table, pinned, .. } => {
-                let data = self
-                    .state
-                    .data
-                    .get(table)
-                    .ok_or_else(|| DbError::UnknownTable(table.clone()))?;
-                // Re-probe against live data; same state as plan time, so
-                // the same index matches. Fall back to a full scan if not
-                // (the parent Filter re-applies the predicate either way).
-                let rows: Vec<Row> = match plan::choose_index(data, pinned) {
-                    Some((name, idx, key)) => {
-                        let rids = idx.lookup(&key);
-                        summary.scans.push(ScanPath::IndexProbe {
-                            table: table.clone(),
-                            index: name.to_owned(),
-                            candidates: rids.len(),
-                        });
-                        rids.into_iter()
-                            .filter_map(|rid| data.get(rid).cloned())
-                            .collect()
-                    }
-                    None => {
-                        summary.scans.push(ScanPath::Seq {
-                            table: table.clone(),
-                            rows: data.len(),
-                        });
-                        data.iter().map(|(_, r)| r.clone()).collect()
-                    }
-                };
-                self.count(node.id, rows.len());
-                Ok(rows)
+            PhysOp::SeqScan { table, .. } => {
+                let rows = ctx.table(table)?.iter().map(|(_, r)| r.clone());
+                Ok(if append_seq {
+                    rows.enumerate()
+                        .map(|(i, mut row)| {
+                            row.push(Value::Int(i as i64));
+                            row
+                        })
+                        .collect()
+                } else {
+                    rows.collect()
+                })
+            }
+            PhysOp::IndexScan {
+                table, index, key, ..
+            } => {
+                let data = ctx.table(table)?;
+                Ok(super::probe_index(data, table, index, key)?
+                    .into_iter()
+                    .filter_map(|rid| data.get(rid).cloned())
+                    .collect())
             }
             PhysOp::ViewScan { view, .. } => {
-                summary
-                    .scans
-                    .push(ScanPath::ViewExpand { view: view.clone() });
-                let def = self
+                let def = ctx
                     .state
                     .catalog
                     .view(view)
                     .ok_or_else(|| DbError::UnknownTable(view.clone()))?;
-                let query = def.query.clone();
-                // The nested execution plans (and renders) its own tree;
-                // keep the outer plan's rendering authoritative.
-                let saved_tree = std::mem::take(&mut summary.tree);
-                let result = super::execute_select_opts(self.state, &query, self.opts, summary);
-                summary.tree = saved_tree;
-                let rows = match result? {
-                    QueryResult::Rows { rows, .. } => rows,
-                    _ => unreachable!("select returns rows"),
-                };
-                self.count(node.id, rows.len());
-                Ok(rows)
+                eval::select_rows(ctx.state, &def.query, ctx.opts)
             }
             PhysOp::Filter {
                 input, predicate, ..
             } => {
-                let rows = self.eval_rel(input, base, false, summary)?;
-                let cols = self.plan.scope_cols[base..base + self.width_of(input)].to_vec();
-                let rows = eval::filter_rows(rows, &cols, predicate, self.opts)?;
-                self.count(node.id, rows.len());
-                Ok(rows)
+                let rows = ctx.eval_rel(input, base, false)?;
+                let cols = &ctx.scope_cols[base..base + ctx.width_of(input)];
+                let workers = workers_for(rows.len());
+                parallel::filter_rows(rows, cols, predicate, workers)
             }
             PhysOp::NestedLoopJoin {
                 left,
@@ -552,72 +371,28 @@ impl<'a> Ctx<'a> {
                 kind,
                 on,
             } => {
-                let wl = self.width_of(left);
-                let wr = self.width_of(right);
-                let left_rows = self.eval_rel(left, base, false, summary)?;
-                let right_rows = self.eval_rel(right, base + wl, false, summary)?;
-                let left_cols = self.plan.scope_cols[base..base + wl].to_vec();
-                let right_cols = self.plan.scope_cols[base + wl..base + wl + wr].to_vec();
-                summary.joins.push(JoinPath::NestedLoop {
-                    table: binding_of(right),
-                });
-                let (_, rows) = eval::nl_join_rows(
-                    left_cols,
-                    left_rows,
-                    right_cols,
-                    right_rows,
-                    *kind,
-                    on.as_ref(),
-                )?;
-                self.count(node.id, rows.len());
-                Ok(rows)
+                let (wl, wr) = (ctx.width_of(left), ctx.width_of(right));
+                let left_rows = ctx.eval_rel(left, base, false)?;
+                let right_rows = ctx.eval_rel(right, base + wl, false)?;
+                let cols = &ctx.scope_cols[base..base + wl + wr];
+                eval::nl_join_rows(cols, &left_rows, &right_rows, wr, *kind, on.as_ref())
             }
             PhysOp::HashJoin {
                 left,
                 right,
                 kind,
                 on,
+                left_keys,
+                right_keys,
             } => {
-                let wl = self.width_of(left);
-                let wr = self.width_of(right);
-                let left_rows = self.eval_rel(left, base, false, summary)?;
-                let right_rows = self.eval_rel(right, base + wl, false, summary)?;
-                let left_cols = self.plan.scope_cols[base..base + wl].to_vec();
-                let right_cols = self.plan.scope_cols[base + wl..base + wl + wr].to_vec();
-                match plan::analyze_equi_join(&left_cols, &right_cols, on) {
-                    Some(equi) => {
-                        let partitions = (right_rows.len() / 4096).clamp(1, 16);
-                        summary.joins.push(JoinPath::HashJoin {
-                            table: binding_of(right),
-                            build_rows: right_rows.len(),
-                            partitions,
-                        });
-                        let (_, rows) = eval::hash_join_rows(
-                            left_cols, left_rows, right_cols, right_rows, *kind, on, &equi,
-                            self.opts, partitions,
-                        )?;
-                        self.count(node.id, rows.len());
-                        Ok(rows)
-                    }
-                    // Defensive: should be unreachable (the planner proved
-                    // equi-keys over the same scope), but the nested loop is
-                    // always sound.
-                    None => {
-                        summary.joins.push(JoinPath::NestedLoop {
-                            table: binding_of(right),
-                        });
-                        let (_, rows) = eval::nl_join_rows(
-                            left_cols,
-                            left_rows,
-                            right_cols,
-                            right_rows,
-                            *kind,
-                            Some(on),
-                        )?;
-                        self.count(node.id, rows.len());
-                        Ok(rows)
-                    }
-                }
+                let (wl, wr) = (ctx.width_of(left), ctx.width_of(right));
+                let left_rows = ctx.eval_rel(left, base, false)?;
+                let right_rows = ctx.eval_rel(right, base + wl, false)?;
+                let cols = &ctx.scope_cols[base..base + wl + wr];
+                let matches = |combined: &Row| eval::row_matches(cols, on, combined);
+                let pad = (*kind == JoinKind::Left).then_some(wr);
+                let join = eval::HashJoin::build(&right_rows, left_keys, right_keys, pad, &matches);
+                parallel::hash_probe(&join, &left_rows, workers_for(left_rows.len()))
             }
             PhysOp::KeyedHashJoin {
                 left,
@@ -627,86 +402,46 @@ impl<'a> Ctx<'a> {
             } => {
                 // Children carry the hidden sequence columns; key positions
                 // were computed by the planner against that widened layout.
-                let left_rows = self.eval_rel(left, 0, true, summary)?;
-                let right_rows = self.eval_rel(right, 0, true, summary)?;
-                summary.joins.push(JoinPath::HashJoin {
-                    table: binding_of(right),
-                    build_rows: right_rows.len(),
-                    partitions: 1,
-                });
-                // Build: right rows bucketed by canonicalized key.
-                let mut table: HashMap<HashedKey, Vec<usize>> = HashMap::new();
-                for (i, r) in right_rows.iter().enumerate() {
-                    if let Some(key) = eval::join_key(r, right_keys) {
-                        table.entry(key).or_default().push(i);
-                    }
-                }
-                // Probe: the canonical key is a pre-filter; every candidate
-                // pair is verified with SQL equality on each key column, so
-                // matching is exactly the pure equi-conjunction the planner
-                // proved the ON chain to be.
-                let mut out = Vec::new();
-                for l in &left_rows {
-                    if let Some(key) = eval::join_key(l, left_keys) {
-                        if let Some(cands) = table.get(&key) {
-                            for &ri in cands {
-                                let r = &right_rows[ri];
-                                let all_eq = left_keys
-                                    .iter()
-                                    .zip(right_keys)
-                                    .all(|(&lk, &rk)| l[lk].sql_eq(&r[rk]) == Some(true));
-                                if all_eq {
-                                    let mut combined = l.clone();
-                                    combined.extend(r.iter().cloned());
-                                    out.push(combined);
-                                }
-                            }
-                        }
-                    }
-                }
-                self.count(node.id, out.len());
-                Ok(out)
+                let left_rows = ctx.eval_rel(left, 0, true)?;
+                let right_rows = ctx.eval_rel(right, 0, true)?;
+                // The canonical key is a pre-filter; every candidate pair is
+                // verified with SQL equality on each key column, so matching
+                // is exactly the pure equi-conjunction the planner proved the
+                // ON chain to be.
+                let wl = left_rows.first().map_or(0, Vec::len);
+                let matches = |combined: &Row| {
+                    Ok(left_keys
+                        .iter()
+                        .zip(right_keys.iter())
+                        .all(|(&lk, &rk)| combined[lk].sql_eq(&combined[wl + rk]) == Some(true)))
+                };
+                eval::HashJoin::build(&right_rows, left_keys, right_keys, None, &matches)
+                    .probe(&left_rows)
             }
             PhysOp::Restore {
                 input,
                 perm,
                 seq_positions,
             } => {
-                let mut rows = self.eval_rel(input, 0, true, summary)?;
+                let mut rows = ctx.eval_rel(input, 0, true)?;
                 // Sort by the hidden sequence tuple in original FROM order.
                 // The tuples are unique (one per source-row combination) and
                 // the left-deep nested loop enumerates combinations in
                 // lexicographic sequence order, so this reconstructs the
                 // reference row order exactly.
                 rows.sort_unstable_by(|a, b| {
-                    for &p in seq_positions {
-                        let ord = a[p].total_cmp(&b[p]);
-                        if ord != std::cmp::Ordering::Equal {
-                            return ord;
-                        }
-                    }
-                    std::cmp::Ordering::Equal
+                    seq_positions
+                        .iter()
+                        .map(|&p| a[p].total_cmp(&b[p]))
+                        .find(|ord| ord.is_ne())
+                        .unwrap_or(std::cmp::Ordering::Equal)
                 });
-                let rows: Vec<Row> = rows
+                Ok(rows
                     .into_iter()
                     .map(|r| perm.iter().map(|&p| r[p].clone()).collect())
-                    .collect();
-                self.count(node.id, rows.len());
-                Ok(rows)
+                    .collect())
             }
             _ => unreachable!("head operator in relational position"),
-        }
-    }
-}
-
-/// The FROM binding of a relational subtree's base table (for plan-summary
-/// records). Joins inputs are always scans in the plans we build.
-fn binding_of(node: &PhysNode) -> String {
-    match &node.op {
-        PhysOp::SeqScan { binding, .. }
-        | PhysOp::IndexScan { binding, .. }
-        | PhysOp::ViewScan { binding, .. } => binding.clone(),
-        PhysOp::Filter { input, .. } => binding_of(input),
-        _ => "join".to_owned(),
+        })
     }
 }

@@ -3,12 +3,12 @@
 //! Evaluation happens against a [`Scope`]: a flat list of columns (each
 //! optionally qualified by the table binding it came from) plus the current
 //! row's values. Subqueries must be resolved to constants *before* row-wise
-//! evaluation (see `exec::resolve_subqueries`); encountering one here is an
+//! evaluation (see `exec::eval::resolve_select`); encountering one here is an
 //! internal error.
 
 use crate::error::{DbError, DbResult};
 use crate::value::Value;
-use sqlkit::ast::{BinaryOp, ColumnRef, Expr, Literal, UnaryOp};
+use sqlkit::ast::{BinaryOp, ColumnRef, Expr, Literal, Select, SelectItem, UnaryOp};
 
 /// One column visible to expression evaluation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -210,7 +210,7 @@ pub fn conjuncts(e: &Expr) -> Vec<&Expr> {
 
 /// Resolve a column reference against a column list without erroring:
 /// `None` when the name is unknown *or ambiguous*. Planning uses this to
-/// decide whether a fast path applies; an ambiguous reference simply falls
+/// decide whether a hash join applies; an ambiguous reference simply falls
 /// back to the evaluating path, which reports the proper error.
 pub fn try_resolve(columns: &[ScopeCol], col: &ColumnRef) -> Option<usize> {
     match &col.table {
@@ -614,6 +614,18 @@ fn text_unary(name: &str, v: &Value, f: impl Fn(&str) -> String) -> DbResult<Val
 /// Names the executor treats as aggregate functions.
 pub fn is_aggregate_name(name: &str) -> bool {
     matches!(name, "count" | "sum" | "avg" | "min" | "max")
+}
+
+/// Whether a SELECT block aggregates: GROUP BY, or an aggregate call in its
+/// items, HAVING or ORDER BY.
+pub fn select_aggregates(sel: &Select) -> bool {
+    !sel.group_by.is_empty()
+        || sel
+            .items
+            .iter()
+            .any(|i| matches!(i, SelectItem::Expr { expr, .. } if contains_aggregate(expr)))
+        || sel.having.as_ref().is_some_and(contains_aggregate)
+        || sel.order_by.iter().any(|o| contains_aggregate(&o.expr))
 }
 
 /// Whether an expression contains an aggregate call.

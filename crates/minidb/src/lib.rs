@@ -47,7 +47,8 @@ pub use db::{Database, Session, VacuumHandle, VacuumReport};
 pub use error::{DbError, DbResult};
 pub use exec::QueryResult;
 pub use mvcc::{CommittedVersion, TimestampOracle, Ts};
-pub use plan::{ExecOptions, PlanSummary};
+pub use plan::ExecOptions;
+pub use planner::physical::PhysPlan;
 pub use privilege::{PrivilegeCatalog, UserPrivileges};
 pub use schema::{Catalog, Column, ForeignKey, TableSchema};
 pub use storage::{

@@ -1,17 +1,18 @@
 //! The cost-based planner: lowers a (subquery-resolved) SELECT into an
 //! explicit physical operator tree ([`physical::PhysPlan`]).
 //!
-//! The planner makes four decisions, each driven by the cost model in
-//! [`cost`] and refined by ANALYZE statistics ([`stats`]):
+//! The planner makes every physical decision, each driven by the cost model
+//! in [`cost`] and refined by ANALYZE statistics ([`stats`]); the executor
+//! obeys the tree:
 //!
-//! 1. **Access path** per base table: index probe vs (parallel) sequential
-//!    scan. Unlike the legacy executor, which probed whenever an index
-//!    matched, the probe must *win on cost* — a probe on a column where
-//!    every row holds the same value is priced at the full table and loses.
-//! 2. **Join strategy** per join: grace-hash vs nested loop, by cost.
-//!    Hash is only *eligible* where the legacy executor would use it
-//!    (equi-keys extracted, options allow); when the cost model prefers the
-//!    nested loop the plan is strictly closer to the reference semantics.
+//! 1. **Access path** per base table ([`choose_probe`]): index probe vs
+//!    sequential scan. A matching index is not enough — the probe must *win
+//!    on cost*: on a column where every row holds the same value it is
+//!    priced at the full table and loses. UPDATE/DELETE candidate selection
+//!    asks the same chooser.
+//! 2. **Join strategy** per join: hash vs nested loop, by cost. Hash is
+//!    only *eligible* when equi-keys can be extracted from the ON
+//!    condition; the node carries the key positions.
 //! 3. **Join order** for chains of ≥2 inner joins whose ON conditions are
 //!    pure equi-conjunctions over base tables: a greedy smallest-first
 //!    order executed with keyed hash joins, followed by a
@@ -20,22 +21,27 @@
 //! 4. **Pushdowns**: ORDER BY + LIMIT becomes a top-k sort; LIMIT without
 //!    ORDER BY over a single filtered scan becomes a streaming early-exit
 //!    pipeline.
+//! 5. **Scan fan-out** ([`workers_for`]): how many threads a filtered
+//!    base-table scan splits across. (Filters, grouping passes and hash-join
+//!    probes over intermediate rows apply the same rule at run time, to the
+//!    rows that actually arrive — an estimate would be the wrong input.)
 //!
 //! Every plan the planner emits must produce rows byte-identical (content
 //! *and* order) to the sequential reference pipeline in `exec::seq`; the
-//! differential suites in `crates/minidb/tests/fastpath_differential.rs`
-//! and `tests/planner_differential.rs` enforce this.
+//! differential suite in `tests/planner_differential.rs` enforces this.
 
 pub mod cost;
 pub mod physical;
 pub mod stats;
 
 use crate::error::DbResult;
-use crate::exec::DbState;
+use crate::exec::{scope_cols_of, DbState};
 use crate::expr::{self, ScopeCol};
 use crate::plan::{self, ExecOptions};
+use crate::value::Key;
 use physical::{PhysNode, PhysOp, PhysPlan};
-use sqlkit::ast::{Expr, JoinKind, Select, SelectItem};
+use sqlkit::ast::{Expr, JoinKind, Select};
+use std::sync::OnceLock;
 
 /// Row estimate for a view expansion (views carry no statistics).
 const VIEW_ROWS_ESTIMATE: f64 = 100.0;
@@ -49,24 +55,79 @@ struct FromItem {
     width: usize,
 }
 
-struct Lowering<'a> {
-    state: &'a DbState,
-    opts: &'a ExecOptions,
-    next_id: usize,
+/// The parallel rule: a stage over fewer than 4096 rows stays on the
+/// calling thread; above that it fans out to at most min(cores, 8) workers,
+/// each with at least 2048 rows (below that, threading overhead outweighs
+/// the work). The core count is read once per process. The planner asks for
+/// a base-table scan, whose size it knows exactly; the executor asks for a
+/// filter, grouping pass or hash-join probe once the input rows have arrived.
+pub(crate) fn workers_for(rows: usize) -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let cores = *CORES.get_or_init(|| std::thread::available_parallelism().map_or(4, |n| n.get()));
+    workers_on(cores, rows)
 }
 
-impl<'a> Lowering<'a> {
-    fn node(&mut self, est_rows: f64, cost: f64, op: PhysOp) -> PhysNode {
-        let id = self.next_id;
-        self.next_id += 1;
-        PhysNode {
-            id,
-            est_rows,
-            cost,
-            op,
-        }
-    }
+fn workers_on(cores: usize, rows: usize) -> usize {
+    const MAX_WORKERS: usize = 8;
+    const MIN_ROWS_PER_WORKER: usize = 2048;
+    cores
+        .min(MAX_WORKERS)
+        .min(rows / MIN_ROWS_PER_WORKER)
+        .max(1)
+}
 
+/// An index probe the access-path chooser accepted.
+pub(crate) struct Probe {
+    /// Chosen index.
+    pub index: String,
+    /// Probe key: the pinned value of each index column.
+    pub key: Key,
+    /// Estimated candidate rows.
+    pub est_rows: f64,
+}
+
+/// The access-path chooser for one base table: the best index `pred` fully
+/// pins, provided probing it is estimated cheaper than `must_beat` (`None`
+/// = the table's full sequential scan). `None` back means "scan". SELECT
+/// lowering, the LIMIT-pushdown check, UPDATE/DELETE candidate selection
+/// and EXPLAIN all ask here, so they cannot disagree.
+pub(crate) fn choose_probe(
+    state: &DbState,
+    table: &str,
+    binding: &str,
+    pred: &Expr,
+    must_beat: Option<f64>,
+) -> Option<Probe> {
+    let schema = state.catalog.table(table).ok()?;
+    let data = state.data.get(table)?;
+    let pinned = plan::equality_bindings(schema, binding, pred);
+    let (index, _, key) = plan::choose_index(data, &pinned)?;
+    let rows = data.len() as f64;
+    let est_rows = cost::index_probe_estimate(state.catalog.table_stats(table), rows, &pinned);
+    let must_beat = must_beat.unwrap_or_else(|| cost::seq_scan_cost(rows));
+    (cost::index_scan_cost(est_rows) < must_beat).then(|| Probe {
+        index: index.to_owned(),
+        key,
+        est_rows,
+    })
+}
+
+/// A not-yet-executed plan node.
+fn plan_node(est_rows: f64, cost: f64, op: PhysOp) -> PhysNode {
+    PhysNode {
+        est_rows,
+        cost,
+        actual_rows: None,
+        actual_ns: None,
+        op,
+    }
+}
+
+struct Lowering<'a> {
+    state: &'a DbState,
+}
+
+impl Lowering<'_> {
     fn item_of(&self, binding: &str, name: &str) -> DbResult<FromItem> {
         if let Some(view) = self.state.catalog.view(name) {
             return Ok(FromItem {
@@ -90,9 +151,9 @@ impl<'a> Lowering<'a> {
 
     /// A plain scan of a FROM item: no predicate pushdown, no access-path
     /// choice (used for join inputs, mirroring the reference pipeline).
-    fn plain_scan(&mut self, item: &FromItem) -> PhysNode {
+    fn plain_scan(&self, item: &FromItem) -> PhysNode {
         if item.is_view {
-            self.node(
+            plan_node(
                 item.rows,
                 item.rows,
                 PhysOp::ViewScan {
@@ -101,14 +162,14 @@ impl<'a> Lowering<'a> {
                 },
             )
         } else {
-            self.node(
+            plan_node(
                 item.rows,
                 cost::seq_scan_cost(item.rows),
                 PhysOp::SeqScan {
                     table: item.name.clone(),
                     binding: item.binding.clone(),
                     pushed: None,
-                    parallel: false,
+                    workers: 1,
                 },
             )
         }
@@ -118,7 +179,7 @@ impl<'a> Lowering<'a> {
     /// Returns the scan subtree (with any residual Filter already applied)
     /// plus whether the WHERE is fully applied inside it.
     fn single_table(
-        &mut self,
+        &self,
         item: &FromItem,
         predicate: Option<&Expr>,
         streaming: bool,
@@ -127,7 +188,7 @@ impl<'a> Lowering<'a> {
             let scan = self.plain_scan(item);
             let node = match predicate {
                 Some(pred) => {
-                    self.filter_above(scan, pred, cost::generic_predicate_selectivity(pred), false)
+                    filter_above(scan, pred, cost::generic_predicate_selectivity(pred), false)
                 }
                 None => scan,
             };
@@ -142,44 +203,37 @@ impl<'a> Lowering<'a> {
         let selectivity = cost::predicate_selectivity(schema, stats, &item.binding, pred);
         let filtered = rows * selectivity;
 
-        // Candidate 1: index probe + residual filter. Eligible only when an
-        // index is fully pinned; chosen only when its cost beats the scan.
-        if self.opts.use_indexes && !streaming {
-            let pinned = plan::equality_bindings(schema, &item.binding, pred);
-            if !pinned.is_empty() {
-                if let Some(data) = self.state.data.get(&item.name) {
-                    if let Some((index, _, _)) = plan::choose_index(data, &pinned) {
-                        let est_probe = cost::index_probe_estimate(stats, rows, &pinned);
-                        if cost::index_scan_cost(est_probe) < cost::seq_scan_cost(rows) {
-                            let scan = self.node(
-                                est_probe,
-                                cost::index_scan_cost(est_probe),
-                                PhysOp::IndexScan {
-                                    table: item.name.clone(),
-                                    binding: item.binding.clone(),
-                                    index: index.to_owned(),
-                                    pinned,
-                                },
-                            );
-                            let node = self.filter_above(scan, pred, selectivity.min(1.0), false);
-                            return Ok((node, true));
-                        }
-                    }
-                }
+        // Candidate 1: index probe + residual filter, when the chooser
+        // prices it under the scan.
+        if !streaming {
+            if let Some(probe) = choose_probe(self.state, &item.name, &item.binding, pred, None) {
+                let scan = plan_node(
+                    probe.est_rows,
+                    cost::index_scan_cost(probe.est_rows),
+                    PhysOp::IndexScan {
+                        table: item.name.clone(),
+                        binding: item.binding.clone(),
+                        index: probe.index,
+                        key: probe.key,
+                    },
+                );
+                let node = filter_above(scan, pred, selectivity.min(1.0), false);
+                return Ok((node, true));
             }
         }
 
         // Candidate 2: parallel filtered scan (predicate evaluated inside
         // the scan workers). Not compatible with streaming early-exit.
-        if !streaming && self.opts.workers_for(rows as usize) >= 2 {
-            let scan = self.node(
+        let workers = workers_for(rows as usize);
+        if !streaming && workers >= 2 {
+            let scan = plan_node(
                 filtered,
                 cost::seq_scan_cost(rows),
                 PhysOp::SeqScan {
                     table: item.name.clone(),
                     binding: item.binding.clone(),
                     pushed: Some(pred.clone()),
-                    parallel: true,
+                    workers,
                 },
             );
             return Ok((scan, true));
@@ -187,29 +241,24 @@ impl<'a> Lowering<'a> {
 
         // Candidate 3: plain scan + filter (streaming when requested).
         let scan = self.plain_scan(item);
-        let node = self.filter_above(scan, pred, selectivity, streaming);
+        let node = filter_above(scan, pred, selectivity, streaming);
         Ok((node, true))
     }
+}
 
-    fn filter_above(
-        &mut self,
-        input: PhysNode,
-        pred: &Expr,
-        selectivity: f64,
-        streaming: bool,
-    ) -> PhysNode {
-        let est = (input.est_rows * selectivity).max(0.0);
-        let cost = input.cost + input.est_rows;
-        self.node(
-            est,
-            cost,
-            PhysOp::Filter {
-                input: Box::new(input),
-                predicate: pred.clone(),
-                streaming,
-            },
-        )
-    }
+/// A Filter over `input`.
+fn filter_above(input: PhysNode, pred: &Expr, selectivity: f64, streaming: bool) -> PhysNode {
+    let est = (input.est_rows * selectivity).max(0.0);
+    let cost = input.cost + input.est_rows;
+    plan_node(
+        est,
+        cost,
+        PhysOp::Filter {
+            input: Box::new(input),
+            predicate: pred.clone(),
+            streaming,
+        },
+    )
 }
 
 /// NDV of the first right-side join key column, when the right input is an
@@ -236,11 +285,7 @@ struct EquiEdge {
 /// its subqueries resolved to constants (the executor does this before
 /// planning, exactly as the reference pipeline does before executing).
 pub fn plan_select(state: &DbState, sel: &Select, opts: &ExecOptions) -> DbResult<PhysPlan> {
-    let mut lw = Lowering {
-        state,
-        opts,
-        next_id: 0,
-    };
+    let lw = Lowering { state };
 
     // Combined FROM scope in syntactic order (also validates FROM items).
     let mut items: Vec<FromItem> = Vec::new();
@@ -258,21 +303,7 @@ pub fn plan_select(state: &DbState, sel: &Select, opts: &ExecOptions) -> DbResul
         }
     }
 
-    let has_aggregate = !sel.group_by.is_empty()
-        || sel
-            .items
-            .iter()
-            .any(|i| matches!(i, SelectItem::Expr { expr, .. } if expr::contains_aggregate(expr)))
-        || sel.having.as_ref().is_some_and(expr::contains_aggregate)
-        || sel
-            .order_by
-            .iter()
-            .any(|o| expr::contains_aggregate(&o.expr));
-
-    // Best-effort output names for display; the executor re-derives them at
-    // the same pipeline stage as the reference, so name-resolution errors
-    // surface in the same order there.
-    let out_columns = output_columns_lenient(sel, &scope_cols);
+    let has_aggregate = expr::select_aggregates(sel);
 
     // LIMIT pushdown: a single-table, non-aggregated, unordered,
     // non-distinct SELECT with a LIMIT can stop scanning early. Only
@@ -295,20 +326,9 @@ pub fn plan_select(state: &DbState, sel: &Select, opts: &ExecOptions) -> DbResul
                     cost::predicate_selectivity(schema, item_stats, &item.binding, p)
                 });
                 let expected_scan = (k / selectivity).min(item.rows);
-                let index_available = opts.use_indexes
-                    && sel.where_clause.as_ref().is_some_and(|p| {
-                        let pinned = plan::equality_bindings(schema, &item.binding, p);
-                        !pinned.is_empty()
-                            && state
-                                .data
-                                .get(&item.name)
-                                .and_then(|d| plan::choose_index(d, &pinned))
-                                .is_some_and(|_| {
-                                    let est =
-                                        cost::index_probe_estimate(item_stats, item.rows, &pinned);
-                                    cost::index_scan_cost(est) < expected_scan
-                                })
-                    });
+                let index_available = sel.where_clause.as_ref().is_some_and(|p| {
+                    choose_probe(state, &item.name, &item.binding, p, Some(expected_scan)).is_some()
+                });
                 if !index_available && expected_scan < item.rows {
                     streaming = true;
                 }
@@ -319,19 +339,19 @@ pub fn plan_select(state: &DbState, sel: &Select, opts: &ExecOptions) -> DbResul
     // Relational part: FROM/JOIN + WHERE.
     let mut applied_where = false;
     let mut rel = match (&sel.from, items.len()) {
-        (None, _) => lw.node(1.0, 0.0, PhysOp::ResultRow),
+        (None, _) => plan_node(1.0, 0.0, PhysOp::ResultRow),
         (Some(_), 1) => {
             let (node, applied) =
                 lw.single_table(&items[0], sel.where_clause.as_ref(), streaming)?;
             applied_where = applied;
             node
         }
-        _ => plan_joins(&mut lw, state, sel, &items)?,
+        _ => plan_joins(&lw, state, sel, &items)?,
     };
     if let Some(pred) = &sel.where_clause {
         if !applied_where {
             let selectivity = cost::generic_predicate_selectivity(pred);
-            rel = lw.filter_above(rel, pred, selectivity, false);
+            rel = filter_above(rel, pred, selectivity, false);
         }
     }
 
@@ -344,7 +364,7 @@ pub fn plan_select(state: &DbState, sel: &Select, opts: &ExecOptions) -> DbResul
             (rel.est_rows * 0.1).max(1.0)
         };
         let cost = rel.cost + rel.est_rows * cost::EVAL_FACTOR;
-        lw.node(
+        plan_node(
             est,
             cost,
             PhysOp::HashAggregate {
@@ -355,7 +375,7 @@ pub fn plan_select(state: &DbState, sel: &Select, opts: &ExecOptions) -> DbResul
     } else {
         let est = rel.est_rows;
         let cost = rel.cost + rel.est_rows;
-        lw.node(
+        plan_node(
             est,
             cost,
             PhysOp::Project {
@@ -383,7 +403,7 @@ pub fn plan_select(state: &DbState, sel: &Select, opts: &ExecOptions) -> DbResul
             Some(k) => head.est_rows.min(k as f64),
             None => head.est_rows,
         };
-        head = lw.node(
+        head = plan_node(
             est,
             cost,
             PhysOp::Sort {
@@ -397,7 +417,7 @@ pub fn plan_select(state: &DbState, sel: &Select, opts: &ExecOptions) -> DbResul
     if sel.distinct {
         let est = head.est_rows;
         let cost = head.cost + head.est_rows;
-        head = lw.node(
+        head = plan_node(
             est,
             cost,
             PhysOp::Distinct {
@@ -416,7 +436,7 @@ pub fn plan_select(state: &DbState, sel: &Select, opts: &ExecOptions) -> DbResul
         } else {
             head.cost
         };
-        head = lw.node(
+        head = plan_node(
             est,
             cost,
             PhysOp::Limit {
@@ -430,10 +450,8 @@ pub fn plan_select(state: &DbState, sel: &Select, opts: &ExecOptions) -> DbResul
 
     Ok(PhysPlan {
         root: head,
-        node_count: lw.next_id,
         sel: sel.clone(),
         scope_cols,
-        out_columns,
         has_aggregate,
     })
 }
@@ -442,7 +460,7 @@ pub fn plan_select(state: &DbState, sel: &Select, opts: &ExecOptions) -> DbResul
 /// equi-join chains; otherwise build the syntactic left-deep chain with a
 /// per-join strategy choice.
 fn plan_joins(
-    lw: &mut Lowering,
+    lw: &Lowering,
     state: &DbState,
     sel: &Select,
     items: &[FromItem],
@@ -454,9 +472,9 @@ fn plan_joins(
 }
 
 /// The syntactic left-deep chain, hash vs nested loop chosen by cost among
-/// the plans the legacy executor deems sound.
+/// the sound plans (hash needs extractable equi-keys).
 fn syntactic_chain(
-    lw: &mut Lowering,
+    lw: &Lowering,
     state: &DbState,
     sel: &Select,
     items: &[FromItem],
@@ -468,15 +486,14 @@ fn syntactic_chain(
         let right_cols = scope_cols_of(state, &item.binding, &item.name)?;
         let right = lw.plain_scan(item);
         let (l_est, r_est) = (left.est_rows, right.est_rows);
-        let equi = if lw.opts.hash_join && join.kind != JoinKind::Cross {
-            join.on
-                .as_ref()
-                .and_then(|on| plan::analyze_equi_join(&acc_cols, &right_cols, on))
-        } else {
-            None
+        let equi = match (join.kind, &join.on) {
+            (JoinKind::Cross, _) | (_, None) => None,
+            (_, Some(on)) => {
+                plan::analyze_equi_join(&acc_cols, &right_cols, on).map(|equi| (equi, on))
+            }
         };
         left = match equi {
-            Some(equi) => {
+            Some((equi, on)) => {
                 let ndv = right_key_ndv(state, item, &equi.right_keys);
                 let mut est = cost::join_output_estimate(l_est, r_est, ndv);
                 if join.kind == JoinKind::Left {
@@ -485,18 +502,20 @@ fn syntactic_chain(
                 let hash_cost = left.cost + right.cost + cost::hash_join_cost(l_est, r_est, est);
                 let nl_cost = left.cost + right.cost + cost::nl_join_cost(l_est, r_est);
                 if hash_cost < nl_cost {
-                    lw.node(
+                    plan_node(
                         est,
                         hash_cost,
                         PhysOp::HashJoin {
                             left: Box::new(left),
                             right: Box::new(right),
                             kind: join.kind,
-                            on: join.on.clone().expect("equi join has ON"),
+                            on: on.clone(),
+                            left_keys: equi.left_keys,
+                            right_keys: equi.right_keys,
                         },
                     )
                 } else {
-                    lw.node(
+                    plan_node(
                         est,
                         nl_cost,
                         PhysOp::NestedLoopJoin {
@@ -515,7 +534,7 @@ fn syntactic_chain(
                     JoinKind::Inner => l_est * r_est * cost::OTHER_SELECTIVITY,
                 };
                 let cost = left.cost + right.cost + cost::nl_join_cost(l_est, r_est);
-                lw.node(
+                plan_node(
                     est,
                     cost,
                     PhysOp::NestedLoopJoin {
@@ -537,14 +556,13 @@ fn syntactic_chain(
 /// unless every precondition holds, the greedy order differs from the
 /// syntactic one, and its estimated cost is strictly lower.
 fn try_reorder(
-    lw: &mut Lowering,
+    lw: &Lowering,
     state: &DbState,
     sel: &Select,
     items: &[FromItem],
 ) -> DbResult<Option<PhysNode>> {
     let n = items.len();
     if n < 3
-        || !lw.opts.hash_join
         || items.iter().any(|i| i.is_view)
         || sel
             .joins
@@ -680,7 +698,7 @@ fn try_reorder(
         let ndv = right_key_ndv(state, &items[t], &right_keys);
         let out = cost::join_output_estimate(est, items[t].rows, ndv);
         let cost = node.cost + right.cost + cost::hash_join_cost(est, items[t].rows, out);
-        node = lw.node(
+        node = plan_node(
             out,
             cost,
             PhysOp::KeyedHashJoin {
@@ -705,7 +723,7 @@ fn try_reorder(
         seq_positions.push(base + item.width);
     }
     let sort_cost = est.max(1.0) * est.max(2.0).log2();
-    let restore = lw.node(
+    let restore = plan_node(
         est,
         node.cost + sort_cost,
         PhysOp::Restore {
@@ -717,46 +735,21 @@ fn try_reorder(
     Ok(Some(restore))
 }
 
-/// Scope columns a FROM item (table or view) contributes.
-pub(crate) fn scope_cols_of(state: &DbState, binding: &str, name: &str) -> DbResult<Vec<ScopeCol>> {
-    let names: Vec<String> = match state.catalog.view(name) {
-        Some(view) => view.columns.clone(),
-        None => state
-            .catalog
-            .table(name)?
-            .columns
-            .iter()
-            .map(|c| c.name.clone())
-            .collect(),
-    };
-    Ok(names
-        .into_iter()
-        .map(|n| ScopeCol {
-            binding: Some(binding.to_owned()),
-            name: n,
-        })
-        .collect())
-}
+#[cfg(test)]
+mod tests {
+    use super::workers_on;
 
-/// Output column names, tolerating resolution errors (the executor derives
-/// the real names at the reference pipeline's stage so errors surface in
-/// the same order).
-fn output_columns_lenient(sel: &Select, scope_cols: &[ScopeCol]) -> Vec<String> {
-    let mut out = Vec::new();
-    for item in &sel.items {
-        match item {
-            SelectItem::Wildcard => out.extend(scope_cols.iter().map(|c| c.name.clone())),
-            SelectItem::QualifiedWildcard(t) => out.extend(
-                scope_cols
-                    .iter()
-                    .filter(|c| c.binding.as_deref() == Some(t.as_str()))
-                    .map(|c| c.name.clone()),
-            ),
-            SelectItem::Expr { expr, alias } => out.push(match alias {
-                Some(a) => a.clone(),
-                None => crate::exec::derive_name(expr),
-            }),
+    #[test]
+    fn workers_scale_with_rows_and_cores() {
+        for cores in [1, 2, 4, 64] {
+            assert_eq!(workers_on(cores, 0), 1);
+            assert_eq!(workers_on(cores, 4095), 1, "below the threshold");
         }
+        assert_eq!(workers_on(1, 1_000_000), 1, "a single core never fans out");
+        assert_eq!(workers_on(2, 4096), 2);
+        assert_eq!(workers_on(4, 4096), 2, "at least 2048 rows per worker");
+        assert_eq!(workers_on(4, 3 * 2048), 3);
+        assert_eq!(workers_on(4, 1_000_000), 4, "capped by the cores");
+        assert_eq!(workers_on(64, 1_000_000), 8, "capped at eight");
     }
-    out
 }

@@ -1,26 +1,30 @@
 //! The physical plan: an explicit operator tree with per-node cost and
 //! cardinality estimates.
 //!
-//! Every node carries a stable `id` (assigned in lowering order) so EXPLAIN
-//! ANALYZE can join the tree against the per-operator row counters the
-//! Volcano executor collects, an estimated output cardinality, and the
-//! estimated cumulative cost of producing it. Rendering is deliberately
+//! Every node carries an estimated output cardinality, the estimated
+//! cumulative cost of producing it, every decision the planner made for it
+//! (index and probe key, join keys, scan worker count) and — once the Volcano executor has run
+//! the tree — the rows it actually emitted (and its inclusive wall time
+//! under profiling). EXPLAIN ANALYZE and the `plan.*` span attributes both
+//! read those measurements off the executed tree. Rendering is deliberately
 //! deterministic — golden tests snapshot the exact text.
 
 use crate::expr::ScopeCol;
-use crate::value::Value;
+use crate::value::Key;
 use sqlkit::ast::{Expr, JoinKind, Select};
-use std::collections::BTreeMap;
 
 /// One operator in the physical tree.
 #[derive(Debug, Clone)]
 pub struct PhysNode {
-    /// Stable node id (lowering order); joins estimates to actual counts.
-    pub id: usize,
     /// Estimated output rows.
     pub est_rows: f64,
     /// Estimated cumulative cost (abstract row-visit units).
     pub cost: f64,
+    /// Rows the operator emitted; `None` until the plan has executed.
+    pub actual_rows: Option<u64>,
+    /// Inclusive wall time in nanoseconds (a node's time contains its
+    /// children's); set only by a profiled execution.
+    pub actual_ns: Option<u64>,
     /// The operator.
     pub op: PhysOp,
 }
@@ -41,8 +45,8 @@ pub enum PhysOp {
         binding: String,
         /// Full predicate evaluated inside the (parallel) scan.
         pushed: Option<Expr>,
-        /// Whether the scan partitions across worker threads.
-        parallel: bool,
+        /// Threads the scan partitions across (1 = the calling thread).
+        workers: usize,
     },
     /// Secondary-index probe on fully pinned equality columns. The probe
     /// over-approximates; the parent Filter re-applies the full predicate.
@@ -53,8 +57,8 @@ pub enum PhysOp {
         binding: String,
         /// Chosen index.
         index: String,
-        /// Pinned column position → probe value.
-        pinned: BTreeMap<usize, Value>,
+        /// Probe key: the pinned value of each index column.
+        key: Key,
     },
     /// FROM item is a view: expands to its defining query at open time.
     ViewScan {
@@ -86,7 +90,7 @@ pub enum PhysOp {
         /// ON condition (absent for CROSS).
         on: Option<Expr>,
     },
-    /// Grace-hash join on extracted equi-keys; re-evaluates the full ON for
+    /// Hash join on extracted equi-keys; re-evaluates the full ON for
     /// key-matching pairs, so output equals the nested loop's.
     HashJoin {
         /// Left (probe) input.
@@ -97,6 +101,10 @@ pub enum PhysOp {
         kind: JoinKind,
         /// Full ON condition.
         on: Expr,
+        /// Key column positions in the left input's layout.
+        left_keys: Vec<usize>,
+        /// Key column positions in the right input's layout.
+        right_keys: Vec<usize>,
     },
     /// Hash join used inside a reordered all-inner equi-join chain: the
     /// planner proved the ON chain is a pure equi-conjunction, so matching
@@ -196,9 +204,9 @@ impl PhysNode {
                 table,
                 binding,
                 pushed,
-                parallel,
+                workers,
             } => {
-                let mut s = if *parallel {
+                let mut s = if *workers > 1 {
                     format!("Parallel Seq Scan on {table}")
                 } else {
                     format!("Seq Scan on {table}")
@@ -324,47 +332,71 @@ impl PhysNode {
 pub struct PhysPlan {
     /// Root operator.
     pub root: PhysNode,
-    /// Total nodes in the tree (ids are `0..node_count`).
-    pub node_count: usize,
     /// The (subquery-resolved) SELECT the plan executes; head operators
     /// read their expressions from here.
     pub sel: Select,
     /// Combined FROM scope in syntactic order.
     pub scope_cols: Vec<ScopeCol>,
-    /// Output column names.
-    pub out_columns: Vec<String>,
     /// Whether the query aggregates (GROUP BY or aggregate functions).
     pub has_aggregate: bool,
 }
 
 impl PhysPlan {
-    /// Render the tree as indented text. `actual` (node id → rows emitted)
-    /// appends EXPLAIN ANALYZE's measured per-operator counts.
-    pub fn render(&self, actual: Option<&BTreeMap<usize, u64>>) -> Vec<String> {
-        self.render_profiled(actual, None)
+    /// Render the tree as indented text, one operator per line. An executed
+    /// plan appends each operator's measured rows (`actual rows=N`, or
+    /// `actual time=X.XXXms rows=N` after a profiled run).
+    pub fn render(&self) -> Vec<String> {
+        let mut lines = Vec::new();
+        render_into(&self.root, 0, &mut lines);
+        lines
     }
 
-    /// Render with measurements: `actual` as in [`PhysPlan::render`], plus
-    /// optional per-operator inclusive wall times (node id → ns) from a
-    /// profiled execution, rendered as `actual time=X.XXXms rows=N`.
-    pub fn render_profiled(
-        &self,
-        actual: Option<&BTreeMap<usize, u64>>,
-        times: Option<&BTreeMap<usize, u64>>,
-    ) -> Vec<String> {
-        let mut lines = Vec::new();
-        render_into(&self.root, 0, actual, times, &mut lines);
-        lines
+    /// The executed plan condensed to stable `(key, count)` pairs — the
+    /// shape span attributes want, so executor decisions (index probes vs
+    /// parallel scans vs hash joins) appear in the same trace tree as the
+    /// tool call that caused them. Keys are always present, in a fixed
+    /// order. `plan.rows_scanned` sums the rows the scan leaves *emitted*:
+    /// index candidates, view results, and table rows that survived a
+    /// pushed-down predicate or were read before a streaming LIMIT stopped.
+    pub fn attr_counts(&self) -> Vec<(&'static str, u64)> {
+        let (mut seq, mut parallel, mut probes, mut views) = (0u64, 0u64, 0u64, 0u64);
+        let (mut nested, mut hash, mut rows_scanned) = (0u64, 0u64, 0u64);
+        let mut stack = vec![&self.root];
+        while let Some(node) = stack.pop() {
+            let scan_kind = match &node.op {
+                PhysOp::SeqScan { workers, .. } if *workers > 1 => Some(&mut parallel),
+                PhysOp::SeqScan { .. } => Some(&mut seq),
+                PhysOp::IndexScan { .. } => Some(&mut probes),
+                PhysOp::ViewScan { .. } => Some(&mut views),
+                PhysOp::NestedLoopJoin { .. } => {
+                    nested += 1;
+                    None
+                }
+                PhysOp::HashJoin { .. } | PhysOp::KeyedHashJoin { .. } => {
+                    hash += 1;
+                    None
+                }
+                _ => None,
+            };
+            if let Some(kind) = scan_kind {
+                *kind += 1;
+                rows_scanned += node.actual_rows.unwrap_or(0);
+            }
+            stack.extend(node.children());
+        }
+        vec![
+            ("plan.seq_scans", seq),
+            ("plan.parallel_scans", parallel),
+            ("plan.index_probes", probes),
+            ("plan.view_expands", views),
+            ("plan.nested_loop_joins", nested),
+            ("plan.hash_joins", hash),
+            ("plan.rows_scanned", rows_scanned),
+        ]
     }
 }
 
-fn render_into(
-    node: &PhysNode,
-    depth: usize,
-    actual: Option<&BTreeMap<usize, u64>>,
-    times: Option<&BTreeMap<usize, u64>>,
-    lines: &mut Vec<String>,
-) {
+fn render_into(node: &PhysNode, depth: usize, lines: &mut Vec<String>) {
     let pad = "  ".repeat(depth);
     let mut line = format!(
         "{pad}{} (cost={:.2} rows={})",
@@ -372,20 +404,108 @@ fn render_into(
         node.cost,
         node.est_rows.round().max(0.0) as u64
     );
-    if let Some(counts) = actual {
-        let n = counts.get(&node.id).copied().unwrap_or(0);
-        match times.and_then(|t| t.get(&node.id)) {
-            Some(ns) => {
-                line.push_str(&format!(
-                    " (actual time={:.3}ms rows={n})",
-                    *ns as f64 / 1_000_000.0
-                ));
-            }
+    if let Some(n) = node.actual_rows {
+        match node.actual_ns {
+            Some(ns) => line.push_str(&format!(
+                " (actual time={:.3}ms rows={n})",
+                ns as f64 / 1_000_000.0
+            )),
             None => line.push_str(&format!(" (actual rows={n})")),
         }
     }
     lines.push(line);
     for child in node.children() {
-        render_into(child, depth + 1, actual, times, lines);
+        render_into(child, depth + 1, lines);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sqlkit::ast::Statement;
+
+    fn node(actual_rows: u64, op: PhysOp) -> Box<PhysNode> {
+        Box::new(PhysNode {
+            est_rows: 0.0,
+            cost: 0.0,
+            actual_rows: Some(actual_rows),
+            actual_ns: None,
+            op,
+        })
+    }
+
+    fn scan(table: &str, workers: usize, actual_rows: u64) -> Box<PhysNode> {
+        let op = PhysOp::SeqScan {
+            table: table.into(),
+            binding: table.into(),
+            pushed: None,
+            workers,
+        };
+        node(actual_rows, op)
+    }
+
+    #[test]
+    fn attr_counts_cover_every_scan_and_join_kind() {
+        let Ok(Statement::Select(sel)) = sqlkit::parse_statement("SELECT 1 FROM a WHERE x = y")
+        else {
+            panic!("expected SELECT");
+        };
+        let probe = PhysOp::IndexScan {
+            table: "c".into(),
+            binding: "c".into(),
+            index: "c_idx".into(),
+            key: Key(Vec::new()),
+        };
+        let view = PhysOp::ViewScan {
+            view: "v".into(),
+            binding: "v".into(),
+        };
+        let nested = PhysOp::NestedLoopJoin {
+            left: scan("a", 1, 10),
+            right: scan("b", 4, 100),
+            kind: JoinKind::Cross,
+            on: None,
+        };
+        let hash = PhysOp::HashJoin {
+            left: node(1000, nested),
+            right: node(3, probe),
+            kind: JoinKind::Left,
+            on: sel.where_clause.clone().expect("WHERE"),
+            left_keys: vec![0],
+            right_keys: vec![0],
+        };
+        let keyed = PhysOp::KeyedHashJoin {
+            left: node(1000, hash),
+            right: node(5, view),
+            left_keys: vec![0],
+            right_keys: vec![0],
+        };
+        let mut plan = PhysPlan {
+            root: *node(
+                40,
+                PhysOp::Project {
+                    input: node(40, keyed),
+                    streaming: false,
+                },
+            ),
+            sel,
+            scope_cols: Vec::new(),
+            has_aggregate: false,
+        };
+        // Only scan leaves feed `rows_scanned` (10 + 100 + 3 + 5), not the
+        // join outputs above them.
+        let expect = [
+            ("plan.seq_scans", 1),
+            ("plan.parallel_scans", 1),
+            ("plan.index_probes", 1),
+            ("plan.view_expands", 1),
+            ("plan.nested_loop_joins", 1),
+            ("plan.hash_joins", 2),
+            ("plan.rows_scanned", 118),
+        ];
+        assert_eq!(plan.attr_counts(), expect);
+        // Keys and order are stable even on a plan with nothing to count.
+        plan.root = *node(1, PhysOp::ResultRow);
+        assert_eq!(plan.attr_counts(), expect.map(|(key, _)| (key, 0)));
     }
 }

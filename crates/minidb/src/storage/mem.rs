@@ -4,7 +4,7 @@
 //! for the lifetime of the row — the transaction undo log addresses rows by
 //! id. Indexes come in two physical shapes behind one interface: ordered
 //! maps (B-tree) used for uniqueness enforcement, and hash maps used by the
-//! executor's fast path for equality probes and hash joins. Both map a key
+//! executor's equality probes. Both map a key
 //! tuple to the set of row ids carrying that key and are maintained by every
 //! `insert`/`update`/`delete`/`restore`, which is what makes them
 //! transactionally consistent: the undo log replays through those same

@@ -144,6 +144,42 @@ Project (cost=1536.00 rows=512)
 }
 
 #[test]
+fn dml_candidates_follow_the_same_access_path_choice() {
+    // UPDATE/DELETE ask the chooser SELECT lowering asks: the probe on the
+    // constant column is taken while unanalyzed and priced out once ANALYZE
+    // reports NDV = 1 — with the same rows affected either way.
+    let update = "UPDATE sales SET amount = 0.0 WHERE flag = 7 AND id < 100";
+    let delete = "DELETE FROM sales WHERE flag = 7 AND sid = 3";
+    let mut affected = Vec::new();
+    for analyzed in [false, true] {
+        let (_db, mut s) = fixture();
+        if analyzed {
+            s.execute_sql("ANALYZE").unwrap();
+        }
+        let path = if analyzed { "seq scan" } else { "index scan" };
+        assert_plan(
+            &mut s,
+            &format!("EXPLAIN {update}"),
+            &format!("Update on sales ({path})"),
+        );
+        // `sid = 3` stays selective (NDV 16): DELETE keeps its probe.
+        assert_plan(
+            &mut s,
+            &format!("EXPLAIN {delete}"),
+            "Delete on sales (index scan)",
+        );
+        affected.push((
+            s.execute_sql(update).unwrap(),
+            s.execute_sql(delete).unwrap(),
+            s.execute_sql("SELECT * FROM sales ORDER BY id").unwrap(),
+        ));
+    }
+    assert_eq!(affected[0].0, QueryResult::Affected(100));
+    assert_eq!(affected[0].1, QueryResult::Affected(32));
+    assert_eq!(affected[0], affected[1]);
+}
+
+#[test]
 fn hash_join_snapshot_carries_divergence_marker() {
     let (_db, mut s) = fixture();
     // The equi-join picks the hash join on cost; the rendered operator must

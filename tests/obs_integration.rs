@@ -253,3 +253,102 @@ fn observability_off_records_nothing() {
     assert_eq!(snap.metrics.counter("tool.calls"), 0);
     assert_eq!(snap.metrics.counter("llm.calls"), 0);
 }
+
+/// A server for the superuser over `demo_db` plus a view of one region.
+fn admin_server(obs: Option<&Obs>) -> BridgeScopeServer {
+    let db = demo_db();
+    db.session("admin")
+        .expect("admin exists")
+        .execute_sql("CREATE VIEW r0 AS SELECT id, amount FROM sales WHERE region = 'r0'")
+        .expect("view");
+    let (policy, extra) = (SecurityPolicy::default(), Registry::new());
+    match obs {
+        Some(obs) => BridgeScopeServer::build_observed(db, "admin", policy, &extra, obs.clone()),
+        None => BridgeScopeServer::build(db, "admin", policy, &extra),
+    }
+    .expect("admin exists")
+}
+
+fn select(server: &BridgeScopeServer, sql: &str) -> ToolOutput {
+    let args = Json::object([("sql", Json::str(sql))]);
+    server
+        .registry
+        .call("select", &args)
+        .unwrap_or_else(|e| panic!("{sql}: {e}"))
+}
+
+#[test]
+fn plan_attributes_report_the_outer_tree_and_the_rows_its_scans_emitted() {
+    const KEYS: [&str; 7] = [
+        "plan.seq_scans",
+        "plan.parallel_scans",
+        "plan.index_probes",
+        "plan.view_expands",
+        "plan.nested_loop_joins",
+        "plan.hash_joins",
+        "plan.rows_scanned",
+    ];
+    let obs = Obs::in_memory();
+    let server = admin_server(Some(&obs));
+    let attrs = |sql: &str| -> Vec<String> {
+        select(&server, sql);
+        let snap = server.snapshot();
+        let span = snap.spans.iter().rev().find(|sp| sp.name == "sql:execute");
+        let span = span.expect("sql span");
+        assert!(span.attr("plan.profile").is_some(), "{sql}");
+        KEYS.map(|k| {
+            span.attr(k)
+                .unwrap_or_else(|| panic!("{k}: {sql}"))
+                .to_string()
+        })
+        .to_vec()
+    };
+    let expect = |counts: [u64; 7]| counts.map(|n| n.to_string()).to_vec();
+    // A filter above a plain scan: every table row leaves the scan.
+    assert_eq!(
+        attrs("SELECT id FROM sales WHERE amount > 49.5"),
+        expect([1, 0, 0, 0, 0, 0, 60])
+    );
+    // A probe emits its candidates only.
+    assert_eq!(
+        attrs("SELECT amount FROM sales WHERE id = 7"),
+        expect([0, 0, 1, 0, 0, 0, 1])
+    );
+    // A streaming LIMIT stops the scan early.
+    assert_eq!(
+        attrs("SELECT id FROM sales LIMIT 5"),
+        expect([1, 0, 0, 0, 0, 0, 5])
+    );
+    assert_eq!(
+        attrs("SELECT s.id FROM sales s JOIN salaries p ON s.id = p.id"),
+        expect([2, 0, 0, 0, 0, 1, 61])
+    );
+    // A view counts as one leaf emitting its 20 result rows; the scan of
+    // `sales` inside its body (60 rows) belongs to a nested plan and is not
+    // unfolded. Likewise for a subquery resolved before planning.
+    assert_eq!(
+        attrs("SELECT COUNT(*) FROM r0"),
+        expect([0, 0, 0, 1, 0, 0, 20])
+    );
+    assert_eq!(
+        attrs("SELECT id FROM sales WHERE amount > (SELECT AVG(amount) FROM sales)"),
+        expect([1, 0, 0, 0, 0, 0, 60])
+    );
+}
+
+#[test]
+fn select_tool_runs_explain_with_observability_on_and_off() {
+    let obs = Obs::in_memory();
+    for server in [admin_server(Some(&obs)), admin_server(None)] {
+        for sql in [
+            "EXPLAIN SELECT id FROM sales WHERE amount > 1.0",
+            "EXPLAIN ANALYZE SELECT id FROM sales WHERE amount > 1.0",
+        ] {
+            let text = select(&server, sql).value.to_compact();
+            assert!(text.contains("Seq Scan on sales"), "{sql}: {text}");
+        }
+    }
+    let snap = obs.snapshot();
+    let spans = snap.spans.iter().filter(|sp| sp.name == "sql:execute");
+    assert_eq!(spans.filter(|sp| sp.error.is_none()).count(), 2);
+}
