@@ -16,7 +16,7 @@ cd "$(dirname "$0")/.."
 # Gate registry: every name listed here MUST run, or the suite fails.
 EXPECTED_GATES="fmt clippy build-release tier1-tests workspace-tests obs-layer \
 wire-smoke telemetry-smoke trace-smoke recovery-smoke mvcc-stress mvcc-bench \
-gate-smoke planner-smoke e2ebench-build"
+gate-smoke planner-smoke e2ebench-build e2ebench-smoke"
 
 GATES_RUN=""
 GATES_FAILED=""
@@ -282,6 +282,21 @@ gate_e2ebench_build() {
   run bash e2ebench/run.sh test
 }
 
+# The benchmark as a correctness gate: one second's worth of the two
+# workloads that carry the most data over the wire. Every reply is checked
+# against the oracle computed during set-up (row counts, the trained model's
+# digest, typed denials), and a wrong one makes the run exit non-zero; no
+# timing is asserted. A wire-level slip in the data path — a frame cut
+# short, a row lost in a proxy hand-off, a denial that decodes as something
+# else — fails here rather than in the next benchmark run.
+gate_e2ebench_smoke() {
+  local workload
+  for workload in agent_mix bulk_transfer; do
+    run bash e2ebench/run.sh --workload "$workload" --seed 7 --seconds 1 --trace 0 \
+      || return 1
+  done
+}
+
 # ------------------------------------------------------------- execution --
 
 run_gate fmt             gate_fmt
@@ -299,6 +314,7 @@ run_gate mvcc-bench      gate_mvcc_bench
 run_gate gate-smoke      gate_gate_smoke
 run_gate planner-smoke   gate_planner_smoke
 run_gate e2ebench-build  gate_e2ebench_build
+run_gate e2ebench-smoke  gate_e2ebench_smoke
 
 # -------------------------------------------------------------- summary --
 

@@ -54,10 +54,13 @@ impl Transform {
         }
     }
 
+    /// Adapt a producer's output, by value: a pointer transform moves the
+    /// addressed sub-document (typically the row array) out of the output
+    /// and drops the rest; nothing is copied.
     fn apply(&self, value: Json) -> Result<Json, ToolError> {
         match self {
             Transform::Identity => Ok(value),
-            Transform::Pointer(p) => value.pointer(p).cloned().ok_or_else(|| {
+            Transform::Pointer(p) => value.take_pointer(p).ok_or_else(|| {
                 ToolError::Execution(format!("transform pointer '{p}' did not match the output"))
             }),
         }
@@ -110,13 +113,21 @@ pub struct ProxyUnit {
 impl ProxyUnit {
     /// Parse a unit from its wire JSON.
     pub fn parse(value: &Json) -> Result<ProxyUnit, ToolError> {
-        let target_tool = value
-            .get("target_tool")
+        Self::parse_members(value.get("target_tool"), value.get("tool_args"))
+    }
+
+    /// Parse a unit from its two members, wherever they are held: an object
+    /// ([`ProxyUnit::parse`]) or the `proxy` tool's validated arguments.
+    fn parse_members(
+        target_tool: Option<&Json>,
+        tool_args: Option<&Json>,
+    ) -> Result<ProxyUnit, ToolError> {
+        let target_tool = target_tool
             .and_then(Json::as_str)
             .ok_or_else(|| ToolError::Execution("proxy unit needs 'target_tool'".into()))?
             .to_owned();
         let mut args = Vec::new();
-        if let Some(map) = value.get("tool_args").and_then(Json::as_object) {
+        if let Some(map) = tool_args.and_then(Json::as_object) {
             for (name, spec) in map {
                 args.push((name.clone(), Self::parse_binding(spec)?));
             }
@@ -251,10 +262,12 @@ fn unit_body(
         )));
     }
     // Gather producer jobs across all arguments so siblings parallelize.
+    // A slot only records how many jobs it owns: jobs are pushed in slot
+    // order, so the outputs come back in that order too.
     enum Slot {
         Literal(Json),
-        One(usize),
-        Many(Vec<usize>),
+        One,
+        Many(usize),
     }
     let mut jobs: Vec<&Producer> = Vec::new();
     let mut slots: Vec<(String, Slot)> = Vec::new();
@@ -263,15 +276,11 @@ fn unit_body(
             ArgBinding::Value(v) => Slot::Literal(v.clone()),
             ArgBinding::One(p) => {
                 jobs.push(p);
-                Slot::One(jobs.len() - 1)
+                Slot::One
             }
             ArgBinding::Many(ps) => {
-                let mut ids = Vec::with_capacity(ps.len());
-                for p in ps {
-                    jobs.push(p);
-                    ids.push(jobs.len() - 1);
-                }
-                Slot::Many(ids)
+                jobs.extend(ps);
+                Slot::Many(ps.len())
             }
         };
         slots.push((name.clone(), slot));
@@ -314,27 +323,32 @@ fn unit_body(
         outputs.push(r?);
     }
     // Account for the data moving tool→tool without transiting the LLM —
-    // the paper's F4 claim, here as a measured number.
+    // the paper's F4 claim, here as a measured number. The bytes are
+    // counted (`Json::compact_len`), never serialised.
     if span.enabled() {
-        let bytes: usize = outputs.iter().map(|o| o.to_compact().len()).sum();
+        let bytes: usize = outputs.iter().map(Json::compact_len).sum();
         let rows: usize = outputs.iter().map(json_row_count).sum();
         span.attr("bytes_in", bytes as u64);
         span.attr("rows_in", rows as u64);
         obs.incr("proxy.bytes_moved", bytes as u64);
         obs.incr("proxy.rows_moved", rows as u64);
     }
-    // Assemble the consumer's arguments.
+    // Assemble the consumer's arguments. Jobs were numbered in slot order,
+    // so draining the outputs front to back hands each one to its slot by
+    // value: every producer output is delivered exactly once, uncopied.
+    let mut outputs = outputs.into_iter();
+    let mut next_output = || outputs.next().expect("one output per producer job");
     let mut arg_pairs: Vec<(String, Json)> = Vec::with_capacity(slots.len());
     for (name, slot) in slots {
         let value = match slot {
             Slot::Literal(v) => v,
-            Slot::One(i) => outputs[i].clone(),
-            Slot::Many(ids) => Json::array(ids.into_iter().map(|i| outputs[i].clone())),
+            Slot::One => next_output(),
+            Slot::Many(n) => Json::array((0..n).map(|_| next_output())),
         };
         arg_pairs.push((name, value));
     }
     // Invoke the consumer; its output propagates upward.
-    let out = registry.call(&unit.target_tool, &Json::object(arg_pairs))?;
+    let out = registry.call_owned(&unit.target_tool, Json::object(arg_pairs))?;
     if span.enabled() {
         span.attr("rows_out", json_row_count(&out.value) as u64);
     }
@@ -374,8 +388,7 @@ pub fn proxy_tool_observed(surface: Registry, obs: Obs) -> impl Tool {
          \"identity\" or a JSON pointer like \"/rows\". Always use this for bulk data flows.",
         Signature::open(vec![]),
         move |args: &Args| {
-            let spec = Json::Object(args.clone());
-            let unit = ProxyUnit::parse(&spec)?;
+            let unit = ProxyUnit::parse_members(args.get("target_tool"), args.get("tool_args"))?;
             let value = execute_unit_observed(&surface, &unit, 1, &obs)?;
             Ok(ToolOutput::value(value))
         },
@@ -497,6 +510,57 @@ mod tests {
         assert_eq!(out.get("total").and_then(Json::as_f64), Some(3.0));
     }
 
+    /// Outputs are handed to the consumer by value, in slot order. A unit
+    /// that mixes a literal, a single producer, a `producers` list and a
+    /// nested unit must still give every argument exactly its own
+    /// producers' outputs, each once.
+    #[test]
+    fn every_producer_output_reaches_its_own_slot_exactly_once() {
+        let mut reg = test_registry();
+        reg.register_tool(FnTool::new(
+            "echo_args",
+            "returns its arguments",
+            Signature::open(vec![]),
+            |args: &Args| Ok(ToolOutput::value(Json::Object(args.clone()))),
+        ));
+        let spec = Json::parse(
+            r#"{"target_tool": "echo_args", "tool_args": {
+                "a_many": {"producers": [
+                    {"tool": "numbers", "args": {"n": 1}, "transform": "/rows"},
+                    {"tool": "numbers", "args": {"n": 2}, "transform": "/rows"},
+                    {"unit": {"target_tool": "sum", "tool_args": {
+                        "data": {"tool": "numbers", "args": {"n": 5}, "transform": "/rows"}}}}
+                ]},
+                "b_literal": {"value": {"rows": "not a producer"}},
+                "c_one": {"tool": "numbers", "args": {"n": 3}},
+                "d_nested": {"unit": {"target_tool": "echo_args", "tool_args": {
+                    "inner": {"producers": [
+                        {"tool": "numbers", "args": {"n": 4}, "transform": "/rows/3"},
+                        {"tool": "numbers", "args": {"n": 2}, "transform": "/rows/0"}
+                    ]}}}, "transform": "/inner"},
+                "e_many": {"producers": [
+                    {"tool": "numbers", "args": {"n": 6}, "transform": "/rows/5"}
+                ]}
+            }}"#,
+        )
+        .unwrap();
+        let unit = ProxyUnit::parse(&spec).unwrap();
+        let obs = Obs::in_memory();
+        let out = execute_unit_observed(&reg, &unit, 1, &obs).unwrap();
+        let expected = Json::parse(
+            r#"{"a_many": [[0], [0, 1], {"total": 10}],
+                "b_literal": {"rows": "not a producer"},
+                "c_one": {"rows": [0, 1, 2]},
+                "d_nested": [3, 0],
+                "e_many": [5]}"#,
+        )
+        .unwrap();
+        assert_eq!(out, expected);
+        // Rows moved: 1 + 2 (a_many arrays) + 3 (c_one) + 2 (d_nested, an
+        // array of two) into the outer unit, 5 into `sum`; scalars count 0.
+        assert_eq!(obs.snapshot().metrics.counter("proxy.rows_moved"), 13);
+    }
+
     #[test]
     fn parallel_producers_actually_overlap() {
         static CONCURRENT: AtomicUsize = AtomicUsize::new(0);
@@ -613,7 +677,9 @@ mod tests {
         // Inner units each feed /rows arrays (3 and 4 rows); the outer unit
         // moves two scalar objects (0 rows, but nonzero bytes).
         assert_eq!(snap.metrics.counter("proxy.rows_moved"), 7);
-        assert!(snap.metrics.counter("proxy.bytes_moved") > 0);
+        // `[0,1,2]` + `[0,1,2,3]` + `{"total":3}` + `{"total":6}`: the
+        // bytes are counted, not serialised, and the count is the same.
+        assert_eq!(snap.metrics.counter("proxy.bytes_moved"), 38);
         let units: Vec<_> = snap
             .spans
             .iter()

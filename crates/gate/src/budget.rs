@@ -3,8 +3,9 @@
 //!
 //! Four resources are metered per tool call: **calls** (one per
 //! invocation), **rows** (the `ToolOutput::rows` bookkeeping the engine
-//! already reports), **bytes** (compact-rendered output size — the volume
-//! that would transit an LLM context or the wire), and **wall_ns** (time
+//! already reports), **bytes** (size of the output's compact rendering,
+//! counted by `Json::compact_len` without rendering it — the volume that
+//! would transit an LLM context or the wire), and **wall_ns** (time
 //! spent inside the tool). A call is admitted only while *every* metered
 //! resource is under its limit; the first exhausted resource denies the
 //! call with `ToolError::Denied { code: "budget", .. }`, mirroring the
@@ -322,10 +323,7 @@ impl Tool for MeteredTool {
         let result = self.inner.invoke(args);
         let wall_ns = start.elapsed().as_nanos() as u64;
         let (rows, bytes) = match &result {
-            Ok(out) => (
-                out.rows.unwrap_or(0) as u64,
-                out.value.to_compact().len() as u64,
-            ),
+            Ok(out) => (out.rows.unwrap_or(0) as u64, out.value.compact_len() as u64),
             Err(_) => (0, 0),
         };
         for meter in &self.meters {

@@ -27,6 +27,8 @@ thread_local! {
 /// `/metrics` endpoint): counter `tool.calls{tool,outcome}` and histogram
 /// `tool.latency{tool}`. The unlabeled dotted names are kept for
 /// backwards compatibility with existing JSONL traces and summaries.
+/// `{tool}` is a registered tool's name, or `unknown` for a call that named
+/// no registered tool.
 #[derive(Debug)]
 pub struct RegistryObserver {
     obs: Obs,
@@ -78,6 +80,14 @@ impl CallObserver for RegistryObserver {
             return;
         };
 
+        // Series are named after tools of the surface only. A name the
+        // registry does not know is client-controlled text: it stays on the
+        // span (spans are capacity-bounded) and is counted under `unknown`,
+        // so a peer cannot grow the metrics registry.
+        let tool = match result {
+            Err(ToolError::UnknownTool(_)) => "unknown",
+            _ => tool,
+        };
         self.obs.incr("tool.calls", 1);
         self.obs.incr(&format!("tool.calls.{tool}"), 1);
         let outcome = outcome_of(result);
@@ -176,6 +186,37 @@ mod tests {
         assert_eq!(snap.metrics.counter("tool.denied"), 1);
         assert_eq!(snap.metrics.counter("tool.denied.policy"), 1);
         assert_eq!(snap.metrics.histograms["tool.latency.echo"].count, 1);
+    }
+
+    #[test]
+    fn unregistered_tool_names_do_not_mint_series() {
+        let obs = Obs::in_memory();
+        let reg = observed_registry(&obs);
+        let series = |obs: &Obs| {
+            let m = obs.snapshot().metrics;
+            m.counters.len()
+                + m.histograms.len()
+                + m.labeled_counters.len()
+                + m.labeled_histograms.len()
+        };
+        reg.call("bogus-0", &Json::Null).unwrap_err();
+        let before = series(&obs);
+        for i in 1..1000 {
+            reg.call(&format!("bogus-{i}"), &Json::Null).unwrap_err();
+        }
+        assert_eq!(series(&obs), before);
+        let snap = obs.snapshot();
+        assert_eq!(snap.metrics.counter("tool.calls.unknown"), 1000);
+        assert_eq!(snap.metrics.counter("tool.errors.unknown"), 1000);
+        assert_eq!(
+            snap.metrics.labeled_counter(
+                "tool.calls",
+                &[("tool", "unknown"), ("outcome", "tool-error")]
+            ),
+            1000
+        );
+        // The raw name is still on the call's span.
+        assert!(snap.spans.iter().any(|s| s.name == "tool:bogus-7"));
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! the proxy layer address sub-documents through [`Json::pointer`] without any
 //! intermediate deserialization.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -124,18 +125,32 @@ impl Json {
     /// An empty pointer resolves to `self`. Used by proxy transforms to pluck
     /// sub-documents out of producer outputs.
     pub fn pointer(&self, pointer: &str) -> Option<&Json> {
-        if pointer.is_empty() {
-            return Some(self);
-        }
-        if !pointer.starts_with('/') {
-            return None;
-        }
         let mut cur = self;
-        for raw in pointer[1..].split('/') {
-            let token = raw.replace("~1", "/").replace("~0", "~");
+        for token in pointer_tokens(pointer)? {
             cur = match cur {
-                Json::Object(map) => map.get(&token)?,
+                Json::Object(map) => map.get(token.as_ref())?,
                 Json::Array(items) => items.get(token.parse::<usize>().ok()?)?,
+                _ => return None,
+            };
+        }
+        Some(cur)
+    }
+
+    /// [`Json::pointer`] by value: moves the addressed sub-document out and
+    /// drops the rest, so a proxy transform hands a producer's rows to the
+    /// consumer without copying them.
+    pub fn take_pointer(self, pointer: &str) -> Option<Json> {
+        let mut cur = self;
+        for token in pointer_tokens(pointer)? {
+            cur = match cur {
+                Json::Object(mut map) => map.remove(token.as_ref())?,
+                Json::Array(mut items) => {
+                    let idx = token.parse::<usize>().ok()?;
+                    if idx >= items.len() {
+                        return None;
+                    }
+                    items.swap_remove(idx)
+                }
                 _ => return None,
             };
         }
@@ -157,14 +172,25 @@ impl Json {
     /// Serialize to compact JSON text.
     pub fn to_compact(&self) -> String {
         let mut out = String::new();
-        write_value(self, &mut out);
+        write_value(self, &mut out).expect("writing to a String cannot fail");
         out
+    }
+
+    /// `self.to_compact().len()` without building the text: the one compact
+    /// writer ([`Json::to_compact`] and `Display` are the same function over
+    /// other sinks) over a sink that only counts, so the two cannot
+    /// disagree. Byte accounting (observer spans, `proxy.bytes_moved`, gate
+    /// budgets) uses this.
+    pub fn compact_len(&self) -> usize {
+        let mut count = ByteCount(0);
+        write_value(self, &mut count).expect("counting cannot fail");
+        count.0
     }
 
     /// Serialize with two-space indentation, for human-facing output.
     pub fn to_pretty(&self) -> String {
         let mut out = String::new();
-        write_pretty(self, 0, &mut out);
+        write_pretty(self, 0, &mut out).expect("writing to a String cannot fail");
         out
     }
 
@@ -173,6 +199,7 @@ impl Json {
     /// (so hostile wire frames produce a parse error, not a stack overflow).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
@@ -189,7 +216,7 @@ impl Json {
 
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_compact())
+        write_value(self, f)
     }
 }
 
@@ -255,105 +282,141 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-fn write_value(v: &Json, out: &mut String) {
+/// Split a JSON pointer into its unescaped reference tokens. `None` when
+/// the pointer is non-empty and does not start with `/`.
+fn pointer_tokens(pointer: &str) -> Option<impl Iterator<Item = Cow<'_, str>>> {
+    let mut parts = pointer.split('/');
+    // What precedes the first `/` must be empty: `""` has no tokens, `"/a"`
+    // has one.
+    if parts.next() != Some("") {
+        return None;
+    }
+    Some(parts.map(|raw| {
+        if raw.contains('~') {
+            Cow::Owned(raw.replace("~1", "/").replace("~0", "~"))
+        } else {
+            Cow::Borrowed(raw)
+        }
+    }))
+}
+
+/// A sink that counts the bytes written to it.
+struct ByteCount(usize);
+
+impl fmt::Write for ByteCount {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 += s.len();
+        Ok(())
+    }
+}
+
+fn write_value<W: fmt::Write>(v: &Json, out: &mut W) -> fmt::Result {
     match v {
-        Json::Null => out.push_str("null"),
-        Json::Bool(true) => out.push_str("true"),
-        Json::Bool(false) => out.push_str("false"),
+        Json::Null => out.write_str("null"),
+        Json::Bool(true) => out.write_str("true"),
+        Json::Bool(false) => out.write_str("false"),
         Json::Number(n) => write_number(*n, out),
         Json::Str(s) => write_string(s, out),
         Json::Array(items) => {
-            out.push('[');
+            out.write_char('[')?;
             for (i, item) in items.iter().enumerate() {
                 if i > 0 {
-                    out.push(',');
+                    out.write_char(',')?;
                 }
-                write_value(item, out);
+                write_value(item, out)?;
             }
-            out.push(']');
+            out.write_char(']')
         }
         Json::Object(map) => {
-            out.push('{');
+            out.write_char('{')?;
             for (i, (k, val)) in map.iter().enumerate() {
                 if i > 0 {
-                    out.push(',');
+                    out.write_char(',')?;
                 }
-                write_string(k, out);
-                out.push(':');
-                write_value(val, out);
+                write_string(k, out)?;
+                out.write_char(':')?;
+                write_value(val, out)?;
             }
-            out.push('}');
+            out.write_char('}')
         }
     }
 }
 
-fn write_pretty(v: &Json, depth: usize, out: &mut String) {
+fn write_pretty<W: fmt::Write>(v: &Json, depth: usize, out: &mut W) -> fmt::Result {
     match v {
         Json::Array(items) if !items.is_empty() => {
-            out.push_str("[\n");
+            out.write_str("[\n")?;
             for (i, item) in items.iter().enumerate() {
                 if i > 0 {
-                    out.push_str(",\n");
+                    out.write_str(",\n")?;
                 }
-                indent(depth + 1, out);
-                write_pretty(item, depth + 1, out);
+                indent(depth + 1, out)?;
+                write_pretty(item, depth + 1, out)?;
             }
-            out.push('\n');
-            indent(depth, out);
-            out.push(']');
+            out.write_char('\n')?;
+            indent(depth, out)?;
+            out.write_char(']')
         }
         Json::Object(map) if !map.is_empty() => {
-            out.push_str("{\n");
+            out.write_str("{\n")?;
             for (i, (k, val)) in map.iter().enumerate() {
                 if i > 0 {
-                    out.push_str(",\n");
+                    out.write_str(",\n")?;
                 }
-                indent(depth + 1, out);
-                write_string(k, out);
-                out.push_str(": ");
-                write_pretty(val, depth + 1, out);
+                indent(depth + 1, out)?;
+                write_string(k, out)?;
+                out.write_str(": ")?;
+                write_pretty(val, depth + 1, out)?;
             }
-            out.push('\n');
-            indent(depth, out);
-            out.push('}');
+            out.write_char('\n')?;
+            indent(depth, out)?;
+            out.write_char('}')
         }
         other => write_value(other, out),
     }
 }
 
-fn indent(depth: usize, out: &mut String) {
+fn indent<W: fmt::Write>(depth: usize, out: &mut W) -> fmt::Result {
     for _ in 0..depth {
-        out.push_str("  ");
+        out.write_str("  ")?;
     }
+    Ok(())
 }
 
-fn write_number(n: f64, out: &mut String) {
+fn write_number<W: fmt::Write>(n: f64, out: &mut W) -> fmt::Result {
     if !n.is_finite() {
         // JSON has no Inf/NaN; serialize as null like most tolerant writers.
-        out.push_str("null");
+        out.write_str("null")
     } else if n.fract() == 0.0 && n.abs() < 9.0e15 {
-        out.push_str(&format!("{}", n as i64));
+        write!(out, "{}", n as i64)
     } else {
-        out.push_str(&format!("{n}"));
+        write!(out, "{n}")
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+/// Write `s` quoted and escaped. Every byte that needs an escape is ASCII,
+/// so the runs between them are copied whole and always split on character
+/// boundaries.
+fn write_string<W: fmt::Write>(s: &str, out: &mut W) -> fmt::Result {
+    out.write_char('"')?;
+    let mut clean_from = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.write_str(&s[clean_from..i])?;
+        clean_from = i + 1;
+        match b {
+            b'"' => out.write_str("\\\"")?,
+            b'\\' => out.write_str("\\\\")?,
+            b'\n' => out.write_str("\\n")?,
+            b'\r' => out.write_str("\\r")?,
+            b'\t' => out.write_str("\\t")?,
+            _ => write!(out, "\\u{b:04x}")?,
         }
     }
-    out.push('"');
+    out.write_str(&s[clean_from..])?;
+    out.write_char('"')
 }
 
 /// Maximum container nesting depth [`Json::parse`] accepts. Each `[` or `{`
@@ -363,6 +426,10 @@ fn write_string(s: &str, out: &mut String) {
 pub const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    /// The input, and the same input as bytes: the scanner looks at bytes,
+    /// and string runs are sliced out of `text` (already valid UTF-8, so
+    /// nothing is re-validated).
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -467,9 +534,8 @@ impl<'a> Parser<'a> {
                 return Err(JsonError::new(self.pos, "expected digit in exponent"));
             }
         }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
-        text.parse::<f64>()
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map(Json::Number)
             .map_err(|_| JsonError::new(start, "invalid number"))
     }
@@ -478,78 +544,68 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err(JsonError::new(self.pos, "unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{0008}'),
-                        Some(b'f') => out.push('\u{000C}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let cp = self.parse_hex4()?;
-                            // Handle surrogate pairs for non-BMP characters.
-                            let ch = if (0xD800..0xDC00).contains(&cp) {
-                                if self.peek() == Some(b'\\') {
-                                    self.pos += 1;
-                                    self.expect(b'u')?;
-                                    let low = self.parse_hex4()?;
-                                    if !(0xDC00..0xE000).contains(&low) {
-                                        return Err(JsonError::new(
-                                            self.pos,
-                                            "invalid low surrogate",
-                                        ));
-                                    }
-                                    let c = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
-                                    char::from_u32(c).ok_or_else(|| {
-                                        JsonError::new(self.pos, "invalid code point")
-                                    })?
-                                } else {
-                                    return Err(JsonError::new(self.pos, "lone high surrogate"));
-                                }
-                            } else {
-                                char::from_u32(cp)
-                                    .ok_or_else(|| JsonError::new(self.pos, "invalid code point"))?
-                            };
-                            out.push(ch);
-                            // parse_hex4 advanced pos past the 4 hex digits;
-                            // the trailing `continue` skips the +1 below.
-                            continue;
-                        }
-                        _ => return Err(JsonError::new(self.pos, "invalid escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 code point.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| JsonError::new(self.pos, "invalid UTF-8"))?;
-                    let ch = rest.chars().next().expect("non-empty checked above");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
+            // Copy the run up to the next quote or backslash whole. Both are
+            // ASCII, so the run starts and ends on character boundaries.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or_else(|| JsonError::new(self.bytes.len(), "unterminated string"))?;
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run + 1;
+            if self.bytes[self.pos - 1] == b'"' {
+                return Ok(out);
+            }
+            let escape = self
+                .peek()
+                .ok_or_else(|| JsonError::new(self.pos, "unterminated string"))?;
+            self.pos += 1;
+            match escape {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'b' => out.push('\u{0008}'),
+                b'f' => out.push('\u{000C}'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'u' => out.push(self.parse_unicode_escape()?),
+                _ => return Err(JsonError::new(self.pos - 1, "invalid escape")),
             }
         }
     }
 
+    /// The character of a `\uXXXX` escape whose `\u` is consumed, reading
+    /// the low half too when `XXXX` is a high surrogate.
+    fn parse_unicode_escape(&mut self) -> Result<char, JsonError> {
+        let cp = self.parse_hex4()?;
+        let cp = if (0xD800..0xDC00).contains(&cp) {
+            if !self.bytes[self.pos..].starts_with(b"\\u") {
+                return Err(JsonError::new(self.pos, "lone high surrogate"));
+            }
+            self.pos += 2;
+            let low = self.parse_hex4()?;
+            if !(0xDC00..0xE000).contains(&low) {
+                return Err(JsonError::new(self.pos, "invalid low surrogate"));
+            }
+            0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00)
+        } else {
+            cp
+        };
+        char::from_u32(cp).ok_or_else(|| JsonError::new(self.pos, "invalid code point"))
+    }
+
     fn parse_hex4(&mut self) -> Result<u32, JsonError> {
-        if self.pos + 4 > self.bytes.len() {
-            return Err(JsonError::new(self.pos, "truncated \\u escape"));
+        let digits = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| JsonError::new(self.pos, "truncated \\u escape"))?;
+        let mut cp = 0;
+        for &b in digits {
+            let digit = (b as char)
+                .to_digit(16)
+                .ok_or_else(|| JsonError::new(self.pos, "invalid \\u escape"))?;
+            cp = cp * 16 + digit;
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| JsonError::new(self.pos, "invalid \\u escape"))?;
-        let cp = u32::from_str_radix(hex, 16)
-            .map_err(|_| JsonError::new(self.pos, "invalid \\u escape"))?;
         self.pos += 4;
         Ok(cp)
     }
@@ -675,6 +731,23 @@ mod tests {
     }
 
     #[test]
+    fn unicode_escape_digits_must_be_hex() {
+        assert_eq!(
+            Json::parse(r#""\u00e9\uD83D\uDE00""#).unwrap(),
+            Json::str("é😀")
+        );
+        for bad in [
+            r#""\u+041""#,
+            r#""\u00g0""#,
+            r#""\u12""#,
+            r#""\ud83d\n""#,
+            r#""\ud83d\u0041""#,
+        ] {
+            assert!(Json::parse(bad).is_err(), "should reject {bad}");
+        }
+    }
+
+    #[test]
     fn pointer_resolution() {
         let v = Json::parse(r#"{"rows": [{"x": 1}, {"x": 2}], "a/b": 3}"#).unwrap();
         assert_eq!(v.pointer("/rows/1/x").and_then(Json::as_f64), Some(2.0));
@@ -682,6 +755,24 @@ mod tests {
         assert_eq!(v.pointer(""), Some(&v));
         assert_eq!(v.pointer("/missing"), None);
         assert_eq!(v.pointer("bad"), None);
+    }
+
+    #[test]
+    fn take_pointer_moves_the_addressed_value_out() {
+        let v = Json::parse(r#"{"rows": [{"x": 1}, {"x": 2}], "a/b": 3, "m~n": 4}"#).unwrap();
+        for p in [
+            "",
+            "/rows",
+            "/rows/1/x",
+            "/a~1b",
+            "/m~0n",
+            "/missing",
+            "bad",
+            "/rows/2",
+            "/rows/x",
+        ] {
+            assert_eq!(v.clone().take_pointer(p), v.pointer(p).cloned(), "{p:?}");
+        }
     }
 
     #[test]
@@ -724,5 +815,268 @@ mod tests {
         let a = Json::parse(r#"{"b":1,"a":2}"#).unwrap();
         let b = Json::parse(r#"{"a":2,"b":1}"#).unwrap();
         assert_eq!(a.to_compact(), b.to_compact());
+    }
+
+    /// The writer as it was before the run-copying one, kept as the
+    /// reference the new writer must match byte for byte: token accounting,
+    /// `gate_differential` and `proxy.bytes_moved` all count these bytes.
+    mod reference {
+        use super::Json;
+
+        pub fn to_compact(v: &Json) -> String {
+            let mut out = String::new();
+            write_value(v, &mut out);
+            out
+        }
+
+        fn write_value(v: &Json, out: &mut String) {
+            match v {
+                Json::Null => out.push_str("null"),
+                Json::Bool(true) => out.push_str("true"),
+                Json::Bool(false) => out.push_str("false"),
+                Json::Number(n) => write_number(*n, out),
+                Json::Str(s) => write_string(s, out),
+                Json::Array(items) => {
+                    out.push('[');
+                    for (i, item) in items.iter().enumerate() {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        write_value(item, out);
+                    }
+                    out.push(']');
+                }
+                Json::Object(map) => {
+                    out.push('{');
+                    for (i, (k, val)) in map.iter().enumerate() {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        write_string(k, out);
+                        out.push(':');
+                        write_value(val, out);
+                    }
+                    out.push('}');
+                }
+            }
+        }
+
+        fn write_number(n: f64, out: &mut String) {
+            if !n.is_finite() {
+                out.push_str("null");
+            } else if n.fract() == 0.0 && n.abs() < 9.0e15 {
+                out.push_str(&format!("{}", n as i64));
+            } else {
+                out.push_str(&format!("{n}"));
+            }
+        }
+
+        fn write_string(s: &str, out: &mut String) {
+            out.push('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => {
+                        out.push_str(&format!("\\u{:04x}", c as u32));
+                    }
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+        }
+    }
+
+    mod props {
+        use super::{reference, Json};
+        use proptest::prelude::*;
+
+        /// Text that exercises every branch of the string kernel: quotes,
+        /// backslashes, every control character, DEL, and 1- to 4-byte
+        /// characters, non-BMP included.
+        fn text() -> impl Strategy<Value = String> {
+            let ch = prop_oneof![
+                (0u32..0x20).prop_map(|c| char::from_u32(c).expect("control character")),
+                Just('"'),
+                Just('\\'),
+                Just('/'),
+                Just('~'),
+                Just('\u{7f}'),
+                (0x20u32..0x7f).prop_map(|c| char::from_u32(c).expect("ASCII")),
+                (0x80u32..0x800).prop_map(|c| char::from_u32(c).expect("two bytes")),
+                (0x800u32..0xD800).prop_map(|c| char::from_u32(c).expect("three bytes")),
+                (0x1_0000u32..0x11_0000).prop_map(|c| char::from_u32(c).expect("four bytes")),
+            ];
+            prop::collection::vec(ch, 0..40).prop_map(|cs| cs.into_iter().collect())
+        }
+
+        fn number() -> impl Strategy<Value = f64> {
+            prop_oneof![
+                any::<i32>().prop_map(f64::from),
+                any::<f64>(),
+                -1.0e18f64..1.0e18,
+                Just(f64::NAN),
+                Just(f64::INFINITY),
+                Just(-0.0),
+                Just(9.0e15),
+                Just(1.0e300),
+                Just(5.0e-324),
+            ]
+        }
+
+        fn json() -> impl Strategy<Value = Json> {
+            let leaf = prop_oneof![
+                Just(Json::Null),
+                any::<bool>().prop_map(Json::Bool),
+                number().prop_map(Json::Number),
+                text().prop_map(Json::Str),
+            ];
+            leaf.prop_recursive(3, 32, 6, |inner| {
+                prop_oneof![
+                    prop::collection::vec(inner.clone(), 0..6).prop_map(Json::Array),
+                    prop::collection::btree_map(text(), inner, 0..6).prop_map(Json::Object),
+                ]
+            })
+        }
+
+        /// `v` with every non-finite number replaced by what it serialises
+        /// to, so values can be compared with `==` (NaN is not equal to
+        /// itself).
+        fn finite(v: Json) -> Json {
+            match v {
+                Json::Number(n) if !n.is_finite() => Json::Null,
+                Json::Array(items) => Json::Array(items.into_iter().map(finite).collect()),
+                Json::Object(map) => {
+                    Json::Object(map.into_iter().map(|(k, v)| (k, finite(v))).collect())
+                }
+                other => other,
+            }
+        }
+
+        /// Every pointer into `v`, as (pointer, depth-first) pairs, plus
+        /// ones that miss: a key that is absent and an index past the end.
+        fn pointers(v: &Json, prefix: &str, out: &mut Vec<String>) {
+            out.push(prefix.to_owned());
+            out.push(format!("{prefix}/no~0such~1key"));
+            match v {
+                Json::Object(map) => {
+                    for (k, child) in map {
+                        let token = k.replace('~', "~0").replace('/', "~1");
+                        pointers(child, &format!("{prefix}/{token}"), out);
+                    }
+                }
+                Json::Array(items) => {
+                    out.push(format!("{prefix}/{}", items.len()));
+                    for (i, child) in items.iter().enumerate() {
+                        pointers(child, &format!("{prefix}/{i}"), out);
+                    }
+                }
+                _ => {}
+            }
+        }
+
+        proptest! {
+            #[test]
+            fn writer_matches_the_reference_byte_for_byte(v in json()) {
+                prop_assert_eq!(v.to_compact(), reference::to_compact(&v));
+                prop_assert_eq!(v.to_string(), reference::to_compact(&v));
+            }
+
+            #[test]
+            fn compact_len_is_the_length_of_the_compact_text(v in json()) {
+                prop_assert_eq!(v.compact_len(), v.to_compact().len());
+            }
+
+            #[test]
+            fn compact_and_pretty_text_parse_back_to_the_value(v in json()) {
+                let v = finite(v);
+                prop_assert_eq!(&Json::parse(&v.to_compact()).expect("compact parses"), &v);
+                prop_assert_eq!(&Json::parse(&v.to_pretty()).expect("pretty parses"), &v);
+            }
+
+            #[test]
+            fn unicode_escapes_and_surrogate_pairs_decode(s in text()) {
+                // Every UTF-16 unit as a \uXXXX escape: non-BMP characters
+                // become surrogate pairs.
+                let mut escaped = String::from("\"");
+                for unit in s.encode_utf16() {
+                    escaped.push_str(&format!("\\u{unit:04X}"));
+                }
+                escaped.push('"');
+                prop_assert_eq!(Json::parse(&escaped).expect("escapes parse"), Json::Str(s));
+            }
+
+            #[test]
+            fn take_pointer_is_pointer_then_clone(v in json()) {
+                let v = finite(v);
+                let mut all = Vec::new();
+                pointers(&v, "", &mut all);
+                all.push("no-leading-slash".to_owned());
+                for p in all {
+                    prop_assert_eq!(v.clone().take_pointer(&p), v.pointer(&p).cloned(), "{:?}", p);
+                }
+            }
+        }
+    }
+
+    mod linear_time {
+        use super::Json;
+        use std::time::{Duration, Instant};
+
+        /// A quoted string of `len` bytes mixing ASCII, an escape and a
+        /// multi-byte character.
+        fn string_document(len: usize) -> String {
+            let mut text = String::with_capacity(len + 2);
+            text.push('"');
+            while text.len() < len {
+                text.push_str("schema text \\n é ");
+            }
+            text.push('"');
+            text
+        }
+
+        /// Fastest of three parses, so a descheduled run does not count.
+        fn parse_time(text: &str) -> Duration {
+            (0..3)
+                .map(|_| {
+                    let start = Instant::now();
+                    let parsed = Json::parse(std::hint::black_box(text)).expect("valid");
+                    std::hint::black_box(parsed);
+                    start.elapsed()
+                })
+                .min()
+                .expect("three runs")
+        }
+
+        /// One string as long as the wire's default frame limit: the parser
+        /// that re-validated the rest of the input per character needed
+        /// about 24 s for this in a release build.
+        #[test]
+        fn a_one_mebibyte_string_parses_within_two_seconds() {
+            let text = string_document(1 << 20);
+            assert!(parse_time(&text) < Duration::from_secs(2));
+        }
+
+        #[test]
+        fn four_times_the_string_costs_less_than_eight_times_the_time() {
+            let small = parse_time(&string_document(1 << 20));
+            let large = parse_time(&string_document(4 << 20));
+            assert!(
+                large < small * 8,
+                "1 MiB took {small:?}, 4 MiB took {large:?}"
+            );
+        }
+
+        #[test]
+        fn writing_and_counting_a_long_string_is_linear_too() {
+            let value = Json::parse(&string_document(4 << 20)).expect("valid");
+            let start = Instant::now();
+            let text = value.to_compact();
+            assert_eq!(value.compact_len(), text.len());
+            assert!(start.elapsed() < Duration::from_secs(2));
+        }
     }
 }

@@ -19,8 +19,9 @@ use std::sync::Arc;
 /// `begin` runs before tool lookup/validation (so unknown-tool and bad-args
 /// failures are observed too) and returns an opaque token that is handed
 /// back to `end` together with the result. Byte sizes are the compact-JSON
-/// lengths of the argument payload and the output value (0 on error); they
-/// are only computed when an observer is attached.
+/// lengths ([`Json::compact_len`]: counted, never serialised) of the
+/// argument payload and the output value (0 on error); they are only
+/// computed when an observer is attached.
 pub trait CallObserver: Send + Sync {
     /// A call named `tool` is starting with `arg_bytes` of argument JSON.
     fn begin(&self, tool: &str, arg_bytes: usize) -> u64;
@@ -130,7 +131,7 @@ impl Registry {
         out
     }
 
-    /// Attach an observer notified around every `call`/`call_validated`.
+    /// Attach an observer notified around every `call`/`call_owned`.
     pub fn set_observer(&mut self, observer: Arc<dyn CallObserver>) {
         self.observer = Some(observer);
     }
@@ -145,53 +146,35 @@ impl Registry {
         self.observer.as_ref()
     }
 
-    fn dispatch(&self, name: &str, payload: &Json) -> ToolResult {
+    fn dispatch(&self, name: &str, payload: Json) -> ToolResult {
         let tool = self
             .get(name)
             .ok_or_else(|| ToolError::UnknownTool(name.to_owned()))?;
-        let args: Args = tool.signature().validate(payload)?;
+        let args: Args = tool.signature().validate_owned(payload)?;
         tool.invoke(&args)
-    }
-
-    fn observed<F>(&self, name: &str, arg_bytes: impl FnOnce() -> usize, run: F) -> ToolResult
-    where
-        F: FnOnce() -> ToolResult,
-    {
-        let Some(observer) = &self.observer else {
-            return run();
-        };
-        let token = observer.begin(name, arg_bytes());
-        let result = run();
-        let out_bytes = result
-            .as_ref()
-            .map(|out| out.value.to_compact().len())
-            .unwrap_or(0);
-        observer.end(token, name, &result, out_bytes);
-        result
     }
 
     /// Validate arguments against the named tool's signature and invoke it.
     pub fn call(&self, name: &str, payload: &Json) -> ToolResult {
-        self.observed(
-            name,
-            || payload.to_compact().len(),
-            || self.dispatch(name, payload),
-        )
+        self.call_owned(name, payload.clone())
     }
 
-    /// Invoke a tool with pre-validated arguments (used by the proxy, which
-    /// assembles argument maps itself after running producers).
-    pub fn call_validated(&self, name: &str, args: &Args) -> ToolResult {
-        self.observed(
-            name,
-            || Json::Object(args.clone()).to_compact().len(),
-            || {
-                let tool = self
-                    .get(name)
-                    .ok_or_else(|| ToolError::UnknownTool(name.to_owned()))?;
-                tool.invoke(args)
-            },
-        )
+    /// [`Registry::call`] by value: the payload's values move into the
+    /// validated arguments. Callers that built the payload for this call
+    /// (the wire server, the proxy handing a producer's rows to the
+    /// consumer) use this; a large argument is then never copied.
+    pub fn call_owned(&self, name: &str, payload: Json) -> ToolResult {
+        let Some(observer) = &self.observer else {
+            return self.dispatch(name, payload);
+        };
+        let token = observer.begin(name, payload.compact_len());
+        let result = self.dispatch(name, payload);
+        let out_bytes = result
+            .as_ref()
+            .map(|out| out.value.compact_len())
+            .unwrap_or(0);
+        observer.end(token, name, &result, out_bytes);
+        result
     }
 
     /// Render the tool prompt: one block per tool with name, signature, and
@@ -373,14 +356,18 @@ mod tests {
         let payload = Json::object([("x", Json::num(7.0))]);
         reg.call("select", &payload).unwrap();
         reg.call("nope", &Json::Null).unwrap_err();
-        let args = Args::from([("x".to_string(), Json::num(1.0))]);
-        reg.call_validated("select", &args).unwrap();
+        reg.call_owned("select", payload.clone()).unwrap();
 
         assert_eq!(counting.begun.load(Ordering::Relaxed), 3);
         assert_eq!(counting.ok.load(Ordering::Relaxed), 2);
         assert_eq!(counting.err.load(Ordering::Relaxed), 1);
-        assert!(counting.arg_bytes.load(Ordering::Relaxed) >= payload.to_compact().len() as u64);
-        assert!(counting.out_bytes.load(Ordering::Relaxed) > 0);
+        // Two `{"x":7}` payloads and one `null`; two `7` outputs.
+        let expected_args = 2 * payload.to_compact().len() + "null".len();
+        assert_eq!(
+            counting.arg_bytes.load(Ordering::Relaxed),
+            expected_args as u64
+        );
+        assert_eq!(counting.out_bytes.load(Ordering::Relaxed), 2);
 
         // The observer survives filtering and is dropped on clear.
         assert!(reg.filtered(&[], Risk::Safe).observer().is_some());

@@ -211,23 +211,29 @@ impl Signature {
     /// Validate an invocation payload and normalize it: defaults are filled
     /// in for absent optional arguments. Returns the normalized object.
     pub fn validate(&self, payload: &Json) -> Result<BTreeMap<String, Json>, ArgError> {
-        let obj = match payload {
+        self.validate_owned(payload.clone())
+    }
+
+    /// [`Signature::validate`] by value: the argument values move from the
+    /// payload into the normalized object instead of being cloned.
+    pub fn validate_owned(&self, payload: Json) -> Result<BTreeMap<String, Json>, ArgError> {
+        let mut given = match payload {
             Json::Object(map) => map,
-            Json::Null => &BTreeMap::new(),
+            Json::Null => BTreeMap::new(),
             _ => return Err(ArgError::NotAnObject),
         };
         let mut normalized = BTreeMap::new();
         for spec in &self.args {
-            match obj.get(&spec.name) {
+            match given.remove(&spec.name) {
                 Some(value) => {
-                    if !spec.ty.check(value) {
+                    if !spec.ty.check(&value) {
                         return Err(ArgError::WrongType {
                             name: spec.name.clone(),
                             expected: spec.ty.to_string(),
                             found: value.type_name(),
                         });
                     }
-                    normalized.insert(spec.name.clone(), value.clone());
+                    normalized.insert(spec.name.clone(), value);
                 }
                 None if spec.required => return Err(ArgError::Missing(spec.name.clone())),
                 None => {
@@ -237,14 +243,11 @@ impl Signature {
                 }
             }
         }
-        for key in obj.keys() {
-            if !self.args.iter().any(|a| &a.name == key) {
-                if self.allow_extra {
-                    normalized.insert(key.clone(), obj[key].clone());
-                } else {
-                    return Err(ArgError::Unknown(key.clone()));
-                }
-            }
+        // Whatever is left in `given` is undeclared.
+        if self.allow_extra {
+            normalized.append(&mut given);
+        } else if let Some(key) = given.into_keys().next() {
+            return Err(ArgError::Unknown(key));
         }
         Ok(normalized)
     }

@@ -12,8 +12,8 @@
 
 use crate::frame::{write_frame, FrameError, FrameReader};
 use crate::rpc::{
-    request_frame_traced, risk_from_str, rpc_to_tool_error, tool_output_from_json, RpcError,
-    PROTOCOL,
+    request_frame_traced, risk_from_str, rpc_to_tool_error, take_string,
+    tool_output_from_json_owned, RpcError, PROTOCOL,
 };
 use obs::TraceContext;
 use std::net::{TcpStream, ToSocketAddrs};
@@ -132,27 +132,28 @@ impl Client {
         let id = Json::num(self.next_id as f64);
         self.next_id += 1;
         let frame = request_frame_traced(&id, method, params, traceparent);
-        write_frame(&mut self.writer, &frame)?;
+        write_frame(&mut self.writer, frame)?;
         let reply = self.reader.read_frame(Some(self.response_timeout), None)?;
         let doc = Json::parse(&reply)
             .map_err(|e| WireError::Protocol(format!("unparseable response: {e}")))?;
-        self.last_traceparent = doc
-            .get("traceparent")
-            .and_then(Json::as_str)
-            .map(str::to_owned);
-        if doc.get("id") != Some(&id) && !doc.get("id").is_none_or(Json::is_null) {
+        // The reply is taken apart by value: `result` (possibly thousands
+        // of rows) moves out of the parsed document.
+        let Json::Object(mut members) = doc else {
+            return Err(WireError::Protocol("response is not an object".into()));
+        };
+        self.last_traceparent = take_string(&mut members, "traceparent");
+        let reply_id = members.remove("id").unwrap_or(Json::Null);
+        if reply_id != id && !reply_id.is_null() {
             return Err(WireError::Protocol(format!(
-                "response id mismatch (sent {}, got {})",
-                id.to_compact(),
-                doc.get("id").map(Json::to_compact).unwrap_or_default()
+                "response id mismatch (sent {id}, got {reply_id})"
             )));
         }
-        if let Some(error) = doc.get("error") {
+        if let Some(error) = members.get("error") {
             let rpc = RpcError::from_json(error).map_err(WireError::Protocol)?;
             return Err(WireError::Rpc(rpc));
         }
-        doc.get("result")
-            .cloned()
+        members
+            .remove("result")
             .ok_or_else(|| WireError::Protocol("response has neither result nor error".into()))
     }
 
@@ -214,7 +215,7 @@ impl Client {
         let params = Json::object([("name", Json::str(name)), ("arguments", arguments.clone())]);
         match self.request_traced("tools/call", &params, traceparent) {
             Ok(result) => {
-                let output = tool_output_from_json(&result).map_err(WireError::Protocol)?;
+                let output = tool_output_from_json_owned(result).map_err(WireError::Protocol)?;
                 Ok(Ok(output))
             }
             Err(WireError::Rpc(rpc)) => match rpc_to_tool_error(&rpc) {

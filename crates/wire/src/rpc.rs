@@ -8,6 +8,7 @@
 //! [`toolproto::Json`], so the same hardened parser that guards tool
 //! arguments guards the protocol envelope.
 
+use std::collections::BTreeMap;
 use toolproto::{ArgError, DenialContext, Json, Risk, ToolError, ToolOutput};
 
 /// Protocol identifier negotiated during `initialize`.
@@ -206,27 +207,39 @@ pub struct Request {
     pub traceparent: Option<String>,
 }
 
+/// Move the string member `key` out of a parsed object: `None` when it is
+/// absent or not a string. How requests and replies are taken apart without
+/// copying what they carry.
+pub(crate) fn take_string(members: &mut BTreeMap<String, Json>, key: &str) -> Option<String> {
+    match members.remove(key) {
+        Some(Json::Str(text)) => Some(text),
+        _ => None,
+    }
+}
+
 /// Parse a frame into a [`Request`]. The `jsonrpc: "2.0"` member is
 /// required; `id` may be a string or number (null is tolerated and treated
 /// as a request, not a notification — this server always answers).
 pub fn parse_request(frame: &str) -> Result<Request, RpcError> {
     let doc = Json::parse(frame)
         .map_err(|e| RpcError::new(ErrorCode::ParseError, format!("invalid JSON: {e}")))?;
-    let obj = doc
-        .as_object()
-        .ok_or_else(|| RpcError::new(ErrorCode::InvalidRequest, "request must be an object"))?;
+    // The members move out of the parsed document: `params` (the SQL text,
+    // a proxy unit) is never copied.
+    let Json::Object(mut obj) = doc else {
+        return Err(RpcError::new(
+            ErrorCode::InvalidRequest,
+            "request must be an object",
+        ));
+    };
     if obj.get("jsonrpc").and_then(Json::as_str) != Some("2.0") {
         return Err(RpcError::new(
             ErrorCode::InvalidRequest,
             "missing or unsupported 'jsonrpc' version (want \"2.0\")",
         ));
     }
-    let method = obj
-        .get("method")
-        .and_then(Json::as_str)
-        .ok_or_else(|| RpcError::new(ErrorCode::InvalidRequest, "missing string 'method'"))?
-        .to_owned();
-    let id = obj.get("id").cloned().unwrap_or(Json::Null);
+    let method = take_string(&mut obj, "method")
+        .ok_or_else(|| RpcError::new(ErrorCode::InvalidRequest, "missing string 'method'"))?;
+    let id = obj.remove("id").unwrap_or(Json::Null);
     match id {
         Json::Null | Json::Str(_) | Json::Number(_) => {}
         _ => {
@@ -236,13 +249,10 @@ pub fn parse_request(frame: &str) -> Result<Request, RpcError> {
             ))
         }
     }
-    let params = obj.get("params").cloned().unwrap_or(Json::Null);
+    let params = obj.remove("params").unwrap_or(Json::Null);
     // A non-string traceparent is treated as absent, not an error: trace
     // continuity is best-effort metadata, never a reason to refuse work.
-    let traceparent = obj
-        .get("traceparent")
-        .and_then(Json::as_str)
-        .map(str::to_owned);
+    let traceparent = take_string(&mut obj, "traceparent");
     Ok(Request {
         id,
         method,
@@ -467,7 +477,14 @@ pub fn rpc_to_tool_error(err: &RpcError) -> Option<ToolError> {
 
 /// Encode a [`ToolOutput`] as a `tools/call` result.
 pub fn tool_output_to_json(out: &ToolOutput) -> Json {
-    let mut pairs = vec![("value", out.value.clone())];
+    tool_output_into_json(out.clone())
+}
+
+/// [`tool_output_to_json`] by value: the output's value moves into the
+/// result object. The server uses this, so a reply is built without copying
+/// the rows it carries.
+pub fn tool_output_into_json(out: ToolOutput) -> Json {
+    let mut pairs = vec![("value", out.value)];
     if let Some(rows) = out.rows {
         pairs.push(("rows", Json::num(rows as f64)));
     }
@@ -476,18 +493,20 @@ pub fn tool_output_to_json(out: &ToolOutput) -> Json {
 
 /// Decode a `tools/call` result back into a [`ToolOutput`].
 pub fn tool_output_from_json(value: &Json) -> Result<ToolOutput, String> {
-    let payload = value
-        .get("value")
-        .cloned()
-        .ok_or("tools/call result missing 'value'")?;
-    let rows = value
+    tool_output_from_json_owned(value.clone())
+}
+
+/// [`tool_output_from_json`] by value: `value` moves out of the result
+/// object. The client uses this on the reply it has just parsed.
+pub fn tool_output_from_json_owned(result: Json) -> Result<ToolOutput, String> {
+    let rows = result
         .get("rows")
         .and_then(Json::as_i64)
         .map(|n| n.max(0) as usize);
-    Ok(ToolOutput {
-        value: payload,
-        rows,
-    })
+    let value = result
+        .take_pointer("/value")
+        .ok_or("tools/call result missing 'value'")?;
+    Ok(ToolOutput { value, rows })
 }
 
 #[cfg(test)]
@@ -535,6 +554,43 @@ mod tests {
         let bad = parse_request(r#"{"jsonrpc":"2.0","id":[],"method":"ping"}"#).unwrap_err();
         assert_eq!(bad.code, ErrorCode::InvalidRequest);
         let bad = parse_request(r#"{"jsonrpc":"2.0","id":1}"#).unwrap_err();
+        assert_eq!(bad.code, ErrorCode::InvalidRequest);
+    }
+
+    /// The largest frame a default server accepts, all of it one string: it
+    /// is parsed on the connection thread before admission, budgets or the
+    /// call timeout apply, so its cost must stay proportional to its size.
+    /// (The character-at-a-time parser needed about 24 s for this frame in
+    /// a release build.)
+    #[test]
+    fn a_maximal_single_string_frame_parses_within_two_seconds() {
+        let head = r#"{"jsonrpc":"2.0","id":1,"method":"tools/call","params":{"name":"select","arguments":{"sql":""#;
+        let tail = r#""}}}"#;
+        let filler = crate::frame::DEFAULT_MAX_FRAME_BYTES - head.len() - tail.len();
+        let frame = format!("{head}{}{tail}", "é".repeat(filler / 2));
+        assert!(frame.len() >= crate::frame::DEFAULT_MAX_FRAME_BYTES - 1);
+        let start = std::time::Instant::now();
+        let req = parse_request(&frame).unwrap();
+        assert!(start.elapsed() < std::time::Duration::from_secs(2));
+        assert_eq!(
+            req.params
+                .pointer("/arguments/sql")
+                .and_then(Json::as_str)
+                .map(str::len),
+            Some(filler / 2 * 2)
+        );
+    }
+
+    #[test]
+    fn parse_request_moves_members_out_and_ignores_a_non_string_traceparent() {
+        let req = parse_request(
+            r#"{"jsonrpc":"2.0","id":"a","method":"tools/call","traceparent":7,"params":{"name":"t"}}"#,
+        )
+        .unwrap();
+        assert_eq!(req.id, Json::str("a"));
+        assert_eq!(req.traceparent, None);
+        assert_eq!(req.params, Json::object([("name", Json::str("t"))]));
+        let bad = parse_request(r#"{"jsonrpc":"2.0","id":1,"method":7}"#).unwrap_err();
         assert_eq!(bad.code, ErrorCode::InvalidRequest);
     }
 
@@ -615,6 +671,11 @@ mod tests {
         let plain = ToolOutput::value(Json::str("ok"));
         let back = tool_output_from_json(&tool_output_to_json(&plain)).unwrap();
         assert_eq!(back.rows, None);
+
+        // The by-value forms are the same conversions.
+        assert_eq!(tool_output_into_json(out.clone()), json);
+        assert_eq!(tool_output_from_json_owned(json).unwrap(), out);
+        assert!(tool_output_from_json_owned(Json::str("no value member")).is_err());
     }
 
     #[test]

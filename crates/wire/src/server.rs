@@ -16,12 +16,14 @@
 use crate::frame::{write_frame, FrameError, FrameReader};
 use crate::rpc::{
     parse_request, response_err, response_err_traced, response_ok_traced, risk_from_str,
-    risk_to_str, tool_error_to_rpc, tool_output_to_json, ErrorCode, Request, RpcError, PROTOCOL,
+    risk_to_str, take_string, tool_error_to_rpc, tool_output_into_json, ErrorCode, Request,
+    RpcError, PROTOCOL,
 };
 use bridgescope_core::{BridgeScopeServer, SecurityPolicy};
 use gate::{GateConfig, SubmitError, WeightedQueues};
 use minidb::Database;
 use obs::Obs;
+use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -326,7 +328,7 @@ fn traced_call(
     registry: &Registry,
     user: &str,
     tool: &str,
-    payload: &Json,
+    payload: Json,
     trace: CallTrace,
     obs: &Obs,
 ) -> ToolResult {
@@ -342,7 +344,7 @@ fn traced_call(
     }
     let _inflight = obs.begin_call(user, tool);
     let started = obs.now_ns();
-    let result = registry.call(tool, payload);
+    let result = registry.call_owned(tool, payload);
     obs.observe_ns("wire.call.latency", obs.now_ns().saturating_sub(started));
     if let Err(e) = &result {
         span.fail(e.to_string());
@@ -369,7 +371,7 @@ impl CallExecutor for PooledExecutor {
         let obs_job = obs.clone();
         let job_user = user.to_owned();
         let job: Job = Box::new(move || {
-            let result = traced_call(&registry, &job_user, &tool, &payload, trace, &obs_job);
+            let result = traced_call(&registry, &job_user, &tool, payload, trace, &obs_job);
             let _ = done_tx.send(result);
         });
         self.pool.submit(user, job).map_err(|code| {
@@ -408,7 +410,7 @@ impl CallExecutor for InlineExecutor {
         trace: CallTrace,
         obs: &Obs,
     ) -> Result<ToolResult, RpcError> {
-        Ok(traced_call(&registry, user, &tool, &payload, trace, obs))
+        Ok(traced_call(&registry, user, &tool, payload, trace, obs))
     }
 }
 
@@ -445,10 +447,19 @@ impl<'a> SessionCtx<'a> {
         self
     }
 
-    fn dispatch(&mut self, req: &Request, exec: &dyn CallExecutor) -> Dispatch {
+    fn dispatch(&mut self, req: Request, exec: &dyn CallExecutor) -> Dispatch {
         self.obs.incr("wire.requests", 1);
+        // One series per protocol method; anything else a peer sends shares
+        // `other`, so method strings cannot grow the metrics registry.
         self.obs.incr(
-            &format!("wire.requests.{}", req.method.replace('/', "_")),
+            match req.method.as_str() {
+                "ping" => "wire.requests.ping",
+                "initialize" => "wire.requests.initialize",
+                "shutdown" => "wire.requests.shutdown",
+                "tools/list" => "wire.requests.tools_list",
+                "tools/call" => "wire.requests.tools_call",
+                _ => "wire.requests.other",
+            },
             1,
         );
         let close = req.method == "shutdown";
@@ -461,7 +472,7 @@ impl<'a> SessionCtx<'a> {
             "initialize" => self.initialize(&req.params),
             "shutdown" => Ok(Json::object([("status", Json::str("bye"))])),
             "tools/list" => self.charged(|ctx| ctx.tools_list()),
-            "tools/call" => self.charged(|ctx| ctx.tools_call(&req.params, trace, exec)),
+            "tools/call" => self.charged(|ctx| ctx.tools_call(req.params, trace, exec)),
             other => Err(RpcError::new(
                 ErrorCode::MethodNotFound,
                 format!("unknown method '{other}'"),
@@ -611,24 +622,33 @@ impl<'a> SessionCtx<'a> {
 
     fn tools_call(
         &mut self,
-        params: &Json,
+        params: Json,
         trace: CallTrace,
         exec: &dyn CallExecutor,
     ) -> Result<Json, RpcError> {
         let session = self.session.as_ref().expect("charged() checked");
-        let name = params
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| {
-                RpcError::new(ErrorCode::InvalidParams, "tools/call needs a string 'name'")
-            })?
-            .to_owned();
-        let payload = params.get("arguments").cloned().unwrap_or(Json::Null);
+        // The name and the arguments move out of the request; the output
+        // moves into the reply. Nothing a call carries is copied here.
+        let mut members = match params {
+            Json::Object(members) => members,
+            _ => BTreeMap::new(),
+        };
+        let name = take_string(&mut members, "name").ok_or_else(|| {
+            RpcError::new(ErrorCode::InvalidParams, "tools/call needs a string 'name'")
+        })?;
+        let payload = members.remove("arguments").unwrap_or(Json::Null);
         // Per-tenant traffic series. `user` is operator-controlled (session
-        // auth), so cardinality stays bounded by the user catalog.
+        // auth) and a name this session does not expose counts as
+        // `unknown`, so cardinality stays bounded by the user catalog times
+        // the tool surface whatever a peer sends.
+        let tool_label = if session.registry.contains(&name) {
+            name.as_str()
+        } else {
+            "unknown"
+        };
         self.obs.incr_with(
             "wire.calls",
-            &[("user", session.user.as_str()), ("tool", name.as_str())],
+            &[("user", session.user.as_str()), ("tool", tool_label)],
             1,
         );
         let result = exec.execute(
@@ -640,7 +660,7 @@ impl<'a> SessionCtx<'a> {
             self.obs,
         )?;
         match result {
-            Ok(output) => Ok(tool_output_to_json(&output)),
+            Ok(output) => Ok(tool_output_into_json(output)),
             Err(tool_err) => Err(tool_error_to_rpc(&tool_err)),
         }
     }
@@ -908,7 +928,7 @@ fn handle_conn(
                     ErrorCode::FrameTooLarge,
                     format!("frame exceeds the {limit}-byte limit"),
                 );
-                let _ = write_frame(&mut writer, &response_err(&Json::Null, &err));
+                let _ = write_frame(&mut writer, response_err(&Json::Null, &err));
                 break;
             }
             Err(FrameError::Timeout { deadline }) => {
@@ -920,29 +940,29 @@ fn handle_conn(
                         ErrorCode::DeadlineExceeded,
                         format!("no complete frame within {}ms", deadline.as_millis()),
                     );
-                    let _ = write_frame(&mut writer, &response_err(&Json::Null, &err));
+                    let _ = write_frame(&mut writer, response_err(&Json::Null, &err));
                 }
                 break;
             }
             Err(FrameError::InvalidUtf8) => {
                 let err = RpcError::new(ErrorCode::ParseError, "frame is not valid UTF-8");
-                let _ = write_frame(&mut writer, &response_err(&Json::Null, &err));
+                let _ = write_frame(&mut writer, response_err(&Json::Null, &err));
                 break;
             }
         };
         if stop.load(Ordering::Relaxed) {
             let err = RpcError::new(ErrorCode::ShuttingDown, "server is draining");
-            let _ = write_frame(&mut writer, &response_err(&Json::Null, &err));
+            let _ = write_frame(&mut writer, response_err(&Json::Null, &err));
             break;
         }
         let dispatch = match parse_request(&frame) {
-            Ok(req) => ctx.dispatch(&req, &exec),
+            Ok(req) => ctx.dispatch(req, &exec),
             Err(err) => Dispatch {
                 frame: response_err(&Json::Null, &err),
                 close: false,
             },
         };
-        if write_frame(&mut writer, &dispatch.frame).is_err() || dispatch.close {
+        if write_frame(&mut writer, dispatch.frame).is_err() || dispatch.close {
             break;
         }
     }
@@ -971,12 +991,12 @@ pub fn serve_stream<R: Read, W: Write>(
                     ErrorCode::FrameTooLarge,
                     format!("frame exceeds the {limit}-byte limit"),
                 );
-                write_frame(&mut output, &response_err(&Json::Null, &err))?;
+                write_frame(&mut output, response_err(&Json::Null, &err))?;
                 break;
             }
             Err(FrameError::InvalidUtf8) => {
                 let err = RpcError::new(ErrorCode::ParseError, "frame is not valid UTF-8");
-                write_frame(&mut output, &response_err(&Json::Null, &err))?;
+                write_frame(&mut output, response_err(&Json::Null, &err))?;
                 break;
             }
             Err(FrameError::Timeout { .. }) => break,
@@ -985,13 +1005,13 @@ pub fn serve_stream<R: Read, W: Write>(
             }
         };
         let dispatch = match parse_request(&frame) {
-            Ok(req) => ctx.dispatch(&req, &InlineExecutor),
+            Ok(req) => ctx.dispatch(req, &InlineExecutor),
             Err(err) => Dispatch {
                 frame: response_err(&Json::Null, &err),
                 close: false,
             },
         };
-        write_frame(&mut output, &dispatch.frame)?;
+        write_frame(&mut output, dispatch.frame)?;
         if dispatch.close {
             break;
         }

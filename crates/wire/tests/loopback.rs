@@ -559,6 +559,67 @@ fn stream_transport_serves_a_scripted_session() {
     );
 }
 
+/// Method strings and tool names are client-controlled: whatever a peer
+/// sends, before or after `initialize`, the set of metric series (and so
+/// `/metrics`) must not grow.
+#[test]
+fn bogus_methods_and_tool_names_do_not_mint_metric_series() {
+    use std::io::Cursor;
+    let tenancy = Tenancy::new(demo_db());
+    let config = WireConfig::default();
+    let obs = Obs::in_memory();
+    let session = |bogus: usize| {
+        let mut script = String::new();
+        let mut id = 0;
+        let mut push = |method: &str, params: &str| {
+            id += 1;
+            script.push_str(&format!(
+                r#"{{"jsonrpc":"2.0","id":{id},"method":"{method}","params":{params}}}"#
+            ));
+            script.push('\n');
+        };
+        for i in 0..bogus {
+            push(&format!("early/{i}"), "null");
+        }
+        push("initialize", r#"{"user":"admin"}"#);
+        for i in 0..bogus {
+            push(&format!("tools/bogus-{i}"), "null");
+            push("tools/call", &format!(r#"{{"name":"no_such_tool_{i}"}}"#));
+        }
+        push("shutdown", "null");
+        let mut output = Vec::new();
+        wire::serve_stream(
+            &tenancy,
+            &config,
+            &obs,
+            Cursor::new(script.into_bytes()),
+            &mut output,
+        )
+        .unwrap();
+        String::from_utf8(output).unwrap().lines().count()
+    };
+    let series = || {
+        let m = obs.snapshot().metrics;
+        m.counters.len()
+            + m.histograms.len()
+            + m.labeled_counters.len()
+            + m.labeled_histograms.len()
+    };
+    assert_eq!(session(1), 5, "every request is answered");
+    let before = series();
+    assert_eq!(session(1000), 3002);
+    assert_eq!(series(), before);
+    let snap = obs.snapshot();
+    assert_eq!(snap.metrics.counter("wire.requests.other"), 2 + 2000);
+    assert_eq!(snap.metrics.counter("wire.requests.tools_call"), 1 + 1000);
+    assert_eq!(
+        snap.metrics
+            .labeled_counter("wire.calls", &[("user", "admin"), ("tool", "unknown")]),
+        1001
+    );
+    assert_eq!(snap.metrics.counter("tool.calls.unknown"), 1001);
+}
+
 #[test]
 fn client_surfaces_frame_errors() {
     // Connect to a server, then have the server close mid-session: the
