@@ -496,6 +496,9 @@ mod tests {
         let small = idealized_pg_mcp_tokens(100, 3);
         let big = idealized_pg_mcp_tokens(1_000, 3);
         assert!(big > small * 8);
+        // At the paper's 20,000 rows the bound is in its ≥1.5M-token regime.
+        let full = idealized_pg_mcp_tokens(20_000, 42);
+        assert!(full >= 1_500_000, "{full}");
     }
 
     #[test]

@@ -16,16 +16,11 @@
 //!   transaction-initiation metrics;
 //! * [`eval`] — result-set and database-state correctness checks;
 //! * [`report`] — one orchestrator per published figure/table, with text
-//!   renderings (Figure 5, Figure 6, Table 1, Table 2);
-//! * [`loadgen`] — a load generator for the wire serving layer: N
-//!   concurrent sessions × M calls with a throughput + latency-histogram
-//!   report;
+//!   renderings (Figure 5, Figure 6, Table 1, Table 2) and unit tests that
+//!   hold each to its published shape;
 //! * [`crashlab`] — crash-recovery differential harness: replays BIRD-Ext
 //!   write-task gold SQL against a durable engine, kills it at injected
-//!   points, and asserts WAL recovery matches a volatile reference;
-//! * [`planner`] — cost-based planner microbenchmark: selective index
-//!   probe, three-way join reorder, and the two LIMIT pushdowns, each
-//!   timed against its pre-planner baseline with plan shapes recorded.
+//!   points, and asserts WAL recovery matches a volatile reference.
 
 #![warn(missing_docs)]
 
@@ -34,9 +29,7 @@ pub mod crashlab;
 pub mod eval;
 pub mod harness;
 pub mod housing;
-pub mod loadgen;
 pub mod nl2ml;
-pub mod planner;
 pub mod report;
 pub mod roles;
 
@@ -49,7 +42,5 @@ pub use harness::{
     build_toolkit_observed, run_bird_cell, run_nl2ml, run_nl2ml_observed, BirdCell, CellOutcome,
     Nl2mlConfig, TaskClass, Toolkit,
 };
-pub use loadgen::{run_load, LoadConfig, LoadReport, UserLoadStats};
-pub use planner::{run_planner_bench, PlannerBenchConfig, PlannerBenchReport};
 pub use report::{fig5, privilege_experiment, table2, Fig5Report, PrivilegeReport, Table2Report};
 pub use roles::Role;

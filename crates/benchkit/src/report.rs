@@ -429,13 +429,28 @@ mod tests {
     fn privilege_report_shapes_hold_on_a_subset() {
         let bench = bird::generate(5);
         let report = privilege_experiment(&bench, Some(10), 3);
-        // For every agent, infeasible cells cost less with BridgeScope.
+        // For every agent, infeasible cells cost less with BridgeScope: fewer
+        // tokens (Table 1) and fewer LLM calls (Figure 6).
         for agent in ["GPT-4o", "Claude-4"] {
+            let row = |toolkit: &str| {
+                report
+                    .rows
+                    .iter()
+                    .find(|r| r.agent == agent && r.toolkit == toolkit)
+                    .unwrap()
+            };
+            let (bs, pg) = (row("BridgeScope"), row("PG-MCP"));
             for cell in 2..5 {
                 let saving = report.token_saving(agent, cell).unwrap();
                 assert!(
                     saving > 0.2,
                     "{agent} cell {cell}: expected >20% token saving, got {saving}"
+                );
+                assert!(
+                    bs.calls[cell] < pg.calls[cell],
+                    "{agent} cell {cell}: BridgeScope {} calls vs PG-MCP {}",
+                    bs.calls[cell],
+                    pg.calls[cell]
                 );
             }
             // Feasible cells comparable (within 35%).

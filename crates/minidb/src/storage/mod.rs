@@ -86,7 +86,7 @@ pub struct RecoveryReport {
 }
 
 impl RecoveryReport {
-    /// One-line human-readable summary (printed by `serve --selftest-recovery`).
+    /// One-line human-readable summary (printed by `serve --data-dir`).
     pub fn render(&self) -> String {
         format!(
             "recovery: snapshot={} (txn {}), replayed {} txn(s) / {} record(s) \

@@ -122,7 +122,7 @@ Project (cost=108.52 rows=5)
     // Analyzed: sid has NDV 16 — the probe gets cheaper and stays. flag has
     // NDV 1 — the probe would fetch every row, so the planner must fall
     // back to the sequential scan. This is the canonical statistics-driven
-    // plan change the planner-smoke CI gate also asserts.
+    // plan change.
     assert_plan(
         &mut s,
         selective,

@@ -176,6 +176,44 @@ fn uncommitted_transaction_crash_leaves_no_trace() {
 }
 
 #[test]
+fn crash_recovery_is_traced_from_append_to_replay() {
+    // One obs plane across the crash: the first engine's WAL appends and
+    // fsyncs and the second engine's replay all land in the same trace.
+    let obs = obs::Obs::in_memory();
+    let dir = tmpdir("traced");
+    let committed = {
+        let (db, _) = Database::open_observed(&config(&dir), obs.clone()).unwrap();
+        let mut s = db.session("admin").unwrap();
+        for sql in [
+            "CREATE TABLE sales (id INTEGER PRIMARY KEY, amount REAL)",
+            "BEGIN",
+            "INSERT INTO sales VALUES (900, 42.0)",
+            "UPDATE sales SET amount = 99.0 WHERE id = 900",
+            "COMMIT",
+        ] {
+            s.execute_sql(sql).unwrap();
+        }
+        let committed = db.state_fingerprint();
+        s.execute_sql("BEGIN").unwrap();
+        s.execute_sql("INSERT INTO sales VALUES (901, 1.0)")
+            .unwrap();
+        std::mem::forget(s);
+        committed
+    };
+    let (db2, report) = Database::open_observed(&config(&dir), obs.clone()).unwrap();
+    assert_eq!(report.replayed_txns, 2);
+    assert_eq!(db2.state_fingerprint(), committed);
+    let spans = obs.snapshot().spans;
+    for needed in ["wal:append", "wal:fsync", "recovery:replay"] {
+        assert!(
+            spans.iter().any(|s| s.name == needed),
+            "no {needed} span in the trace"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn grant_revoke_inside_transaction_is_immediate_and_durable() {
     // GRANT/REVOKE bypasses the undo log (documented PostgreSQL divergence):
     // it commits durably even when the surrounding transaction rolls back.

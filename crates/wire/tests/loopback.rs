@@ -111,6 +111,55 @@ fn privilege_gating_holds_across_the_wire() {
 }
 
 #[test]
+fn mixed_user_load_has_zero_privilege_leakage() {
+    // 32 concurrent sessions alternating admin/reader. Every reader
+    // session must see a read-only surface — no `insert` in tools/list,
+    // and calling it anyway is UnknownTool — while admin sessions mutate
+    // freely. A single leaked surface fails the run.
+    let server = serve(WireConfig::default());
+    let addr = server.local_addr();
+    let failures = Mutex::new(Vec::<String>::new());
+    std::thread::scope(|scope| {
+        for i in 0..32 {
+            let failures = &failures;
+            scope.spawn(move || {
+                let fail = |msg: String| failures.lock().unwrap().push(msg);
+                let user = if i % 2 == 0 { "admin" } else { "reader" };
+                let mut c = Client::connect(addr).unwrap();
+                c.initialize(user).unwrap();
+                let names: Vec<String> = c
+                    .tools_list()
+                    .unwrap()
+                    .into_iter()
+                    .map(|t| t.name)
+                    .collect();
+                let insert_sql = format!("INSERT INTO sales VALUES ({}, 1.0)", 100 + i);
+                let args = Json::object([("sql", Json::str(insert_sql))]);
+                if user == "reader" {
+                    if names.iter().any(|n| n == "insert") {
+                        fail(format!("session {i}: reader lists insert"));
+                    }
+                    match c.call("insert", &args) {
+                        Ok(Err(ToolError::UnknownTool(_))) => {}
+                        other => fail(format!("session {i}: reader insert -> {other:?}")),
+                    }
+                } else {
+                    if !names.iter().any(|n| n == "insert") {
+                        fail(format!("session {i}: admin missing insert"));
+                    }
+                    if let Err(e) = c.call("insert", &args).unwrap() {
+                        fail(format!("session {i}: admin insert denied: {e}"));
+                    }
+                }
+            });
+        }
+    });
+    server.shutdown();
+    let failures = failures.into_inner().unwrap();
+    assert!(failures.is_empty(), "leakage: {failures:?}");
+}
+
+#[test]
 fn requested_policy_only_tightens() {
     let server = serve(WireConfig::default());
     let mut client = Client::connect(server.local_addr()).unwrap();

@@ -1,7 +1,7 @@
 //! Regenerate every table and figure of the paper's evaluation in one run
 //! and print them in the published layout. This is the EXPERIMENTS.md
-//! source of truth; the per-figure Criterion benches additionally assert
-//! the shapes and time representative units.
+//! source of truth; the tests in `benchkit::report` hold each figure and
+//! table to its published shape.
 //!
 //! Run with: `cargo run --release --example paper_eval [-- --quick]`
 //!

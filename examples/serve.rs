@@ -1,6 +1,6 @@
 //! Serve a demo BridgeScope database over the wire, MCP-style.
 //!
-//! Five modes:
+//! Two modes:
 //!
 //! * `cargo run --example serve` — bind a TCP listener (default
 //!   `127.0.0.1:0`, i.e. an ephemeral port), print the address, and serve
@@ -9,75 +9,27 @@
 //!   `--data-dir DIR` to serve a *durable* database (WAL + snapshot in
 //!   `DIR`; recovered on start, seeded with the demo content only when the
 //!   directory is fresh) and `--fsync {always,commit,off}` to pick the
-//!   durability/latency trade-off (default `commit`).
+//!   durability/latency trade-off (default `commit`). `--admin-addr
+//!   HOST:PORT` adds the HTTP admin plane (`/metrics`, `/healthz`,
+//!   `/readyz`, `/slow`, `/statements`, `/queries`), and `--slow-ms N` sets
+//!   its slow-call threshold (default 100).
 //! * `cargo run --example serve -- --stdio` — serve exactly one session on
 //!   stdin/stdout (the MCP stdio transport; the parent process owns the
 //!   pipes).
-//! * `cargo run --example serve -- --selftest [TRACE_FILE]` — bind an
-//!   ephemeral port, drive a scripted client session against it (schema
-//!   fetch, a select, one denied write, one proxy call), validate the
-//!   emitted JSONL trace, and exit non-zero on any mismatch. This is the
-//!   offline CI smoke test.
-//! * `cargo run --example serve -- --selftest-telemetry` — bind a server
-//!   *and* its admin plane on ephemeral ports, drive loadgen smoke traffic
-//!   plus a deliberately slow call, scrape `/metrics` twice over real HTTP
-//!   (asserting labeled counters, gauges, histograms, and monotonicity),
-//!   check `/slow` captured the span tree, verify `/readyz` flips to 503
-//!   on drain, and compare telemetry-on vs telemetry-off loadgen
-//!   throughput. This is the offline live-telemetry CI smoke test.
-//! * `cargo run --example serve -- --selftest-tracing` — bind a gated server
-//!   and its admin plane, then drive the distributed-tracing surface end to
-//!   end: a client-supplied `traceparent` must be echoed back and name the
-//!   wire, gate, tool, and SQL spans of the same call; a traced slow call
-//!   must be retrievable by its trace id via `/slow/<trace-id>`; EXPLAIN
-//!   ANALYZE timings must be plausible (children within the root); a
-//!   loadgen burst must populate `/statements` with per-(user, statement)
-//!   aggregates; `/queries` must list an in-flight call; and the traced
-//!   plane must stay within 10% of the disabled-telemetry throughput.
-//!   This is the offline distributed-tracing CI smoke test.
-//! * `cargo run --example serve -- --selftest-recovery [TRACE_FILE]` —
-//!   open a durable database in a scratch directory, commit work, *kill
-//!   the engine in-process* (no checkpoint, one transaction deliberately
-//!   left uncommitted), reopen it, print the replay summary, and assert
-//!   zero lost commits plus a `recovery:replay` span in the trace. This is
-//!   the offline crash-recovery CI smoke test.
-//! * `cargo run --example serve -- --load [SESSIONS] [CALLS] [PROFILE]` —
-//!   bind an ephemeral port and hammer it with the benchkit load generator,
-//!   printing the throughput + latency-histogram report. With a PROFILE
-//!   name (`gpt4o`, `claude4`, `explorer`) each session instead drives a
-//!   full simulated ReAct agent through a mirrored wire registry (CALLS
-//!   tasks per session) against a cache-enabled gate, reporting task
-//!   completion and the retrieval-cache hit rate — `explorer` is the
-//!   exploration-heavy profile that re-issues identical context probes.
-//! * `cargo run --example serve -- --bench-gate [OUT]` — the agent-traffic
-//!   gate benchmark (ci/check.sh `gate-smoke`): measures the context-tool
-//!   cache hit rate and task completion under the exploration profile,
-//!   then runs a tenant-fairness differential (three steady tenants with
-//!   and without a budgeted runaway tenant) and writes a machine-readable
-//!   JSON report with `hit_rate`, `completion_rate`, `fairness_ratio`,
-//!   and `p95_ratio`.
-//! * `cargo run --example serve -- --bench-planner [OUT] [ROWS]` — the
-//!   cost-based planner benchmark (ci/check.sh `planner-smoke`): runs the
-//!   benchkit planner microbench, asserts the planner's decisions (index
-//!   probe after ANALYZE, non-syntactic three-way join order, bounded
-//!   top-k sort, streaming LIMIT measurably faster than unpushed), and
-//!   writes a machine-readable JSON report with the plan shapes and
-//!   speedups.
 //!
 //! The TCP mode takes gate flags: `--cache` turns on the retrieval +
 //! prepared-plan caches, `--budgets N` caps every database user at N tool
 //! calls via a shared budget ledger, and `--weight USER=N` (repeatable)
 //! gives USER an N-share weighted slice of the worker pool (everyone else
 //! gets weight 1).
+//!
+//! `tests/serve_smoke.rs` drives the same demo content over real sockets.
 
 use bridgescope::prelude::*;
-use std::io::{Read as _, Write as _};
-use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
-use toolproto::{Args, FnTool, Signature, ToolError};
 
 /// The demo database: a `sales` table anyone privileged can read, an
-/// `audit_log` the selftest policy fences off, and a read-only `reader`
+/// `audit_log` a session policy can fence off, and a read-only `reader`
 /// user to demonstrate per-session privilege gating.
 fn demo_db() -> Database {
     let db = Database::new();
@@ -123,38 +75,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("--stdio") => run_stdio(),
-        Some("--selftest") => run_selftest(args.get(1).cloned()),
-        Some("--selftest-recovery") => run_selftest_recovery(args.get(1).cloned()),
-        Some("--selftest-telemetry") => run_selftest_telemetry(),
-        Some("--selftest-tracing") => run_selftest_tracing(),
-        Some("--load") => {
-            let sessions = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(32);
-            let calls = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(8);
-            run_loadgen(sessions, calls, args.get(3).map(String::as_str));
-        }
-        Some("--bench-gate") => {
-            let out = args
-                .get(1)
-                .cloned()
-                .unwrap_or_else(|| "BENCH_gate.json".to_owned());
-            run_bench_gate(&out);
-        }
-        Some("--bench-planner") => {
-            let out = args
-                .get(1)
-                .cloned()
-                .unwrap_or_else(|| "BENCH_planner.json".to_owned());
-            let rows = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(20_000);
-            run_bench_planner(&out, rows);
-        }
-        Some("--bench-mvcc") => {
-            let out = args
-                .get(1)
-                .cloned()
-                .unwrap_or_else(|| "BENCH_mvcc.json".to_owned());
-            let calls = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(400);
-            run_bench_mvcc(&out, calls);
-        }
         _ => run_tcp(&args),
     }
 }
@@ -318,1331 +238,4 @@ fn run_stdio() {
     if let Err(e) = wire::serve_stdio(&tenancy, &config, &obs) {
         fail(&format!("stdio transport failed: {e}"));
     }
-}
-
-/// The scripted loopback session CI runs: every step prints a `selftest:`
-/// marker the gate greps for, and any deviation exits non-zero.
-fn run_selftest(trace_path: Option<String>) {
-    let obs = match &trace_path {
-        Some(path) => Obs::jsonl(path),
-        None => Obs::in_memory(),
-    };
-    let server = WireServer::bind("127.0.0.1:0", tenancy(), WireConfig::default(), obs.clone())
-        .unwrap_or_else(|e| fail(&format!("cannot bind: {e}")));
-    println!("listening on {}", server.local_addr());
-
-    let mut client = wire::Client::connect(server.local_addr())
-        .unwrap_or_else(|e| fail(&format!("connect: {e}")));
-    // The session tightens the operator policy: audit_log is off-limits
-    // even for admin, so the scripted write below is *denied*, not absent.
-    client
-        .initialize_with(
-            "admin",
-            &Json::object([("object_blacklist", Json::array([Json::str("audit_log")]))]),
-        )
-        .unwrap_or_else(|e| fail(&format!("initialize: {e}")));
-
-    // 1. Schema fetch.
-    let schema = match client.call("get_schema", &Json::Null) {
-        Ok(Ok(out)) => out,
-        other => fail(&format!("get_schema: {other:?}")),
-    };
-    let tables = schema
-        .value
-        .get("tables")
-        .and_then(Json::as_array)
-        .map_or(0, <[Json]>::len);
-    // The session policy fences off audit_log, so the schema shows only
-    // sales — the wire layer preserves policy-scoped visibility too.
-    if tables != 1 {
-        fail(&format!(
-            "get_schema listed {tables} tables, want 1 (sales)"
-        ));
-    }
-    println!("selftest: schema ok ({tables} table visible, audit_log fenced)");
-
-    // 2. A select.
-    let out = match client.call(
-        "select",
-        &Json::object([("sql", Json::str("SELECT region, amount FROM sales"))]),
-    ) {
-        Ok(Ok(out)) => out,
-        other => fail(&format!("select: {other:?}")),
-    };
-    if out.rows != Some(200) {
-        fail(&format!("select returned {:?} rows, want 200", out.rows));
-    }
-    println!("selftest: select ok (200 rows)");
-
-    // 3. A denied write: the requested policy blacklists audit_log, so the
-    // denial context names the object and the gate.
-    match client.call(
-        "insert",
-        &Json::object([(
-            "sql",
-            Json::str("INSERT INTO audit_log VALUES (2, 'probe')"),
-        )]),
-    ) {
-        Ok(Err(ToolError::Denied { code, context, .. }))
-            if code == "policy" && context.object.as_deref() == Some("audit_log") =>
-        {
-            println!("selftest: denied ok (policy on audit_log)");
-        }
-        other => fail(&format!("denied write: {other:?}")),
-    }
-
-    // 4. A proxy call: all 200 sales rows move tool→tool into the trend
-    // analyzer without transiting the client.
-    let spec = Json::parse(
-        r#"{"target_tool": "trend_analyze", "tool_args": {
-            "sales": {"tool": "select",
-                      "args": {"sql": "SELECT id, amount FROM sales ORDER BY id"},
-                      "transform": "/rows"}}}"#,
-    )
-    .expect("valid proxy spec");
-    match client.call("proxy", &spec) {
-        Ok(Ok(out)) => println!("selftest: proxy ok ({})", out.value.to_compact()),
-        other => fail(&format!("proxy: {other:?}")),
-    }
-
-    client
-        .shutdown()
-        .unwrap_or_else(|e| fail(&format!("shutdown: {e}")));
-    server.shutdown();
-
-    // 5. The JSONL trace must exist, parse, and contain the wire layer.
-    match obs.flush() {
-        Ok(Some(path)) => {
-            let text = std::fs::read_to_string(&path)
-                .unwrap_or_else(|e| fail(&format!("read trace: {e}")));
-            let parsed = obs::parse_jsonl(&text)
-                .unwrap_or_else(|e| fail(&format!("trace does not parse: {e}")));
-            obs::validate_tree(&parsed.spans)
-                .unwrap_or_else(|e| fail(&format!("trace span tree invalid: {e}")));
-            for needed in ["wire:session", "wire:call", "tool:select", "proxy:unit"] {
-                if !parsed.spans.iter().any(|s| s.name == needed) {
-                    fail(&format!("trace is missing a {needed} span"));
-                }
-            }
-            println!(
-                "selftest: trace ok ({} spans, {})",
-                parsed.spans.len(),
-                path.display()
-            );
-        }
-        Ok(None) => println!("selftest: trace skipped (no path given)"),
-        Err(e) => fail(&format!("trace flush: {e}")),
-    }
-    println!("selftest: all ok");
-}
-
-/// The crash-recovery smoke test CI runs: commit work to a durable engine,
-/// kill it in-process with one transaction deliberately uncommitted, reopen,
-/// and assert the recovered state equals the committed state exactly.
-fn run_selftest_recovery(trace_path: Option<String>) {
-    let obs = match &trace_path {
-        Some(path) => Obs::jsonl(path),
-        None => Obs::in_memory(),
-    };
-    let dir = std::env::temp_dir().join(format!("bridgescope-recovery-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    // No auto-snapshots: recovery must come from the WAL alone.
-    let config = DurabilityConfig::new(&dir).with_snapshot_every(0);
-
-    let (db, report) = Database::open_observed(&config, obs.clone())
-        .unwrap_or_else(|e| fail(&format!("open durable db: {e}")));
-    if report.snapshot_loaded || report.replayed_txns != 0 {
-        fail("scratch directory was not fresh");
-    }
-    populate_demo(&db);
-    let mut admin = db.session("admin").expect("admin exists");
-    for sql in [
-        "BEGIN",
-        "INSERT INTO sales VALUES (900, 'north', 42.0)",
-        "UPDATE sales SET amount = 99.0 WHERE id = 900",
-        "COMMIT",
-        "DELETE FROM sales WHERE id < 10",
-    ] {
-        admin
-            .execute_sql(sql)
-            .unwrap_or_else(|e| fail(&format!("workload '{sql}': {e}")));
-    }
-    drop(admin);
-    let committed = db.state_fingerprint();
-    println!(
-        "selftest: committed workload ok (engine {})",
-        db.engine_name()
-    );
-
-    // The crash: an open transaction whose session never rolls back
-    // (mem::forget skips Drop), then every handle to the engine vanishes
-    // without a checkpoint — exactly what kill -9 leaves on disk.
-    let mut doomed = db.session("admin").expect("admin exists");
-    doomed.execute_sql("BEGIN").expect("begin");
-    doomed
-        .execute_sql("INSERT INTO sales VALUES (901, 'south', 1.0)")
-        .expect("uncommitted insert");
-    std::mem::forget(doomed);
-    drop(db);
-    println!("selftest: engine killed (uncommitted txn in flight)");
-
-    let (db, report) = Database::open_observed(&config, obs.clone())
-        .unwrap_or_else(|e| fail(&format!("reopen durable db: {e}")));
-    println!("{}", report.render());
-    if report.replayed_txns == 0 {
-        fail("recovery replayed no transactions");
-    }
-    if db.state_fingerprint() != committed {
-        fail("recovered state diverges from the committed state (lost commits)");
-    }
-    println!(
-        "selftest: recovery ok ({} txns / {} records replayed, zero lost commits)",
-        report.replayed_txns, report.replayed_records
-    );
-    let rows = db
-        .session("admin")
-        .expect("admin exists")
-        .execute_sql("SELECT id FROM sales WHERE id >= 900")
-        .unwrap_or_else(|e| fail(&format!("post-recovery select: {e}")));
-    match rows {
-        QueryResult::Rows { rows, .. } if rows.len() == 1 => {
-            println!("selftest: uncommitted txn discarded ok");
-        }
-        other => fail(&format!("uncommitted txn leaked into recovery: {other:?}")),
-    }
-    drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
-
-    match obs.flush() {
-        Ok(Some(path)) => {
-            let text = std::fs::read_to_string(&path)
-                .unwrap_or_else(|e| fail(&format!("read trace: {e}")));
-            let parsed = obs::parse_jsonl(&text)
-                .unwrap_or_else(|e| fail(&format!("trace does not parse: {e}")));
-            for needed in ["wal:append", "wal:fsync", "recovery:replay"] {
-                if !parsed.spans.iter().any(|s| s.name == needed) {
-                    fail(&format!("trace is missing a {needed} span"));
-                }
-            }
-            println!(
-                "selftest: trace ok ({} spans, {})",
-                parsed.spans.len(),
-                path.display()
-            );
-        }
-        Ok(None) => println!("selftest: trace skipped (no path given)"),
-        Err(e) => fail(&format!("trace flush: {e}")),
-    }
-    println!("selftest: recovery all ok");
-}
-
-/// Minimal HTTP GET over a plain socket, for scraping the admin plane the
-/// way Prometheus would (no curl dependency in CI). Returns (status, body).
-fn http_get(addr: SocketAddr, path: &str) -> (u16, String) {
-    let mut stream =
-        TcpStream::connect(addr).unwrap_or_else(|e| fail(&format!("admin connect: {e}")));
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-    stream
-        .write_all(
-            format!("GET {path} HTTP/1.1\r\nhost: ci\r\nconnection: close\r\n\r\n").as_bytes(),
-        )
-        .unwrap_or_else(|e| fail(&format!("admin write: {e}")));
-    let mut response = String::new();
-    stream
-        .read_to_string(&mut response)
-        .unwrap_or_else(|e| fail(&format!("admin read: {e}")));
-    let status: u16 = response
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| fail(&format!("malformed admin response: {response:.80}")));
-    let body = response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_owned())
-        .unwrap_or_default();
-    (status, body)
-}
-
-/// Parse counter series (`name_total{labels} value` lines) out of a
-/// Prometheus exposition body into a (series → value) map.
-fn parse_counter_series(text: &str) -> std::collections::BTreeMap<String, f64> {
-    let mut out = std::collections::BTreeMap::new();
-    for line in text.lines() {
-        if line.starts_with('#') || line.is_empty() {
-            continue;
-        }
-        let Some((series, value)) = line.rsplit_once(' ') else {
-            continue;
-        };
-        let name_end = series.find('{').unwrap_or(series.len());
-        if !series[..name_end].ends_with("_total") {
-            continue;
-        }
-        if let Ok(v) = value.parse::<f64>() {
-            out.insert(series.to_owned(), v);
-        }
-    }
-    out
-}
-
-/// Throughput of a think-paced loadgen smoke against a fresh server, with
-/// the telemetry plane (obs + flight recorder) on or off. Think pacing
-/// makes the run agent-shaped — the server is far from saturated — so the
-/// comparison isolates per-call telemetry overhead from scheduler noise.
-fn telemetry_smoke_throughput(telemetry: bool) -> f64 {
-    // Production-shaped telemetry: the default 100ms flight threshold, so
-    // the recorder arms but healthy sub-ms calls are not captured (the 1ms
-    // threshold above exists only to force captures for the functional
-    // checks; in a debug build it would trip on every call).
-    let obs = if telemetry {
-        Obs::with_flight(&ObsConfig::InMemory, FlightConfig::default())
-    } else {
-        Obs::disabled()
-    };
-    let server = WireServer::bind("127.0.0.1:0", tenancy(), WireConfig::default(), obs)
-        .unwrap_or_else(|e| fail(&format!("cannot bind: {e}")));
-    let mut cfg = benchkit::LoadConfig::select(
-        4,
-        40,
-        "admin",
-        "SELECT region, amount FROM sales WHERE id < 50",
-    );
-    cfg.think_ns = 5_000_000;
-    let report = benchkit::run_load(server.local_addr(), &cfg);
-    server.shutdown();
-    if report.calls_ok != 160 {
-        fail(&format!(
-            "overhead smoke (telemetry={telemetry}): {}/160 calls ok",
-            report.calls_ok
-        ));
-    }
-    report.throughput()
-}
-
-/// The live-telemetry smoke test CI runs: every step prints a `telemetry:`
-/// marker the gate greps for, and any deviation exits non-zero.
-fn run_selftest_telemetry() {
-    // 1ms slow threshold: the sleepy tool below (5ms) must trip it, the
-    // sub-millisecond selects must not.
-    let obs = Obs::with_flight(
-        &ObsConfig::InMemory,
-        FlightConfig::with_threshold_ns(1_000_000),
-    );
-    let mut external = ml_registry();
-    external.register_tool(FnTool::new(
-        "sleepy",
-        "sleeps past the slow-call threshold",
-        Signature::new(vec![]),
-        |_: &Args| {
-            std::thread::sleep(Duration::from_millis(5));
-            Ok(ToolOutput::value(Json::str("done")))
-        },
-    ));
-    let server = WireServer::bind(
-        "127.0.0.1:0",
-        Tenancy::new(demo_db()).with_external(external),
-        WireConfig::default(),
-        obs.clone(),
-    )
-    .unwrap_or_else(|e| fail(&format!("cannot bind: {e}")));
-    let admin = AdminServer::bind("127.0.0.1:0", obs.clone(), server.ready_handle())
-        .unwrap_or_else(|e| fail(&format!("cannot bind admin: {e}")));
-    let admin_addr = admin.local_addr();
-    println!("listening on {} (admin {admin_addr})", server.local_addr());
-
-    let (status, _) = http_get(admin_addr, "/healthz");
-    let (ready_status, _) = http_get(admin_addr, "/readyz");
-    if status != 200 || ready_status != 200 {
-        fail(&format!(
-            "health {status} / ready {ready_status}, want 200/200"
-        ));
-    }
-    println!("telemetry: health ok");
-
-    // Loadgen smoke, then the first scrape mid-run (the server stays up).
-    let cfg = benchkit::LoadConfig::select(
-        8,
-        6,
-        "admin",
-        "SELECT region, amount FROM sales WHERE id < 50",
-    );
-    let report = benchkit::run_load(server.local_addr(), &cfg);
-    if report.calls_ok != 48 {
-        fail(&format!("loadgen smoke: {}/48 calls ok", report.calls_ok));
-    }
-    let (status, scrape1) = http_get(admin_addr, "/metrics");
-    if status != 200 {
-        fail(&format!("/metrics returned {status}"));
-    }
-
-    // A slow call for the flight recorder, plus a second traffic round.
-    let mut client =
-        Client::connect(server.local_addr()).unwrap_or_else(|e| fail(&format!("connect: {e}")));
-    client
-        .initialize("admin")
-        .unwrap_or_else(|e| fail(&format!("initialize: {e}")));
-    match client.call("sleepy", &Json::object([] as [(&str, Json); 0])) {
-        Ok(Ok(_)) => {}
-        other => fail(&format!("sleepy call: {other:?}")),
-    }
-    let report = benchkit::run_load(server.local_addr(), &cfg);
-    if report.calls_ok != 48 {
-        fail(&format!("second loadgen round: {}/48 ok", report.calls_ok));
-    }
-    let (_, scrape2) = http_get(admin_addr, "/metrics");
-
-    // Key series: a tool-labeled counter, an mvcc gauge, a latency
-    // histogram, and the uptime gauge.
-    for needle in [
-        "tool_calls_total{outcome=\"ok\",tool=\"select\"}",
-        "# TYPE minidb_mvcc_retained_versions gauge",
-        "minidb_wal_bytes_since_checkpoint",
-        "# TYPE tool_latency histogram",
-        "tool_latency_bucket{tool=\"select\",le=\"+Inf\"}",
-        "process_uptime_seconds",
-        "wire_active_sessions",
-        "wire_queue_depth",
-    ] {
-        if !scrape2.contains(needle) {
-            fail(&format!("/metrics is missing `{needle}`"));
-        }
-    }
-    println!("telemetry: metrics ok");
-
-    // Monotonicity: every counter series present in scrape 1 must be <= in
-    // scrape 2 — counters never go backwards under live traffic.
-    let before = parse_counter_series(&scrape1);
-    let after = parse_counter_series(&scrape2);
-    if before.is_empty() {
-        fail("first scrape contained no counter series");
-    }
-    for (series, v1) in &before {
-        match after.get(series) {
-            Some(v2) if v2 >= v1 => {}
-            Some(v2) => fail(&format!("counter `{series}` went backwards: {v1} -> {v2}")),
-            None => fail(&format!("counter `{series}` vanished between scrapes")),
-        }
-    }
-    println!("telemetry: monotonic ok ({} counter series)", before.len());
-
-    // /slow: the sleepy call was captured with its full span tree.
-    let (status, body) = http_get(admin_addr, "/slow");
-    if status != 200 {
-        fail(&format!("/slow returned {status}"));
-    }
-    let json = Json::parse(&body).unwrap_or_else(|e| fail(&format!("/slow is not JSON: {e}")));
-    let calls = json
-        .get("slow_calls")
-        .and_then(Json::as_array)
-        .unwrap_or_else(|| fail("/slow has no slow_calls array"));
-    let has_sleepy = calls.iter().any(|call| {
-        call.get("spans")
-            .and_then(Json::as_array)
-            .is_some_and(|spans| {
-                spans
-                    .iter()
-                    .any(|s| s.get("name").and_then(Json::as_str) == Some("tool:sleepy"))
-            })
-    });
-    if !has_sleepy {
-        fail(&format!(
-            "no captured slow call contains a tool:sleepy span ({} captures)",
-            calls.len()
-        ));
-    }
-    println!("telemetry: slow ok ({} captures)", calls.len());
-
-    // Drain: readiness flips to 503 while liveness stays green.
-    drop(client);
-    server.shutdown();
-    let (ready_status, _) = http_get(admin_addr, "/readyz");
-    let (health_status, _) = http_get(admin_addr, "/healthz");
-    if ready_status != 503 || health_status != 200 {
-        fail(&format!(
-            "after shutdown: readyz {ready_status} (want 503), healthz {health_status} (want 200)"
-        ));
-    }
-    println!("telemetry: readyz ok (503 during drain)");
-    admin.shutdown();
-
-    // Overhead: the telemetry plane must stay within 10% of the disabled
-    // baseline on the think-paced smoke. Loopback throughput jitters, so
-    // allow a few attempts before declaring a regression.
-    let mut ratio = 0.0;
-    for attempt in 1..=3 {
-        let off = telemetry_smoke_throughput(false);
-        let on = telemetry_smoke_throughput(true);
-        ratio = if off > 0.0 { on / off } else { 0.0 };
-        if ratio >= 0.9 {
-            break;
-        }
-        eprintln!("telemetry: overhead attempt {attempt}: ratio {ratio:.3}, retrying");
-    }
-    if ratio < 0.9 {
-        fail(&format!(
-            "telemetry overhead exceeds 10%: enabled/disabled throughput ratio {ratio:.3}"
-        ));
-    }
-    println!("telemetry: overhead ok (ratio {ratio:.2})");
-    println!("telemetry: all ok");
-}
-
-/// The distributed-tracing smoke test CI runs (`trace-smoke`): every step
-/// prints a `tracing:` marker the gate greps for, and any deviation exits
-/// non-zero.
-fn run_selftest_tracing() {
-    use obs::{TraceContext, TraceId};
-
-    // 1ms slow threshold so the sleepy call below is tail-sampled into the
-    // flight recorder and retrievable by trace id.
-    let obs = Obs::with_flight(
-        &ObsConfig::InMemory,
-        FlightConfig::with_threshold_ns(1_000_000),
-    );
-    let mut external = ml_registry();
-    external.register_tool(FnTool::new(
-        "sleepy",
-        "sleeps past the slow-call threshold",
-        Signature::new(vec![]),
-        |_: &Args| {
-            std::thread::sleep(Duration::from_millis(5));
-            Ok(ToolOutput::value(Json::str("done")))
-        },
-    ));
-    external.register_tool(FnTool::new(
-        "napper",
-        "sleeps long enough to be observed in flight",
-        Signature::new(vec![]),
-        |_: &Args| {
-            std::thread::sleep(Duration::from_millis(250));
-            Ok(ToolOutput::value(Json::str("rested")))
-        },
-    ));
-    // Gate with caches on: SQL calls consult the prepared-plan cache (a
-    // `gate:plan` span + statement-store cache hits), context tools the
-    // retrieval cache.
-    let server = WireServer::bind(
-        "127.0.0.1:0",
-        Tenancy::new(demo_db())
-            .with_external(external)
-            .with_gate(GateConfig::default().with_cache()),
-        WireConfig::default(),
-        obs.clone(),
-    )
-    .unwrap_or_else(|e| fail(&format!("cannot bind: {e}")));
-    let admin = AdminServer::bind("127.0.0.1:0", obs.clone(), server.ready_handle())
-        .unwrap_or_else(|e| fail(&format!("cannot bind admin: {e}")));
-    let admin_addr = admin.local_addr();
-    println!("listening on {} (admin {admin_addr})", server.local_addr());
-
-    // 1. Traceparent round trip: a client-supplied context is echoed back
-    // and its trace id names every layer of the call.
-    let ctx = TraceContext::parse("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
-        .unwrap_or_else(|| fail("w3c example traceparent must parse"));
-    let mut client =
-        Client::connect(server.local_addr()).unwrap_or_else(|e| fail(&format!("connect: {e}")));
-    client
-        .initialize("admin")
-        .unwrap_or_else(|e| fail(&format!("initialize: {e}")));
-    let select_args = Json::object([(
-        "sql",
-        Json::str("SELECT region, amount FROM sales WHERE id < 50"),
-    )]);
-    match client.call_traced("select", &select_args, &ctx) {
-        Ok(Ok(out)) if out.rows == Some(50) => {}
-        other => fail(&format!("traced select: {other:?}")),
-    }
-    if client.last_traceparent() != Some(ctx.to_traceparent().as_str()) {
-        fail(&format!(
-            "traceparent echo mismatch: sent {}, got {:?}",
-            ctx.to_traceparent(),
-            client.last_traceparent()
-        ));
-    }
-    let layers = ["wire:call", "gate:plan", "tool:select", "sql:execute"];
-    // The wire:call span closes just after the response is written; give
-    // the worker a moment to flush it.
-    let mut missing = Vec::new();
-    for _ in 0..100 {
-        let spans = obs.snapshot().spans;
-        missing = layers
-            .iter()
-            .filter(|name| {
-                !spans
-                    .iter()
-                    .any(|s| &s.name == *name && s.trace == Some(ctx.trace))
-            })
-            .collect();
-        if missing.is_empty() {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    if !missing.is_empty() {
-        fail(&format!(
-            "layers missing a span in the client's trace: {missing:?}"
-        ));
-    }
-    println!("tracing: traceparent ok ({} layers)", layers.len());
-
-    // 2. Tail sampling: a slow traced call is retained whole and served
-    // back by its trace id.
-    let slow_ctx = TraceContext::new(
-        TraceId::from_u128(0xfeed_face_cafe_f00d_dead_beef_0badu128).unwrap(),
-        obs::next_span_id(),
-    );
-    match client.call_traced("sleepy", &Json::object([] as [(&str, Json); 0]), &slow_ctx) {
-        Ok(Ok(_)) => {}
-        other => fail(&format!("traced sleepy call: {other:?}")),
-    }
-    let trace_hex = slow_ctx.trace.to_string();
-    let mut retained = None;
-    for _ in 0..100 {
-        let (status, body) = http_get(admin_addr, &format!("/slow/{trace_hex}"));
-        if status == 200 {
-            retained = Some(body);
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    let body = retained.unwrap_or_else(|| {
-        fail(&format!(
-            "/slow/{trace_hex} never returned the retained call"
-        ))
-    });
-    let call = Json::parse(&body).unwrap_or_else(|e| fail(&format!("/slow/<id> not JSON: {e}")));
-    let has_sleepy = call
-        .get("spans")
-        .and_then(Json::as_array)
-        .is_some_and(|spans| {
-            spans
-                .iter()
-                .any(|s| s.get("name").and_then(Json::as_str) == Some("tool:sleepy"))
-        });
-    if !has_sleepy {
-        fail(&format!(
-            "retained call for {trace_hex} has no tool:sleepy span: {body:.200}"
-        ));
-    }
-    println!("tracing: tail sampling ok (/slow/{trace_hex})");
-
-    // 3. EXPLAIN ANALYZE plausibility: every node renders an actual time,
-    // and no child's inclusive time exceeds the root's.
-    let db = demo_db();
-    let mut session = db.session("admin").unwrap_or_else(|e| fail(&e.to_string()));
-    let analyzed = match session.execute_sql(
-        "EXPLAIN ANALYZE SELECT region, SUM(amount) FROM sales WHERE amount > 20 \
-         GROUP BY region ORDER BY region",
-    ) {
-        Ok(QueryResult::Rows { rows, .. }) => rows,
-        other => fail(&format!("EXPLAIN ANALYZE did not return rows: {other:?}")),
-    };
-    let times: Vec<f64> = analyzed
-        .iter()
-        .map(|row| {
-            let line = match &row[0] {
-                Value::Text(t) => t.clone(),
-                v => fail(&format!("EXPLAIN ANALYZE row is not text: {v:?}")),
-            };
-            line.split("(actual time=")
-                .nth(1)
-                .and_then(|t| t.split("ms").next())
-                .and_then(|n| n.parse().ok())
-                .unwrap_or_else(|| fail(&format!("plan line has no actual time: {line}")))
-        })
-        .collect();
-    if times.len() < 3 {
-        fail(&format!(
-            "expected a multi-node plan, got {} node(s)",
-            times.len()
-        ));
-    }
-    let root = times[0];
-    // Operator times are inclusive: a child's window is a sub-interval of
-    // the root's, so child <= root up to the 3-decimal rendering rounding.
-    for (i, t) in times.iter().enumerate().skip(1) {
-        if *t > root + 0.002 {
-            fail(&format!(
-                "node {i} actual time {t:.3}ms exceeds root {root:.3}ms"
-            ));
-        }
-    }
-    println!(
-        "tracing: explain ok ({} nodes, root {root:.3}ms)",
-        times.len()
-    );
-
-    // 4. Statement statistics: a loadgen burst plus one denial populate
-    // per-(user, normalized statement) aggregates on /statements.
-    let cfg = benchkit::LoadConfig::select(
-        4,
-        25,
-        "admin",
-        "SELECT region, amount FROM sales WHERE id < 50",
-    );
-    let report = benchkit::run_load(server.local_addr(), &cfg);
-    if report.calls_ok != 100 {
-        fail(&format!("loadgen burst: {}/100 calls ok", report.calls_ok));
-    }
-    let mut reader =
-        Client::connect(server.local_addr()).unwrap_or_else(|e| fail(&format!("connect: {e}")));
-    reader
-        .initialize("reader")
-        .unwrap_or_else(|e| fail(&format!("initialize reader: {e}")));
-    match reader.call(
-        "select",
-        &Json::object([("sql", Json::str("SELECT note FROM audit_log"))]),
-    ) {
-        Ok(Err(ToolError::Denied { .. })) => {}
-        other => fail(&format!("reader probe should be denied, got {other:?}")),
-    }
-    let (status, body) = http_get(admin_addr, "/statements");
-    if status != 200 {
-        fail(&format!("/statements returned {status}"));
-    }
-    let json = Json::parse(&body).unwrap_or_else(|e| fail(&format!("/statements not JSON: {e}")));
-    let statements = json
-        .get("statements")
-        .and_then(Json::as_array)
-        .unwrap_or_else(|| fail("/statements has no statements array"));
-    let field = |e: &Json, k: &str| e.get(k).and_then(Json::as_f64).unwrap_or(0.0);
-    let admin_entry = statements
-        .iter()
-        .find(|e| {
-            e.get("user").and_then(Json::as_str) == Some("admin")
-                && e.get("statement")
-                    .and_then(Json::as_str)
-                    .is_some_and(|s| s.to_ascii_lowercase().contains("sales"))
-                && field(e, "calls") >= 100.0
-        })
-        .unwrap_or_else(|| {
-            fail(&format!(
-                "no admin sales aggregate with >=100 calls in /statements: {body:.400}"
-            ))
-        });
-    if field(admin_entry, "rows") < 100.0 * 50.0 {
-        fail(&format!(
-            "admin aggregate rows {} < 5000",
-            field(admin_entry, "rows")
-        ));
-    }
-    if field(admin_entry, "cache_hits") == 0.0 {
-        fail("repeated identical statements never hit the plan cache");
-    }
-    if field(admin_entry, "total_ns") <= 0.0 || field(admin_entry, "mean_ns") <= 0.0 {
-        fail("admin aggregate has no latency totals");
-    }
-    let denied = statements.iter().any(|e| {
-        e.get("user").and_then(Json::as_str) == Some("reader") && field(e, "denials") >= 1.0
-    });
-    if !denied {
-        fail(&format!(
-            "reader denial missing from /statements: {body:.400}"
-        ));
-    }
-    let (_, scrape) = http_get(admin_addr, "/metrics");
-    if !scrape.contains("obs_statements_entries") {
-        fail("/metrics is missing obs_statements_entries");
-    }
-    println!("tracing: statements ok ({} aggregates)", statements.len());
-
-    // 5. In-flight queries: a long call shows up on /queries while it runs.
-    let wire_addr = server.local_addr();
-    let napper = std::thread::spawn(move || {
-        let mut c = Client::connect(wire_addr).expect("connect napper client");
-        c.initialize("admin").expect("initialize napper client");
-        match c.call("napper", &Json::object([] as [(&str, Json); 0])) {
-            Ok(Ok(_)) => {}
-            other => panic!("napper call: {other:?}"),
-        }
-    });
-    let mut observed = false;
-    for _ in 0..200 {
-        let (status, body) = http_get(admin_addr, "/queries");
-        if status != 200 {
-            fail(&format!("/queries returned {status}"));
-        }
-        let json = Json::parse(&body).unwrap_or_else(|e| fail(&format!("/queries not JSON: {e}")));
-        let queries = json
-            .get("queries")
-            .and_then(Json::as_array)
-            .unwrap_or_else(|| fail("/queries has no queries array"));
-        if queries.iter().any(|q| {
-            q.get("tool").and_then(Json::as_str) == Some("napper")
-                && q.get("user").and_then(Json::as_str) == Some("admin")
-        }) {
-            observed = true;
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    napper
-        .join()
-        .unwrap_or_else(|_| fail("napper thread panicked"));
-    if !observed {
-        fail("the napper call never appeared on /queries while in flight");
-    }
-    println!("tracing: queries ok");
-
-    client.shutdown().ok();
-    reader.shutdown().ok();
-    server.shutdown();
-    admin.shutdown();
-
-    // 6. Overhead: with profiling off (no traced slow calls — the default
-    // 100ms threshold captures nothing on this smoke), the traced plane
-    // including the statement store and in-flight registry must stay
-    // within 10% of the disabled-telemetry baseline.
-    let mut ratio = 0.0;
-    for attempt in 1..=3 {
-        let off = telemetry_smoke_throughput(false);
-        let on = telemetry_smoke_throughput(true);
-        ratio = if off > 0.0 { on / off } else { 0.0 };
-        if ratio >= 0.9 {
-            break;
-        }
-        eprintln!("tracing: overhead attempt {attempt}: ratio {ratio:.3}, retrying");
-    }
-    if ratio < 0.9 {
-        fail(&format!(
-            "tracing overhead exceeds 10%: enabled/disabled throughput ratio {ratio:.3}"
-        ));
-    }
-    println!("tracing: overhead ok (ratio {ratio:.2})");
-    println!("tracing: all ok");
-}
-
-/// Loopback load generation with the benchkit report. With a profile name,
-/// the raw tool-call hammer is replaced by full simulated ReAct agents (one
-/// per session, `calls` tasks each) driving mirrored wire registries against
-/// a cache-enabled gate.
-fn run_loadgen(sessions: usize, calls: usize, profile: Option<&str>) {
-    if let Some(name) = profile {
-        let profile = LlmProfile::by_name(name).unwrap_or_else(|| {
-            fail(&format!(
-                "unknown profile '{name}' (expected gpt4o, claude4, or explorer)"
-            ))
-        });
-        let obs = Obs::in_memory();
-        let server = WireServer::bind(
-            "127.0.0.1:0",
-            tenancy().with_gate(GateConfig::default().with_cache()),
-            WireConfig::default(),
-            obs.clone(),
-        )
-        .unwrap_or_else(|e| fail(&format!("cannot bind: {e}")));
-        println!("listening on {}", server.local_addr());
-        let (completed, total, tool_calls) =
-            run_agent_sessions(server.local_addr(), &profile, sessions, calls);
-        server.shutdown();
-        let (hits, misses) = context_cache_counts(&obs);
-        println!(
-            "agent load: profile {} — {completed}/{total} tasks completed, {tool_calls} tool calls",
-            profile.name
-        );
-        println!(
-            "  context cache: {hits} hits / {misses} misses (hit rate {:.1}%)",
-            if hits + misses == 0 {
-                0.0
-            } else {
-                100.0 * hits as f64 / (hits + misses) as f64
-            }
-        );
-        if completed == 0 {
-            fail("no agent task completed");
-        }
-        return;
-    }
-    let server = WireServer::bind(
-        "127.0.0.1:0",
-        tenancy(),
-        WireConfig::default(),
-        Obs::in_memory(),
-    )
-    .unwrap_or_else(|e| fail(&format!("cannot bind: {e}")));
-    println!("listening on {}", server.local_addr());
-    let cfg = benchkit::LoadConfig::select(
-        sessions,
-        calls,
-        "admin",
-        "SELECT region, amount FROM sales WHERE id < 50",
-    );
-    let report = benchkit::run_load(server.local_addr(), &cfg);
-    server.shutdown();
-    print!("{}", report.render());
-    if report.calls_ok != (sessions * calls) as u64 {
-        fail(&format!(
-            "only {}/{} calls succeeded",
-            report.calls_ok,
-            sessions * calls
-        ));
-    }
-}
-
-/// The read task the agent-load modes replay: grounded on the demo `sales`
-/// table, with a value lookup so exploration-heavy profiles re-probe
-/// `get_value` as well as `get_schema`.
-fn demo_task() -> TaskSpec {
-    let mut step = llmsim::SqlStep::simple(
-        "select",
-        vec!["sales".into()],
-        "SELECT region, amount FROM sales WHERE region = 'north'",
-    );
-    step.lookup = Some(llmsim::ValueLookup {
-        table: "sales".into(),
-        column: "region".into(),
-        key: "north".into(),
-        actual: "north".into(),
-    });
-    TaskSpec::read("serve-demo", "Total sales for the north region", step)
-}
-
-/// Sum the gate's context-tool cache counters out of an obs snapshot:
-/// `(hits, misses)` across `get_schema` / `get_object` / `get_value`.
-fn context_cache_counts(obs: &Obs) -> (u64, u64) {
-    let snap = obs.snapshot();
-    let mut hits = 0u64;
-    let mut misses = 0u64;
-    for tool in ["get_schema", "get_object", "get_value"] {
-        hits += snap
-            .metrics
-            .labeled_counter("gate.cache", &[("tool", tool), ("hit", "true")]);
-        misses += snap
-            .metrics
-            .labeled_counter("gate.cache", &[("tool", tool), ("hit", "false")]);
-    }
-    (hits, misses)
-}
-
-/// Drive `sessions` concurrent simulated-agent sessions against `addr`
-/// (each running `tasks_per_session` replays of the demo task through its
-/// own mirrored wire registry). Returns `(completed, total, tool_calls)`.
-fn run_agent_sessions(
-    addr: SocketAddr,
-    profile: &LlmProfile,
-    sessions: usize,
-    tasks_per_session: usize,
-) -> (u64, u64, u64) {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::{Arc, Mutex};
-    let completed = AtomicU64::new(0);
-    let tool_calls = AtomicU64::new(0);
-    std::thread::scope(|scope| {
-        for i in 0..sessions {
-            let completed = &completed;
-            let tool_calls = &tool_calls;
-            let profile = profile.clone();
-            scope.spawn(move || {
-                let mut client =
-                    Client::connect(addr).unwrap_or_else(|e| fail(&format!("connect: {e}")));
-                let init = client
-                    .initialize("admin")
-                    .unwrap_or_else(|e| fail(&format!("initialize: {e}")));
-                let prompt = init
-                    .get("prompt")
-                    .and_then(Json::as_str)
-                    .unwrap_or_else(|| fail("initialize returned no prompt"))
-                    .to_owned();
-                let mirror = wire::mirror_registry(Arc::new(Mutex::new(client)))
-                    .unwrap_or_else(|e| fail(&format!("mirror registry: {e}")));
-                let agent = ReactAgent::new(profile, prompt);
-                let task = demo_task();
-                for j in 0..tasks_per_session {
-                    let seed =
-                        benchkit::harness::task_seed((i * tasks_per_session + j) as u64, &task.id);
-                    let trace = agent.run(&mirror, &task, seed);
-                    if trace.outcome.is_completed() {
-                        completed.fetch_add(1, Ordering::Relaxed);
-                    }
-                    tool_calls.fetch_add(trace.tool_calls as u64, Ordering::Relaxed);
-                }
-            });
-        }
-    });
-    (
-        completed.into_inner(),
-        (sessions * tasks_per_session) as u64,
-        tool_calls.into_inner(),
-    )
-}
-
-/// The agent-traffic gate benchmark (ci/check.sh `gate-smoke`).
-///
-/// Phase 1 measures the cache economics of exploration-heavy agents: four
-/// explorer sessions replay the demo task through a cache-enabled gate and
-/// the context-tool hit rate plus task completion rate are read back from
-/// the server's `gate.cache` counters.
-///
-/// Phase 2 measures budget moderation and fairness: three steady tenants
-/// run a fixed workload against a budgeted, weighted server, first alone
-/// (the baseline) and then alongside a runaway tenant driving expensive
-/// scans from two extra sessions. The runaway's personal budget caps it
-/// almost immediately — every attempt past the cap is denied before
-/// touching the engine — so the steady tenants keep their throughput
-/// (`fairness_ratio`) and their p95 stays close to the baseline
-/// (`p95_ratio`, gated at ≤ 1.2 in CI). Loopback latency jitters, so the
-/// differential gets a few attempts and keeps the best.
-fn run_bench_gate(out_path: &str) {
-    const SESSIONS: usize = 4;
-    const TASKS_PER_SESSION: usize = 6;
-    /// The runaway's personal call budget (a ledger override): a sliver of
-    /// its 600 attempts, so the contention window before the cap lands is
-    /// a small fraction of the run.
-    const HOG_BUDGET: u64 = 12;
-    const STEADY_CALLS: usize = 300;
-    /// Agent think time: keeps the server agent-paced rather than
-    /// saturated, as in production, so queueing — not CPU starvation —
-    /// is what the fairness differential measures.
-    const THINK_NS: u64 = 4_000_000;
-
-    // Phase 1: exploration-heavy cache economics.
-    let profile = LlmProfile::explorer();
-    let obs = Obs::in_memory();
-    let server = WireServer::bind(
-        "127.0.0.1:0",
-        Tenancy::new(demo_db()).with_gate(GateConfig::default().with_cache()),
-        WireConfig::default(),
-        obs.clone(),
-    )
-    .unwrap_or_else(|e| fail(&format!("cannot bind: {e}")));
-    let (completed, total, tool_calls) =
-        run_agent_sessions(server.local_addr(), &profile, SESSIONS, TASKS_PER_SESSION);
-    server.shutdown();
-    let (hits, misses) = context_cache_counts(&obs);
-    let plan_hits = obs
-        .snapshot()
-        .metrics
-        .labeled_counter("gate.cache", &[("tool", "plan"), ("hit", "true")]);
-    if hits + misses == 0 {
-        fail("explorer run never touched the context cache");
-    }
-    let hit_rate = hits as f64 / (hits + misses) as f64;
-    let completion_rate = completed as f64 / total.max(1) as f64;
-    println!(
-        "bench: explorer {completed}/{total} tasks, {tool_calls} tool calls, \
-         context cache {hits} hits / {misses} misses (hit_rate {hit_rate:.3}), \
-         plan hits {plan_hits}"
-    );
-
-    // Phase 2: tenant fairness under a budgeted runaway.
-    let steady = ["tenant_a", "tenant_b", "tenant_c"];
-    let steady_sql = "SELECT region, amount FROM sales WHERE id < 50";
-    let hog_sql = "SELECT * FROM sales";
-    let bench_db = || {
-        let db = demo_db();
-        for user in steady.iter().copied().chain(["hog"]) {
-            db.create_user(user, false).expect("fresh user");
-            db.grant(user, sqlkit::Action::Select, "sales")
-                .expect("sales exists");
-        }
-        db
-    };
-    let bind_weighted = || {
-        WireServer::bind(
-            "127.0.0.1:0",
-            Tenancy::new(bench_db()).with_gate(
-                GateConfig::default()
-                    .with_cache()
-                    .with_user_ledger(std::sync::Arc::new(
-                        BudgetLedger::new(BudgetLimits::unlimited()).with_user_limit(
-                            "hog",
-                            BudgetLimits::unlimited().with_calls(HOG_BUDGET),
-                        ),
-                    )),
-            ),
-            WireConfig {
-                tenant_weights: steady.iter().map(|u| ((*u).to_owned(), 4)).collect(),
-                ..WireConfig::default()
-            },
-            Obs::in_memory(),
-        )
-        .unwrap_or_else(|e| fail(&format!("cannot bind: {e}")))
-    };
-    let run_baseline = || {
-        let server = bind_weighted();
-        let mut cfg = benchkit::LoadConfig::select(steady.len(), STEADY_CALLS, "x", steady_sql);
-        cfg.users = steady.iter().map(|u| (*u).to_owned()).collect();
-        cfg.think_ns = THINK_NS;
-        let report = benchkit::run_load(server.local_addr(), &cfg);
-        server.shutdown();
-        report
-    };
-    let run_runaway = || {
-        let server = bind_weighted();
-        let mut cfg = benchkit::LoadConfig::select(5, STEADY_CALLS, "x", steady_sql);
-        cfg.users = steady
-            .iter()
-            .map(|u| (*u).to_owned())
-            .chain((0..2).map(|_| "hog".to_owned()))
-            .collect();
-        cfg.think_ns = THINK_NS;
-        let cfg = cfg.with_user_rotation(
-            "hog",
-            vec![("select".into(), Json::object([("sql", Json::str(hog_sql))]))],
-        );
-        let report = benchkit::run_load(server.local_addr(), &cfg);
-        server.shutdown();
-        report
-    };
-    let steady_p95 = |report: &benchkit::LoadReport| -> f64 {
-        let sum: u64 = steady
-            .iter()
-            .map(|u| report.user_p95_ns(u).unwrap_or(0))
-            .sum();
-        sum as f64 / steady.len() as f64
-    };
-    let mut chosen: Option<(benchkit::LoadReport, f64)> = None;
-    for attempt in 1..=3 {
-        let base = run_baseline();
-        let run = run_runaway();
-        let (b95, r95) = (steady_p95(&base), steady_p95(&run));
-        let ratio = if b95 > 0.0 { r95 / b95 } else { f64::INFINITY };
-        println!(
-            "bench: fairness attempt {attempt}: steady p95 {:.1}us -> {:.1}us (p95_ratio {ratio:.3})",
-            b95 / 1e3,
-            r95 / 1e3
-        );
-        let better = chosen.as_ref().is_none_or(|(_, r)| ratio < *r);
-        if better {
-            chosen = Some((run, ratio));
-        }
-        if ratio <= 1.2 {
-            break;
-        }
-    }
-    let (run, p95_ratio) = chosen.expect("at least one attempt ran");
-
-    // The runaway must be moderated by its budget, not starve anyone.
-    let hog = &run.per_user["hog"];
-    if hog.calls_ok > HOG_BUDGET {
-        fail(&format!(
-            "runaway got {} calls through a {HOG_BUDGET}-call budget",
-            hog.calls_ok
-        ));
-    }
-    if hog.tool_errors == 0 {
-        fail("runaway tenant was never denied by its budget");
-    }
-    for user in steady {
-        let stats = &run.per_user[user];
-        if stats.tool_errors != 0 {
-            fail(&format!(
-                "steady tenant {user} hit {} tool errors — the runaway's \
-                 budget must never spill onto well-behaved tenants",
-                stats.tool_errors
-            ));
-        }
-        if stats.calls_ok == 0 {
-            fail(&format!("steady tenant {user} was starved"));
-        }
-    }
-    // Fairness among the *well-behaved* tenants: the runaway is excluded
-    // because its throughput is capped by policy, not by scheduling.
-    let steady_oks: Vec<u64> = steady.iter().map(|u| run.per_user[*u].calls_ok).collect();
-    let fairness_ratio = *steady_oks.iter().max().expect("nonempty") as f64
-        / *steady_oks.iter().min().expect("nonempty") as f64;
-    println!(
-        "bench: runaway capped at {}/{} ok ({} denied), fairness_ratio {fairness_ratio:.3}, \
-         p95_ratio {p95_ratio:.3}",
-        hog.calls_ok, hog.calls_attempted, hog.tool_errors
-    );
-
-    let mut json = String::new();
-    json.push_str("{\n  \"bench\": \"gate\",\n");
-    json.push_str(&format!(
-        "  \"explorer\": {{\"sessions\": {SESSIONS}, \"tasks\": {total}, \
-         \"completed\": {completed}, \"tool_calls\": {tool_calls}, \
-         \"context_hits\": {hits}, \"context_misses\": {misses}, \
-         \"plan_hits\": {plan_hits}}},\n"
-    ));
-    json.push_str(&format!(
-        "  \"fairness\": {{\"steady_tenants\": {}, \"steady_calls_each\": {STEADY_CALLS}, \
-         \"hog_budget\": {HOG_BUDGET}, \"hog_calls_ok\": {}, \"hog_denied\": {}}},\n",
-        steady.len(),
-        hog.calls_ok,
-        hog.tool_errors
-    ));
-    json.push_str(&format!(
-        "  \"hit_rate\": {hit_rate:.3},\n  \"completion_rate\": {completion_rate:.3},\n  \
-         \"fairness_ratio\": {fairness_ratio:.3},\n  \"p95_ratio\": {p95_ratio:.3}\n}}\n"
-    ));
-    if let Err(e) = std::fs::write(out_path, &json) {
-        fail(&format!("cannot write {out_path}: {e}"));
-    }
-    println!("bench: wrote {out_path}");
-}
-
-/// Cost-based planner benchmark (ci/check.sh `planner-smoke`): run the
-/// benchkit planner microbench, hard-fail unless the optimizer made every
-/// decision it exists to make, and write the JSON report the CI regression
-/// gate consumes. Plan shapes are deterministic; of the timings, only the
-/// streaming-LIMIT speedup is asserted here (its win is orders of
-/// magnitude, so a modest margin is safe against CI noise).
-fn run_bench_planner(out_path: &str, sales_rows: usize) {
-    /// "Measurably faster": the streaming LIMIT touches ~10 rows where the
-    /// unpushed plan materializes the whole filtered table, so the true
-    /// ratio is large; 1.5x is the noise-proof floor.
-    const LIMIT_SPEEDUP_FLOOR: f64 = 1.5;
-    let cfg = benchkit::PlannerBenchConfig {
-        sales_rows,
-        iters: 5,
-    };
-    println!(
-        "bench: planner microbench, {sales_rows} fact rows, best of {} runs",
-        cfg.iters
-    );
-    let report = benchkit::run_planner_bench(&cfg);
-    print!("{}", report.render());
-    if !report.probe_uses_index {
-        fail("analyzed selective probe did not pick the index scan");
-    }
-    if !report.constant_probe_uses_seq_scan {
-        fail("analyzed constant-column probe did not fall back to the seq scan");
-    }
-    if !report.join_reordered {
-        fail("worst-first three-way join kept its syntactic order");
-    }
-    if !report.topk_bounded {
-        fail("ORDER BY + LIMIT sort was not bounded to top-k");
-    }
-    if !report.limit_streams {
-        fail("filtered LIMIT pipeline did not stream");
-    }
-    if report.limit_speedup() < LIMIT_SPEEDUP_FLOOR {
-        fail(&format!(
-            "LIMIT pushdown speedup {:.2}x under the {LIMIT_SPEEDUP_FLOOR}x floor",
-            report.limit_speedup()
-        ));
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"planner\",\n  \"sales_rows\": {},\n  \
-         \"probe_uses_index\": {},\n  \"constant_probe_uses_seq_scan\": {},\n  \
-         \"join_reordered\": {},\n  \"topk_bounded\": {},\n  \"limit_streams\": {},\n  \
-         \"probe_speedup\": {:.2},\n  \"join_speedup\": {:.2},\n  \
-         \"topk_speedup\": {:.2},\n  \"limit_speedup\": {:.2}\n}}\n",
-        report.sales_rows,
-        report.probe_uses_index,
-        report.constant_probe_uses_seq_scan,
-        report.join_reordered,
-        report.topk_bounded,
-        report.limit_streams,
-        report.probe_speedup(),
-        report.join_speedup(),
-        report.topk_speedup(),
-        report.limit_speedup(),
-    );
-    if let Err(e) = std::fs::write(out_path, &json) {
-        fail(&format!("cannot write {out_path}: {e}"));
-    }
-    println!("bench: wrote {out_path}");
-}
-
-/// MVCC read-scaling benchmark (ci/bench.sh): serve the BIRD-Ext template
-/// over loopback and measure transactional read throughput (BEGIN → SELECT
-/// gold SQL → COMMIT, with agent think time) at 1/2/4/8 concurrent
-/// sessions. Each session holds real snapshot transactions, so any number
-/// of them proceed in parallel under MVCC — under the old single global
-/// transaction slot the concurrent BEGINs would fail outright. Writes a
-/// machine-readable JSON report (consumed by the ci/check.sh regression
-/// gate) and prints one `bench:` line per worker count.
-fn run_bench_mvcc(out_path: &str, calls_per_session: usize) {
-    const SEED: u64 = 42;
-    const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
-    /// Simulated agent think time per call. Real BridgeScope sessions are
-    /// paced by LLM latency (tens to thousands of ms); 2ms keeps the run
-    /// fast while still leaving a lone session far from saturating the
-    /// server, so the scaling headroom measured is the server's.
-    const THINK_NS: u64 = 2_000_000;
-    let ext = benchkit::generate_bird_ext(SEED);
-    let mut sqls: Vec<String> = Vec::new();
-    for task in ext.tasks.iter().filter(|t| !t.is_write()) {
-        for step in &task.spec.steps {
-            if !sqls.contains(&step.gold) {
-                sqls.push(step.gold.clone());
-            }
-        }
-        if sqls.len() >= 16 {
-            break;
-        }
-    }
-    if sqls.is_empty() {
-        fail("no BIRD read tasks generated");
-    }
-    let server = WireServer::bind(
-        "127.0.0.1:0",
-        Tenancy::new(ext.template.fork()),
-        WireConfig::default(),
-        Obs::in_memory(),
-    )
-    .unwrap_or_else(|e| fail(&format!("cannot bind: {e}")));
-    let addr = server.local_addr();
-    println!(
-        "bench: mvcc txn-read scaling, seed {SEED}, {} queries, {} calls/session, think 2ms",
-        sqls.len(),
-        calls_per_session
-    );
-    // Warm-up pass so the first measured run doesn't pay one-time costs.
-    let warm = benchkit::LoadConfig::txn_read_rotation(2, 30, "admin", &sqls, 0);
-    let _ = benchkit::run_load(addr, &warm);
-    let mut runs = Vec::new();
-    for &workers in &WORKER_COUNTS {
-        let cfg = benchkit::LoadConfig::txn_read_rotation(
-            workers,
-            calls_per_session,
-            "admin",
-            &sqls,
-            THINK_NS,
-        );
-        let report = benchkit::run_load(addr, &cfg);
-        let expected = (workers * cfg.calls_per_session) as u64;
-        if report.calls_ok != expected {
-            server.shutdown();
-            fail(&format!(
-                "workers={workers}: only {}/{} calls succeeded \
-                 (busy {}, tool-err {}, transport-err {})",
-                report.calls_ok,
-                expected,
-                report.rejected_busy,
-                report.tool_errors,
-                report.transport_errors,
-            ));
-        }
-        let throughput = report.throughput();
-        let [p50, p95, p99] = report.percentiles_ns();
-        println!(
-            "bench: workers={workers} calls={} throughput={throughput:.1} calls/s \
-             p50={}us p95={}us p99={}us",
-            report.calls_ok,
-            p50 / 1_000,
-            p95 / 1_000,
-            p99 / 1_000,
-        );
-        runs.push((workers, report.calls_ok, throughput, p50, p95, p99));
-    }
-    server.shutdown();
-    let t1 = runs[0].2;
-    let t8 = runs[runs.len() - 1].2;
-    let scaling = if t1 > 0.0 { t8 / t1 } else { 0.0 };
-    println!("bench: scaling_8v1={scaling:.2}");
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&format!(
-        "  \"bench\": \"mvcc_read_scaling\",\n  \"seed\": {SEED},\n  \"queries\": {},\n  \"calls_per_session\": {calls_per_session},\n",
-        sqls.len()
-    ));
-    json.push_str("  \"runs\": [\n");
-    for (idx, (workers, ok, tput, p50, p95, p99)) in runs.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"workers\": {workers}, \"calls_ok\": {ok}, \"throughput_cps\": {tput:.1}, \
-             \"p50_ns\": {p50}, \"p95_ns\": {p95}, \"p99_ns\": {p99}}}{}\n",
-            if idx + 1 < runs.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!("  \"scaling_8v1\": {scaling:.2}\n"));
-    json.push_str("}\n");
-    if let Err(e) = std::fs::write(out_path, &json) {
-        fail(&format!("cannot write {out_path}: {e}"));
-    }
-    println!("bench: wrote {out_path}");
 }
