@@ -84,7 +84,8 @@ gate_workspace_tests() {
 
 # Observability layer: the obs kernel builds and tests standalone, and the
 # end-to-end example must produce a non-empty, parseable JSONL trace
-# (task → llm:call → tool:{name} → sql:execute span chain + metrics line).
+# (task → llm:call → tool:{name} → sql:execute span chain + a metrics line
+# whose series keep their labels).
 gate_obs_layer() {
   run cargo build --offline --locked -p obs || return 1
   run cargo test -q --offline --locked -p obs || return 1
@@ -96,6 +97,10 @@ gate_obs_layer() {
     || { echo "FAIL: first JSONL line is not a span record"; return 1; }
   grep -q '"type":"metrics"' "$trace_file" \
     || { echo "FAIL: JSONL trace has no metrics record"; return 1; }
+  # The export carries labels: a tool call is a tool.calls{outcome,tool} series.
+  grep '"type":"metrics"' "$trace_file" \
+    | grep -q '"labels":{"outcome":"[a-z-]*","tool":"[a-z_]*"},"name":"tool.calls"' \
+    || { echo "FAIL: JSONL metrics record has no labeled tool.calls series"; return 1; }
   echo "==> JSONL trace OK ($(wc -l < "$trace_file") lines)"
 }
 

@@ -43,7 +43,7 @@ impl CrashLabConfig {
             seed: 7,
             max_statements: 24,
             kill_every: 1,
-            fsync: FsyncPolicy::Commit { group_window_ms: 0 },
+            fsync: FsyncPolicy::Commit,
         }
     }
 }

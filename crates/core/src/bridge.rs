@@ -110,7 +110,7 @@ impl BridgeContext {
         if !self.obs.is_enabled() {
             return;
         }
-        self.obs.incr(&format!("denials.{gate}"), 1);
+        self.obs.incr_with("denials", &[("gate", gate)], 1);
         let mut span = self.obs.span(&format!("denial:{gate}"));
         span.attr("user", self.user.as_str());
         for (key, value) in context.fields() {
@@ -320,8 +320,9 @@ mod tests {
         );
 
         let snap = ctx.obs.snapshot();
-        assert_eq!(snap.metrics.counter("denials.privilege"), 1);
-        assert_eq!(snap.metrics.counter("denials.policy"), 1);
+        let denials = |gate| snap.metrics.labeled_counter("denials", &[("gate", gate)]);
+        assert_eq!(denials("privilege"), 1);
+        assert_eq!(denials("policy"), 1);
         let denial = snap
             .spans
             .iter()

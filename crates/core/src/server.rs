@@ -129,13 +129,13 @@ impl BridgeScopeServer {
         registry.register(wrap_context(Arc::new(get_value_tool(Arc::clone(&ctx)))));
 
         // Pull-model cache-health gauges: occupancy and hit rate sampled at
-        // scrape time, labeled by user. Keyed registration replaces the
+        // scrape time, labeled by user. Re-registering a series replaces the
         // sampler when the same user rebuilds a server; `Weak` references
         // keep gauges from pinning a torn-down surface alive — a dead
         // sampler reports `NaN` and the series vanishes from output.
         if !retrieval_caches.is_empty() {
             let caches = retrieval_caches.clone();
-            obs.register_gauge_keyed(
+            obs.register_gauge(
                 "gate.retrieval_cache.entries",
                 &[("user", user)],
                 move || {
@@ -147,7 +147,7 @@ impl BridgeScopeServer {
                 },
             );
             let caches = retrieval_caches;
-            obs.register_gauge_keyed(
+            obs.register_gauge(
                 "gate.retrieval_cache.hit_rate",
                 &[("user", user)],
                 move || {
@@ -169,11 +169,11 @@ impl BridgeScopeServer {
         }
         if let Some(cache) = &plan_cache {
             let weak = Arc::downgrade(cache);
-            obs.register_gauge_keyed("gate.plan_cache.entries", &[("user", user)], move || {
+            obs.register_gauge("gate.plan_cache.entries", &[("user", user)], move || {
                 weak.upgrade().map_or(f64::NAN, |c| c.len() as f64)
             });
             let weak = Arc::downgrade(cache);
-            obs.register_gauge_keyed("gate.plan_cache.hit_rate", &[("user", user)], move || {
+            obs.register_gauge("gate.plan_cache.hit_rate", &[("user", user)], move || {
                 weak.upgrade().map_or(f64::NAN, |c| c.stats().hit_rate())
             });
         }
@@ -240,10 +240,10 @@ impl BridgeScopeServer {
         }
 
         // Every tool invocation through the registry becomes a `tool:{name}`
-        // span with per-tool counters and latency histograms. Attached
-        // before the proxy snapshot so producer-side calls are traced too
-        // (they inflate `tool.calls` past what the LLM issued — use the
-        // harness-level `llm.tool_calls` counter for that figure).
+        // span plus `tool.calls{tool,outcome}` and `tool.latency{tool}`.
+        // Attached before the proxy snapshot so producer-side calls are
+        // traced too (they inflate `tool.calls` past what the LLM issued —
+        // use the harness-level `llm.tool_calls` counter for that figure).
         if let Some(observer) = obs.registry_observer() {
             registry.set_observer(observer);
         }
@@ -392,9 +392,16 @@ mod tests {
             .unwrap();
         let snap = server.snapshot();
         obs::validate_tree(&snap.spans).unwrap();
-        assert_eq!(snap.metrics.counter("tool.calls"), 1);
-        assert_eq!(snap.metrics.counter("tool.calls.select"), 1);
-        assert_eq!(snap.metrics.counter("sql.statements.select"), 1);
+        let m = &snap.metrics;
+        assert_eq!(m.counter("tool.calls"), 1);
+        assert_eq!(
+            m.labeled_counter("tool.calls", &[("tool", "select"), ("outcome", "ok")]),
+            1
+        );
+        assert_eq!(
+            m.labeled_counter("sql.statements", &[("action", "select")]),
+            1
+        );
         let tool = snap
             .spans
             .iter()

@@ -42,17 +42,22 @@ fn verified_execute(ctx: &BridgeContext, expected: Action, sql: &str) -> ToolRes
         span.attr("action", expected.keyword());
         span.attr("sql", sqlkit::truncate_sql(sql, SQL_ATTR_MAX));
     }
-    let mut cache_hit = false;
-    let result = verify_and_run(ctx, expected, sql, &mut span, &mut cache_hit);
+    // The statement's one normalization, computed only when something reads
+    // it: the plan-cache key, the in-flight note and the statement-store key.
+    let key =
+        (ctx.obs.is_enabled() || ctx.plan_cache.get().is_some()).then(|| gate::normalize_sql(sql));
+    let prepared = prepare(ctx, sql, key.as_deref());
+    let cache_hit = matches!(prepared, Ok((_, true)));
+    let result = prepared
+        .and_then(|(plan, _)| verify_and_run(ctx, expected, &plan, key.as_deref(), &mut span));
     if ctx.obs.is_enabled() {
         match &result {
             Ok(out) => {
                 if let Some(rows) = out.rows {
                     span.attr("rows", rows);
                 }
-                ctx.obs.incr("sql.statements", 1);
                 ctx.obs
-                    .incr(&format!("sql.statements.{}", expected.keyword()), 1);
+                    .incr_with("sql.statements", &[("action", expected.keyword())], 1);
             }
             Err(e) => {
                 span.fail(e.to_string());
@@ -61,8 +66,8 @@ fn verified_execute(ctx: &BridgeContext, expected: Action, sql: &str) -> ToolRes
         }
         ctx.obs.observe_ns("sql.latency", span.elapsed_ns());
         // Feed the statement statistics store. Keys are the gate's
-        // token-normalized form, so literal-only variants collapse into one
-        // entry (bounded cardinality per user; see `obs::StatementStore`).
+        // token-normalized form, so whitespace-only variants collapse into
+        // one entry (bounded cardinality per user; see `obs::StatementStore`).
         let outcome = match &result {
             Ok(_) => obs::StatementOutcome::Ok,
             Err(ToolError::Denied { .. }) => obs::StatementOutcome::Denied,
@@ -75,14 +80,11 @@ fn verified_execute(ctx: &BridgeContext, expected: Action, sql: &str) -> ToolRes
             Err(_) => obs::StatementOutcome::Error,
         };
         let rows = result.as_ref().ok().and_then(|o| o.rows).unwrap_or(0) as u64;
-        ctx.obs.record_statement(
-            &ctx.user,
-            &gate::normalize_sql(sql),
-            span.elapsed_ns(),
-            rows,
-            cache_hit,
-            outcome,
-        );
+        if let Some(key) = &key {
+            let elapsed = span.elapsed_ns();
+            ctx.obs
+                .record_statement(&ctx.user, key, elapsed, rows, cache_hit, outcome);
+        }
     }
     result.map_err(|e| e.with_denial_sql(sqlkit::truncate_sql(sql, SQL_ATTR_MAX)))
 }
@@ -92,10 +94,15 @@ fn verified_execute(ctx: &BridgeContext, expected: Action, sql: &str) -> ToolRes
 /// analysis — every privilege and policy check below re-runs on live state,
 /// so a cache hit can never widen access; it only skips re-deriving what
 /// the text alone determines. Returns whether the plan came from the cache,
-/// for the statement statistics store.
-fn prepare(ctx: &BridgeContext, sql: &str) -> Result<(Arc<PreparedPlan>, bool), ToolError> {
-    match ctx.plan_cache.get() {
-        Some(cache) => {
+/// for the statement statistics store. `key` is the statement's normalized
+/// text, present whenever a cache is installed.
+fn prepare(
+    ctx: &BridgeContext,
+    sql: &str,
+    key: Option<&str>,
+) -> Result<(Arc<PreparedPlan>, bool), ToolError> {
+    match (ctx.plan_cache.get(), key) {
+        (Some(cache), Some(key)) => {
             // The gate's span for the plan-cache consult: nested under the
             // enclosing `sql:execute`, so a cross-layer trace shows whether
             // parsing/analysis was skipped.
@@ -105,7 +112,7 @@ fn prepare(ctx: &BridgeContext, sql: &str) -> Result<(Arc<PreparedPlan>, bool), 
             // optimizer statistics it was costed against.
             let generation = ctx.db.plan_generation();
             let (plan, hit) = cache
-                .prepare(sql, generation)
+                .prepare(key, sql, generation)
                 .map_err(|e| ToolError::Execution(e.to_string()))?;
             if span.enabled() {
                 span.attr("hit", hit);
@@ -120,7 +127,7 @@ fn prepare(ctx: &BridgeContext, sql: &str) -> Result<(Arc<PreparedPlan>, bool), 
             );
             Ok((plan, hit))
         }
-        None => PreparedPlan::prepare(sql)
+        _ => PreparedPlan::prepare(sql)
             .map(|plan| (Arc::new(plan), false))
             .map_err(|e| ToolError::Execution(e.to_string())),
     }
@@ -129,12 +136,10 @@ fn prepare(ctx: &BridgeContext, sql: &str) -> Result<(Arc<PreparedPlan>, bool), 
 fn verify_and_run(
     ctx: &BridgeContext,
     expected: Action,
-    sql: &str,
+    prepared: &PreparedPlan,
+    key: Option<&str>,
     span: &mut SpanGuard,
-    cache_hit: &mut bool,
 ) -> ToolResult {
-    let (prepared, hit) = prepare(ctx, sql)?;
-    *cache_hit = hit;
     let stmt = &prepared.stmt;
     let action = stmt.action();
     if action != expected {
@@ -144,8 +149,8 @@ fn verify_and_run(
     }
     // Surface the (normalized) statement on the in-flight call registry, so
     // `/queries` shows what each live trace is executing right now.
-    if ctx.obs.is_enabled() {
-        ctx.obs.note_statement(&gate::normalize_sql(sql));
+    if let (true, Some(key)) = (ctx.obs.is_enabled(), key) {
+        ctx.obs.note_statement(key);
     }
     // Object-level verification (tool-side, before the engine sees it).
     let profile = &prepared.profile;

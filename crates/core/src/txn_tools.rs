@@ -10,7 +10,7 @@ use std::sync::Arc;
 use toolproto::{Args, FnTool, Risk, Signature, Tool, ToolResult};
 
 /// Run one transaction-control operation under a `txn:{verb}` span, counting
-/// outcomes per verb (`txn.{verb}.ok` / `txn.{verb}.error`).
+/// outcomes per verb in `txn{verb,outcome}` (outcome `ok` or `error`).
 fn run_txn_op(
     ctx: &BridgeContext,
     verb: &str,
@@ -20,7 +20,8 @@ fn run_txn_op(
     let result = op(ctx).map_err(db_error_to_tool);
     if ctx.obs.is_enabled() {
         let outcome = if result.is_ok() { "ok" } else { "error" };
-        ctx.obs.incr(&format!("txn.{verb}.{outcome}"), 1);
+        ctx.obs
+            .incr_with("txn", &[("verb", verb), ("outcome", outcome)], 1);
         if let Err(e) = &result {
             span.fail(e.to_string());
         }
@@ -136,9 +137,13 @@ mod tests {
         reg.call("commit", &Json::Null).unwrap();
 
         let snap = obs.snapshot();
-        assert_eq!(snap.metrics.counter("txn.begin.ok"), 1);
-        assert_eq!(snap.metrics.counter("txn.commit.ok"), 1);
-        assert_eq!(snap.metrics.counter("txn.commit.error"), 1);
+        let txn = |verb, outcome| {
+            snap.metrics
+                .labeled_counter("txn", &[("verb", verb), ("outcome", outcome)])
+        };
+        assert_eq!(txn("begin", "ok"), 1);
+        assert_eq!(txn("commit", "ok"), 1);
+        assert_eq!(txn("commit", "error"), 1);
         let failed = snap
             .spans
             .iter()

@@ -308,7 +308,7 @@ impl Tool for MeteredTool {
                     &[("user", &self.user), ("resource", breach.resource)],
                     1,
                 );
-                self.obs.incr("denials.budget", 1);
+                self.obs.incr_with("denials", &[("gate", "budget")], 1);
                 if self.obs.is_enabled() {
                     let mut span = self.obs.span("denial:budget");
                     span.attr("user", self.user.as_str());

@@ -113,18 +113,22 @@ impl PlanCache {
     }
 
     /// Return the prepared plan for `sql` as of `generation`, computing and
-    /// caching it on miss. The boolean is true on a cache hit.
+    /// caching it on miss. `key` must be [`normalize_sql`]`(sql)`: the caller
+    /// normalizes once and reuses the key for its statement statistics. The
+    /// boolean is true on a cache hit.
     pub fn prepare(
         &self,
+        key: &str,
         sql: &str,
         generation: u64,
     ) -> Result<(Arc<PreparedPlan>, bool), ParseError> {
-        let key = normalize_sql(sql);
-        if let Some(plan) = self.cache.get(&key, generation) {
+        debug_assert_eq!(key, normalize_sql(sql), "plan-cache key of {sql:?}");
+        if let Some(plan) = self.cache.get(key, generation) {
             return Ok((plan, true));
         }
         let plan = Arc::new(PreparedPlan::prepare(sql)?);
-        self.cache.put(key, Arc::clone(&plan), generation);
+        self.cache
+            .put(key.to_owned(), Arc::clone(&plan), generation);
         Ok((plan, false))
     }
 
@@ -147,6 +151,14 @@ impl PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn prepare(
+        cache: &PlanCache,
+        sql: &str,
+        generation: u64,
+    ) -> Result<(Arc<PreparedPlan>, bool), ParseError> {
+        cache.prepare(&normalize_sql(sql), sql, generation)
+    }
 
     #[test]
     fn normalization_merges_whitespace_only() {
@@ -185,8 +197,8 @@ mod tests {
     #[test]
     fn equivalent_texts_share_one_plan() {
         let cache = PlanCache::new(8);
-        let (a, hit_a) = cache.prepare("SELECT * FROM sales", 1).unwrap();
-        let (b, hit_b) = cache.prepare("SELECT *   FROM\n sales", 1).unwrap();
+        let (a, hit_a) = prepare(&cache, "SELECT * FROM sales", 1).unwrap();
+        let (b, hit_b) = prepare(&cache, "SELECT *   FROM\n sales", 1).unwrap();
         assert!(!hit_a);
         assert!(hit_b, "normalized-equal text hits");
         assert_eq!(a.profile, b.profile);
@@ -196,25 +208,24 @@ mod tests {
     #[test]
     fn generation_bump_forces_reprepare() {
         let cache = PlanCache::new(8);
-        cache.prepare("SELECT * FROM sales", 1).unwrap();
-        let (_, hit) = cache.prepare("SELECT * FROM sales", 2).unwrap();
+        prepare(&cache, "SELECT * FROM sales", 1).unwrap();
+        let (_, hit) = prepare(&cache, "SELECT * FROM sales", 2).unwrap();
         assert!(!hit, "new generation invalidates the plan");
     }
 
     #[test]
     fn parse_errors_are_not_cached() {
         let cache = PlanCache::new(8);
-        cache.prepare("SELEC oops", 1).unwrap_err();
+        prepare(&cache, "SELEC oops", 1).unwrap_err();
         assert!(cache.is_empty());
-        cache.prepare("SELEC oops", 1).unwrap_err();
+        prepare(&cache, "SELEC oops", 1).unwrap_err();
     }
 
     #[test]
     fn profile_matches_direct_analysis() {
         let cache = PlanCache::new(8);
-        let (plan, _) = cache
-            .prepare("SELECT id FROM a WHERE id IN (SELECT id FROM b)", 1)
-            .unwrap();
+        let (plan, _) =
+            prepare(&cache, "SELECT id FROM a WHERE id IN (SELECT id FROM b)", 1).unwrap();
         let direct =
             PreparedPlan::prepare("SELECT id FROM a WHERE id IN (SELECT id FROM b)").unwrap();
         assert_eq!(plan.profile, direct.profile);

@@ -7,7 +7,7 @@
 //! must never exceed its capacity, and every hit must be *exactly* the
 //! model's value.
 
-use gate::{GenCache, PlanCache};
+use gate::{normalize_sql, GenCache, PlanCache};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -27,10 +27,11 @@ fn analyze_invalidates_cached_plans() {
 
     let cache = PlanCache::new(8);
     let sql = "SELECT * FROM t WHERE grp = 1";
+    let key = normalize_sql(sql);
     let before = db.plan_generation();
-    let (_, hit) = cache.prepare(sql, before).unwrap();
+    let (_, hit) = cache.prepare(&key, sql, before).unwrap();
     assert!(!hit);
-    let (_, hit) = cache.prepare(sql, db.plan_generation()).unwrap();
+    let (_, hit) = cache.prepare(&key, sql, db.plan_generation()).unwrap();
     assert!(hit, "stable generation keeps the plan cached");
 
     // ANALYZE bumps the stats epoch; the combined plan generation moves
@@ -41,7 +42,7 @@ fn analyze_invalidates_cached_plans() {
         after > before,
         "ANALYZE must advance plan_generation ({before} -> {after})"
     );
-    let (_, hit) = cache.prepare(sql, after).unwrap();
+    let (_, hit) = cache.prepare(&key, sql, after).unwrap();
     assert!(!hit, "plans cached before ANALYZE must not be served after");
 
     // The stats component alone moved: committed data generation may also

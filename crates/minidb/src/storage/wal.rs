@@ -36,7 +36,7 @@ use sqlkit::ast::{self, Action, TypeName};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// WAL file name inside the durability directory.
 pub const WAL_FILE: &str = "wal.log";
@@ -47,35 +47,23 @@ pub const SNAPSHOT_FILE: &str = "snapshot.db";
 const MAX_FRAME: u32 = 1 << 30;
 
 /// When the write-ahead log is fsynced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FsyncPolicy {
-    /// fsync after every WAL append.
-    Always,
-    /// fsync at commit, batching syncs within a group-commit window: a
-    /// commit only pays the fsync if the last one is at least
-    /// `group_window_ms` old (0 = every commit). Data is still written to
-    /// the OS on every commit, so a process kill loses nothing either way;
-    /// the window only trades machine-crash durability for syscall cost.
-    Commit {
-        /// Minimum milliseconds between fsyncs.
-        group_window_ms: u64,
-    },
-    /// Never fsync; leave flushing to the OS.
+    /// fsync every commit before acknowledging it. A transaction is one
+    /// WAL append, so this is also "fsync after every append".
+    #[default]
+    Commit,
+    /// Never fsync; leave flushing to the OS. Data is still written to the
+    /// OS on every commit, so a process kill loses nothing; a machine crash
+    /// can.
     Off,
 }
 
-impl Default for FsyncPolicy {
-    fn default() -> Self {
-        FsyncPolicy::Commit { group_window_ms: 0 }
-    }
-}
-
 impl FsyncPolicy {
-    /// Parse a CLI-style policy name: `always`, `commit`, or `off`.
+    /// Parse a CLI-style policy name: `commit` or `off`.
     pub fn parse(s: &str) -> Option<FsyncPolicy> {
         match s {
-            "always" => Some(FsyncPolicy::Always),
-            "commit" => Some(FsyncPolicy::default()),
+            "commit" => Some(FsyncPolicy::Commit),
             "off" => Some(FsyncPolicy::Off),
             _ => None,
         }
@@ -1143,7 +1131,6 @@ pub struct DurableEngine {
     next_txn: u64,
     commits_since_snapshot: usize,
     bytes_since_checkpoint: u64,
-    last_sync: Instant,
     dirty: bool,
     obs: Obs,
 }
@@ -1234,7 +1221,6 @@ impl DurableEngine {
             // The surviving WAL tail is exactly the bytes not yet covered
             // by a snapshot, so the gauge stays truthful across restarts.
             bytes_since_checkpoint: scanned.valid_len as u64,
-            last_sync: Instant::now(),
             dirty: false,
             obs,
         };
@@ -1255,24 +1241,7 @@ impl DurableEngine {
             .observe_ns("wal.fsync", t0.elapsed().as_nanos() as u64);
         self.obs.incr("wal.fsyncs", 1);
         self.dirty = false;
-        self.last_sync = Instant::now();
         Ok(())
-    }
-
-    fn sync_for_commit(&mut self) -> DbResult<()> {
-        match self.fsync {
-            FsyncPolicy::Always => self.sync_now(),
-            FsyncPolicy::Commit { group_window_ms } => {
-                if group_window_ms == 0
-                    || self.last_sync.elapsed() >= Duration::from_millis(group_window_ms)
-                {
-                    self.sync_now()
-                } else {
-                    Ok(()) // defer: inside the group-commit window
-                }
-            }
-            FsyncPolicy::Off => Ok(()),
-        }
     }
 }
 
@@ -1315,7 +1284,9 @@ impl StorageEngine for DurableEngine {
                 .map_err(|e| io_err("append WAL", e))?;
             self.dirty = true;
         }
-        self.sync_for_commit()?;
+        if self.fsync == FsyncPolicy::Commit {
+            self.sync_now()?;
+        }
         self.obs.incr("wal.commits", 1);
         self.obs.incr("wal.records", records.len() as u64 + 2);
         self.obs.incr("wal.bytes", buf.len() as u64);

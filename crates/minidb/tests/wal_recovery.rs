@@ -287,12 +287,12 @@ fn explicit_checkpoint_then_delete_wal_keeps_state() {
 
 #[test]
 fn fsync_policy_parsing() {
-    assert_eq!(FsyncPolicy::parse("always"), Some(FsyncPolicy::Always));
-    assert_eq!(
-        FsyncPolicy::parse("commit"),
-        Some(FsyncPolicy::Commit { group_window_ms: 0 })
-    );
+    assert_eq!(FsyncPolicy::parse("commit"), Some(FsyncPolicy::Commit));
+    assert_eq!(FsyncPolicy::parse("commit"), Some(FsyncPolicy::default()));
     assert_eq!(FsyncPolicy::parse("off"), Some(FsyncPolicy::Off));
+    // There is no `always`: a transaction is one append, so `commit`
+    // already fsyncs after every append.
+    assert_eq!(FsyncPolicy::parse("always"), None);
     assert_eq!(FsyncPolicy::parse("sometimes"), None);
 }
 

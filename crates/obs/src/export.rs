@@ -3,7 +3,8 @@
 //! One event per line, serialized with `toolproto::Json` (deterministic
 //! key ordering, no external dependencies): every span becomes a
 //! `{"type":"span",...}` line, followed by a single `{"type":"metrics",...}`
-//! line carrying the counter/histogram snapshot. Attributes are encoded as
+//! line carrying every counter, histogram and gauge series with its labels.
+//! Attributes are encoded as
 //! an array of `[key, value]` pairs to preserve insertion order and
 //! duplicate keys. Lines with an unknown `type` are skipped on import, so
 //! the format can grow without breaking old readers.
@@ -13,11 +14,10 @@
 //! The instrumentation in this workspace only emits `Int`, `Str`, and
 //! `Bool` attributes, which all round-trip exactly.
 
-use crate::metrics::{HistogramSnapshot, MetricsSnapshot};
+use crate::metrics::{HistogramSnapshot, LabelSet, MetricsSnapshot, Sample};
 use crate::span::{AttrValue, SpanRecord};
 use crate::trace::TraceId;
 use crate::ObsSnapshot;
-use std::collections::BTreeMap;
 use toolproto::Json;
 
 fn attr_to_json(value: &AttrValue) -> Json {
@@ -136,77 +136,106 @@ pub fn span_from_json(obj: &Json) -> Result<SpanRecord, String> {
     })
 }
 
-/// Serialize a metrics snapshot to its JSONL object.
-pub fn metrics_to_json(metrics: &MetricsSnapshot) -> Json {
-    let counters = Json::object(
-        metrics
-            .counters
-            .iter()
-            .map(|(k, v)| (k.clone(), Json::num(*v as f64))),
-    );
-    let histograms = Json::object(metrics.histograms.iter().map(|(k, h)| {
+fn sample_to_json<V>(sample: &Sample<V>, value: Json) -> Json {
+    Json::object([
+        ("name", Json::str(sample.name.clone())),
         (
-            k.clone(),
-            Json::object([
-                ("count", Json::num(h.count as f64)),
-                ("sum_ns", Json::num(h.sum_ns as f64)),
-                (
-                    "buckets",
-                    Json::array(h.buckets.iter().map(|&b| Json::num(b as f64))),
-                ),
-            ]),
-        )
-    }));
+            "labels",
+            Json::object(
+                sample
+                    .labels
+                    .iter()
+                    .map(|(k, v)| (k.clone(), Json::str(v.clone()))),
+            ),
+        ),
+        ("value", value),
+    ])
+}
+
+fn histogram_to_json(h: &HistogramSnapshot) -> Json {
+    Json::object([
+        ("count", Json::num(h.count as f64)),
+        ("sum_ns", Json::num(h.sum_ns as f64)),
+        (
+            "buckets",
+            Json::array(h.buckets.iter().map(|&b| Json::num(b as f64))),
+        ),
+    ])
+}
+
+fn count_from_json(v: &Json) -> Option<u64> {
+    v.as_i64().and_then(|i| u64::try_from(i).ok())
+}
+
+fn histogram_from_json(v: &Json) -> Option<HistogramSnapshot> {
+    Some(HistogramSnapshot {
+        count: count_from_json(v.get("count")?)?,
+        sum_ns: count_from_json(v.get("sum_ns")?)?,
+        buckets: v
+            .get("buckets")?
+            .as_array()?
+            .iter()
+            .map(count_from_json)
+            .collect::<Option<Vec<u64>>>()?,
+    })
+}
+
+/// Serialize a metrics snapshot to its JSONL object: one
+/// `{"name","labels","value"}` object per series, in an array per kind.
+pub fn metrics_to_json(metrics: &MetricsSnapshot) -> Json {
+    let counters = metrics
+        .labeled_counters
+        .iter()
+        .map(|c| sample_to_json(c, Json::num(c.value as f64)));
+    let histograms = metrics
+        .labeled_histograms
+        .iter()
+        .map(|h| sample_to_json(h, histogram_to_json(&h.value)));
+    let gauges = metrics
+        .gauges
+        .iter()
+        .map(|g| sample_to_json(g, Json::num(g.value)));
     Json::object([
         ("type", Json::str("metrics")),
-        ("counters", counters),
-        ("histograms", histograms),
+        ("counters", Json::array(counters)),
+        ("histograms", Json::array(histograms)),
+        ("gauges", Json::array(gauges)),
     ])
+}
+
+fn sample_from_json<V>(item: &Json, value: impl Fn(&Json) -> Option<V>) -> Option<Sample<V>> {
+    let labels = item.get("labels")?.as_object()?.iter();
+    Some(Sample {
+        name: item.get("name")?.as_str()?.to_owned(),
+        labels: labels
+            .map(|(k, v)| Some((k.clone(), v.as_str()?.to_owned())))
+            .collect::<Option<LabelSet>>()?,
+        value: value(item.get("value")?)?,
+    })
+}
+
+/// Parse the series array `obj[kind]` (absent means empty).
+fn samples_from_json<V>(
+    obj: &Json,
+    kind: &str,
+    value: impl Fn(&Json) -> Option<V>,
+) -> Result<Vec<Sample<V>>, String> {
+    let items = obj.get(kind).and_then(Json::as_array).unwrap_or_default();
+    items
+        .iter()
+        .map(|item| {
+            sample_from_json(item, &value)
+                .ok_or_else(|| format!("malformed {kind} series: {}", item.to_compact()))
+        })
+        .collect()
 }
 
 /// Parse a metrics object back into a [`MetricsSnapshot`].
 pub fn metrics_from_json(obj: &Json) -> Result<MetricsSnapshot, String> {
-    let mut counters = BTreeMap::new();
-    if let Some(map) = obj.get("counters").and_then(Json::as_object) {
-        for (k, v) in map {
-            let n = v
-                .as_i64()
-                .and_then(|i| u64::try_from(i).ok())
-                .ok_or_else(|| format!("counter `{k}` is not a count"))?;
-            counters.insert(k.clone(), n);
-        }
-    }
-    let mut histograms = BTreeMap::new();
-    if let Some(map) = obj.get("histograms").and_then(Json::as_object) {
-        for (k, v) in map {
-            let buckets = v
-                .get("buckets")
-                .and_then(Json::as_array)
-                .ok_or_else(|| format!("histogram `{k}` missing buckets"))?
-                .iter()
-                .map(|b| {
-                    b.as_i64()
-                        .and_then(|i| u64::try_from(i).ok())
-                        .ok_or_else(|| format!("histogram `{k}` bucket is not a count"))
-                })
-                .collect::<Result<Vec<u64>, String>>()?;
-            histograms.insert(
-                k.clone(),
-                HistogramSnapshot {
-                    count: req_u64(v, "count")?,
-                    sum_ns: req_u64(v, "sum_ns")?,
-                    buckets,
-                },
-            );
-        }
-    }
-    // Labeled series and gauges are not round-tripped through JSONL yet:
-    // the trace format predates them and the parser tolerates their
-    // absence, so a re-parsed snapshot carries empty vectors here.
     Ok(MetricsSnapshot {
-        counters,
-        histograms,
-        ..MetricsSnapshot::default()
+        labeled_counters: samples_from_json(obj, "counters", count_from_json)?,
+        labeled_histograms: samples_from_json(obj, "histograms", histogram_from_json)?,
+        gauges: samples_from_json(obj, "gauges", Json::as_f64)?,
     })
 }
 
@@ -292,18 +321,32 @@ mod tests {
         assert!(span_from_json(&Json::parse(bad).unwrap()).is_err());
     }
 
+    fn sample<V>(name: &str, labels: &[(&str, &str)], value: V) -> Sample<V> {
+        Sample {
+            name: name.into(),
+            labels: labels
+                .iter()
+                .map(|(k, v)| ((*k).to_owned(), (*v).to_owned()))
+                .collect(),
+            value,
+        }
+    }
+
     #[test]
     fn metrics_round_trip_exactly() {
-        let mut metrics = MetricsSnapshot::default();
-        metrics.counters.insert("tool.calls".into(), 9);
-        metrics.histograms.insert(
-            "tool.latency.select".into(),
-            HistogramSnapshot {
-                count: 2,
-                sum_ns: 3000,
-                buckets: vec![2, 0, 0],
-            },
-        );
+        let histogram = HistogramSnapshot {
+            count: 2,
+            sum_ns: 3000,
+            buckets: vec![2, 0, 0],
+        };
+        let metrics = MetricsSnapshot {
+            labeled_counters: vec![
+                sample("tool.calls", &[("outcome", "ok"), ("tool", "select")], 9),
+                sample("wire.sessions", &[], 2),
+            ],
+            labeled_histograms: vec![sample("tool.latency", &[("tool", "select")], histogram)],
+            gauges: vec![sample("gate.plan_cache.hit_rate", &[("user", "a")], 0.25)],
+        };
         let back = metrics_from_json(&metrics_to_json(&metrics)).unwrap();
         assert_eq!(back, metrics);
     }

@@ -5,27 +5,29 @@
 //! recorder answers the live-operations question "what were the worst calls
 //! *recently*, and what did they spend their time on". Every finished span
 //! is offered to the recorder. Spans are buffered in a bounded FIFO pool;
-//! when a *trigger* span (name matching one of the configured prefixes,
-//! e.g. `tool:` or `wire:call`) closes and the tail-based retention rule
-//! fires — the call was **slow** (over the threshold), **errored**, or
-//! **explicitly sampled** (the `trace.sampled` attribute, set per-user via
-//! [`FlightRecorder::should_sample`]) — the recorder captures it together
+//! when a *trigger* span (a `tool:{name}` span or the `wire:call` wrapper)
+//! closes and the tail-based retention rule fires — the call was **slow**
+//! (over the threshold) or **errored** — the recorder captures it together
 //! with every buffered descendant — children always close before their
 //! parents, so the full subtree is already in the pool — into a ring of
 //! [`SlowCall`] entries. The ring overwrites its oldest entry when full,
 //! so memory stays bounded no matter how long the server runs; evictions
 //! are reported in the [`OfferOutcome`] so the owner can count them.
 
-use crate::span::{AttrValue, SpanRecord};
+use crate::span::SpanRecord;
 use crate::trace::TraceId;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use toolproto::Json;
 
-/// Span attribute that marks a call tree as explicitly sampled; trigger
-/// spans carrying it are retained regardless of duration.
-pub const SAMPLED_ATTR: &str = "trace.sampled";
+/// Span-name prefixes that can trigger a capture: every `tool:{name}` span
+/// and the wire dispatch wrapper.
+const TRIGGER_PREFIXES: [&str; 2] = ["tool:", "wire:call"];
+
+/// Maximum buffered finished spans awaiting their root's close. Bounds
+/// memory; a subtree larger than this is captured truncated.
+const PENDING_CAPACITY: usize = 4096;
 
 /// Tuning for a [`FlightRecorder`].
 #[derive(Debug, Clone, PartialEq)]
@@ -34,17 +36,6 @@ pub struct FlightConfig {
     pub threshold_ns: u64,
     /// Maximum retained [`SlowCall`] entries; the oldest is evicted first.
     pub ring_capacity: usize,
-    /// Maximum buffered finished spans awaiting their root's close. Bounds
-    /// memory; a subtree larger than this is captured truncated.
-    pub pending_capacity: usize,
-    /// Span-name prefixes that can trigger a capture. `tool:` matches every
-    /// `tool:{name}` span; `wire:call` matches the wire dispatch wrapper.
-    pub trigger_prefixes: Vec<String>,
-    /// Fraction of calls (per user) retained even when fast and clean, in
-    /// `[0, 1]`. 0 disables explicit sampling.
-    pub sample_rate: f64,
-    /// Per-user overrides of [`FlightConfig::sample_rate`].
-    pub user_sample_rates: Vec<(String, f64)>,
 }
 
 impl Default for FlightConfig {
@@ -52,10 +43,6 @@ impl Default for FlightConfig {
         FlightConfig {
             threshold_ns: 100_000_000, // 100ms
             ring_capacity: 64,
-            pending_capacity: 4096,
-            trigger_prefixes: vec!["tool:".to_owned(), "wire:call".to_owned()],
-            sample_rate: 0.0,
-            user_sample_rates: Vec::new(),
         }
     }
 }
@@ -68,19 +55,6 @@ impl FlightConfig {
             ..FlightConfig::default()
         }
     }
-
-    /// Set the default per-user sample rate (clamped to `[0, 1]`).
-    pub fn sampled(mut self, rate: f64) -> Self {
-        self.sample_rate = rate.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Override the sample rate for one user (clamped to `[0, 1]`).
-    pub fn sampled_user(mut self, user: &str, rate: f64) -> Self {
-        self.user_sample_rates
-            .push((user.to_owned(), rate.clamp(0.0, 1.0)));
-        self
-    }
 }
 
 /// Why a call tree was retained.
@@ -90,8 +64,6 @@ pub enum CaptureReason {
     Slow,
     /// The trigger span carried an error.
     Error,
-    /// The trigger span was explicitly sampled ([`SAMPLED_ATTR`]).
-    Sampled,
 }
 
 impl CaptureReason {
@@ -100,7 +72,6 @@ impl CaptureReason {
         match self {
             CaptureReason::Slow => "slow",
             CaptureReason::Error => "error",
-            CaptureReason::Sampled => "sampled",
         }
     }
 }
@@ -178,9 +149,6 @@ pub struct FlightRecorder {
     config: FlightConfig,
     inner: Mutex<FlightInner>,
     seq: AtomicU64,
-    /// Per-user fractional sampling credit; deterministic (no RNG): each
-    /// decision adds the user's rate and fires when the credit crosses 1.
-    sample_credit: Mutex<HashMap<String, f64>>,
 }
 
 impl std::fmt::Debug for FlightRecorder {
@@ -202,7 +170,6 @@ impl FlightRecorder {
                 ring: VecDeque::new(),
             }),
             seq: AtomicU64::new(0),
-            sample_credit: Mutex::new(HashMap::new()),
         }
     }
 
@@ -211,67 +178,14 @@ impl FlightRecorder {
         self.config.threshold_ns
     }
 
-    /// Total captures since construction (monotonic, survives ring
-    /// eviction).
-    pub fn captured_total(&self) -> u64 {
-        self.seq.load(Ordering::Relaxed)
-    }
-
-    fn is_trigger(&self, name: &str) -> bool {
-        self.config
-            .trigger_prefixes
-            .iter()
-            .any(|p| name.starts_with(p.as_str()))
-    }
-
-    /// The effective sample rate for `user`.
-    fn sample_rate_for(&self, user: &str) -> f64 {
-        self.config
-            .user_sample_rates
-            .iter()
-            .find(|(u, _)| u == user)
-            .map(|(_, r)| *r)
-            .unwrap_or(self.config.sample_rate)
-    }
-
-    /// Decide whether `user`'s next call should be explicitly retained.
-    /// Deterministic credit sampling: every decision adds the user's rate
-    /// to an accumulator and fires when it crosses 1, so a rate of 0.25
-    /// retains exactly every 4th call. Credit state is bounded; users past
-    /// the bound fall back to the memoryless rate-≥1 decision.
-    pub fn should_sample(&self, user: &str) -> bool {
-        let rate = self.sample_rate_for(user);
-        if rate <= 0.0 {
-            return false;
-        }
-        if rate >= 1.0 {
-            return true;
-        }
-        const MAX_TRACKED_USERS: usize = 1024;
-        let mut credit = self.sample_credit.lock().expect("sample lock");
-        if !credit.contains_key(user) && credit.len() >= MAX_TRACKED_USERS {
-            return false;
-        }
-        let slot = credit.entry(user.to_owned()).or_insert(0.0);
-        *slot += rate;
-        if *slot >= 1.0 {
-            *slot -= 1.0;
-            true
-        } else {
-            false
-        }
-    }
-
     fn retention_reason(&self, span: &SpanRecord) -> Option<CaptureReason> {
-        if !self.is_trigger(&span.name) {
+        if !TRIGGER_PREFIXES.iter().any(|p| span.name.starts_with(p)) {
             return None;
         }
         if span.duration_ns() >= self.config.threshold_ns {
             Some(CaptureReason::Slow)
         } else if span.error.is_some() {
             Some(CaptureReason::Error)
-        } else if span.attr(SAMPLED_ATTR) == Some(&AttrValue::Bool(true)) {
-            Some(CaptureReason::Sampled)
         } else {
             None
         }
@@ -304,7 +218,7 @@ impl FlightRecorder {
             });
         }
         inner.pending.push_back(span);
-        while inner.pending.len() > self.config.pending_capacity.max(1) {
+        while inner.pending.len() > PENDING_CAPACITY {
             inner.pending.pop_front();
             outcome.pending_dropped += 1;
         }
@@ -337,11 +251,6 @@ impl FlightRecorder {
     /// Currently retained captures (ring occupancy, for gauges).
     pub fn ring_len(&self) -> usize {
         self.inner.lock().expect("flight lock").ring.len()
-    }
-
-    /// Configured ring capacity.
-    pub fn ring_capacity(&self) -> usize {
-        self.config.ring_capacity
     }
 }
 
@@ -425,24 +334,17 @@ mod tests {
     }
 
     #[test]
-    fn errored_and_sampled_calls_are_retained_even_when_fast() {
+    fn errored_calls_are_retained_even_when_fast() {
         let fr = FlightRecorder::new(FlightConfig::with_threshold_ns(1_000_000));
         let mut errored = rec(1, None, "wire:call", 0, 10);
         errored.error = Some("boom".into());
         assert_eq!(fr.offer(errored).captured, Some(CaptureReason::Error));
-        let mut sampled = rec(2, None, "tool:select", 20, 30);
-        sampled
-            .attrs
-            .push((SAMPLED_ATTR.to_owned(), AttrValue::Bool(true)));
-        assert_eq!(fr.offer(sampled).captured, Some(CaptureReason::Sampled));
-        // A sampled mark on a non-trigger span does nothing.
-        let mut inner = rec(3, None, "sql:execute", 40, 50);
-        inner
-            .attrs
-            .push((SAMPLED_ATTR.to_owned(), AttrValue::Bool(true)));
+        // An error on a non-trigger span does nothing.
+        let mut inner = rec(2, None, "sql:execute", 40, 50);
+        inner.error = Some("boom".into());
         assert!(fr.offer(inner).captured.is_none());
         let reasons: Vec<CaptureReason> = fr.slow_calls().iter().map(|c| c.reason).collect();
-        assert_eq!(reasons, [CaptureReason::Error, CaptureReason::Sampled]);
+        assert_eq!(reasons, [CaptureReason::Error]);
     }
 
     #[test]
@@ -460,25 +362,10 @@ mod tests {
     }
 
     #[test]
-    fn credit_sampling_is_deterministic_per_user() {
-        let fr = FlightRecorder::new(
-            FlightConfig::default()
-                .sampled(0.25)
-                .sampled_user("vip", 1.0),
-        );
-        let fired: Vec<bool> = (0..8).map(|_| fr.should_sample("alice")).collect();
-        assert_eq!(fired.iter().filter(|&&b| b).count(), 2); // 8 × 0.25
-        assert!(fr.should_sample("vip"));
-        let zero = FlightRecorder::new(FlightConfig::default());
-        assert!(!zero.should_sample("alice"));
-    }
-
-    #[test]
     fn ring_wraps_around_keeping_newest() {
         let config = FlightConfig {
             threshold_ns: 10,
             ring_capacity: 3,
-            ..FlightConfig::default()
         };
         let fr = FlightRecorder::new(config);
         let mut evictions = 0u64;
@@ -488,28 +375,23 @@ mod tests {
         }
         let calls = fr.slow_calls();
         assert_eq!(calls.len(), 3);
-        assert_eq!(fr.captured_total(), 10);
-        assert_eq!(evictions, 7); // 10 captures into a 3-slot ring
-                                  // Oldest evicted: the survivors are captures 8, 9, 10.
+        // 10 captures into a 3-slot ring evict the oldest seven: the
+        // survivors are captures 8, 9, 10.
+        assert_eq!(evictions, 7);
         assert_eq!(calls[0].seq, 8);
         assert_eq!(calls[2].seq, 10);
     }
 
     #[test]
     fn pending_pool_is_bounded() {
-        let config = FlightConfig {
-            threshold_ns: 1_000_000,
-            pending_capacity: 4,
-            ..FlightConfig::default()
-        };
-        let fr = FlightRecorder::new(config);
+        let fr = FlightRecorder::new(FlightConfig::with_threshold_ns(1_000_000));
         let mut dropped = 0u64;
-        for i in 0..100u64 {
+        for i in 0..PENDING_CAPACITY as u64 + 96 {
             dropped += fr
                 .offer(rec(i + 1, None, "sql:execute", i, i + 1))
                 .pending_dropped;
         }
-        assert!(fr.inner.lock().unwrap().pending.len() <= 4);
+        assert_eq!(fr.inner.lock().unwrap().pending.len(), PENDING_CAPACITY);
         assert_eq!(dropped, 96);
     }
 

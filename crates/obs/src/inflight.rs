@@ -91,13 +91,8 @@ impl InflightRegistry {
     }
 
     /// Number of live calls.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.inner.lock().expect("inflight lock").len()
-    }
-
-    /// Whether no calls are live.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// JSON form served by the admin `/queries` endpoint. `now_ns` (the
@@ -149,7 +144,7 @@ mod tests {
         assert_eq!(reg.len(), 1);
         assert_eq!(reg.snapshot()[0].user, "bob");
         reg.end(2);
-        assert!(reg.is_empty());
+        assert_eq!(reg.len(), 0);
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //!
 //! * hierarchical [spans](span::SpanRecord) with ids, parents, attributes,
 //!   and monotonic nanosecond timings,
-//! * a [`MetricsRegistry`](metrics::MetricsRegistry) of named counters and
-//!   fixed-bucket latency histograms,
-//! * a [`Recorder`](recorder::Recorder) trait with a sharded in-memory sink,
+//! * a [`MetricsRegistry`](metrics::MetricsRegistry) of counter, latency
+//!   histogram and gauge series, each a `(name, labels)` pair,
+//! * a [sharded in-memory span sink](recorder::ShardedSink),
 //! * a [JSONL exporter](export) (one event per line, `toolproto::Json`
 //!   syntax) with a matching parser, and
 //! * a [summary table renderer](summary) for human-readable per-run reports.
@@ -52,22 +52,19 @@ pub mod summary;
 pub mod trace;
 
 pub use export::{parse_jsonl, to_jsonl};
-pub use flight::{
-    CaptureReason, FlightConfig, FlightRecorder, OfferOutcome, SlowCall, SAMPLED_ATTR,
-};
+pub use flight::{CaptureReason, FlightConfig, FlightRecorder, OfferOutcome, SlowCall};
 pub use inflight::{InflightCall, InflightRegistry};
 pub use metrics::{
-    canonical_labels, GaugeId, GaugeSample, Histogram, HistogramSnapshot, LabelSet, LabeledCounter,
-    LabeledHistogram, MetricsRegistry, MetricsSnapshot,
+    Histogram, HistogramSnapshot, LabelSet, MetricsRegistry, MetricsSnapshot, Sample,
 };
 pub use observer::RegistryObserver;
-pub use recorder::{Recorder, ShardedSink};
+pub use recorder::ShardedSink;
 pub use span::{
-    adopt, adopt_context, current_context, current_parent, current_trace, validate_tree, AttrValue,
-    ParentScope, SpanContext, SpanGuard, SpanRecord,
+    adopt_context, current_parent, current_trace, validate_tree, AttrValue, ParentScope,
+    SpanContext, SpanGuard, SpanRecord,
 };
 pub use stmt::{StatementEntry, StatementOutcome, StatementStats, StatementStore};
-pub use trace::{next_span_id, next_trace_id, seed_ids, SpanId, TraceContext, TraceId};
+pub use trace::{next_span_id, next_trace_id, SpanId, TraceContext, TraceId};
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -115,7 +112,6 @@ impl ObsInner {
     }
 
     pub(crate) fn record(&self, span: SpanRecord) {
-        use recorder::Recorder as _;
         if let Some(flight) = &self.flight {
             let outcome = flight.offer(span.clone());
             if outcome.captured.is_some() {
@@ -138,7 +134,7 @@ impl ObsInner {
 pub struct ObsSnapshot {
     /// Finished spans sorted by `(start_ns, id)`.
     pub spans: Vec<SpanRecord>,
-    /// Counter and histogram values.
+    /// Counter, histogram and gauge series.
     pub metrics: MetricsSnapshot,
 }
 
@@ -237,21 +233,21 @@ impl Obs {
         }
     }
 
-    /// Add `by` to the counter `name` (no-op when disabled).
+    /// Add `by` to the unlabeled counter `name` (no-op when disabled).
     pub fn incr(&self, name: &str, by: u64) {
         if let Some(inner) = &self.inner {
             inner.metrics.incr(name, by);
         }
     }
 
-    /// Record a latency observation in the histogram `name`.
+    /// Record a latency observation in the unlabeled histogram `name`.
     pub fn observe_ns(&self, name: &str, ns: u64) {
         if let Some(inner) = &self.inner {
             inner.metrics.observe_ns(name, ns);
         }
     }
 
-    /// Add `by` to the labeled counter series `name{labels}` (no-op when
+    /// Add `by` to the counter series `name{labels}` (no-op when
     /// disabled). Labels must be low-cardinality; see the metrics docs.
     pub fn incr_with(&self, name: &str, labels: &[(&str, &str)], by: u64) {
         if let Some(inner) = &self.inner {
@@ -259,7 +255,7 @@ impl Obs {
         }
     }
 
-    /// Record a latency observation in the labeled histogram series
+    /// Record a latency observation in the histogram series
     /// `name{labels}` (no-op when disabled).
     pub fn observe_ns_with(&self, name: &str, labels: &[(&str, &str)], ns: u64) {
         if let Some(inner) = &self.inner {
@@ -267,42 +263,20 @@ impl Obs {
         }
     }
 
-    /// Register a gauge sampler on this handle's metrics registry. Returns
-    /// `None` when disabled.
+    /// Register the gauge series `name{labels}` (no-op when disabled).
+    /// Registering the same series again replaces its sampler, so a
+    /// surface rebuilt per session (e.g. per-user cache gauges, with the
+    /// `Weak`-and-`NaN` idiom for samplers that can outlive their subject)
+    /// keeps one series. See [`MetricsRegistry::register_gauge`].
     pub fn register_gauge(
         &self,
         name: &str,
         labels: &[(&str, &str)],
         sampler: impl Fn() -> f64 + Send + Sync + 'static,
-    ) -> Option<GaugeId> {
-        self.inner
-            .as_ref()
-            .map(|inner| inner.metrics.register_gauge(name, labels, sampler))
-    }
-
-    /// Register a gauge sampler keyed on `(name, labels)`: re-registering
-    /// the same series replaces the sampler in place instead of adding a
-    /// duplicate. Use for samplers re-registered per session/server build
-    /// (e.g. per-user cache gauges) together with the `Weak`-and-`NaN`
-    /// idiom for samplers that can outlive their subject. Returns `None`
-    /// when disabled.
-    pub fn register_gauge_keyed(
-        &self,
-        name: &str,
-        labels: &[(&str, &str)],
-        sampler: impl Fn() -> f64 + Send + Sync + 'static,
-    ) -> Option<GaugeId> {
-        self.inner
-            .as_ref()
-            .map(|inner| inner.metrics.register_gauge_keyed(name, labels, sampler))
-    }
-
-    /// Remove a previously registered gauge sampler.
-    pub fn unregister_gauge(&self, id: GaugeId) -> bool {
-        self.inner
-            .as_ref()
-            .map(|inner| inner.metrics.unregister_gauge(id))
-            .unwrap_or(false)
+    ) {
+        if let Some(inner) = &self.inner {
+            inner.metrics.register_gauge(name, labels, sampler);
+        }
     }
 
     /// Whether a flight recorder is attached to this handle.
@@ -338,17 +312,6 @@ impl Obs {
             .as_ref()
             .and_then(|inner| inner.flight.as_ref())
             .and_then(|flight| flight.slow_call_by_trace(trace))
-    }
-
-    /// Whether `user`'s next call should be explicitly retained by the
-    /// flight recorder (tail-based sampling). Always `false` when disabled
-    /// or no flight recorder is attached.
-    pub fn should_sample(&self, user: &str) -> bool {
-        self.inner
-            .as_ref()
-            .and_then(|inner| inner.flight.as_ref())
-            .map(|flight| flight.should_sample(user))
-            .unwrap_or(false)
     }
 
     /// Record one executed statement into the statement statistics store
@@ -390,27 +353,10 @@ impl Obs {
         }
     }
 
-    /// Per-(user, statement) aggregates, sorted by total time descending
-    /// (empty when disabled).
-    pub fn statements_snapshot(&self) -> Vec<StatementEntry> {
-        self.inner
-            .as_ref()
-            .map(|inner| inner.statements.snapshot())
-            .unwrap_or_default()
-    }
-
     /// The statement store's JSON form (admin `/statements`); `None` when
     /// disabled.
     pub fn statements_json(&self) -> Option<toolproto::Json> {
         self.inner.as_ref().map(|inner| inner.statements.to_json())
-    }
-
-    /// Keys evicted from the statement store since creation.
-    pub fn statements_evicted_total(&self) -> u64 {
-        self.inner
-            .as_ref()
-            .map(|inner| inner.statements.evicted_total())
-            .unwrap_or(0)
     }
 
     /// Register a live call in the in-flight registry, picking up the
@@ -438,14 +384,6 @@ impl Obs {
         if let (Some(inner), Some(trace)) = (&self.inner, current_trace()) {
             inner.inflight.note_statement(trace, statement);
         }
-    }
-
-    /// Live calls, oldest first (empty when disabled).
-    pub fn inflight(&self) -> Vec<InflightCall> {
-        self.inner
-            .as_ref()
-            .map(|inner| inner.inflight.snapshot())
-            .unwrap_or_default()
     }
 
     /// The in-flight registry's JSON form (admin `/queries`); `None` when
@@ -628,7 +566,7 @@ mod tests {
         obs.observe_ns("h", 10);
         let snap = obs.snapshot();
         assert!(snap.spans.is_empty());
-        assert!(snap.metrics.counters.is_empty());
+        assert!(snap.metrics.labeled_counters.is_empty());
         assert_eq!(obs.export_jsonl(), "");
         assert!(obs.flush().unwrap().is_none());
         assert!(obs.registry_observer().is_none());
@@ -674,7 +612,7 @@ mod tests {
         let obs = Obs::in_memory();
         obs.incr_with("tool.calls", &[("tool", "select"), ("outcome", "ok")], 3);
         obs.observe_ns_with("tool.latency", &[("tool", "select")], 1_000);
-        let id = obs.register_gauge("queue.depth", &[], || 7.0).unwrap();
+        obs.register_gauge("queue.depth", &[], || 7.0);
         let snap = obs.snapshot().metrics;
         assert!(snap.gauge("process.uptime_seconds", &[]).is_some());
         assert_eq!(snap.gauge("queue.depth", &[]), Some(7.0));
@@ -682,8 +620,6 @@ mod tests {
             snap.labeled_counter("tool.calls", &[("outcome", "ok"), ("tool", "select")]),
             3
         );
-        assert!(obs.unregister_gauge(id));
-        assert_eq!(obs.snapshot().metrics.gauge("queue.depth", &[]), None);
     }
 
     #[test]
@@ -713,7 +649,8 @@ mod tests {
         let obs = Obs::disabled();
         obs.incr_with("c", &[("a", "b")], 1);
         obs.observe_ns_with("h", &[], 5);
-        assert!(obs.register_gauge("g", &[], || 1.0).is_none());
+        obs.register_gauge("g", &[], || 1.0);
+        assert!(obs.snapshot().metrics.gauges.is_empty());
         assert!(!obs.flight_enabled());
         assert!(obs.slow_calls().is_empty());
         assert!(obs.start_flusher(Duration::from_millis(5)).is_none());
@@ -774,7 +711,8 @@ mod tests {
         let span = obs.span("wire:call");
         let guard = obs.begin_call("alice", "select");
         obs.note_statement("SELECT 1");
-        let live = obs.inflight();
+        let inner = obs.inner.as_ref().unwrap();
+        let live = inner.inflight.snapshot();
         assert_eq!(live.len(), 1);
         assert_eq!(live[0].user, "alice");
         assert_eq!(live[0].trace, span.trace());
@@ -785,7 +723,7 @@ mod tests {
             Some(1)
         );
         drop(guard);
-        assert!(obs.inflight().is_empty());
+        assert_eq!(inner.inflight.len(), 0);
         assert_eq!(
             obs.snapshot().metrics.gauge("obs.queries.in_flight", &[]),
             Some(0.0)
@@ -804,7 +742,7 @@ mod tests {
             false,
             StatementOutcome::Conflict,
         );
-        let snap = obs.statements_snapshot();
+        let snap = obs.inner.as_ref().unwrap().statements.snapshot();
         assert_eq!(snap.len(), 1);
         assert_eq!(snap[0].stats.calls, 2);
         assert_eq!(snap[0].stats.conflicts, 1);
@@ -818,7 +756,6 @@ mod tests {
         // Disabled handles stay inert.
         let off = Obs::disabled();
         off.record_statement("u", "s", 1, 0, false, StatementOutcome::Ok);
-        assert!(off.statements_snapshot().is_empty());
         assert!(off.statements_json().is_none());
         assert!(off.inflight_json().is_none());
         let g = off.begin_call("u", "t");
@@ -830,7 +767,6 @@ mod tests {
         let config = FlightConfig {
             threshold_ns: 1,
             ring_capacity: 2,
-            ..FlightConfig::default()
         };
         let obs = Obs::with_flight(&ObsConfig::InMemory, config);
         for _ in 0..5 {

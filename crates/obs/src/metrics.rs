@@ -1,82 +1,85 @@
-//! Named counters, fixed-bucket latency histograms, labeled series, and
-//! sampled gauges.
+//! Counters, latency histograms and sampled gauges, all as series.
 //!
-//! The registry is concurrency-safe: metric handles are `Arc`ed atomics
-//! behind an `RwLock`ed name map, so the hot path (bumping an existing
-//! metric) takes only a read lock plus an atomic add.
+//! A series is `(name, labels)`; an unlabeled metric is the series with the
+//! empty label set. A name carries either labeled series or one unlabeled
+//! series, never both, so [`MetricsSnapshot::counter`] — the sum over a
+//! name's series — is the family total and totals are never written
+//! separately. Labels must be *low-cardinality* (tool names, user names,
+//! outcome classes); never put SQL text, row values, or ids in a label.
 //!
-//! Two kinds of series exist side by side:
-//!
-//! * **Unlabeled** counters/histograms keyed by name only — the original
-//!   post-mortem naming scheme (`tool.calls.{tool}` etc.) kept for
-//!   backwards compatibility with the summary renderer and JSONL traces.
-//! * **Labeled** counters/histograms keyed by `(name, label set)` — the
-//!   live-telemetry scheme the Prometheus exposition ([`crate::prom`])
-//!   renders. Labels must be *low-cardinality* (tool names, user names,
-//!   outcome classes); never put SQL text, row values, or ids in a label.
-//!
-//! [`Gauge`]s are different from both: a gauge is a registered *sampler
-//! callback* evaluated at snapshot time, so point-in-time values (queue
-//! depth, retained MVCC versions, WAL backlog) are read live instead of
-//! being pushed on every change.
+//! Each kind lives in one `SeriesMap`: families by name behind an `RwLock`,
+//! so bumping an existing series takes a read lock, a lookup that allocates
+//! nothing, and an atomic add. A gauge is a *sampler callback* evaluated at
+//! snapshot time, so point-in-time values (queue depth, retained MVCC
+//! versions, WAL backlog) are read live instead of being pushed on every
+//! change.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-/// A canonical label set: `(key, value)` pairs sorted by key. Produced by
-/// [`canonical_labels`]; two call sites naming the same labels in different
-/// orders address the same series.
+/// A label set: `(key, value)` pairs sorted by key.
 pub type LabelSet = Vec<(String, String)>;
 
-/// Sort labels by key into the canonical [`LabelSet`] form.
-pub fn canonical_labels(labels: &[(&str, &str)]) -> LabelSet {
-    let mut out: LabelSet = labels
-        .iter()
-        .map(|(k, v)| ((*k).to_owned(), (*v).to_owned()))
-        .collect();
-    out.sort();
-    out
-}
-
-/// Upper bounds (inclusive, nanoseconds) of the latency histogram buckets.
-/// A final open-ended bucket catches everything above the last bound, for
-/// [`BUCKET_COUNT`] buckets total: 1µs … 1s, then overflow.
-pub const LATENCY_BOUNDS_NS: [u64; 13] = [
-    1_000,
-    5_000,
-    10_000,
-    50_000,
-    100_000,
-    500_000,
-    1_000_000,
-    5_000_000,
-    10_000_000,
-    50_000_000,
-    100_000_000,
-    500_000_000,
-    1_000_000_000,
-];
+/// Upper bounds (inclusive, nanoseconds) of the latency histogram buckets:
+/// log-linear, two per power of two (`2^k`, `1.5·2^k`) from 512 ns to
+/// 2^34 ns ≈ 17.2 s, so adjacent bounds differ by at most 1.5×. A final
+/// open-ended bucket catches everything above the last bound, for
+/// [`BUCKET_COUNT`] buckets total.
+pub const LATENCY_BOUNDS_NS: [u64; 51] = latency_bounds();
 
 /// Number of histogram buckets (`LATENCY_BOUNDS_NS` plus the overflow bucket).
 pub const BUCKET_COUNT: usize = LATENCY_BOUNDS_NS.len() + 1;
 
+const fn latency_bounds() -> [u64; 51] {
+    let mut bounds = [0; 51];
+    let mut i = 0;
+    while i < bounds.len() {
+        bounds[i] = if i % 2 == 0 {
+            1 << (9 + i / 2)
+        } else {
+            3 << (8 + i / 2)
+        };
+        i += 1;
+    }
+    bounds
+}
+
+/// The bucket holding `ns`, from its bit length instead of a scan. Bounds
+/// are inclusive, so index by `ns - 1`: its bit length names the power of
+/// two, and the bit below the top one says which half of it.
+fn bucket_of(ns: u64) -> usize {
+    let v = ns.saturating_sub(1);
+    let len = (u64::BITS - v.leading_zeros()) as usize;
+    if len < 10 {
+        return 0; // ns <= 512
+    }
+    let half = ((v >> (len - 2)) & 1) as usize;
+    (2 * (len - 10) + 1 + half).min(BUCKET_COUNT - 1)
+}
+
 /// A fixed-bucket latency histogram with atomic counters.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; BUCKET_COUNT],
     count: AtomicU64,
     sum_ns: AtomicU64,
 }
 
+impl Default for Histogram {
+    fn default() -> Self {
+        Histogram {
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            count: AtomicU64::new(0),
+            sum_ns: AtomicU64::new(0),
+        }
+    }
+}
+
 impl Histogram {
     /// Record one observation in nanoseconds.
     pub fn observe_ns(&self, ns: u64) {
-        let idx = LATENCY_BOUNDS_NS
-            .iter()
-            .position(|&bound| ns <= bound)
-            .unwrap_or(BUCKET_COUNT - 1);
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        self.buckets[bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum_ns.fetch_add(ns, Ordering::Relaxed);
     }
@@ -114,106 +117,173 @@ impl HistogramSnapshot {
     }
 
     /// Approximate quantile (`0.0..=1.0`) as the upper bound of the bucket
-    /// containing that rank; the overflow bucket reports the last bound.
+    /// containing that rank, so at most 1.5× the exact value; the overflow
+    /// bucket reports the last bound.
     pub fn quantile_ns(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
+        let last = LATENCY_BOUNDS_NS[LATENCY_BOUNDS_NS.len() - 1];
         let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
         let mut seen = 0u64;
         for (idx, &n) in self.buckets.iter().enumerate() {
             seen += n;
             if seen >= rank {
-                return LATENCY_BOUNDS_NS
-                    .get(idx)
-                    .copied()
-                    .unwrap_or(LATENCY_BOUNDS_NS[LATENCY_BOUNDS_NS.len() - 1]);
+                return LATENCY_BOUNDS_NS.get(idx).copied().unwrap_or(last);
             }
         }
-        LATENCY_BOUNDS_NS[LATENCY_BOUNDS_NS.len() - 1]
+        last
     }
 }
-
-/// Handle returned by [`MetricsRegistry::register_gauge`]; pass it to
-/// [`MetricsRegistry::unregister_gauge`] to remove the sampler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct GaugeId(u64);
 
 /// A registered gauge: a sampler callback evaluated at snapshot time.
 type Sampler = Arc<dyn Fn() -> f64 + Send + Sync>;
 
-struct Gauge {
-    name: String,
-    labels: LabelSet,
-    sampler: Sampler,
-}
-
-/// One sampled gauge value in a snapshot.
+/// One series in a snapshot: a counter's `u64`, a histogram's
+/// [`HistogramSnapshot`] or a gauge's sampled `f64`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct GaugeSample {
-    /// Gauge name.
+pub struct Sample<V> {
+    /// Metric name.
     pub name: String,
-    /// Canonical label set.
-    pub labels: LabelSet,
-    /// Sampled value.
-    pub value: f64,
-}
-
-/// One labeled counter series in a snapshot.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LabeledCounter {
-    /// Counter name.
-    pub name: String,
-    /// Canonical label set.
+    /// Label set, sorted by key; empty for an unlabeled metric.
     pub labels: LabelSet,
     /// Current value.
-    pub value: u64,
+    pub value: V,
 }
 
-/// One labeled histogram series in a snapshot.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LabeledHistogram {
-    /// Histogram name.
-    pub name: String,
-    /// Canonical label set.
-    pub labels: LabelSet,
-    /// Bucket counts and totals.
-    pub histogram: HistogramSnapshot,
+/// Whether the stored set holds exactly `labels`, in any order.
+fn same_labels(set: &LabelSet, labels: &[(&str, &str)]) -> bool {
+    set.len() == labels.len()
+        && labels
+            .iter()
+            .all(|(k, v)| set.iter().any(|(sk, sv)| sk == k && sv == v))
 }
 
-/// A concurrent registry of named counters, latency histograms, labeled
-/// series, and sampled gauges.
+/// Order-insensitive hash of a label set: the sum of per-pair FNV-1a
+/// hashes, so a lookup can skip most series without comparing strings.
+fn label_hash(labels: &[(&str, &str)]) -> u64 {
+    labels
+        .iter()
+        .map(|(k, v)| {
+            // 0xff never occurs in UTF-8, so it separates key from value.
+            k.bytes()
+                .chain([0xff])
+                .chain(v.bytes())
+                .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+                })
+        })
+        .fold(0, u64::wrapping_add)
+}
+
+struct Slot<T> {
+    hash: u64,
+    labels: LabelSet,
+    value: T,
+}
+
+impl<T> Slot<T> {
+    fn new(hash: u64, labels: &[(&str, &str)], value: T) -> Self {
+        let mut set: LabelSet = labels
+            .iter()
+            .map(|(k, v)| ((*k).to_owned(), (*v).to_owned()))
+            .collect();
+        set.sort();
+        Slot {
+            hash,
+            labels: set,
+            value,
+        }
+    }
+
+    fn is(&self, hash: u64, labels: &[(&str, &str)]) -> bool {
+        self.hash == hash && same_labels(&self.labels, labels)
+    }
+}
+
+/// Every series of one kind, in families by name.
+struct SeriesMap<T> {
+    families: RwLock<BTreeMap<String, Vec<Slot<T>>>>,
+}
+
+impl<T> Default for SeriesMap<T> {
+    fn default() -> Self {
+        SeriesMap {
+            families: RwLock::default(),
+        }
+    }
+}
+
+impl<T> SeriesMap<T> {
+    /// Run `f` on the series `(name, labels)`, creating it first when
+    /// absent. An existing series is found under the read lock without
+    /// allocating.
+    fn with<R>(&self, name: &str, labels: &[(&str, &str)], f: impl FnOnce(&T) -> R) -> R
+    where
+        T: Default,
+    {
+        let hash = label_hash(labels);
+        {
+            let families = self.families.read().expect("metrics lock");
+            let slot = families
+                .get(name)
+                .and_then(|family| family.iter().find(|s| s.is(hash, labels)));
+            if let Some(slot) = slot {
+                return f(&slot.value);
+            }
+        }
+        let mut families = self.families.write().expect("metrics lock");
+        let family = families.entry(name.to_owned()).or_default();
+        let idx = match family.iter().position(|s| s.is(hash, labels)) {
+            Some(idx) => idx,
+            None => {
+                family.push(Slot::new(hash, labels, T::default()));
+                family.len() - 1
+            }
+        };
+        f(&family[idx].value)
+    }
+
+    /// Insert the series `(name, labels)`, replacing its value if present.
+    fn insert(&self, name: &str, labels: &[(&str, &str)], value: T) {
+        let hash = label_hash(labels);
+        let mut families = self.families.write().expect("metrics lock");
+        let family = families.entry(name.to_owned()).or_default();
+        match family.iter_mut().find(|s| s.is(hash, labels)) {
+            Some(slot) => slot.value = value,
+            None => family.push(Slot::new(hash, labels, value)),
+        }
+    }
+
+    /// Every series, sorted by `(name, labels)`, with `read` applied to
+    /// its value under the read lock.
+    fn read<V>(&self, read: impl Fn(&T) -> V) -> Vec<Sample<V>> {
+        let families = self.families.read().expect("metrics lock");
+        let mut out = Vec::new();
+        for (name, family) in families.iter() {
+            let start = out.len();
+            out.extend(family.iter().map(|slot| Sample {
+                name: name.clone(),
+                labels: slot.labels.clone(),
+                value: read(&slot.value),
+            }));
+            out[start..].sort_by(|a, b| a.labels.cmp(&b.labels));
+        }
+        out
+    }
+}
+
+/// A concurrent registry of counter, histogram and gauge series.
 #[derive(Default)]
 pub struct MetricsRegistry {
-    counters: RwLock<BTreeMap<String, Arc<AtomicU64>>>,
-    histograms: RwLock<BTreeMap<String, Arc<Histogram>>>,
-    labeled_counters: RwLock<BTreeMap<(String, LabelSet), Arc<AtomicU64>>>,
-    labeled_histograms: RwLock<BTreeMap<(String, LabelSet), Arc<Histogram>>>,
-    gauges: RwLock<BTreeMap<u64, Gauge>>,
-    next_gauge: AtomicU64,
+    counters: SeriesMap<AtomicU64>,
+    histograms: SeriesMap<Histogram>,
+    gauges: SeriesMap<Sampler>,
 }
 
 impl std::fmt::Debug for MetricsRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MetricsRegistry")
-            .field(
-                "counters",
-                &self.counters.read().expect("metrics lock").len(),
-            )
-            .field(
-                "histograms",
-                &self.histograms.read().expect("metrics lock").len(),
-            )
-            .field(
-                "labeled_counters",
-                &self.labeled_counters.read().expect("metrics lock").len(),
-            )
-            .field(
-                "labeled_histograms",
-                &self.labeled_histograms.read().expect("metrics lock").len(),
-            )
-            .field("gauges", &self.gauges.read().expect("metrics lock").len())
-            .finish()
+        f.debug_struct("MetricsRegistry").finish_non_exhaustive()
     }
 }
 
@@ -223,275 +293,112 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// Get or create the counter `name`.
-    pub fn counter(&self, name: &str) -> Arc<AtomicU64> {
-        if let Some(c) = self.counters.read().expect("metrics lock").get(name) {
-            return Arc::clone(c);
-        }
-        let mut map = self.counters.write().expect("metrics lock");
-        Arc::clone(map.entry(name.to_owned()).or_default())
-    }
-
-    /// Get or create the histogram `name`.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        if let Some(h) = self.histograms.read().expect("metrics lock").get(name) {
-            return Arc::clone(h);
-        }
-        let mut map = self.histograms.write().expect("metrics lock");
-        Arc::clone(map.entry(name.to_owned()).or_default())
-    }
-
-    /// Add `by` to the counter `name`.
+    /// Add `by` to the unlabeled counter `name`.
     pub fn incr(&self, name: &str, by: u64) {
-        self.counter(name).fetch_add(by, Ordering::Relaxed);
+        self.incr_with(name, &[], by);
     }
 
-    /// Record one latency observation in the histogram `name`.
-    pub fn observe_ns(&self, name: &str, ns: u64) {
-        self.histogram(name).observe_ns(ns);
-    }
-
-    /// Get or create the labeled counter series `(name, labels)`.
-    pub fn counter_with(&self, name: &str, labels: &[(&str, &str)]) -> Arc<AtomicU64> {
-        let key = (name.to_owned(), canonical_labels(labels));
-        if let Some(c) = self
-            .labeled_counters
-            .read()
-            .expect("metrics lock")
-            .get(&key)
-        {
-            return Arc::clone(c);
-        }
-        let mut map = self.labeled_counters.write().expect("metrics lock");
-        Arc::clone(map.entry(key).or_default())
-    }
-
-    /// Add `by` to the labeled counter series `(name, labels)`.
+    /// Add `by` to the counter series `(name, labels)`.
     pub fn incr_with(&self, name: &str, labels: &[(&str, &str)], by: u64) {
-        self.counter_with(name, labels)
-            .fetch_add(by, Ordering::Relaxed);
+        self.counters.with(name, labels, |c| {
+            c.fetch_add(by, Ordering::Relaxed);
+        });
     }
 
-    /// Get or create the labeled histogram series `(name, labels)`.
-    pub fn histogram_with(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
-        let key = (name.to_owned(), canonical_labels(labels));
-        if let Some(h) = self
-            .labeled_histograms
-            .read()
-            .expect("metrics lock")
-            .get(&key)
-        {
-            return Arc::clone(h);
-        }
-        let mut map = self.labeled_histograms.write().expect("metrics lock");
-        Arc::clone(map.entry(key).or_default())
+    /// Record one latency observation in the unlabeled histogram `name`.
+    pub fn observe_ns(&self, name: &str, ns: u64) {
+        self.observe_ns_with(name, &[], ns);
     }
 
-    /// Record one latency observation in the labeled histogram series.
+    /// Record one latency observation in the histogram series
+    /// `(name, labels)`.
     pub fn observe_ns_with(&self, name: &str, labels: &[(&str, &str)], ns: u64) {
-        self.histogram_with(name, labels).observe_ns(ns);
+        self.histograms.with(name, labels, |h| h.observe_ns(ns));
     }
 
-    /// Current value of the labeled counter series (0 if never bumped).
-    pub fn counter_with_value(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
-        let key = (name.to_owned(), canonical_labels(labels));
-        self.labeled_counters
-            .read()
-            .expect("metrics lock")
-            .get(&key)
-            .map(|c| c.load(Ordering::Relaxed))
-            .unwrap_or(0)
-    }
-
-    /// Register a gauge sampler. The callback is evaluated on every
-    /// [`MetricsRegistry::sample_gauges`] / [`MetricsRegistry::snapshot`];
-    /// it must be cheap and must not call back into this registry's gauge
-    /// API. Returns an id for [`MetricsRegistry::unregister_gauge`].
+    /// Register the gauge series `(name, labels)`. Registering the same
+    /// series again replaces its sampler, so a surface rebuilt per session
+    /// keeps one series. The callback is evaluated on every snapshot; it
+    /// must be cheap and must not register gauges. A sampler returning a
+    /// non-finite value (`NaN` is the idiom for samplers holding `Weak`
+    /// references) is omitted from the snapshot.
     pub fn register_gauge(
         &self,
         name: &str,
         labels: &[(&str, &str)],
         sampler: impl Fn() -> f64 + Send + Sync + 'static,
-    ) -> GaugeId {
-        let id = self.next_gauge.fetch_add(1, Ordering::Relaxed);
-        self.gauges.write().expect("metrics lock").insert(
-            id,
-            Gauge {
-                name: name.to_owned(),
-                labels: canonical_labels(labels),
-                sampler: Arc::new(sampler),
-            },
-        );
-        GaugeId(id)
+    ) {
+        self.gauges.insert(name, labels, Arc::new(sampler));
     }
 
-    /// Register a gauge sampler keyed on `(name, labels)`: when a gauge
-    /// with the same series identity already exists, its sampler is
-    /// *replaced* instead of a duplicate being added. Use for samplers
-    /// re-registered per session/connection (e.g. per-user cache gauges),
-    /// where plain [`MetricsRegistry::register_gauge`] would accumulate one
-    /// stale entry per registration. A sampler returning `NaN` marks the
-    /// series dead and it is omitted from output (the idiom for samplers
-    /// holding `Weak` references).
-    pub fn register_gauge_keyed(
-        &self,
-        name: &str,
-        labels: &[(&str, &str)],
-        sampler: impl Fn() -> f64 + Send + Sync + 'static,
-    ) -> GaugeId {
-        let labels = canonical_labels(labels);
-        let mut gauges = self.gauges.write().expect("metrics lock");
-        if let Some((&id, _)) = gauges
-            .iter()
-            .find(|(_, g)| g.name == name && g.labels == labels)
-        {
-            let slot = gauges.get_mut(&id).expect("gauge just found");
-            slot.sampler = Arc::new(sampler);
-            return GaugeId(id);
-        }
-        let id = self.next_gauge.fetch_add(1, Ordering::Relaxed);
-        gauges.insert(
-            id,
-            Gauge {
-                name: name.to_owned(),
-                labels,
-                sampler: Arc::new(sampler),
-            },
-        );
-        GaugeId(id)
-    }
-
-    /// Remove a gauge sampler. Returns whether it was registered.
-    pub fn unregister_gauge(&self, id: GaugeId) -> bool {
-        self.gauges
-            .write()
-            .expect("metrics lock")
-            .remove(&id.0)
-            .is_some()
-    }
-
-    /// Evaluate every registered gauge sampler. Samplers run *outside* the
-    /// registry lock (they may read other subsystems that themselves record
-    /// metrics), sorted by `(name, labels)` for deterministic output.
-    /// Samplers returning `NaN` (dead `Weak`-backed series) are omitted.
-    pub fn sample_gauges(&self) -> Vec<GaugeSample> {
-        let entries: Vec<(String, LabelSet, Sampler)> = self
-            .gauges
-            .read()
-            .expect("metrics lock")
-            .values()
-            .map(|g| (g.name.clone(), g.labels.clone(), Arc::clone(&g.sampler)))
-            .collect();
-        let mut out: Vec<GaugeSample> = entries
-            .into_iter()
-            .map(|(name, labels, sampler)| GaugeSample {
-                name,
-                labels,
-                value: sampler(),
-            })
-            .filter(|sample| !sample.value.is_nan())
-            .collect();
-        out.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
-        out
-    }
-
-    /// Current value of the counter `name` (0 if never bumped).
-    pub fn counter_value(&self, name: &str) -> u64 {
-        self.counters
-            .read()
-            .expect("metrics lock")
-            .get(name)
-            .map(|c| c.load(Ordering::Relaxed))
-            .unwrap_or(0)
-    }
-
-    /// A point-in-time copy of every metric.
+    /// A point-in-time copy of every series. Samplers run *outside* the
+    /// registry lock: they may read other subsystems that themselves
+    /// record metrics.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let counters = self
-            .counters
-            .read()
-            .expect("metrics lock")
-            .iter()
-            .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
-            .collect();
-        let histograms = self
-            .histograms
-            .read()
-            .expect("metrics lock")
-            .iter()
-            .map(|(k, v)| (k.clone(), v.snapshot()))
-            .collect();
-        let labeled_counters = self
-            .labeled_counters
-            .read()
-            .expect("metrics lock")
-            .iter()
-            .map(|((name, labels), v)| LabeledCounter {
-                name: name.clone(),
-                labels: labels.clone(),
-                value: v.load(Ordering::Relaxed),
+        let gauges = self
+            .gauges
+            .read(Arc::clone)
+            .into_iter()
+            .map(|g| Sample {
+                value: (g.value)(),
+                name: g.name,
+                labels: g.labels,
             })
-            .collect();
-        let labeled_histograms = self
-            .labeled_histograms
-            .read()
-            .expect("metrics lock")
-            .iter()
-            .map(|((name, labels), v)| LabeledHistogram {
-                name: name.clone(),
-                labels: labels.clone(),
-                histogram: v.snapshot(),
-            })
+            .filter(|g| g.value.is_finite())
             .collect();
         MetricsSnapshot {
-            counters,
-            histograms,
-            labeled_counters,
-            labeled_histograms,
-            gauges: self.sample_gauges(),
+            labeled_counters: self.counters.read(|c| c.load(Ordering::Relaxed)),
+            labeled_histograms: self.histograms.read(Histogram::snapshot),
+            gauges,
         }
     }
 }
 
 /// Point-in-time copy of a [`MetricsRegistry`], gauges sampled at snapshot
-/// time. Labeled series are sorted by `(name, labels)`.
+/// time. Every vector is sorted by `(name, labels)`.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetricsSnapshot {
-    /// Counter values by name.
-    pub counters: BTreeMap<String, u64>,
-    /// Histogram snapshots by name.
-    pub histograms: BTreeMap<String, HistogramSnapshot>,
-    /// Labeled counter series.
-    pub labeled_counters: Vec<LabeledCounter>,
-    /// Labeled histogram series.
-    pub labeled_histograms: Vec<LabeledHistogram>,
+    /// Every counter series; an unlabeled counter has an empty label set.
+    pub labeled_counters: Vec<Sample<u64>>,
+    /// Every histogram series; an unlabeled histogram has an empty label set.
+    pub labeled_histograms: Vec<Sample<HistogramSnapshot>>,
     /// Gauge samples taken when the snapshot was produced.
-    pub gauges: Vec<GaugeSample>,
+    pub gauges: Vec<Sample<f64>>,
+}
+
+fn find<'a, V>(series: &'a [Sample<V>], name: &str, labels: &[(&str, &str)]) -> Option<&'a V> {
+    series
+        .iter()
+        .find(|s| s.name == name && same_labels(&s.labels, labels))
+        .map(|s| &s.value)
 }
 
 impl MetricsSnapshot {
-    /// Value of counter `name`, 0 when absent.
+    /// Total of counter `name` over all its series, 0 when absent.
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Value of the labeled counter series, 0 when absent.
-    pub fn labeled_counter(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
-        let labels = canonical_labels(labels);
         self.labeled_counters
             .iter()
-            .find(|c| c.name == name && c.labels == labels)
+            .filter(|c| c.name == name)
             .map(|c| c.value)
+            .sum()
+    }
+
+    /// Value of the counter series `(name, labels)`, 0 when absent.
+    pub fn labeled_counter(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
+        find(&self.labeled_counters, name, labels)
+            .copied()
             .unwrap_or(0)
     }
 
-    /// Sampled value of gauge `name` with `labels`, `None` when absent.
+    /// The histogram series `(name, labels)`, `None` when absent.
+    pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<&HistogramSnapshot> {
+        find(&self.labeled_histograms, name, labels)
+    }
+
+    /// Sampled value of the gauge series `(name, labels)`, `None` when
+    /// absent.
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
-        let labels = canonical_labels(labels);
-        self.gauges
-            .iter()
-            .find(|g| g.name == name && g.labels == labels)
-            .map(|g| g.value)
+        find(&self.gauges, name, labels).copied()
     }
 }
 
@@ -505,21 +412,51 @@ mod tests {
         m.incr("a", 1);
         m.incr("a", 2);
         m.incr("b", 5);
-        assert_eq!(m.counter_value("a"), 3);
-        assert_eq!(m.snapshot().counter("b"), 5);
-        assert_eq!(m.snapshot().counter("missing"), 0);
+        let snap = m.snapshot();
+        assert_eq!(snap.counter("a"), 3);
+        assert_eq!(snap.counter("b"), 5);
+        assert_eq!(snap.counter("missing"), 0);
+    }
+
+    #[test]
+    fn bounds_are_log_linear_within_one_and_a_half() {
+        assert_eq!(LATENCY_BOUNDS_NS[0], 512);
+        assert!(LATENCY_BOUNDS_NS[0] <= 1_000);
+        assert!(LATENCY_BOUNDS_NS[LATENCY_BOUNDS_NS.len() - 1] >= 10_000_000_000);
+        for pair in LATENCY_BOUNDS_NS.windows(2) {
+            assert!(pair[1] > pair[0]);
+            assert!(pair[1] * 2 <= pair[0] * 3, "{pair:?}");
+        }
+    }
+
+    #[test]
+    fn bucket_index_agrees_with_a_linear_scan() {
+        let linear = |ns: u64| {
+            LATENCY_BOUNDS_NS
+                .iter()
+                .position(|&bound| ns <= bound)
+                .unwrap_or(BUCKET_COUNT - 1)
+        };
+        let mut probes = vec![0, 1, u64::MAX];
+        for &bound in &LATENCY_BOUNDS_NS {
+            probes.extend([bound - 1, bound, bound + 1]);
+        }
+        for ns in probes {
+            assert_eq!(bucket_of(ns), linear(ns), "ns = {ns}");
+        }
     }
 
     #[test]
     fn histogram_buckets_and_stats() {
         let h = Histogram::default();
-        h.observe_ns(500); // <= 1µs bucket
-        h.observe_ns(1_000); // boundary: still 1µs bucket
-        h.observe_ns(7_000_000); // 10ms bucket
-        h.observe_ns(10_000_000_000); // overflow bucket
+        h.observe_ns(500); // <= 512ns bucket
+        h.observe_ns(512); // boundary: still the first bucket
+        h.observe_ns(7_000_000); // some middle bucket
+        h.observe_ns(20_000_000_000); // overflow bucket
         let snap = h.snapshot();
         assert_eq!(snap.count, 4);
-        assert_eq!(snap.sum_ns, 500 + 1_000 + 7_000_000 + 10_000_000_000);
+        assert_eq!(snap.sum_ns, 500 + 512 + 7_000_000 + 20_000_000_000);
+        assert_eq!(snap.buckets.len(), BUCKET_COUNT);
         assert_eq!(snap.buckets[0], 2);
         assert_eq!(snap.buckets[BUCKET_COUNT - 1], 1);
         assert_eq!(snap.buckets.iter().sum::<u64>(), 4);
@@ -527,22 +464,33 @@ mod tests {
     }
 
     #[test]
-    fn quantiles_use_bucket_upper_bounds() {
+    fn quantiles_are_within_one_and_a_half_of_exact() {
+        // Latencies spread log-uniformly from 1µs to 1s.
+        let mut sample: Vec<u64> = (0..600)
+            .map(|i| (1_000.0 * 10f64.powf(i as f64 / 100.0)) as u64)
+            .collect();
         let h = Histogram::default();
-        for _ in 0..99 {
-            h.observe_ns(2_000); // 5µs bucket
+        for &ns in &sample {
+            h.observe_ns(ns);
         }
-        h.observe_ns(400_000_000); // 500ms bucket
+        sample.sort_unstable();
         let snap = h.snapshot();
-        assert_eq!(snap.quantile_ns(0.5), 5_000);
-        assert_eq!(snap.quantile_ns(1.0), 500_000_000);
+        for q in [0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0] {
+            let rank = ((q * sample.len() as f64).ceil() as usize).max(1);
+            let exact = sample[rank - 1] as f64;
+            let approx = snap.quantile_ns(q) as f64;
+            assert!(
+                approx >= exact && approx <= 1.5 * exact,
+                "q{q}: {approx} vs exact {exact}"
+            );
+        }
         let empty = Histogram::default().snapshot();
         assert_eq!(empty.quantile_ns(0.5), 0);
         assert_eq!(empty.mean_ns(), 0);
     }
 
     #[test]
-    fn labeled_series_are_canonicalized_and_independent() {
+    fn labeled_series_are_order_insensitive_and_independent() {
         let m = MetricsRegistry::new();
         m.incr_with("tool.calls", &[("tool", "select"), ("outcome", "ok")], 2);
         // Same series, labels given in the other order.
@@ -551,10 +499,6 @@ mod tests {
             "tool.calls",
             &[("tool", "select"), ("outcome", "denied")],
             5,
-        );
-        assert_eq!(
-            m.counter_with_value("tool.calls", &[("outcome", "ok"), ("tool", "select")]),
-            3
         );
         let snap = m.snapshot();
         assert_eq!(
@@ -566,62 +510,49 @@ mod tests {
             5
         );
         assert_eq!(snap.labeled_counter("tool.calls", &[("tool", "insert")]), 0);
+        // The family total sums the series.
+        assert_eq!(snap.counter("tool.calls"), 8);
+        // Stored label sets are sorted by key.
+        assert_eq!(
+            snap.labeled_counters[0].labels,
+            [
+                ("outcome".to_owned(), "denied".to_owned()),
+                ("tool".to_owned(), "select".to_owned())
+            ]
+        );
         m.observe_ns_with("tool.latency", &[("tool", "select")], 2_000);
         let snap = m.snapshot();
         assert_eq!(snap.labeled_histograms.len(), 1);
-        assert_eq!(snap.labeled_histograms[0].histogram.count, 1);
+        assert_eq!(
+            snap.histogram("tool.latency", &[("tool", "select")])
+                .map(|h| h.count),
+            Some(1)
+        );
     }
 
     #[test]
-    fn gauges_sample_live_and_unregister() {
+    fn gauges_sample_live_and_reregistration_replaces() {
         let m = MetricsRegistry::new();
         let value = Arc::new(AtomicU64::new(7));
         let v = Arc::clone(&value);
-        let id = m.register_gauge("queue.depth", &[("pool", "wire")], move || {
+        let wire = [("pool", "wire")];
+        m.register_gauge("queue.depth", &wire, move || {
             v.load(Ordering::Relaxed) as f64
         });
-        assert_eq!(
-            m.snapshot().gauge("queue.depth", &[("pool", "wire")]),
-            Some(7.0)
-        );
+        assert_eq!(m.snapshot().gauge("queue.depth", &wire), Some(7.0));
         value.store(11, Ordering::Relaxed);
-        assert_eq!(
-            m.snapshot().gauge("queue.depth", &[("pool", "wire")]),
-            Some(11.0)
-        );
-        assert!(m.unregister_gauge(id));
-        assert!(!m.unregister_gauge(id));
-        assert_eq!(m.snapshot().gauge("queue.depth", &[("pool", "wire")]), None);
-    }
-
-    #[test]
-    fn keyed_gauge_registration_replaces_in_place() {
-        let m = MetricsRegistry::new();
-        let a = m.register_gauge_keyed("cache.entries", &[("user", "alice")], || 3.0);
-        assert_eq!(
-            m.snapshot().gauge("cache.entries", &[("user", "alice")]),
-            Some(3.0)
-        );
+        assert_eq!(m.snapshot().gauge("queue.depth", &wire), Some(11.0));
         // Same series identity: replaced, not duplicated.
-        let b = m.register_gauge_keyed("cache.entries", &[("user", "alice")], || 9.0);
-        assert_eq!(a, b);
+        let (alice, bob) = ([("user", "alice")], [("user", "bob")]);
+        m.register_gauge("cache.entries", &alice, || 3.0);
+        m.register_gauge("cache.entries", &alice, || 9.0);
+        m.register_gauge("cache.entries", &bob, || 1.0);
         let snap = m.snapshot();
-        let matches: Vec<&GaugeSample> = snap
-            .gauges
-            .iter()
-            .filter(|g| g.name == "cache.entries")
-            .collect();
-        assert_eq!(matches.len(), 1);
-        assert_eq!(matches[0].value, 9.0);
-        // Different labels: a distinct series.
-        let c = m.register_gauge_keyed("cache.entries", &[("user", "bob")], || 1.0);
-        assert_ne!(b, c);
+        assert_eq!(snap.gauge("cache.entries", &alice), Some(9.0));
+        assert_eq!(snap.gauges.len(), 3);
         // NaN samplers (dead Weak idiom) vanish from output.
-        m.register_gauge_keyed("cache.entries", &[("user", "bob")], || f64::NAN);
-        assert_eq!(
-            m.snapshot().gauge("cache.entries", &[("user", "bob")]),
-            None
-        );
+        m.register_gauge("cache.entries", &bob, || f64::NAN);
+        assert_eq!(m.snapshot().gauge("cache.entries", &bob), None);
     }
 
     #[test]
@@ -638,7 +569,8 @@ mod tests {
                 });
             }
         });
-        assert_eq!(m.counter_value("hits"), 8000);
-        assert_eq!(m.snapshot().histograms["lat"].count, 8000);
+        let snap = m.snapshot();
+        assert_eq!(snap.counter("hits"), 8000);
+        assert_eq!(snap.histogram("lat", &[]).map(|h| h.count), Some(8000));
     }
 }

@@ -21,14 +21,10 @@ thread_local! {
 
 /// Observer that records each registry dispatch as a span plus metrics.
 ///
-/// Metric names: `tool.calls`, `tool.calls.{tool}`, `tool.errors`,
-/// `tool.errors.{tool}`, `tool.denied`, `tool.denied.{code}`, and latency
-/// histogram `tool.latency.{tool}`. Labeled series (served via the admin
-/// `/metrics` endpoint): counter `tool.calls{tool,outcome}` and histogram
-/// `tool.latency{tool}`. The unlabeled dotted names are kept for
-/// backwards compatibility with existing JSONL traces and summaries.
-/// `{tool}` is a registered tool's name, or `unknown` for a call that named
-/// no registered tool.
+/// Series: counter `tool.calls{tool,outcome}`, histogram
+/// `tool.latency{tool}`, counter `tool.denied{code}` and the unlabeled
+/// `tool.errors`. `tool` is a registered tool's name, or `unknown` for a
+/// call that named no registered tool.
 #[derive(Debug)]
 pub struct RegistryObserver {
     obs: Obs,
@@ -88,8 +84,6 @@ impl CallObserver for RegistryObserver {
             Err(ToolError::UnknownTool(_)) => "unknown",
             _ => tool,
         };
-        self.obs.incr("tool.calls", 1);
-        self.obs.incr(&format!("tool.calls.{tool}"), 1);
         let outcome = outcome_of(result);
         self.obs
             .incr_with("tool.calls", &[("tool", tool), ("outcome", outcome)], 1);
@@ -106,21 +100,17 @@ impl CallObserver for RegistryObserver {
                 span.attr("ok", false);
                 span.fail(err.to_string());
                 self.obs.incr("tool.errors", 1);
-                self.obs.incr(&format!("tool.errors.{tool}"), 1);
                 if let ToolError::Denied { code, context, .. } = err {
-                    self.obs.incr("tool.denied", 1);
-                    self.obs.incr(&format!("tool.denied.{code}"), 1);
+                    self.obs
+                        .incr_with("tool.denied", &[("code", code.as_str())], 1);
                     for (key, value) in context.fields() {
                         span.attr(&format!("denial.{key}"), value);
                     }
                 }
             }
         }
-        let elapsed = span.elapsed_ns();
         self.obs
-            .observe_ns(&format!("tool.latency.{tool}"), elapsed);
-        self.obs
-            .observe_ns_with("tool.latency", &[("tool", tool)], elapsed);
+            .observe_ns_with("tool.latency", &[("tool", tool)], span.elapsed_ns());
     }
 }
 
@@ -180,12 +170,17 @@ mod tests {
         );
         assert!(deny.error.as_deref().unwrap().contains("policy"));
 
-        assert_eq!(snap.metrics.counter("tool.calls"), 3);
-        assert_eq!(snap.metrics.counter("tool.calls.echo"), 1);
-        assert_eq!(snap.metrics.counter("tool.errors"), 2);
-        assert_eq!(snap.metrics.counter("tool.denied"), 1);
-        assert_eq!(snap.metrics.counter("tool.denied.policy"), 1);
-        assert_eq!(snap.metrics.histograms["tool.latency.echo"].count, 1);
+        let m = &snap.metrics;
+        assert_eq!(m.counter("tool.calls"), 3);
+        assert_eq!(
+            m.labeled_counter("tool.calls", &[("tool", "echo"), ("outcome", "ok")]),
+            1
+        );
+        assert_eq!(m.counter("tool.errors"), 2);
+        assert_eq!(m.counter("tool.denied"), 1);
+        assert_eq!(m.labeled_counter("tool.denied", &[("code", "policy")]), 1);
+        let latency = m.histogram("tool.latency", &[("tool", "echo")]);
+        assert_eq!(latency.map(|h| h.count), Some(1));
     }
 
     #[test]
@@ -194,10 +189,7 @@ mod tests {
         let reg = observed_registry(&obs);
         let series = |obs: &Obs| {
             let m = obs.snapshot().metrics;
-            m.counters.len()
-                + m.histograms.len()
-                + m.labeled_counters.len()
-                + m.labeled_histograms.len()
+            m.labeled_counters.len() + m.labeled_histograms.len()
         };
         reg.call("bogus-0", &Json::Null).unwrap_err();
         let before = series(&obs);
@@ -206,8 +198,7 @@ mod tests {
         }
         assert_eq!(series(&obs), before);
         let snap = obs.snapshot();
-        assert_eq!(snap.metrics.counter("tool.calls.unknown"), 1000);
-        assert_eq!(snap.metrics.counter("tool.errors.unknown"), 1000);
+        assert_eq!(snap.metrics.counter("tool.errors"), 1000);
         assert_eq!(
             snap.metrics.labeled_counter(
                 "tool.calls",
@@ -281,11 +272,9 @@ mod tests {
             1
         );
         let lat = m
-            .labeled_histograms
-            .iter()
-            .find(|h| h.name == "tool.latency" && h.labels == [("tool".into(), "ok".into())])
+            .histogram("tool.latency", &[("tool", "ok")])
             .expect("labeled latency series");
-        assert_eq!(lat.histogram.count, 2);
+        assert_eq!(lat.count, 2);
 
         let conflict_span = snap
             .spans
@@ -329,7 +318,11 @@ mod tests {
             }
         });
         let snap = obs.snapshot();
-        assert_eq!(snap.metrics.counter("tool.calls.echo"), 100);
+        assert_eq!(
+            snap.metrics
+                .labeled_counter("tool.calls", &[("tool", "echo"), ("outcome", "ok")]),
+            100
+        );
         assert_eq!(snap.spans.len(), 100);
         validate_tree(&snap.spans).unwrap();
     }

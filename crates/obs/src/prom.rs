@@ -6,8 +6,7 @@
 //! * Metric names are sanitized (`.` and any other non-`[a-zA-Z0-9_:]`
 //!   byte become `_`); a leading digit gets a `_` prefix.
 //! * Counters get a `_total` suffix, per Prometheus naming conventions.
-//!   Unlabeled and labeled series of the same name are merged under one
-//!   `# TYPE` header.
+//!   Every series of a name sits under one `# TYPE` header.
 //! * Gauges expose their sampled value verbatim.
 //! * Histograms expose **cumulative** `_bucket{le="…"}` series (our
 //!   internal buckets are disjoint counts), bounds converted from
@@ -18,7 +17,7 @@
 //! order, so two snapshots of the same state render byte-identically — the
 //! golden test in `crates/obs/tests/telemetry.rs` relies on this.
 
-use crate::metrics::{LabelSet, MetricsSnapshot, LATENCY_BOUNDS_NS};
+use crate::metrics::{LabelSet, MetricsSnapshot, Sample, LATENCY_BOUNDS_NS};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -88,107 +87,57 @@ fn fmt_le(bound_ns: u64) -> String {
     s.to_owned()
 }
 
+/// Series grouped under their sanitized name: one `# TYPE` header each.
+/// Within a family, series keep the snapshot's `(name, labels)` order.
+fn families<V>(series: &[Sample<V>]) -> BTreeMap<String, Vec<&Sample<V>>> {
+    let mut out: BTreeMap<String, Vec<&Sample<V>>> = BTreeMap::new();
+    for s in series {
+        out.entry(sanitize_name(&s.name)).or_default().push(s);
+    }
+    out
+}
+
 /// Render the whole snapshot in Prometheus text exposition format.
 pub fn render(snapshot: &MetricsSnapshot) -> String {
     let mut out = String::new();
-
-    // -- counters: merge unlabeled + labeled under one TYPE header each --
-    let mut counters: BTreeMap<String, Vec<(LabelSet, u64)>> = BTreeMap::new();
-    for (name, value) in &snapshot.counters {
-        counters
-            .entry(sanitize_name(name))
-            .or_default()
-            .push((LabelSet::new(), *value));
-    }
-    for series in &snapshot.labeled_counters {
-        counters
-            .entry(sanitize_name(&series.name))
-            .or_default()
-            .push((series.labels.clone(), series.value));
-    }
-    for (name, mut series) in counters {
-        series.sort();
+    for (name, series) in families(&snapshot.labeled_counters) {
         let _ = writeln!(out, "# TYPE {name}_total counter");
-        for (labels, value) in series {
-            let _ = writeln!(out, "{name}_total{} {value}", render_labels(&labels, &[]));
+        for s in series {
+            let _ = writeln!(
+                out,
+                "{name}_total{} {}",
+                render_labels(&s.labels, &[]),
+                s.value
+            );
         }
     }
-
-    // -- gauges --
-    let mut gauges: BTreeMap<String, Vec<(LabelSet, f64)>> = BTreeMap::new();
-    for g in &snapshot.gauges {
-        gauges
-            .entry(sanitize_name(&g.name))
-            .or_default()
-            .push((g.labels.clone(), g.value));
-    }
-    for (name, mut series) in gauges {
-        series.sort_by(|a, b| a.0.cmp(&b.0));
+    for (name, series) in families(&snapshot.gauges) {
         let _ = writeln!(out, "# TYPE {name} gauge");
-        for (labels, value) in series {
+        for s in series {
             let _ = writeln!(
                 out,
                 "{name}{} {}",
-                render_labels(&labels, &[]),
-                fmt_value(value)
+                render_labels(&s.labels, &[]),
+                fmt_value(s.value)
             );
         }
     }
-
-    // -- histograms: cumulative buckets in seconds --
-    let mut histograms: BTreeMap<String, Vec<(LabelSet, &crate::HistogramSnapshot)>> =
-        BTreeMap::new();
-    for (name, hist) in &snapshot.histograms {
-        histograms
-            .entry(sanitize_name(name))
-            .or_default()
-            .push((LabelSet::new(), hist));
-    }
-    for series in &snapshot.labeled_histograms {
-        histograms
-            .entry(sanitize_name(&series.name))
-            .or_default()
-            .push((series.labels.clone(), &series.histogram));
-    }
-    for (name, mut series) in histograms {
-        series.sort_by(|a, b| a.0.cmp(&b.0));
+    // Histograms: cumulative buckets in seconds.
+    for (name, series) in families(&snapshot.labeled_histograms) {
         let _ = writeln!(out, "# TYPE {name} histogram");
-        for (labels, hist) in series {
+        for s in series {
+            let (labels, hist) = (&s.labels, &s.value);
             let mut cumulative = 0u64;
-            for (idx, &count) in hist.buckets.iter().enumerate() {
-                cumulative += count;
-                let le = match LATENCY_BOUNDS_NS.get(idx) {
-                    Some(&bound) => fmt_le(bound),
-                    None => "+Inf".to_owned(),
-                };
-                let _ = writeln!(
-                    out,
-                    "{name}_bucket{} {cumulative}",
-                    render_labels(&labels, &[("le", le)])
-                );
+            for (idx, &bound) in LATENCY_BOUNDS_NS.iter().enumerate() {
+                cumulative += hist.buckets.get(idx).copied().unwrap_or(0);
+                let le = render_labels(labels, &[("le", fmt_le(bound))]);
+                let _ = writeln!(out, "{name}_bucket{le} {cumulative}");
             }
-            // Defensive: a snapshot with fewer buckets than bounds (e.g. a
-            // hand-built one) still needs the mandatory +Inf bucket.
-            if hist.buckets.len() <= LATENCY_BOUNDS_NS.len() {
-                let _ = writeln!(
-                    out,
-                    "{name}_bucket{} {}",
-                    render_labels(&labels, &[("le", "+Inf".to_owned())]),
-                    hist.count
-                );
-            }
-            let _ = writeln!(
-                out,
-                "{name}_sum{} {}",
-                render_labels(&labels, &[]),
-                hist.sum_ns as f64 / 1e9
-            );
-            let _ = writeln!(
-                out,
-                "{name}_count{} {}",
-                render_labels(&labels, &[]),
-                hist.count
-            );
+            let inf = render_labels(labels, &[("le", "+Inf".to_owned())]);
+            let _ = writeln!(out, "{name}_bucket{inf} {}", hist.count);
+            let plain = render_labels(labels, &[]);
+            let _ = writeln!(out, "{name}_sum{plain} {}", hist.sum_ns as f64 / 1e9);
+            let _ = writeln!(out, "{name}_count{plain} {}", hist.count);
         }
     }
     out
@@ -220,16 +169,19 @@ mod tests {
     }
 
     #[test]
-    fn counters_merge_labeled_and_unlabeled() {
+    fn every_series_of_a_name_shares_one_header() {
         let m = MetricsRegistry::new();
-        m.incr("wire.requests", 4);
-        m.incr_with("wire.requests", &[("method", "tools/call")], 3);
+        m.incr_with("wire.errors", &[("code", "parse_error")], 4);
+        m.incr_with("wire.errors", &[("code", "server_busy")], 3);
         let text = render(&m.snapshot());
-        let headers = text.matches("# TYPE wire_requests_total counter").count();
+        let headers = text.matches("# TYPE wire_errors_total counter").count();
         assert_eq!(headers, 1, "{text}");
-        assert!(text.contains("wire_requests_total 4"), "{text}");
         assert!(
-            text.contains("wire_requests_total{method=\"tools/call\"} 3"),
+            text.contains("wire_errors_total{code=\"parse_error\"} 4"),
+            "{text}"
+        );
+        assert!(
+            text.contains("wire_errors_total{code=\"server_busy\"} 3"),
             "{text}"
         );
     }
@@ -238,12 +190,12 @@ mod tests {
     fn histogram_buckets_are_cumulative_and_end_at_inf() {
         let m = MetricsRegistry::new();
         m.observe_ns("lat", 500); // first bucket
-        m.observe_ns("lat", 2_000); // second bucket
-        m.observe_ns("lat", 10_000_000_000); // overflow
+        m.observe_ns("lat", 2_000); // the 2048ns bucket
+        m.observe_ns("lat", 20_000_000_000); // overflow
         let text = render(&m.snapshot());
-        assert!(text.contains("lat_bucket{le=\"0.000001\"} 1"), "{text}");
-        assert!(text.contains("lat_bucket{le=\"0.000005\"} 2"), "{text}");
-        assert!(text.contains("lat_bucket{le=\"1\"} 2"), "{text}");
+        assert!(text.contains("lat_bucket{le=\"0.000000512\"} 1"), "{text}");
+        assert!(text.contains("lat_bucket{le=\"0.000002048\"} 2"), "{text}");
+        assert!(text.contains("lat_bucket{le=\"17.179869184\"} 2"), "{text}");
         assert!(text.contains("lat_bucket{le=\"+Inf\"} 3"), "{text}");
         assert!(text.contains("lat_count 3"), "{text}");
     }

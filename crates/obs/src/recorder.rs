@@ -7,12 +7,6 @@
 use crate::span::SpanRecord;
 use std::sync::Mutex;
 
-/// Receives finished spans. Implementations must tolerate concurrent calls.
-pub trait Recorder: Send + Sync {
-    /// Store one finished span.
-    fn record(&self, span: SpanRecord);
-}
-
 /// Number of independent shards in a [`ShardedSink`].
 pub const SHARD_COUNT: usize = 16;
 
@@ -36,35 +30,21 @@ impl ShardedSink {
         ShardedSink::default()
     }
 
-    /// Total number of stored spans.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("sink lock").len())
-            .sum()
-    }
-
-    /// Whether no spans have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// Store one finished span.
+    pub fn record(&self, span: SpanRecord) {
+        let idx = (span.id as usize) % SHARD_COUNT;
+        self.shards[idx].lock().expect("sink lock").push(span);
     }
 
     /// All recorded spans, merged and sorted by `(start_ns, id)` so parents
     /// precede their children deterministically.
     pub fn snapshot(&self) -> Vec<SpanRecord> {
-        let mut out: Vec<SpanRecord> = Vec::with_capacity(self.len());
+        let mut out: Vec<SpanRecord> = Vec::new();
         for shard in &self.shards {
             out.extend(shard.lock().expect("sink lock").iter().cloned());
         }
         out.sort_by_key(|s| (s.start_ns, s.id));
         out
-    }
-}
-
-impl Recorder for ShardedSink {
-    fn record(&self, span: SpanRecord) {
-        let idx = (span.id as usize) % SHARD_COUNT;
-        self.shards[idx].lock().expect("sink lock").push(span);
     }
 }
 
@@ -88,11 +68,10 @@ mod tests {
     #[test]
     fn snapshot_is_sorted_and_complete() {
         let sink = ShardedSink::new();
-        assert!(sink.is_empty());
+        assert!(sink.snapshot().is_empty());
         for id in (1..=40).rev() {
             sink.record(rec(id, 1000 - id));
         }
-        assert_eq!(sink.len(), 40);
         let snap = sink.snapshot();
         assert_eq!(snap.len(), 40);
         assert!(snap
@@ -113,6 +92,6 @@ mod tests {
                 });
             }
         });
-        assert_eq!(sink.len(), 800);
+        assert_eq!(sink.snapshot().len(), 800);
     }
 }

@@ -5,7 +5,8 @@
 //! [`SpanGuard`], and recorded into the sink when the guard drops. Parentage
 //! is implicit: while a guard is alive on a thread, spans opened on that same
 //! thread become its children. Work that hops threads (the proxy's scoped
-//! producer workers) carries parentage across explicitly with [`adopt`].
+//! producer workers) carries parentage across explicitly with
+//! [`adopt_context`].
 
 use crate::trace::TraceId;
 use crate::ObsInner;
@@ -176,28 +177,6 @@ pub struct SpanContext {
     pub parent: Option<u64>,
 }
 
-/// Capture the current thread's span linkage for adoption elsewhere.
-pub fn current_context() -> SpanContext {
-    SpanContext {
-        trace: current_trace(),
-        parent: current_parent(),
-    }
-}
-
-/// Carries span parentage onto another thread: while the returned scope is
-/// alive, spans opened on the current thread become children of `parent`.
-///
-/// Used by the proxy executor, whose sibling producers run on scoped worker
-/// threads but must still appear under the `proxy:unit` span. Prefer
-/// [`adopt_context`], which also carries the trace id across the hop.
-#[must_use = "parent adoption lasts only while the scope is alive"]
-pub fn adopt(parent: Option<u64>) -> ParentScope {
-    adopt_context(SpanContext {
-        trace: None,
-        parent,
-    })
-}
-
 /// Adopt a [`SpanContext`] on the current thread: while the returned scope
 /// is alive, spans opened here join `ctx.trace` and become children of
 /// `ctx.parent`. This is how one trace id survives thread hops (worker
@@ -216,7 +195,7 @@ pub fn adopt_context(ctx: SpanContext) -> ParentScope {
     }
 }
 
-/// Guard returned by [`adopt`] / [`adopt_context`]; restores the thread's
+/// Guard returned by [`adopt_context`]; restores the thread's
 /// parent and trace stacks on drop.
 #[derive(Debug)]
 pub struct ParentScope {
@@ -284,7 +263,7 @@ impl SpanGuard {
         self.0.is_some()
     }
 
-    /// This span's id, when enabled. Hand it to [`adopt`] on worker threads.
+    /// This span's id, when enabled.
     pub fn id(&self) -> Option<u64> {
         self.0.as_ref().map(|s| s.id)
     }

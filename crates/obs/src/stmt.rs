@@ -157,18 +157,8 @@ impl StatementStore {
     }
 
     /// Distinct keys currently retained.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.inner.lock().expect("stmt lock").entries.len()
-    }
-
-    /// Whether the store holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The configured key capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Keys evicted since construction.

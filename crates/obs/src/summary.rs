@@ -5,6 +5,7 @@
 //! Used by examples and benchkit reports; the JSONL export is the machine
 //! format, this is the terminal format.
 
+use crate::metrics::{HistogramSnapshot, LabelSet};
 use crate::ObsSnapshot;
 
 /// Format nanoseconds with an adaptive unit (ns / µs / ms / s).
@@ -20,40 +21,47 @@ pub fn fmt_ns(ns: u64) -> String {
     }
 }
 
+/// A series as one token: `name{k=v,…}`, or just `name` when unlabeled.
+pub fn series_name(name: &str, labels: &LabelSet) -> String {
+    if labels.is_empty() {
+        return name.to_owned();
+    }
+    let pairs: Vec<String> = labels.iter().map(|(k, v)| format!("{k}={v}")).collect();
+    format!("{name}{{{}}}", pairs.join(","))
+}
+
 /// Render the full snapshot as aligned text tables. Sections with no data
 /// are omitted; an entirely empty snapshot renders a single note line.
 pub fn render(snapshot: &ObsSnapshot) -> String {
     let mut out = String::new();
+    let metrics = &snapshot.metrics;
 
-    if !snapshot.metrics.counters.is_empty() {
+    if !metrics.labeled_counters.is_empty() {
         out.push_str("== counters ==\n");
-        let width = snapshot
-            .metrics
-            .counters
-            .keys()
-            .map(String::len)
-            .max()
-            .unwrap_or(0);
-        for (name, value) in &snapshot.metrics.counters {
+        let rows: Vec<(String, u64)> = metrics
+            .labeled_counters
+            .iter()
+            .map(|c| (series_name(&c.name, &c.labels), c.value))
+            .collect();
+        let width = rows.iter().map(|(n, _)| n.len()).max().unwrap_or(0);
+        for (name, value) in rows {
             out.push_str(&format!("  {name:<width$}  {value:>10}\n"));
         }
     }
 
-    if !snapshot.metrics.histograms.is_empty() {
+    if !metrics.labeled_histograms.is_empty() {
         out.push_str("== latency ==\n");
-        let width = snapshot
-            .metrics
-            .histograms
-            .keys()
-            .map(String::len)
-            .max()
-            .unwrap_or(0)
-            .max(4);
+        let rows: Vec<(String, &HistogramSnapshot)> = metrics
+            .labeled_histograms
+            .iter()
+            .map(|h| (series_name(&h.name, &h.labels), &h.value))
+            .collect();
+        let width = rows.iter().map(|(n, _)| n.len()).max().unwrap_or(0).max(4);
         out.push_str(&format!(
             "  {:<width$}  {:>8}  {:>10}  {:>10}  {:>10}\n",
             "name", "count", "mean", "p50", "p99"
         ));
-        for (name, h) in &snapshot.metrics.histograms {
+        for (name, h) in rows {
             out.push_str(&format!(
                 "  {:<width$}  {:>8}  {:>10}  {:>10}  {:>10}\n",
                 name,
@@ -120,13 +128,18 @@ mod tests {
             let mut span = obs.span("tool:select");
             span.fail("boom");
         }
-        obs.incr("tool.calls", 3);
-        obs.observe_ns("tool.latency.select", 2_000_000);
+        obs.incr("sql.errors", 3);
+        obs.incr_with("tool.calls", &[("tool", "select"), ("outcome", "ok")], 2);
+        obs.observe_ns_with("tool.latency", &[("tool", "select")], 2_000_000);
         let text = render(&obs.snapshot());
         assert!(text.contains("== counters =="));
-        assert!(text.contains("tool.calls"));
+        assert!(text.contains("sql.errors "), "{text}");
+        assert!(
+            text.contains("tool.calls{outcome=ok,tool=select}"),
+            "{text}"
+        );
         assert!(text.contains("== latency =="));
-        assert!(text.contains("tool.latency.select"));
+        assert!(text.contains("tool.latency{tool=select}"), "{text}");
         assert!(text.contains("== spans =="));
         assert!(text.contains("tool:select"));
     }

@@ -4,10 +4,9 @@
 //! A **trace** names one logical request end to end — from the client's
 //! `tools/call` frame through the wire dispatch, the gate, the tool, and
 //! every SQL span it executes — across process and thread boundaries. A
-//! **span id** names one node inside that trace. Ids come from a seedable
-//! per-process generator ([`seed_ids`]): deterministic under a fixed seed
-//! (tests), collision-resistant by default (seeded from wall clock and
-//! process id at first use).
+//! **span id** names one node inside that trace. Ids come from a
+//! per-process generator, collision-resistant because it is seeded from
+//! the wall clock and process id at first use.
 //!
 //! The wire form is the W3C `traceparent` header layout,
 //! `00-{trace:032x}-{parent:016x}-01`, chosen so the field is immediately
@@ -18,6 +17,7 @@
 //! attacker-controlled input.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// A 128-bit trace identifier. All-zero is invalid (per W3C trace-context)
 /// and never produced by the generator.
@@ -73,11 +73,6 @@ impl SpanId {
         }
     }
 
-    /// The raw 64-bit value.
-    pub fn as_u64(&self) -> u64 {
-        self.0
-    }
-
     /// Parse exactly 16 hex chars; rejects the all-zero id.
     pub fn parse_hex(s: &str) -> Option<SpanId> {
         if s.len() != 16 || !s.bytes().all(|b| b.is_ascii_hexdigit()) {
@@ -107,14 +102,6 @@ impl TraceContext {
     /// A context with the given ids.
     pub fn new(trace: TraceId, parent: SpanId) -> TraceContext {
         TraceContext { trace, parent }
-    }
-
-    /// A fresh root context: new trace id, new synthetic root span id.
-    pub fn new_root() -> TraceContext {
-        TraceContext {
-            trace: next_trace_id(),
-            parent: next_span_id(),
-        }
     }
 
     /// Render as a W3C-style traceparent: `00-{trace}-{parent}-01`.
@@ -154,11 +141,8 @@ impl std::fmt::Display for TraceContext {
 
 /// Per-process id generator state: a counter advanced by a large odd
 /// constant and scrambled through splitmix64, so ids are unique within a
-/// process, well-distributed, and fully determined by the seed.
-static ID_STATE: AtomicU64 = AtomicU64::new(0);
-/// Set once the state holds a real seed (0 doubles as "unseeded", but a
-/// caller may legitimately seed with 0, hence a separate flag).
-static ID_SEEDED: AtomicU64 = AtomicU64::new(0);
+/// process and well-distributed.
+static ID_STATE: OnceLock<AtomicU64> = OnceLock::new();
 
 const GOLDEN_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
 
@@ -169,33 +153,19 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Seed the per-process id generator. Call at most once, before any ids
-/// are drawn, to make the id sequence deterministic (tests, replay). When
-/// never called, the generator self-seeds from the wall clock and process
-/// id at first use.
-pub fn seed_ids(seed: u64) {
-    ID_STATE.store(seed, Ordering::SeqCst);
-    ID_SEEDED.store(1, Ordering::SeqCst);
-}
-
 fn next_raw() -> u64 {
-    if ID_SEEDED.load(Ordering::Relaxed) == 0 {
-        // Lazy default seed: wall clock nanos mixed with the pid. A benign
-        // race (two threads seeding concurrently) just picks one of two
-        // valid seeds; the subsequent fetch_add keeps draws unique.
-        let nanos = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_nanos() as u64)
-            .unwrap_or(0);
-        let seed = splitmix64(nanos ^ u64::from(std::process::id()).rotate_left(32));
-        if ID_SEEDED
-            .compare_exchange(0, 1, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-        {
-            ID_STATE.store(seed, Ordering::SeqCst);
-        }
-    }
-    ID_STATE.fetch_add(GOLDEN_GAMMA, Ordering::Relaxed)
+    ID_STATE
+        .get_or_init(|| {
+            // Seeded at first use: wall clock nanos mixed with the pid.
+            let nanos = std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .map(|d| d.as_nanos() as u64)
+                .unwrap_or(0);
+            AtomicU64::new(splitmix64(
+                nanos ^ u64::from(std::process::id()).rotate_left(32),
+            ))
+        })
+        .fetch_add(GOLDEN_GAMMA, Ordering::Relaxed)
 }
 
 /// Draw the next trace id from the per-process generator (never all-zero).
@@ -220,7 +190,7 @@ mod tests {
 
     #[test]
     fn traceparent_round_trips() {
-        let ctx = TraceContext::new_root();
+        let ctx = TraceContext::new(next_trace_id(), next_span_id());
         let text = ctx.to_traceparent();
         assert_eq!(text.len(), 2 + 1 + 32 + 1 + 16 + 1 + 2);
         let back = TraceContext::parse(&text).unwrap();

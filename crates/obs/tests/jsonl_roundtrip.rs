@@ -21,21 +21,25 @@ fn record_a_run(obs: &Obs) {
             }
         }
     }
-    obs.incr("tool.calls", 3);
-    obs.incr("tool.calls.select", 2);
-    obs.observe_ns("tool.latency.select", 1_500);
-    obs.observe_ns("tool.latency.select", 900_000);
+    obs.incr("wire.sessions", 1);
+    obs.incr_with("tool.calls", &[("tool", "select"), ("outcome", "ok")], 2);
+    obs.incr_with(
+        "tool.calls",
+        &[("tool", "select"), ("outcome", "denied")],
+        1,
+    );
+    obs.observe_ns_with("tool.latency", &[("tool", "select")], 1_500);
+    obs.observe_ns_with("tool.latency", &[("tool", "select")], 900_000);
+    obs.observe_ns("sql.latency", 40_000);
 }
 
 #[test]
 fn export_and_reparse_reproduces_the_snapshot_exactly() {
     let obs = Obs::in_memory();
     record_a_run(&obs);
+    let jsonl = obs.export_jsonl();
     let original = obs.snapshot();
     validate_tree(&original.spans).unwrap();
-
-    let jsonl = to_jsonl(&original);
-    assert!(!jsonl.trim().is_empty());
     // One line per span plus one metrics line, each a standalone JSON object.
     assert_eq!(jsonl.trim().lines().count(), original.spans.len() + 1);
     for line in jsonl.trim().lines() {
@@ -44,26 +48,16 @@ fn export_and_reparse_reproduces_the_snapshot_exactly() {
 
     let rebuilt = parse_jsonl(&jsonl).expect("exported trace re-parses");
     validate_tree(&rebuilt.spans).unwrap();
-    assert_eq!(rebuilt.spans.len(), original.spans.len());
-    for (a, b) in original.spans.iter().zip(rebuilt.spans.iter()) {
-        assert_eq!(a, b, "span {} round-trips", a.name);
-    }
-    assert_eq!(
-        rebuilt.metrics.counter("tool.calls"),
-        original.metrics.counter("tool.calls")
-    );
-    assert_eq!(
-        rebuilt.metrics.counter("tool.calls.select"),
-        original.metrics.counter("tool.calls.select")
-    );
-    // Histograms round-trip bucket for bucket.
-    let find = |snap: &obs::MetricsSnapshot| {
-        snap.histograms
-            .get("tool.latency.select")
-            .cloned()
-            .expect("histogram present")
-    };
-    assert_eq!(find(&original.metrics), find(&rebuilt.metrics));
+    assert_eq!(rebuilt.spans, original.spans);
+    // Every counter and histogram series round-trips with its labels,
+    // histograms bucket for bucket. Gauges travel too, but one like the
+    // uptime moves between the export and the snapshot.
+    let (back, metrics) = (&rebuilt.metrics, &original.metrics);
+    assert_eq!(back.labeled_counters, metrics.labeled_counters);
+    assert_eq!(back.labeled_histograms, metrics.labeled_histograms);
+    assert_eq!(back.gauges.len(), metrics.gauges.len());
+    let denied = [("outcome", "denied"), ("tool", "select")];
+    assert_eq!(back.labeled_counter("tool.calls", &denied), 1);
 }
 
 #[test]

@@ -1,5 +1,5 @@
 //! Telemetry-plane integration tests: labeled metrics under concurrency,
-//! gauge lifecycle, flight-recorder ring semantics, and a golden test for
+//! gauge registration, flight-recorder ring semantics, and a golden test for
 //! the Prometheus exposition format.
 
 use obs::metrics::MetricsRegistry;
@@ -23,7 +23,6 @@ fn labeled_counters_are_exact_under_concurrency() {
                 for i in 0..INCRS {
                     let set = labels[(i % 3) as usize];
                     obs.incr_with("tool.calls", set, 1);
-                    obs.incr("tool.calls", 1);
                     obs.observe_ns_with("tool.latency", &[("tool", set[0].1)], 1_000 * i);
                 }
             });
@@ -44,37 +43,42 @@ fn labeled_counters_are_exact_under_concurrency() {
         m.labeled_counter("tool.calls", &[("outcome", "ok"), ("tool", "select")]),
         334 * THREADS as u64
     );
-    // The unlabeled counter of the same name is a distinct series.
+    // The family total sums every series of the name.
     assert_eq!(m.counter("tool.calls"), THREADS as u64 * INCRS);
     // Histogram counts add up across both tools.
     let total: u64 = m
         .labeled_histograms
         .iter()
         .filter(|h| h.name == "tool.latency")
-        .map(|h| h.histogram.count)
+        .map(|h| h.value.count)
         .sum();
     assert_eq!(total, THREADS as u64 * INCRS);
 }
 
 #[test]
-fn gauges_register_sample_and_unregister() {
+fn gauges_register_sample_and_replace() {
     let obs = Obs::in_memory();
-    let id = obs
-        .register_gauge("pool.size", &[("kind", "worker")], || 7.0)
-        .expect("enabled handle registers gauges");
+    obs.register_gauge("pool.size", &[("kind", "worker")], || 7.0);
     let m = obs.snapshot().metrics;
     assert_eq!(m.gauge("pool.size", &[("kind", "worker")]), Some(7.0));
     // An enabled handle always samples process uptime.
     assert!(m.gauge("process.uptime_seconds", &[]).is_some());
 
-    assert!(obs.unregister_gauge(id));
-    assert!(!obs.unregister_gauge(id), "double unregister is a no-op");
+    // Registering the series again replaces the sampler: one series.
+    obs.register_gauge("pool.size", &[("kind", "worker")], || 9.0);
     let m = obs.snapshot().metrics;
-    assert_eq!(m.gauge("pool.size", &[("kind", "worker")]), None);
+    let pool: Vec<f64> = m
+        .gauges
+        .iter()
+        .filter(|g| g.name == "pool.size")
+        .map(|g| g.value)
+        .collect();
+    assert_eq!(pool, [9.0]);
 
     // Disabled handles ignore the whole surface.
     let off = Obs::disabled();
-    assert!(off.register_gauge("x", &[], || 1.0).is_none());
+    off.register_gauge("x", &[], || 1.0);
+    assert!(off.snapshot().metrics.gauges.is_empty());
     off.incr_with("x", &[("a", "b")], 1);
     assert_eq!(
         off.snapshot().metrics.labeled_counter("x", &[("a", "b")]),
@@ -87,7 +91,6 @@ fn flight_ring_wraps_and_respects_threshold_and_prefixes() {
     let config = FlightConfig {
         threshold_ns: 1_000_000, // 1ms
         ring_capacity: 4,
-        ..FlightConfig::default()
     };
     let obs = Obs::with_flight(&ObsConfig::InMemory, config);
     assert!(obs.flight_enabled());
@@ -148,34 +151,73 @@ fn flight_ring_wraps_and_respects_threshold_and_prefixes() {
 fn golden_prometheus_exposition() {
     let m = MetricsRegistry::new();
     m.incr("req.count", 2);
-    m.incr_with("req.count", &[("q", "a\"b\\c\nd")], 1);
+    m.incr_with("req.errors", &[("q", "a\"b\\c\nd")], 1);
     m.register_gauge("pool.size", &[], || 3.0);
     m.observe_ns("lat", 500); // first bucket
-    m.observe_ns("lat", 2_000_000_000); // overflow bucket
+    m.observe_ns("lat", 20_000_000_000); // overflow bucket
 
     let text = obs::prom::render(&m.snapshot());
     let expected = "\
 # TYPE req_count_total counter
 req_count_total 2
-req_count_total{q=\"a\\\"b\\\\c\\nd\"} 1
+# TYPE req_errors_total counter
+req_errors_total{q=\"a\\\"b\\\\c\\nd\"} 1
 # TYPE pool_size gauge
 pool_size 3
 # TYPE lat histogram
-lat_bucket{le=\"0.000001\"} 1
-lat_bucket{le=\"0.000005\"} 1
-lat_bucket{le=\"0.00001\"} 1
-lat_bucket{le=\"0.00005\"} 1
-lat_bucket{le=\"0.0001\"} 1
-lat_bucket{le=\"0.0005\"} 1
-lat_bucket{le=\"0.001\"} 1
-lat_bucket{le=\"0.005\"} 1
-lat_bucket{le=\"0.01\"} 1
-lat_bucket{le=\"0.05\"} 1
-lat_bucket{le=\"0.1\"} 1
-lat_bucket{le=\"0.5\"} 1
-lat_bucket{le=\"1\"} 1
+lat_bucket{le=\"0.000000512\"} 1
+lat_bucket{le=\"0.000000768\"} 1
+lat_bucket{le=\"0.000001024\"} 1
+lat_bucket{le=\"0.000001536\"} 1
+lat_bucket{le=\"0.000002048\"} 1
+lat_bucket{le=\"0.000003072\"} 1
+lat_bucket{le=\"0.000004096\"} 1
+lat_bucket{le=\"0.000006144\"} 1
+lat_bucket{le=\"0.000008192\"} 1
+lat_bucket{le=\"0.000012288\"} 1
+lat_bucket{le=\"0.000016384\"} 1
+lat_bucket{le=\"0.000024576\"} 1
+lat_bucket{le=\"0.000032768\"} 1
+lat_bucket{le=\"0.000049152\"} 1
+lat_bucket{le=\"0.000065536\"} 1
+lat_bucket{le=\"0.000098304\"} 1
+lat_bucket{le=\"0.000131072\"} 1
+lat_bucket{le=\"0.000196608\"} 1
+lat_bucket{le=\"0.000262144\"} 1
+lat_bucket{le=\"0.000393216\"} 1
+lat_bucket{le=\"0.000524288\"} 1
+lat_bucket{le=\"0.000786432\"} 1
+lat_bucket{le=\"0.001048576\"} 1
+lat_bucket{le=\"0.001572864\"} 1
+lat_bucket{le=\"0.002097152\"} 1
+lat_bucket{le=\"0.003145728\"} 1
+lat_bucket{le=\"0.004194304\"} 1
+lat_bucket{le=\"0.006291456\"} 1
+lat_bucket{le=\"0.008388608\"} 1
+lat_bucket{le=\"0.012582912\"} 1
+lat_bucket{le=\"0.016777216\"} 1
+lat_bucket{le=\"0.025165824\"} 1
+lat_bucket{le=\"0.033554432\"} 1
+lat_bucket{le=\"0.050331648\"} 1
+lat_bucket{le=\"0.067108864\"} 1
+lat_bucket{le=\"0.100663296\"} 1
+lat_bucket{le=\"0.134217728\"} 1
+lat_bucket{le=\"0.201326592\"} 1
+lat_bucket{le=\"0.268435456\"} 1
+lat_bucket{le=\"0.402653184\"} 1
+lat_bucket{le=\"0.536870912\"} 1
+lat_bucket{le=\"0.805306368\"} 1
+lat_bucket{le=\"1.073741824\"} 1
+lat_bucket{le=\"1.610612736\"} 1
+lat_bucket{le=\"2.147483648\"} 1
+lat_bucket{le=\"3.221225472\"} 1
+lat_bucket{le=\"4.294967296\"} 1
+lat_bucket{le=\"6.442450944\"} 1
+lat_bucket{le=\"8.589934592\"} 1
+lat_bucket{le=\"12.884901888\"} 1
+lat_bucket{le=\"17.179869184\"} 1
 lat_bucket{le=\"+Inf\"} 2
-lat_sum 2.0000005
+lat_sum 20.0000005
 lat_count 2
 ";
     assert_eq!(text, expected);

@@ -322,8 +322,7 @@ trait CallExecutor {
 /// Everything the call does downstream — gate checks, tool dispatch, SQL
 /// execution — runs on this thread under the span's trace, so one trace id
 /// names the full path. The call is also registered in the in-flight
-/// registry for the admin `/queries` endpoint, and tagged for tail
-/// sampling when the user's sample rate fires.
+/// registry for the admin `/queries` endpoint.
 fn traced_call(
     registry: &Registry,
     user: &str,
@@ -338,9 +337,6 @@ fn traced_call(
     span.attr("user", user);
     if let Some(remote) = trace.remote_parent {
         span.attr("trace.remote_parent", remote.to_string());
-    }
-    if obs.should_sample(user) {
-        span.attr(obs::SAMPLED_ATTR, true);
     }
     let _inflight = obs.begin_call(user, tool);
     let started = obs.now_ns();
@@ -482,7 +478,7 @@ impl<'a> SessionCtx<'a> {
             Ok(result) => response_ok_traced(&req.id, result, echo.as_deref()),
             Err(err) => {
                 self.obs
-                    .incr(&format!("wire.errors.{}", err.code.name()), 1);
+                    .incr_with("wire.errors", &[("code", err.code.name())], 1);
                 response_err_traced(&req.id, &err, echo.as_deref())
             }
         };
@@ -776,8 +772,9 @@ impl WireServer {
             Arc::clone(&stats),
             obs.clone(),
         ));
-        // Live gauges: database internals plus wire-layer occupancy. One
-        // registration per served database — sessions share these.
+        // Live gauges: database internals plus wire-layer occupancy, shared
+        // by every session. A second server on the same handle replaces
+        // these series rather than duplicating them.
         db.register_gauges(&obs);
         {
             let stats = Arc::clone(&stats);

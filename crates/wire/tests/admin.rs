@@ -194,3 +194,34 @@ fn queue_depth_and_session_gauges_settle_to_zero() {
     admin.shutdown();
     server.shutdown();
 }
+
+/// Two servers bound on one handle register every gauge twice; `/metrics`
+/// must still show each series once, since a repeated series is invalid
+/// exposition.
+#[test]
+fn two_servers_on_one_handle_expose_each_gauge_once() {
+    let obs = Obs::in_memory();
+    let bind = || {
+        let tenancy = Tenancy::new(demo_db());
+        WireServer::bind("127.0.0.1:0", tenancy, WireConfig::default(), obs.clone()).unwrap()
+    };
+    let servers = [bind(), bind()];
+    let admin = AdminServer::bind("127.0.0.1:0", obs.clone(), servers[0].ready_handle()).unwrap();
+    let (_, text) = http_get(admin.local_addr(), "/metrics");
+    let gauges: Vec<&str> = text
+        .lines()
+        .filter_map(|line| line.strip_prefix("# TYPE ")?.strip_suffix(" gauge"))
+        .collect();
+    assert!(gauges.contains(&"wire_active_sessions"), "{text}");
+    assert!(gauges.iter().any(|g| g.starts_with("minidb_")), "{text}");
+    for gauge in gauges {
+        let lines = text
+            .lines()
+            .filter(|l| l.split([' ', '{']).next() == Some(gauge));
+        assert_eq!(lines.count(), 1, "{gauge} in:\n{text}");
+    }
+    admin.shutdown();
+    for server in servers {
+        server.shutdown();
+    }
+}

@@ -5,10 +5,11 @@
 use minidb::Database;
 use obs::Obs;
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use toolproto::{Args, FnTool, Json, Registry, Signature, ToolError, ToolOutput};
+use toolproto::{Args, FnTool, Json, Registry, Signature, Tool, ToolError, ToolOutput, ToolResult};
 use wire::{
     mirror_registry, Client, ErrorCode, FrameError, Tenancy, WireConfig, WireError, WireServer,
 };
@@ -280,38 +281,73 @@ fn slow_partial_frame_hits_the_deadline() {
     server.shutdown();
 }
 
-#[test]
-fn busy_queue_answers_server_busy() {
-    // One worker, queue depth 1, and a tool that holds the worker until
-    // the test releases it: the first call occupies the worker, and of the
-    // two contenders that follow, exactly one sits in the queue slot and
-    // exactly one is rejected with server_busy. Gate atomics (not sleeps)
-    // sequence the race so the outcome is deterministic.
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    let db = demo_db();
-    let started = Arc::new(AtomicUsize::new(0));
-    let release = Arc::new(AtomicBool::new(false));
-    let mut external = Registry::new();
-    {
-        let started = Arc::clone(&started);
-        let release = Arc::clone(&release);
-        external.register_tool(FnTool::new(
+/// A `stall` tool that holds its worker until released, for driving a
+/// one-worker, one-slot pool into shedding.
+#[derive(Clone, Default)]
+struct Stall {
+    started: Arc<AtomicUsize>,
+    release: Arc<AtomicBool>,
+}
+
+impl Stall {
+    fn tool(&self) -> impl Tool {
+        let latch = self.clone();
+        FnTool::new(
             "stall",
             "holds a worker until released",
             Signature::open(vec![]),
-            move |_args: &Args| {
-                started.fetch_add(1, Ordering::SeqCst);
-                while !release.load(Ordering::SeqCst) {
+            move |_: &Args| {
+                latch.started.fetch_add(1, Ordering::SeqCst);
+                while !latch.release.load(Ordering::SeqCst) {
                     std::thread::sleep(Duration::from_millis(5));
                 }
                 Ok(ToolOutput::value(Json::str("done")))
             },
-        ));
+        )
     }
+
+    /// Pin the one worker with a first `stall` call, race two more for the
+    /// one queue slot until `obs` counts a shed call, then release the
+    /// worker. Returns the two contenders' outcomes.
+    fn shed_one(&self, addr: SocketAddr, obs: &Obs) -> [Result<ToolResult, wire::WireError>; 2] {
+        let call = || {
+            std::thread::spawn(move || {
+                let mut c = Client::connect(addr).unwrap();
+                c.initialize("admin").unwrap();
+                c.call("stall", &Json::Null)
+            })
+        };
+        let first = call();
+        // Only once the worker runs the first call does the queue have
+        // exactly one free slot; atomics, not sleeps, sequence the race.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while self.started.load(Ordering::SeqCst) == 0 {
+            assert!(Instant::now() < deadline, "first stall never started");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let contenders = [call(), call()];
+        while obs.snapshot().metrics.counter("wire.rejected.busy") == 0 {
+            assert!(Instant::now() < deadline, "no server_busy rejection");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        self.release.store(true, Ordering::SeqCst);
+        first.join().unwrap().unwrap().unwrap();
+        contenders.map(|c| c.join().unwrap())
+    }
+}
+
+#[test]
+fn busy_queue_answers_server_busy() {
+    // One worker, queue depth 1: the first call occupies the worker, and of
+    // the two contenders that follow, exactly one sits in the queue slot and
+    // exactly one is rejected with server_busy.
+    let stall = Stall::default();
+    let mut external = Registry::new();
+    external.register_tool(stall.tool());
     let obs = Obs::in_memory();
     let server = WireServer::bind(
         "127.0.0.1:0",
-        Tenancy::new(db).with_external(external),
+        Tenancy::new(demo_db()).with_external(external),
         WireConfig {
             workers: 1,
             queue_depth: 1,
@@ -320,38 +356,9 @@ fn busy_queue_answers_server_busy() {
         obs.clone(),
     )
     .unwrap();
-    let addr = server.local_addr();
-
-    let spawn_stall = || {
-        std::thread::spawn(move || {
-            let mut c = Client::connect(addr).unwrap();
-            c.initialize("admin").unwrap();
-            c.call("stall", &Json::object::<_, String>([]))
-        })
-    };
-    let first = spawn_stall();
-    // Wait until the worker is actually executing the first call — only
-    // then is the queue guaranteed to have exactly one free slot.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while started.load(Ordering::SeqCst) == 0 {
-        assert!(Instant::now() < deadline, "first stall never started");
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    // Two contenders race for the single queue slot; the loser is rejected.
-    // The worker is pinned, so the rejection is observable via the metric.
-    let second = spawn_stall();
-    let third = spawn_stall();
-    while obs.snapshot().metrics.counter("wire.rejected.busy") == 0 {
-        assert!(Instant::now() < deadline, "no server_busy rejection");
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    release.store(true, Ordering::SeqCst);
-
-    // The first call and the queued contender complete; the other contender
-    // got server_busy (backpressure sheds load without corrupting in-flight
-    // work).
-    first.join().unwrap().unwrap().unwrap();
-    let outcomes = [second.join().unwrap(), third.join().unwrap()];
+    // The queued contender completes; the other got server_busy
+    // (backpressure sheds load without corrupting in-flight work).
+    let outcomes = stall.shed_one(server.local_addr(), &obs);
     let busy = outcomes
         .iter()
         .filter(|r| matches!(r, Err(WireError::Rpc(rpc)) if rpc.code == ErrorCode::ServerBusy))
@@ -649,10 +656,7 @@ fn bogus_methods_and_tool_names_do_not_mint_metric_series() {
     };
     let series = || {
         let m = obs.snapshot().metrics;
-        m.counters.len()
-            + m.histograms.len()
-            + m.labeled_counters.len()
-            + m.labeled_histograms.len()
+        m.labeled_counters.len() + m.labeled_histograms.len()
     };
     assert_eq!(session(1), 5, "every request is answered");
     let before = series();
@@ -666,7 +670,144 @@ fn bogus_methods_and_tool_names_do_not_mint_metric_series() {
             .labeled_counter("wire.calls", &[("user", "admin"), ("tool", "unknown")]),
         1001
     );
-    assert_eq!(snap.metrics.counter("tool.calls.unknown"), 1001);
+    assert_eq!(
+        snap.metrics.labeled_counter(
+            "tool.calls",
+            &[("tool", "unknown"), ("outcome", "tool-error")]
+        ),
+        1001
+    );
+}
+
+/// One session's mix of outcomes — an ok call, a privilege denial, a SQL
+/// parse error, an unknown tool, a proxy hand-off, a commit conflict and a
+/// budget denial — plus a shed call. Tools, actions and codes end up as
+/// labels: no series name carries one. Every counter name the benchmark
+/// reads is still there.
+#[test]
+fn outcomes_are_labels_and_benchmark_counter_names_survive() {
+    let dir = std::env::temp_dir().join(format!("loopback-series-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let obs = Obs::in_memory();
+    let config = minidb::DurabilityConfig::new(&dir);
+    let (db, _) = Database::open_observed(&config, obs.clone()).unwrap();
+    let mut admin = db.session("admin").unwrap();
+    for sql in [
+        "CREATE TABLE sales (id INTEGER PRIMARY KEY, amount REAL)",
+        "CREATE TABLE audit (id INTEGER PRIMARY KEY)",
+        "INSERT INTO sales VALUES (1, 10.0), (2, 20.0)",
+    ] {
+        admin.execute_sql(sql).unwrap();
+    }
+    db.create_user("writer", false).unwrap();
+    db.grant("writer", sqlkit::Action::Select, "sales").unwrap();
+    db.grant("writer", sqlkit::Action::Update, "sales").unwrap();
+    let stall = Stall::default();
+    let mut external = Registry::new();
+    external.register_tool(stall.tool());
+    external.register_tool(FnTool::new(
+        "sink",
+        "accepts anything",
+        Signature::open(vec![]),
+        |_: &Args| Ok(ToolOutput::value(Json::Null)),
+    ));
+    let ledger = gate::BudgetLedger::new(gate::BudgetLimits::unlimited().with_calls(12));
+    let gate = gate::GateConfig::default()
+        .with_cache()
+        .with_user_ledger(Arc::new(ledger));
+    let tenancy = Tenancy::new(db.clone()).with_external(external);
+    let server = WireServer::bind(
+        "127.0.0.1:0",
+        tenancy.with_gate(gate),
+        WireConfig {
+            workers: 1,
+            queue_depth: 1,
+            ..WireConfig::default()
+        },
+        obs.clone(),
+    )
+    .unwrap();
+
+    let sql = |text: &str| Json::object([("sql", Json::str(text))]);
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    client.initialize("writer").unwrap();
+    let mut call = |tool: &str, args: Json| client.call(tool, &args).unwrap();
+    call("select", sql("SELECT * FROM sales")).unwrap();
+    call("select", sql("SELECT * FROM audit")).unwrap_err();
+    call("select", sql("SELEC oops")).unwrap_err();
+    call("no_such_tool", Json::Null).unwrap_err();
+    let unit = r#"{"target_tool": "sink", "tool_args": {"data": {"tool": "select",
+        "args": {"sql": "SELECT * FROM sales"}, "transform": "/rows"}}}"#;
+    call("proxy", Json::parse(unit).unwrap()).unwrap();
+    // A concurrent commit to the same row makes this commit lose
+    // first-writer-wins.
+    call("begin", Json::Null).unwrap();
+    call("update", sql("UPDATE sales SET amount = 11.0 WHERE id = 2")).unwrap();
+    admin
+        .execute_sql("UPDATE sales SET amount = 12.0 WHERE id = 2")
+        .unwrap();
+    call("commit", Json::Null).unwrap_err();
+    let budget_denied = (0..20).any(|_| {
+        matches!(call("select", sql("SELECT * FROM sales")),
+            Err(ToolError::Denied { ref code, .. }) if code == "budget")
+    });
+    assert!(budget_denied, "the 12-call budget never ran out");
+    let _ = stall.shed_one(server.local_addr(), &obs);
+    server.shutdown();
+    drop((admin, db));
+    std::fs::remove_dir_all(&dir).ok();
+
+    let m = obs.snapshot().metrics;
+    for (name, labels) in [
+        ("tool.calls", &[("tool", "select"), ("outcome", "ok")][..]),
+        (
+            "tool.calls",
+            &[("tool", "unknown"), ("outcome", "tool-error")],
+        ),
+        ("tool.calls", &[("tool", "commit"), ("outcome", "conflict")]),
+        ("tool.denied", &[("code", "privilege")]),
+        ("tool.denied", &[("code", "budget")]),
+        ("denials", &[("gate", "privilege")]),
+        ("denials", &[("gate", "budget")]),
+        ("sql.statements", &[("action", "update")]),
+        ("txn", &[("verb", "commit"), ("outcome", "error")]),
+        ("wire.errors", &[("code", "tool_denied")]),
+        ("wire.errors", &[("code", "server_busy")]),
+    ] {
+        assert!(m.labeled_counter(name, labels) > 0, "{name}{labels:?}");
+    }
+    // No series name carries a tool, an action or a code. `commit`, `proxy`
+    // and `budget` are left out of the check: `wal.commit`, `proxy.*` and
+    // `gate.budget` are fixed names of their own layers.
+    let codes = (-32013..=-32000)
+        .chain([-32700, -32602, -32601, -32600])
+        .filter_map(ErrorCode::from_code)
+        .map(ErrorCode::name);
+    let words = "select update begin sink stall no_such_tool unknown privilege policy";
+    let forbidden: Vec<&str> = words.split(' ').chain(codes).collect();
+    let names = (m.labeled_counters.iter().map(|s| &s.name))
+        .chain(m.labeled_histograms.iter().map(|s| &s.name))
+        .chain(m.gauges.iter().map(|s| &s.name));
+    for name in names {
+        let carried = name.split('.').find(|part| forbidden.contains(part));
+        assert_eq!(carried, None, "series name `{name}`");
+    }
+    // The names the benchmark reads.
+    for name in [
+        "wire.requests.tools_call",
+        "wire.rejected.busy",
+        "proxy.bytes_moved",
+        "mvcc.conflicts",
+        "wal.bytes",
+        "wal.fsyncs",
+    ] {
+        assert!(m.counter(name) > 0, "{name} is gone");
+    }
+    let cache = m.labeled_counters.iter().find(|s| s.name == "gate.cache");
+    let keys: Vec<&str> = cache.map_or(vec![], |s| {
+        s.labels.iter().map(|(k, _)| k.as_str()).collect()
+    });
+    assert_eq!(keys, ["hit", "tool"]);
 }
 
 #[test]

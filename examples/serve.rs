@@ -8,11 +8,11 @@
 //!   and `--trace FILE` to export the JSONL trace on shutdown. Pass
 //!   `--data-dir DIR` to serve a *durable* database (WAL + snapshot in
 //!   `DIR`; recovered on start, seeded with the demo content only when the
-//!   directory is fresh) and `--fsync {always,commit,off}` to pick the
-//!   durability/latency trade-off (default `commit`). `--admin-addr
-//!   HOST:PORT` adds the HTTP admin plane (`/metrics`, `/healthz`,
-//!   `/readyz`, `/slow`, `/statements`, `/queries`), and `--slow-ms N` sets
-//!   its slow-call threshold (default 100).
+//!   directory is fresh) and `--fsync {commit,off}` to pick whether each
+//!   commit is fsynced before it is acknowledged (default `commit`).
+//!   `--admin-addr HOST:PORT` adds the HTTP admin plane (`/metrics`,
+//!   `/healthz`, `/readyz`, `/slow`, `/statements`, `/queries`), and
+//!   `--slow-ms N` sets its slow-call threshold (default 100).
 //! * `cargo run --example serve -- --stdio` — serve exactly one session on
 //!   stdin/stdout (the MCP stdio transport; the parent process owns the
 //!   pipes).
@@ -145,7 +145,7 @@ fn run_tcp(args: &[String]) {
             "--fsync" => {
                 let value = it
                     .next()
-                    .unwrap_or_else(|| fail("--fsync needs always|commit|off"));
+                    .unwrap_or_else(|| fail("--fsync needs commit|off"));
                 fsync = FsyncPolicy::parse(value)
                     .unwrap_or_else(|| fail(&format!("unknown fsync policy '{value}'")));
             }

@@ -138,8 +138,12 @@ fn denials_are_counted_with_context() {
     assert_eq!(ctx.action.as_deref(), Some("SELECT"));
 
     let snap = server.snapshot();
-    assert_eq!(snap.metrics.counter("denials.privilege"), 1);
-    assert_eq!(snap.metrics.counter("tool.denied.privilege"), 1);
+    let m = &snap.metrics;
+    assert_eq!(m.labeled_counter("denials", &[("gate", "privilege")]), 1);
+    assert_eq!(
+        m.labeled_counter("tool.denied", &[("code", "privilege")]),
+        1
+    );
     let denial = snap
         .spans
         .iter()
@@ -199,8 +203,12 @@ fn proxy_moves_rows_without_the_llm_and_counts_them() {
     assert!(snap.metrics.counter("proxy.bytes_moved") > 60);
     // The producer-side select ran under the unit: registry-level calls
     // exceed what a caller issued directly (proxy + inner select + consumer).
-    assert_eq!(snap.metrics.counter("tool.calls.select"), 1);
-    assert_eq!(snap.metrics.counter("tool.calls.proxy"), 1);
+    let ok = |tool| {
+        snap.metrics
+            .labeled_counter("tool.calls", &[("tool", tool), ("outcome", "ok")])
+    };
+    assert_eq!(ok("select"), 1);
+    assert_eq!(ok("proxy"), 1);
     let unit = snap
         .spans
         .iter()
