@@ -121,15 +121,19 @@ gate_e2ebench_build() {
 }
 
 # The benchmark as a correctness gate: one second's worth of the two
-# workloads that carry the most data over the wire. Every reply is checked
-# against the oracle computed during set-up (row counts, the trained model's
-# digest, typed denials), and a wrong one makes the run exit non-zero; no
-# timing is asserted. A wire-level slip in the data path — a frame cut
-# short, a row lost in a proxy hand-off, a denial that decodes as something
-# else — fails here rather than in the next benchmark run.
+# workloads that carry the most data over the wire, plus durable_write, the
+# one that drives commits beside a concurrent reader through the wire's
+# call path. Every reply is checked against the oracle computed during
+# set-up (row counts, the trained model's digest, typed denials; for
+# durable_write, reopening the directory and finding every acknowledged
+# commit), and a wrong one makes the run exit non-zero; no timing is
+# asserted. A wire-level slip in the data path — a frame cut short, a row
+# lost in a proxy hand-off, a denial that decodes as something else, a
+# commit acknowledged and lost — fails here rather than in the next
+# benchmark run.
 gate_e2ebench_smoke() {
   local workload
-  for workload in agent_mix bulk_transfer; do
+  for workload in agent_mix bulk_transfer durable_write; do
     run bash e2ebench/run.sh --workload "$workload" --seed 7 --seconds 1 --trace 0 \
       || return 1
   done

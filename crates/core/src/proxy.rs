@@ -289,10 +289,11 @@ fn unit_body(
         span.attr("producers", jobs.len() as u64);
     }
     // Run all producers, in parallel when there are several. Worker threads
-    // have no thread-local parent span, so they adopt this unit's span
-    // context to keep the exported tree (and its trace id) connected
-    // across threads.
+    // have no thread-local parent span or call deadline, so they adopt this
+    // unit's span context, keeping the exported tree (and its trace id)
+    // connected across threads, and the call's deadline.
     let ctx = span.context();
+    let deadline = minidb::deadline::current();
     let results: Vec<Result<Json, ToolError>> = if jobs.len() <= 1 {
         jobs.iter()
             .map(|p| run_producer(registry, p, depth, obs))
@@ -304,6 +305,7 @@ fn unit_body(
                 .map(|p| {
                     scope.spawn(move || {
                         let _scope = obs::adopt_context(ctx);
+                        let _deadline = minidb::deadline::scope(deadline);
                         run_producer(registry, p, depth, obs)
                     })
                 })

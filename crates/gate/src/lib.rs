@@ -14,9 +14,10 @@
 //!   calls, rows scanned, bytes moved, and wall time, enforced at the tool
 //!   gate with a typed `ToolError::Denied { code: "budget", .. }` that
 //!   mirrors the privilege-denial contract.
-//! * **Admission control** ([`admission`]) — per-tenant bounded queues with
-//!   weighted round-robin dequeue for the wire worker pool, so a runaway
-//!   tenant sheds against its own queue instead of starving everyone.
+//! * **Admission control** ([`admission`]) — a fixed set of execution
+//!   tickets for wire tool calls, with per-tenant bounded waiting queues
+//!   granted by weighted round-robin, so a runaway tenant sheds against its
+//!   own queue instead of starving everyone.
 //!
 //! Everything emits labeled telemetry through the obs plane:
 //! `gate.cache{tool,hit}`, `gate.budget{user,resource}`, and
@@ -32,7 +33,7 @@ pub mod cache;
 pub mod plan;
 pub mod retrieval;
 
-pub use admission::{SubmitError, WeightedQueues};
+pub use admission::{Admission, SubmitError, Ticket, WeightedQueues};
 pub use budget::{BudgetBreach, BudgetLedger, BudgetLimits, BudgetMeter, BudgetUsage, MeteredTool};
 pub use cache::{CacheStats, GenCache};
 pub use plan::{normalize_sql, PlanCache, PreparedPlan};

@@ -55,6 +55,10 @@ pub enum DbError {
         /// What conflicted, for diagnostics.
         detail: String,
     },
+    /// The call's deadline (see [`crate::deadline`]) passed while the
+    /// statement ran; the executor stopped it. Like any statement error it
+    /// publishes nothing.
+    DeadlineExceeded,
 }
 
 impl fmt::Display for DbError {
@@ -82,6 +86,10 @@ impl fmt::Display for DbError {
             DbError::SerializationConflict { table, detail } => write!(
                 f,
                 "serialization conflict: {detail} on \"{table}\"; retry the transaction"
+            ),
+            DbError::DeadlineExceeded => write!(
+                f,
+                "deadline exceeded: the call's deadline passed while the statement ran"
             ),
         }
     }

@@ -6,7 +6,7 @@
 //! a thread: the planned executor reaches those through
 //! [`super::parallel`] and its own scan operators.
 
-use super::{execute_select, DbState, QueryResult};
+use super::{execute_select, DbState, QueryResult, DEADLINE_ROWS};
 use crate::error::{DbError, DbResult};
 use crate::expr::{self, eval, Scope, ScopeCol};
 use crate::plan::ExecOptions;
@@ -372,7 +372,9 @@ fn combine(l: &Row, r: impl IntoIterator<Item = Value>) -> Row {
 }
 
 /// The nested-loop join: the reference semantics every other join strategy
-/// must reproduce. `cols` is the combined (left then right) scope.
+/// must reproduce. `cols` is the combined (left then right) scope. The
+/// outer loop checks the call's deadline once per [`DEADLINE_ROWS`] row
+/// pairs visited.
 pub(super) fn nl_join_rows(
     cols: &[ScopeCol],
     left_rows: &[Row],
@@ -382,7 +384,13 @@ pub(super) fn nl_join_rows(
     on: Option<&Expr>,
 ) -> DbResult<Vec<Row>> {
     let mut out = Vec::new();
+    let mut unchecked = 0usize;
     for l in left_rows {
+        unchecked += right_rows.len().max(1);
+        if unchecked >= DEADLINE_ROWS {
+            unchecked = 0;
+            crate::deadline::check()?;
+        }
         let mut matched = false;
         for r in right_rows {
             let combined = combine(l, r.iter().cloned());

@@ -43,7 +43,7 @@ use crate::schema::Catalog;
 use crate::storage::{DataMap, RowId, TableData};
 use crate::txn::UndoOp;
 use crate::value::{Key, Row};
-use sqlkit::ast::{Select, Statement};
+use sqlkit::ast::{Action, Select, Statement};
 
 /// Mutable database state: catalog + per-table storage.
 #[derive(Debug, Clone, Default)]
@@ -83,12 +83,18 @@ impl QueryResult {
     }
 }
 
+/// Rows a row-at-a-time loop processes between two deadline checks.
+const DEADLINE_ROWS: usize = 1024;
+
 /// Execute any statement except transaction control (handled by sessions).
+/// DDL runs to completion once started: it never checks the call deadline.
 pub fn execute(
     state: &mut DbState,
     stmt: &Statement,
     undo: &mut Vec<UndoOp>,
 ) -> DbResult<QueryResult> {
+    let ddl = matches!(stmt.action(), Action::Create | Action::Drop | Action::Alter);
+    let _ddl = ddl.then(crate::deadline::suspend);
     match stmt {
         Statement::Select(sel) => {
             execute_select(state, sel, &ExecOptions::default()).map(|(result, _)| result)

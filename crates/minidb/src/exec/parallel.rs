@@ -8,6 +8,7 @@
 //! width on any machine.
 
 use super::eval;
+use crate::deadline;
 use crate::error::DbResult;
 use crate::expr::ScopeCol;
 use crate::storage::TableData;
@@ -24,11 +25,19 @@ use std::collections::BTreeMap;
 /// output order equals the sequential order, and — since each chunk stops
 /// at its own first error and the earliest chunk's error is the one
 /// returned — the first error in row order wins, as it would serially.
+///
+/// Every chunk checks the calling thread's deadline before it starts; the
+/// workers get it captured, since a thread-local does not cross threads.
 pub(crate) fn chunked<T: Send, R: Send>(
     mut items: Vec<T>,
     workers: usize,
     work: impl Fn(Vec<T>) -> DbResult<R> + Sync,
 ) -> DbResult<Vec<R>> {
+    let at = deadline::current();
+    let work = move |part| {
+        deadline::check_at(at)?;
+        work(part)
+    };
     let workers = workers.min(items.len());
     if workers < 2 {
         return Ok(vec![work(items)?]);
@@ -186,6 +195,22 @@ mod tests {
             .unwrap_err();
             assert_eq!(err.to_string(), "execution error: bad item 3000");
         }
+    }
+
+    #[test]
+    fn an_expired_deadline_stops_at_the_first_chunk_start() {
+        let _expired = deadline::scope(Some(std::time::Instant::now()));
+        let started = std::sync::atomic::AtomicUsize::new(0);
+        for workers in WIDTHS {
+            let items: Vec<i64> = (0..N).collect();
+            let err = chunked(items, workers, |part| {
+                started.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                Ok(part)
+            })
+            .unwrap_err();
+            assert_eq!(err, DbError::DeadlineExceeded, "{workers} workers");
+        }
+        assert_eq!(started.into_inner(), 0, "no chunk ran its work");
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //! derive their `plan.*` span attributes from it.
 
 use super::{eval, parallel};
-use super::{DbState, QueryResult};
+use super::{DbState, QueryResult, DEADLINE_ROWS};
+use crate::deadline;
 use crate::error::{DbError, DbResult};
 use crate::expr::ScopeCol;
 use crate::plan::ExecOptions;
@@ -69,12 +70,14 @@ impl Ctx<'_> {
     /// per operator *dispatch*, not per row, so disabled profiling is a
     /// single branch. A node that dispatches through two frames (Project
     /// via both `exec_rows` and `exec_produce`) is written twice; the outer
-    /// frame finishes last with the larger, still-inclusive figure.
+    /// frame finishes last with the larger, still-inclusive figure. Every
+    /// dispatch first checks the call's deadline.
     fn measured<T>(
         &self,
         node: &mut PhysNode,
         body: impl FnOnce(&Self, &mut PhysNode) -> DbResult<Vec<T>>,
     ) -> DbResult<Vec<T>> {
+        deadline::check()?;
         let started = self.opts.profiling.then(Instant::now);
         let out = body(self, node)?;
         node.actual_rows = Some(out.len() as u64);
@@ -138,6 +141,9 @@ impl Ctx<'_> {
         for (_, row) in self.table(table)?.iter() {
             if passed >= k {
                 break;
+            }
+            if scanned % DEADLINE_ROWS as u64 == 0 {
+                deadline::check()?;
             }
             scanned += 1;
             if let Some(pred) = pred {

@@ -15,7 +15,9 @@
 //!   PostgreSQL-style aborted-transaction behaviour;
 //! * a PostgreSQL-style privilege catalog ([`privilege`]) checked by the
 //!   engine on every statement;
-//! * a concurrency-safe facade ([`db::Database`] / [`db::Session`]).
+//! * a concurrency-safe facade ([`db::Database`] / [`db::Session`]);
+//! * cooperative call deadlines ([`deadline`]) the executor checks as it
+//!   dispatches work.
 //!
 //! Concurrency model: **MVCC snapshot isolation** ([`mvcc`]). Every
 //! committed state is an immutable version; readers clone an `Arc` to the
@@ -30,6 +32,7 @@
 #![warn(missing_docs)]
 
 pub mod db;
+pub mod deadline;
 pub mod error;
 pub mod exec;
 pub mod expr;

@@ -115,11 +115,13 @@ impl SpanRecord {
 }
 
 thread_local! {
-    /// Stack of open span ids on this thread; the top is the current parent.
-    static PARENT_STACK: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
-    /// Stack of trace ids mirroring [`PARENT_STACK`] plus adopted trace
-    /// scopes; the top is the trace new spans join.
-    static TRACE_STACK: RefCell<Vec<TraceId>> = const { RefCell::new(Vec::new()) };
+    /// Stack of open span ids and adopted parents on this thread; the top is
+    /// the current parent (`None`: an adopted context with no parent, so new
+    /// spans are roots whatever is open beneath it).
+    static PARENT_STACK: RefCell<Vec<Option<u64>>> = const { RefCell::new(Vec::new()) };
+    /// Stack of trace ids mirroring [`PARENT_STACK`]; the top is the trace
+    /// new spans join (`None`: each starts a fresh one).
+    static TRACE_STACK: RefCell<Vec<Option<TraceId>>> = const { RefCell::new(Vec::new()) };
 }
 
 /// The id of the innermost open span on this thread, if any.
@@ -127,6 +129,7 @@ pub fn current_parent() -> Option<u64> {
     PARENT_STACK
         .try_with(|s| s.borrow().last().copied())
         .ok()
+        .flatten()
         .flatten()
 }
 
@@ -136,13 +139,14 @@ pub fn current_trace() -> Option<TraceId> {
         .try_with(|s| s.borrow().last().copied())
         .ok()
         .flatten()
+        .flatten()
 }
 
-fn push_parent(id: u64) {
+fn push_parent(id: Option<u64>) {
     let _ = PARENT_STACK.try_with(|s| s.borrow_mut().push(id));
 }
 
-fn pop_parent(id: u64) {
+fn pop_parent(id: Option<u64>) {
     let _ = PARENT_STACK.try_with(|s| {
         let mut stack = s.borrow_mut();
         // Guards usually drop in LIFO order, but cross-thread storage (the
@@ -154,11 +158,11 @@ fn pop_parent(id: u64) {
     });
 }
 
-fn push_trace(trace: TraceId) {
+fn push_trace(trace: Option<TraceId>) {
     let _ = TRACE_STACK.try_with(|s| s.borrow_mut().push(trace));
 }
 
-fn pop_trace(trace: TraceId) {
+fn pop_trace(trace: Option<TraceId>) {
     let _ = TRACE_STACK.try_with(|s| {
         let mut stack = s.borrow_mut();
         if let Some(pos) = stack.iter().rposition(|&x| x == trace) {
@@ -179,16 +183,14 @@ pub struct SpanContext {
 
 /// Adopt a [`SpanContext`] on the current thread: while the returned scope
 /// is alive, spans opened here join `ctx.trace` and become children of
-/// `ctx.parent`. This is how one trace id survives thread hops (worker
-/// pools, proxy producers) and process hops (the wire's `traceparent`).
+/// `ctx.parent`, whatever spans the thread has open — a context with no
+/// parent makes them roots, one with no trace starts fresh traces. This is
+/// how one trace id survives thread hops (proxy producers) and process hops
+/// (the wire's `traceparent`).
 #[must_use = "context adoption lasts only while the scope is alive"]
 pub fn adopt_context(ctx: SpanContext) -> ParentScope {
-    if let Some(trace) = ctx.trace {
-        push_trace(trace);
-    }
-    if let Some(id) = ctx.parent {
-        push_parent(id);
-    }
+    push_trace(ctx.trace);
+    push_parent(ctx.parent);
     ParentScope {
         parent: ctx.parent,
         trace: ctx.trace,
@@ -205,12 +207,8 @@ pub struct ParentScope {
 
 impl Drop for ParentScope {
     fn drop(&mut self) {
-        if let Some(id) = self.parent {
-            pop_parent(id);
-        }
-        if let Some(trace) = self.trace {
-            pop_trace(trace);
-        }
+        pop_parent(self.parent);
+        pop_trace(self.trace);
     }
 }
 
@@ -243,8 +241,8 @@ impl SpanGuard {
         // Join the ambient trace, or start a new one when this is a root.
         let trace = current_trace().unwrap_or_else(crate::trace::next_trace_id);
         let start_ns = inner.now_ns();
-        push_parent(id);
-        push_trace(trace);
+        push_parent(Some(id));
+        push_trace(Some(trace));
         SpanGuard(Some(OpenSpan {
             inner,
             id,
@@ -308,8 +306,8 @@ impl SpanGuard {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some(open) = self.0.take() {
-            pop_parent(open.id);
-            pop_trace(open.trace);
+            pop_parent(Some(open.id));
+            pop_trace(Some(open.trace));
             let end_ns = open.inner.now_ns().max(open.start_ns);
             let record = SpanRecord {
                 id: open.id,
@@ -475,6 +473,25 @@ mod tests {
         }
         assert_eq!(current_trace(), None);
         assert_eq!(current_parent(), None);
+    }
+
+    #[test]
+    fn a_parentless_context_masks_what_the_thread_has_open() {
+        let (outer, adopted) = (TraceId::from_u128(1), TraceId::from_u128(2));
+        let _open = adopt_context(SpanContext {
+            trace: outer,
+            parent: Some(5),
+        });
+        {
+            let _root = adopt_context(SpanContext {
+                trace: adopted,
+                parent: None,
+            });
+            assert_eq!((current_trace(), current_parent()), (adopted, None));
+            let _fresh = adopt_context(SpanContext::default());
+            assert_eq!((current_trace(), current_parent()), (None, None));
+        }
+        assert_eq!((current_trace(), current_parent()), (outer, Some(5)));
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!   counter, gauge, and histogram in the server's [`Obs`] handle.
 //! * `GET /healthz` — liveness: 200 as long as the listener thread runs.
 //! * `GET /readyz` — readiness: 200 while serving, 503 the moment graceful
-//!   shutdown begins (the flag flips *before* the worker pool drains, so a
-//!   load balancer stops routing while in-flight calls finish).
+//!   shutdown begins (the flag flips *before* in-flight calls drain, so a
+//!   load balancer stops routing while they finish).
 //! * `GET /slow` — the flight recorder's captured slow calls as JSON, full
 //!   span trees included.
 //! * `GET /slow/<trace-id>` — one captured call looked up by its 32-hex

@@ -16,12 +16,15 @@
 //!   enforced server-side per session; a client-requested policy can only
 //!   tighten the operator's base policy
 //!   ([`bridgescope_core::SecurityPolicy::restricted_by`]).
-//! * **Concurrency & backpressure** — a fixed worker pool behind a bounded
-//!   queue executes tool calls; a full queue answers `server_busy`
-//!   instead of accepting unbounded work. See [`server::WireConfig`].
-//! * **Limits** — max frame size, per-frame read deadlines, call
-//!   deadlines, and per-session request budgets, each with a typed error
-//!   code. Malformed input never panics the server. See [`frame`].
+//! * **Concurrency & backpressure** — each call runs on its connection's
+//!   thread while it holds one of a fixed number of admission tickets
+//!   ([`gate::Admission`]); a tenant whose waiting queue is full is answered
+//!   `server_busy` instead of accepting unbounded work. See
+//!   [`server::WireConfig`].
+//! * **Limits** — max frame size, per-frame read deadlines, call deadlines
+//!   that stop the engine work they bound, and per-session request budgets,
+//!   each with a typed error code. Malformed input never panics the server,
+//!   and a panicking tool ends only its own session. See [`frame`].
 //! * **Observability** — every session is a `wire:session` span, every
 //!   dispatch a `wire:call` span parenting the usual `tool:{name}` spans,
 //!   plus `wire.*` counters and a call-latency histogram, all through the

@@ -28,7 +28,7 @@ pub enum ErrorCode {
     MethodNotFound,
     /// Malformed `params` for a known method (-32602).
     InvalidParams,
-    /// The worker pool's bounded queue is full — back off and retry (-32000).
+    /// The tenant's admission queue is full — back off and retry (-32000).
     ServerBusy,
     /// The frame exceeded the server's size limit (-32001).
     FrameTooLarge,

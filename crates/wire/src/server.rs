@@ -1,17 +1,20 @@
-//! The concurrent wire server: sessions, the bounded worker pool, and
+//! The concurrent wire server: sessions, admission, call deadlines, and
 //! graceful shutdown.
 //!
-//! Every accepted connection gets a dedicated reader thread and — after a
+//! Every accepted connection gets a dedicated thread and — after a
 //! successful `initialize` — its own session: a per-user
 //! [`BridgeScopeServer`] surface built over the shared [`minidb::Database`].
 //! Privilege-gated tool visibility is therefore enforced *server-side per
 //! session*: a read-only user's session never lists `insert`, no matter
 //! what the client sends.
 //!
-//! Tool execution is decoupled from socket I/O by a fixed pool of worker
-//! threads fed through a bounded queue. When the queue is full the server
-//! answers `server_busy` immediately instead of accepting unbounded work —
-//! backpressure is a protocol feature, not an accident of TCP buffers.
+//! A tool call runs on its connection's thread while it holds one of a
+//! fixed number of admission tickets ([`gate::Admission`]). A call that
+//! finds none free waits in its tenant's bounded queue; a tenant whose
+//! queue is full is answered `server_busy` immediately instead of accepting
+//! unbounded work — backpressure is a protocol feature, not an accident of
+//! TCP buffers. The call's deadline stops the engine work it started
+//! ([`minidb::deadline`]), and a panicking tool ends only its own session.
 
 use crate::frame::{write_frame, FrameError, FrameReader};
 use crate::rpc::{
@@ -20,31 +23,33 @@ use crate::rpc::{
     RpcError, PROTOCOL,
 };
 use bridgescope_core::{BridgeScopeServer, SecurityPolicy};
-use gate::{GateConfig, SubmitError, WeightedQueues};
+use gate::{Admission, GateConfig, SubmitError, Ticket};
 use minidb::Database;
 use obs::Obs;
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
-use toolproto::{Json, Registry, ToolResult};
+use std::time::{Duration, Instant};
+use toolproto::{Json, Registry, ToolError, ToolResult};
 
 /// Tunable limits for a [`WireServer`]. Defaults are production-shaped but
 /// small; tests shrink them to provoke each failure mode deterministically.
 #[derive(Debug, Clone)]
 pub struct WireConfig {
-    /// Worker threads executing tool calls.
+    /// Tool calls that may execute at once (TCP). Each runs on its own
+    /// connection's thread while it holds one of this many admission
+    /// tickets.
     pub workers: usize,
-    /// Bounded job-queue depth *per tenant*; a tenant whose queue is full
-    /// is shed with `server_busy` while other tenants keep queuing.
+    /// Calls each tenant may have waiting for a ticket; the next one is
+    /// shed with `server_busy` while other tenants keep waiting.
     pub queue_depth: usize,
     /// Weighted round-robin shares for named tenants; everyone else gets
-    /// weight 1. A tenant with weight *w* is served up to *w* consecutive
-    /// jobs each time the dequeue rotation reaches it.
+    /// weight 1. As tickets free up, a tenant with weight *w* is granted up
+    /// to *w* consecutive tickets each time the rotation reaches it.
     pub tenant_weights: Vec<(String, u32)>,
     /// Maximum accepted frame size in bytes.
     pub max_frame_bytes: usize,
@@ -52,7 +57,11 @@ pub struct WireConfig {
     pub read_timeout: Duration,
     /// Socket write timeout.
     pub write_timeout: Duration,
-    /// How long a connection waits for a queued tool call to finish.
+    /// Deadline on the engine work of one tool call, counted from when it
+    /// starts to run: the executor stops a statement still running past it
+    /// and the call is answered `deadline_exceeded`. A commit that has
+    /// started finishes, and a tool that never reaches the engine runs to
+    /// completion and returns its real result.
     pub call_timeout: Duration,
     /// Requests a session may issue after `initialize` (`tools/list` and
     /// `tools/call` count; `ping`/`shutdown` do not). `None` = unlimited.
@@ -143,21 +152,18 @@ impl Tenancy {
     }
 }
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// Live wire-layer occupancy counters, read by registered admin gauges
-/// (`wire.active_sessions`, `wire.queue_depth`).
-#[derive(Debug, Default)]
-struct WireStats {
+/// What the TCP server's connections share beyond the tenancy, read by
+/// registered admin gauges (`wire.queue_depth`, `wire.active_sessions`).
+struct Occupancy {
+    /// The tickets every tool call holds while it runs.
+    admission: Admission,
     /// Sessions that have initialized and not yet disconnected.
     active_sessions: AtomicU64,
-    /// Jobs submitted to the worker pool and not yet started.
-    queue_depth: AtomicU64,
 }
 
 /// Decrements the active-session count when a session ends, however the
 /// connection terminates (clean shutdown, timeout, or dropped socket).
-struct ActiveSessionGuard(Arc<WireStats>);
+struct ActiveSessionGuard(Arc<Occupancy>);
 
 impl Drop for ActiveSessionGuard {
     fn drop(&mut self) {
@@ -165,101 +171,10 @@ impl Drop for ActiveSessionGuard {
     }
 }
 
-/// Fixed worker pool over per-tenant bounded queues with weighted
-/// round-robin dequeue ([`gate::WeightedQueues`]). `submit` never blocks: a
-/// tenant whose queue is full is shed, which the caller turns into
-/// `server_busy` — without touching any other tenant's backlog.
-struct Pool {
-    queues: Arc<WeightedQueues<Job>>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
-    stats: Arc<WireStats>,
-    obs: Obs,
-}
-
-impl Pool {
-    fn new(
-        workers: usize,
-        queue_depth: usize,
-        tenant_weights: &[(String, u32)],
-        stats: Arc<WireStats>,
-        obs: Obs,
-    ) -> Pool {
-        let queues = Arc::new(WeightedQueues::<Job>::new(
-            queue_depth.max(1),
-            1,
-            tenant_weights.iter().cloned(),
-        ));
-        let handles = (0..workers.max(1))
-            .map(|i| {
-                let queues = Arc::clone(&queues);
-                thread::Builder::new()
-                    .name(format!("wire-worker-{i}"))
-                    .spawn(move || {
-                        // `pop` blocks while open and returns `None` only
-                        // once closed and drained.
-                        while let Some(job) = queues.pop() {
-                            job();
-                        }
-                    })
-                    .expect("spawn wire worker")
-            })
-            .collect();
-        Pool {
-            queues,
-            workers: Mutex::new(handles),
-            stats,
-            obs,
-        }
-    }
-
-    fn submit(&self, user: &str, job: Job) -> Result<(), ErrorCode> {
-        // Count the job as queued from acceptance until a worker picks it
-        // up, so the gauge reflects real backlog.
-        let stats = Arc::clone(&self.stats);
-        stats.queue_depth.fetch_add(1, Ordering::Relaxed);
-        let counted: Job = Box::new({
-            let stats = Arc::clone(&stats);
-            move || {
-                stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                job();
-            }
-        });
-        match self.queues.submit(user, counted) {
-            Ok(()) => {
-                self.obs.incr_with("gate.admitted", &[("user", user)], 1);
-                Ok(())
-            }
-            Err(SubmitError::Shed) => {
-                stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                self.obs.incr_with("gate.shed", &[("user", user)], 1);
-                Err(ErrorCode::ServerBusy)
-            }
-            Err(SubmitError::Closed) => {
-                stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                Err(ErrorCode::ShuttingDown)
-            }
-        }
-    }
-
-    /// Close the queues and join workers; queued jobs drain first.
-    fn shutdown(&self) {
-        self.queues.close();
-        let handles: Vec<_> = self
-            .workers
-            .lock()
-            .expect("worker list poisoned")
-            .drain(..)
-            .collect();
-        for h in handles {
-            let _ = h.join();
-        }
-    }
-}
-
 /// One authenticated session: the per-user tool surface plus the
 /// `wire:session` span that parents everything the session does.
 struct Session {
-    registry: Arc<Registry>,
+    registry: Registry,
     span: obs::SpanGuard,
     used: u64,
     user: String,
@@ -303,110 +218,26 @@ impl CallTrace {
     }
 }
 
-/// Runs tool calls for a session: TCP connections enqueue onto the shared
-/// pool (keyed by the session's user for tenant-fair admission); the stdio
-/// transport executes inline.
-trait CallExecutor {
-    fn execute(
-        &self,
-        registry: Arc<Registry>,
-        user: &str,
-        tool: String,
-        payload: Json,
-        trace: CallTrace,
-        obs: &Obs,
-    ) -> Result<ToolResult, RpcError>;
-}
-
-/// Wrap one registry call in a `wire:call` span placed per [`CallTrace`].
-/// Everything the call does downstream — gate checks, tool dispatch, SQL
-/// execution — runs on this thread under the span's trace, so one trace id
-/// names the full path. The call is also registered in the in-flight
-/// registry for the admin `/queries` endpoint.
-fn traced_call(
-    registry: &Registry,
-    user: &str,
-    tool: &str,
-    payload: Json,
-    trace: CallTrace,
-    obs: &Obs,
-) -> ToolResult {
-    let _scope = obs::adopt_context(trace.ctx);
-    let mut span = obs.span("wire:call");
-    span.attr("tool", tool);
-    span.attr("user", user);
-    if let Some(remote) = trace.remote_parent {
-        span.attr("trace.remote_parent", remote.to_string());
-    }
-    let _inflight = obs.begin_call(user, tool);
-    let started = obs.now_ns();
-    let result = registry.call_owned(tool, payload);
-    obs.observe_ns("wire.call.latency", obs.now_ns().saturating_sub(started));
-    if let Err(e) = &result {
-        span.fail(e.to_string());
-    }
-    result
-}
-
-struct PooledExecutor {
-    pool: Arc<Pool>,
-    call_timeout: Duration,
-}
-
-impl CallExecutor for PooledExecutor {
-    fn execute(
-        &self,
-        registry: Arc<Registry>,
-        user: &str,
-        tool: String,
-        payload: Json,
-        trace: CallTrace,
-        obs: &Obs,
-    ) -> Result<ToolResult, RpcError> {
-        let (done_tx, done_rx) = mpsc::sync_channel::<ToolResult>(1);
-        let obs_job = obs.clone();
-        let job_user = user.to_owned();
-        let job: Job = Box::new(move || {
-            let result = traced_call(&registry, &job_user, &tool, payload, trace, &obs_job);
-            let _ = done_tx.send(result);
-        });
-        self.pool.submit(user, job).map_err(|code| {
-            obs.incr("wire.rejected.busy", 1);
-            RpcError::new(code, "worker queue is full; retry later")
-        })?;
-        match done_rx.recv_timeout(self.call_timeout) {
-            Ok(result) => Ok(result),
-            Err(RecvTimeoutError::Timeout) => {
-                obs.incr("wire.rejected.timeout", 1);
-                Err(RpcError::new(
-                    ErrorCode::DeadlineExceeded,
-                    format!(
-                        "tool call exceeded the {}ms deadline",
-                        self.call_timeout.as_millis()
-                    ),
-                ))
-            }
-            Err(RecvTimeoutError::Disconnected) => Err(RpcError::new(
-                ErrorCode::ShuttingDown,
-                "server stopped before the call finished",
-            )),
+/// Take an admission ticket for one of `user`'s calls, counting the
+/// outcome.
+fn admit<'a>(admission: &'a Admission, user: &str, obs: &Obs) -> Result<Ticket<'a>, RpcError> {
+    match admission.admit(user) {
+        Ok(ticket) => {
+            obs.incr_with("gate.admitted", &[("user", user)], 1);
+            Ok(ticket)
         }
-    }
-}
-
-struct InlineExecutor;
-
-impl CallExecutor for InlineExecutor {
-    fn execute(
-        &self,
-        registry: Arc<Registry>,
-        user: &str,
-        tool: String,
-        payload: Json,
-        trace: CallTrace,
-        obs: &Obs,
-    ) -> Result<ToolResult, RpcError> {
-        Ok(traced_call(&registry, user, &tool, payload, trace, obs))
+        Err(SubmitError::Shed) => {
+            obs.incr_with("gate.shed", &[("user", user)], 1);
+            obs.incr("wire.rejected.busy", 1);
+            Err(RpcError::new(
+                ErrorCode::ServerBusy,
+                "admission queue is full; retry later",
+            ))
+        }
+        Err(SubmitError::Closed) => Err(RpcError::new(
+            ErrorCode::ShuttingDown,
+            "server stopped before the call started",
+        )),
     }
 }
 
@@ -416,8 +247,12 @@ struct SessionCtx<'a> {
     config: &'a WireConfig,
     obs: &'a Obs,
     session: Option<Session>,
-    /// Occupancy counters of the owning TCP server; `None` on stdio.
-    stats: Option<Arc<WireStats>>,
+    /// Admission and session counts of the owning TCP server; `None` on
+    /// stdio, whose one client needs no admission.
+    occupancy: Option<Arc<Occupancy>>,
+    /// Set when a call panicked: the session is gone and the connection
+    /// closes after the reply.
+    ended: bool,
 }
 
 /// Outcome of dispatching one request: the response frame, and whether the
@@ -434,16 +269,17 @@ impl<'a> SessionCtx<'a> {
             config,
             obs,
             session: None,
-            stats: None,
+            occupancy: None,
+            ended: false,
         }
     }
 
-    fn with_stats(mut self, stats: Arc<WireStats>) -> Self {
-        self.stats = Some(stats);
+    fn with_occupancy(mut self, occupancy: Arc<Occupancy>) -> Self {
+        self.occupancy = Some(occupancy);
         self
     }
 
-    fn dispatch(&mut self, req: Request, exec: &dyn CallExecutor) -> Dispatch {
+    fn dispatch(&mut self, req: Request) -> Dispatch {
         self.obs.incr("wire.requests", 1);
         // One series per protocol method; anything else a peer sends shares
         // `other`, so method strings cannot grow the metrics registry.
@@ -468,7 +304,7 @@ impl<'a> SessionCtx<'a> {
             "initialize" => self.initialize(&req.params),
             "shutdown" => Ok(Json::object([("status", Json::str("bye"))])),
             "tools/list" => self.charged(|ctx| ctx.tools_list()),
-            "tools/call" => self.charged(|ctx| ctx.tools_call(req.params, trace, exec)),
+            "tools/call" => self.charged(|ctx| ctx.tools_call(req.params, trace)),
             other => Err(RpcError::new(
                 ErrorCode::MethodNotFound,
                 format!("unknown method '{other}'"),
@@ -482,7 +318,10 @@ impl<'a> SessionCtx<'a> {
                 response_err_traced(&req.id, &err, echo.as_deref())
             }
         };
-        Dispatch { frame, close }
+        Dispatch {
+            frame,
+            close: close || self.ended,
+        }
     }
 
     /// Compute the effective [`CallTrace`] for a request: a valid client
@@ -561,12 +400,12 @@ impl<'a> SessionCtx<'a> {
         self.obs.incr("wire.sessions", 1);
         let tools = Json::array(server.registry.names().into_iter().map(Json::str));
         let prompt = server.prompt;
-        let active = self.stats.as_ref().map(|stats| {
-            stats.active_sessions.fetch_add(1, Ordering::Relaxed);
-            ActiveSessionGuard(Arc::clone(stats))
+        let active = self.occupancy.as_ref().map(|occupancy| {
+            occupancy.active_sessions.fetch_add(1, Ordering::Relaxed);
+            ActiveSessionGuard(Arc::clone(occupancy))
         });
         self.session = Some(Session {
-            registry: Arc::new(server.registry),
+            registry: server.registry,
             span,
             used: 0,
             user: user.clone(),
@@ -616,12 +455,62 @@ impl<'a> SessionCtx<'a> {
         Ok(Json::object([("tools", Json::array(tools))]))
     }
 
-    fn tools_call(
-        &mut self,
-        params: Json,
+    /// Run one registry call in a `wire:call` span placed per [`CallTrace`].
+    /// Everything the call does downstream — gate checks, tool dispatch,
+    /// SQL execution — runs on this thread under the span's trace, so one
+    /// trace id names the full path, and under a deadline
+    /// [`WireConfig::call_timeout`] from now, which the engine checks as it
+    /// works. The call is also registered in the in-flight registry for the
+    /// admin `/queries` endpoint. `admission_wait` is how long the call
+    /// waited for its ticket, if it had to.
+    ///
+    /// A panic inside the tool is contained here and comes back as `Err`: a
+    /// typed `internal:` execution error, after which the caller ends the
+    /// session.
+    fn traced_call(
+        &self,
+        session: &Session,
+        tool: &str,
+        payload: Json,
         trace: CallTrace,
-        exec: &dyn CallExecutor,
-    ) -> Result<Json, RpcError> {
+        admission_wait: Option<Duration>,
+    ) -> Result<ToolResult, ToolError> {
+        let (obs, user) = (self.obs, session.user.as_str());
+        let _scope = obs::adopt_context(trace.ctx);
+        let mut span = obs.span("wire:call");
+        span.attr("tool", tool);
+        span.attr("user", user);
+        if let Some(remote) = trace.remote_parent {
+            span.attr("trace.remote_parent", remote.to_string());
+        }
+        if let Some(waited) = admission_wait {
+            let ns = waited.as_nanos() as u64;
+            span.attr("admission.wait_ns", ns);
+            obs.observe_ns("wire.admission.wait", ns);
+        }
+        let _inflight = obs.begin_call(user, tool);
+        let started = obs.now_ns();
+        let outcome = {
+            let _deadline =
+                minidb::deadline::scope(Instant::now().checked_add(self.config.call_timeout));
+            panic::catch_unwind(AssertUnwindSafe(|| {
+                session.registry.call_owned(tool, payload)
+            }))
+        };
+        obs.observe_ns("wire.call.latency", obs.now_ns().saturating_sub(started));
+        let outcome = outcome.map_err(|payload| {
+            let what = (payload.downcast_ref::<&str>().copied())
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("no message");
+            ToolError::Execution(format!("internal: tool '{tool}' panicked: {what}"))
+        });
+        if let Ok(Err(e)) | Err(e) = &outcome {
+            span.fail(e.to_string());
+        }
+        outcome
+    }
+
+    fn tools_call(&mut self, params: Json, trace: CallTrace) -> Result<Json, RpcError> {
         let session = self.session.as_ref().expect("charged() checked");
         // The name and the arguments move out of the request; the output
         // moves into the reply. Nothing a call carries is copied here.
@@ -647,17 +536,37 @@ impl<'a> SessionCtx<'a> {
             &[("user", session.user.as_str()), ("tool", tool_label)],
             1,
         );
-        let result = exec.execute(
-            Arc::clone(&session.registry),
-            &session.user,
-            name,
-            payload,
-            trace,
-            self.obs,
-        )?;
-        match result {
-            Ok(output) => Ok(tool_output_into_json(output)),
-            Err(tool_err) => Err(tool_error_to_rpc(&tool_err)),
+        // Only TCP takes a ticket; it is released when this call returns,
+        // before the reply is written.
+        let ticket = match &self.occupancy {
+            Some(occupancy) => Some(admit(&occupancy.admission, &session.user, self.obs)?),
+            None => None,
+        };
+        let waited = ticket.as_ref().and_then(Ticket::waited);
+        let outcome = self.traced_call(session, &name, payload, trace, waited);
+        drop(ticket);
+        match outcome {
+            Ok(Ok(output)) => Ok(tool_output_into_json(output)),
+            // The engine stopped the call at its deadline (minidb's stable
+            // "deadline exceeded" prefix).
+            Ok(Err(ToolError::Execution(message))) if message.starts_with("deadline exceeded") => {
+                self.obs.incr("wire.rejected.timeout", 1);
+                Err(RpcError::new(
+                    ErrorCode::DeadlineExceeded,
+                    format!(
+                        "tool call exceeded the {}ms deadline and was stopped",
+                        self.config.call_timeout.as_millis()
+                    ),
+                ))
+            }
+            Ok(Err(tool_err)) => Err(tool_error_to_rpc(&tool_err)),
+            Err(panicked) => {
+                // Whatever the tool left half done dies with the session:
+                // dropping it rolls back an open transaction.
+                self.session = None;
+                self.ended = true;
+                Err(tool_error_to_rpc(&panicked))
+            }
         }
     }
 }
@@ -738,11 +647,11 @@ pub struct WireServer {
     stop: Arc<AtomicBool>,
     /// Readiness for the admin `/readyz` endpoint: `true` while serving,
     /// flipped `false` at the very start of [`WireServer::shutdown`] —
-    /// before the worker pool drains — so load balancers stop routing
-    /// while in-flight calls finish.
+    /// before in-flight calls drain — so load balancers stop routing
+    /// while they finish.
     ready: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
-    pool: Arc<Pool>,
+    occupancy: Arc<Occupancy>,
     obs: Obs,
     /// Handle to the tenancy's database so graceful shutdown can flush and
     /// checkpoint a durable engine.
@@ -764,33 +673,33 @@ impl WireServer {
         let db = tenancy.database().clone();
         let stop = Arc::new(AtomicBool::new(false));
         let ready = Arc::new(AtomicBool::new(true));
-        let stats = Arc::new(WireStats::default());
-        let pool = Arc::new(Pool::new(
-            config.workers,
-            config.queue_depth,
-            &config.tenant_weights,
-            Arc::clone(&stats),
-            obs.clone(),
-        ));
+        let occupancy = Arc::new(Occupancy {
+            admission: Admission::new(
+                config.workers,
+                config.queue_depth,
+                config.tenant_weights.iter().cloned(),
+            ),
+            active_sessions: AtomicU64::new(0),
+        });
         // Live gauges: database internals plus wire-layer occupancy, shared
         // by every session. A second server on the same handle replaces
         // these series rather than duplicating them.
         db.register_gauges(&obs);
         {
-            let stats = Arc::clone(&stats);
+            let occupancy = Arc::clone(&occupancy);
             obs.register_gauge("wire.active_sessions", &[], move || {
-                stats.active_sessions.load(Ordering::Relaxed) as f64
+                occupancy.active_sessions.load(Ordering::Relaxed) as f64
             });
         }
         {
-            let stats = Arc::clone(&stats);
+            let occupancy = Arc::clone(&occupancy);
             obs.register_gauge("wire.queue_depth", &[], move || {
-                stats.queue_depth.load(Ordering::Relaxed) as f64
+                occupancy.admission.waiting() as f64
             });
         }
         let accept = {
             let stop = Arc::clone(&stop);
-            let pool = Arc::clone(&pool);
+            let occupancy = Arc::clone(&occupancy);
             let obs = obs.clone();
             let tenancy = Arc::new(tenancy);
             let config = Arc::new(config);
@@ -803,16 +712,15 @@ impl WireServer {
                             Ok((stream, _peer)) => {
                                 obs.incr("wire.connections", 1);
                                 let stop = Arc::clone(&stop);
-                                let pool = Arc::clone(&pool);
                                 let obs = obs.clone();
                                 let tenancy = Arc::clone(&tenancy);
                                 let config = Arc::clone(&config);
-                                let stats = Arc::clone(&stats);
+                                let occupancy = Arc::clone(&occupancy);
                                 let handle = thread::Builder::new()
                                     .name("wire-conn".into())
                                     .spawn(move || {
                                         handle_conn(
-                                            stream, &tenancy, &config, &pool, &obs, &stop, stats,
+                                            stream, &tenancy, &config, &obs, &stop, occupancy,
                                         );
                                     })
                                     .expect("spawn wire connection");
@@ -838,7 +746,7 @@ impl WireServer {
             stop,
             ready,
             accept: Some(accept),
-            pool,
+            occupancy,
             obs,
             db,
         })
@@ -860,7 +768,8 @@ impl WireServer {
         Arc::clone(&self.ready)
     }
 
-    /// Stop accepting, let live connections notice the stop flag, finish
+    /// Stop accepting, answer calls still waiting for a ticket
+    /// `shutting_down`, let live connections notice the stop flag, finish
     /// in-flight tool calls, and join every thread. With a durable engine,
     /// the drain point then flushes the WAL and compacts a snapshot, so the
     /// next open recovers instantly without replaying the whole log.
@@ -871,10 +780,10 @@ impl WireServer {
         // drain window, not just after it.
         self.ready.store(false, Ordering::Relaxed);
         self.stop.store(true, Ordering::Relaxed);
+        self.occupancy.admission.close();
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
         }
-        self.pool.shutdown();
         if self.db.is_durable() {
             if let Err(e) = self.db.flush_wal().and_then(|()| self.db.checkpoint()) {
                 // Committed data is already on disk via commit-time writes;
@@ -892,10 +801,9 @@ fn handle_conn(
     stream: TcpStream,
     tenancy: &Tenancy,
     config: &WireConfig,
-    pool: &Arc<Pool>,
     obs: &Obs,
     stop: &AtomicBool,
-    stats: Arc<WireStats>,
+    occupancy: Arc<Occupancy>,
 ) {
     let _ = stream.set_read_timeout(Some(SOCKET_TICK));
     let _ = stream.set_write_timeout(Some(config.write_timeout));
@@ -908,11 +816,7 @@ fn handle_conn(
     };
     let mut reader = FrameReader::new(read_half, config.max_frame_bytes);
     let mut writer = stream;
-    let mut ctx = SessionCtx::new(tenancy, config, obs).with_stats(stats);
-    let exec = PooledExecutor {
-        pool: Arc::clone(pool),
-        call_timeout: config.call_timeout,
-    };
+    let mut ctx = SessionCtx::new(tenancy, config, obs).with_occupancy(occupancy);
     loop {
         let frame = match reader.read_frame(Some(config.read_timeout), Some(stop)) {
             Ok(frame) => frame,
@@ -953,7 +857,7 @@ fn handle_conn(
             break;
         }
         let dispatch = match parse_request(&frame) {
-            Ok(req) => ctx.dispatch(req, &exec),
+            Ok(req) => ctx.dispatch(req),
             Err(err) => Dispatch {
                 frame: response_err(&Json::Null, &err),
                 close: false,
@@ -967,9 +871,8 @@ fn handle_conn(
 }
 
 /// Serve exactly one session over arbitrary byte streams — the stdio
-/// transport. Calls execute inline (no pool): stdio has a single client,
-/// so concurrency buys nothing. Returns when the peer sends `shutdown` or
-/// closes its end.
+/// transport. Calls take no admission ticket: stdio has a single client.
+/// Returns when the peer sends `shutdown` or closes its end.
 pub fn serve_stream<R: Read, W: Write>(
     tenancy: &Tenancy,
     config: &WireConfig,
@@ -1002,7 +905,7 @@ pub fn serve_stream<R: Read, W: Write>(
             }
         };
         let dispatch = match parse_request(&frame) {
-            Ok(req) => ctx.dispatch(req, &InlineExecutor),
+            Ok(req) => ctx.dispatch(req),
             Err(err) => Dispatch {
                 frame: response_err(&Json::Null, &err),
                 close: false,

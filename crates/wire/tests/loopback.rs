@@ -372,37 +372,268 @@ fn busy_queue_answers_server_busy() {
 }
 
 #[test]
-fn call_deadline_exceeded_for_stuck_tools() {
-    let db = demo_db();
+fn only_a_call_that_waited_for_its_ticket_records_the_wait() {
+    let stall = Stall::default();
     let mut external = Registry::new();
-    external.register_tool(FnTool::new(
-        "hang",
-        "sleeps past the call deadline",
-        Signature::open(vec![]),
-        |_args: &Args| {
-            std::thread::sleep(Duration::from_millis(600));
-            Ok(ToolOutput::value(Json::str("late")))
-        },
-    ));
+    external.register_tool(stall.tool());
+    let obs = Obs::in_memory();
     let server = WireServer::bind(
         "127.0.0.1:0",
-        Tenancy::new(db).with_external(external),
+        Tenancy::new(demo_db()).with_external(external),
+        WireConfig {
+            workers: 1,
+            ..WireConfig::default()
+        },
+        obs.clone(),
+    )
+    .unwrap();
+    let addr = server.local_addr();
+    let call = || {
+        std::thread::spawn(move || {
+            let mut c = Client::connect(addr).unwrap();
+            c.initialize("admin").unwrap();
+            c.call("stall", &Json::Null).unwrap().unwrap()
+        })
+    };
+    let first = call();
+    settle(
+        || stall.started.load(Ordering::SeqCst) == 1,
+        "first stall never started",
+    );
+    let second = call();
+    let waiting = || obs.snapshot().metrics.gauge("wire.queue_depth", &[]);
+    settle(|| waiting() == Some(1.0), "second call never waited");
+    stall.release.store(true, Ordering::SeqCst);
+    first.join().unwrap();
+    second.join().unwrap();
+    server.shutdown();
+
+    let snap = obs.snapshot();
+    let calls: Vec<_> = snap
+        .spans
+        .iter()
+        .filter(|s| s.name == "wire:call")
+        .collect();
+    let waited: Vec<_> = calls
+        .iter()
+        .filter_map(|s| s.attr("admission.wait_ns"))
+        .collect();
+    assert_eq!((calls.len(), waited.len()), (2, 1), "{calls:?}");
+    let histogram = snap.metrics.histogram("wire.admission.wait", &[]);
+    assert_eq!(histogram.map(|h| h.count), Some(1));
+}
+
+/// `demo_db` plus a `grid` table of `GRID_ROWS` rows.
+fn grid_db() -> Database {
+    let db = demo_db();
+    let mut s = db.session("admin").unwrap();
+    s.execute_sql("CREATE TABLE grid (id INTEGER PRIMARY KEY)")
+        .unwrap();
+    let values: Vec<String> = (0..GRID_ROWS).map(|i| format!("({i})")).collect();
+    s.execute_sql(&format!("INSERT INTO grid VALUES {}", values.join(", ")))
+        .unwrap();
+    db
+}
+
+const GRID_ROWS: usize = 3000;
+
+/// The cross join of `grid` with itself, filtered by a predicate no pair
+/// satisfies: the nested loop visits all 9 M pairs (about 5 s in a debug
+/// build, 1.5 s in a release build) and keeps none, so nothing piles up.
+const RUNAWAY_JOIN: &str = "SELECT COUNT(*) FROM grid a JOIN grid b ON a.id + b.id < 0";
+
+fn sql(text: &str) -> Json {
+    Json::object([("sql", Json::str(text))])
+}
+
+fn assert_deadline_exceeded(outcome: Result<ToolResult, WireError>) {
+    match outcome {
+        Err(WireError::Rpc(rpc)) => assert_eq!(rpc.code, ErrorCode::DeadlineExceeded),
+        other => panic!("expected DeadlineExceeded, got {other:?}"),
+    }
+}
+
+#[test]
+fn call_deadline_stops_a_runaway_join() {
+    let mut external = Registry::new();
+    external.register_tool(FnTool::new(
+        "nap",
+        "sleeps past the call deadline without touching the engine",
+        Signature::open(vec![]),
+        |_args: &Args| {
+            std::thread::sleep(Duration::from_millis(200));
+            Ok(ToolOutput::value(Json::str("rested")))
+        },
+    ));
+    let obs = Obs::in_memory();
+    let server = WireServer::bind(
+        "127.0.0.1:0",
+        Tenancy::new(grid_db()).with_external(external),
         WireConfig {
             call_timeout: Duration::from_millis(100),
             ..WireConfig::default()
         },
-        Obs::in_memory(),
+        obs.clone(),
     )
     .unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
     client.initialize("admin").unwrap();
-    let err = client
-        .call("hang", &Json::object::<_, String>([]))
+    let started = Instant::now();
+    assert_deadline_exceeded(client.call("select", &sql(RUNAWAY_JOIN)));
+    let took = started.elapsed();
+    assert!(took < Duration::from_millis(500), "stopped after {took:?}");
+    assert_eq!(obs.snapshot().metrics.counter("wire.rejected.timeout"), 1);
+    // The session lives on.
+    let out = client.call("select", &sql("SELECT 1")).unwrap().unwrap();
+    assert_eq!(out.rows, Some(1));
+    // A tool that never reaches the engine runs to completion and answers
+    // for real.
+    let out = client.call("nap", &Json::Null).unwrap().unwrap();
+    assert_eq!(out.value.as_str(), Some("rested"));
+    server.shutdown();
+}
+
+#[test]
+fn a_stopped_select_in_a_transaction_is_an_ordinary_statement_error() {
+    let db = grid_db();
+    let obs = Obs::in_memory();
+    let server = WireServer::bind(
+        "127.0.0.1:0",
+        Tenancy::new(db.clone()),
+        WireConfig {
+            call_timeout: Duration::from_millis(100),
+            ..WireConfig::default()
+        },
+        obs.clone(),
+    )
+    .unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    client.initialize("admin").unwrap();
+    let mut call = |tool: &str, args: Json| client.call(tool, &args);
+    let committed_ids = || {
+        let (result, _) = db
+            .session("admin")
+            .unwrap()
+            .query_with_options("SELECT id FROM sales", &minidb::ExecOptions::default())
+            .unwrap();
+        result.row_count()
+    };
+
+    // Stopped, then committed: like a select that fails on a bad column,
+    // the stopped one leaves the transaction open with its insert.
+    call("begin", Json::Null).unwrap().unwrap();
+    call("insert", sql("INSERT INTO sales VALUES (2, 20.0)"))
+        .unwrap()
+        .unwrap();
+    assert_deadline_exceeded(call("select", sql(RUNAWAY_JOIN)));
+    call("select", sql("SELECT nope FROM sales"))
+        .unwrap()
         .unwrap_err();
-    match err {
-        WireError::Rpc(rpc) => assert_eq!(rpc.code, ErrorCode::DeadlineExceeded),
-        other => panic!("expected DeadlineExceeded, got {other:?}"),
+    let own = call("select", sql("SELECT id FROM sales"))
+        .unwrap()
+        .unwrap();
+    assert_eq!(own.rows, Some(2), "the transaction still sees its insert");
+    assert_eq!(committed_ids(), 1, "and nobody else does yet");
+    call("commit", Json::Null).unwrap().unwrap();
+    assert_eq!(committed_ids(), 2);
+
+    // Stopped, then rolled back: nothing becomes visible.
+    call("begin", Json::Null).unwrap().unwrap();
+    call("insert", sql("INSERT INTO sales VALUES (3, 30.0)"))
+        .unwrap()
+        .unwrap();
+    assert_deadline_exceeded(call("select", sql(RUNAWAY_JOIN)));
+    call("rollback", Json::Null).unwrap().unwrap();
+    assert_eq!(committed_ids(), 2);
+
+    // A transaction left open across a stopped select pins its snapshot
+    // until the session ends.
+    call("begin", Json::Null).unwrap().unwrap();
+    assert_deadline_exceeded(call("select", sql(RUNAWAY_JOIN)));
+    db.session("admin")
+        .unwrap()
+        .execute_sql("INSERT INTO sales VALUES (4, 40.0)")
+        .unwrap();
+    let snapshot_age = || {
+        obs.snapshot()
+            .metrics
+            .gauge("minidb.mvcc.oldest_snapshot_age", &[])
+            .unwrap()
+    };
+    assert_eq!(snapshot_age(), 1.0);
+    drop(client);
+    settle(|| snapshot_age() == 0.0, "the snapshot was never released");
+    server.shutdown();
+}
+
+/// Poll `done` for up to two seconds: a connection thread notices a closed
+/// socket on its own schedule.
+fn settle(done: impl Fn() -> bool, what: &str) {
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while !done() {
+        assert!(Instant::now() < deadline, "{what}");
+        std::thread::sleep(Duration::from_millis(10));
     }
+}
+
+#[test]
+fn a_panicking_tool_ends_only_its_own_session() {
+    let db = demo_db();
+    let mut external = Registry::new();
+    external.register_tool(FnTool::new(
+        "explode",
+        "panics mid-call",
+        Signature::open(vec![]),
+        |_args: &Args| -> ToolResult { panic!("tool bug") },
+    ));
+    let obs = Obs::in_memory();
+    let server = WireServer::bind(
+        "127.0.0.1:0",
+        Tenancy::new(db.clone()).with_external(external),
+        WireConfig {
+            workers: 1,
+            ..WireConfig::default()
+        },
+        obs.clone(),
+    )
+    .unwrap();
+    let before = db.state_fingerprint();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    client.initialize("admin").unwrap();
+    client.call("begin", &Json::Null).unwrap().unwrap();
+    client
+        .call("insert", &sql("INSERT INTO sales VALUES (2, 20.0)"))
+        .unwrap()
+        .unwrap();
+    match client.call("explode", &Json::Null).unwrap() {
+        Err(ToolError::Execution(message)) => {
+            assert!(message.starts_with("internal:"), "{message}")
+        }
+        other => panic!("expected a typed internal error, got {other:?}"),
+    }
+    // The session ended with the call, and the connection with it.
+    assert!(
+        client.ping().is_err(),
+        "the connection outlived its session"
+    );
+
+    // The one ticket came back: a new connection's call runs at once.
+    let mut next = Client::connect(server.local_addr()).unwrap();
+    next.initialize("admin").unwrap();
+    let started = Instant::now();
+    let out = next
+        .call("select", &sql("SELECT * FROM sales"))
+        .unwrap()
+        .unwrap();
+    assert!(started.elapsed() < Duration::from_secs(1));
+    assert_eq!(out.rows, Some(1), "the insert was rolled back");
+    drop(next);
+    let gauge = |name: &str| obs.snapshot().metrics.gauge(name, &[]).unwrap();
+    settle(
+        || gauge("wire.active_sessions") == 0.0 && gauge("wire.queue_depth") == 0.0,
+        "gauges never settled",
+    );
+    assert_eq!(db.state_fingerprint(), before);
     server.shutdown();
 }
 
