@@ -15,7 +15,7 @@ cd "$(dirname "$0")/.."
 
 # Gate registry: every name listed here MUST run, or the suite fails.
 EXPECTED_GATES="fmt clippy build-release tier1-tests workspace-tests obs-layer \
-mvcc-stress e2ebench-build e2ebench-smoke"
+mvcc-stress e2ebench-build e2ebench-smoke e2ebench-counts"
 
 GATES_RUN=""
 GATES_FAILED=""
@@ -139,6 +139,22 @@ gate_e2ebench_smoke() {
   done
 }
 
+# The paper's F4 number as a count gate: one traced second of bulk_transfer
+# at seed 42 must move exactly 1 696 605 bytes tool-to-tool through proxy
+# units (`core.proxy_bytes_moved`, a count that repeats exactly for a seed),
+# with no failed call. A change that sizes a hand-off twice, or not at all,
+# fails here. About 13 s on 2 vCPUs once the benchmark is built.
+gate_e2ebench_counts() {
+  local out=target/e2ebench-counts.txt
+  run bash e2ebench/run.sh --workload bulk_transfer --seed 42 --seconds 1 --trace 1 \
+    | tee "$out" || return 1
+  grep -Eq '^core\.proxy_bytes_moved +1696605(\.0+)? count$' "$out" \
+    || { echo "FAIL: core.proxy_bytes_moved is not 1696605"; return 1; }
+  grep -q '^failed_frac 0 ' "$out" \
+    || { echo "FAIL: failed_frac is not 0"; return 1; }
+  echo "==> counts OK"
+}
+
 # ------------------------------------------------------------- execution --
 
 run_gate fmt             gate_fmt
@@ -150,6 +166,7 @@ run_gate obs-layer       gate_obs_layer
 run_gate mvcc-stress     gate_mvcc_stress
 run_gate e2ebench-build  gate_e2ebench_build
 run_gate e2ebench-smoke  gate_e2ebench_smoke
+run_gate e2ebench-counts gate_e2ebench_counts
 
 # -------------------------------------------------------------- summary --
 

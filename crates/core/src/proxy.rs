@@ -325,8 +325,9 @@ fn unit_body(
         outputs.push(r?);
     }
     // Account for the data moving tool→tool without transiting the LLM —
-    // the paper's F4 claim, here as a measured number. The bytes are
-    // counted (`Json::compact_len`), never serialised.
+    // the paper's F4 claim, here as a measured number. This is the one
+    // place a payload is sized: each producer output once, as it is handed
+    // off. The bytes are counted (`Json::compact_len`), never serialised.
     if span.enabled() {
         let bytes: usize = outputs.iter().map(Json::compact_len).sum();
         let rows: usize = outputs.iter().map(json_row_count).sum();
@@ -697,6 +698,62 @@ mod tests {
         // unit span as parent.
         for inner in units.iter().filter(|sp| sp.id != root.id) {
             assert_eq!(inner.parent, Some(root.id));
+        }
+    }
+
+    /// A level-2 unit, `sum(halve(numbers(4)))`, shaped like the benchmark's
+    /// `select → normalize_zscore → train_linear_regression`, on an
+    /// observed registry: each hand-off is sized once, by the unit that
+    /// receives it, and no dispatch sizes anything.
+    #[test]
+    fn a_level_2_unit_sizes_each_hand_off_once() {
+        let obs = Obs::in_memory();
+        let mut reg = test_registry();
+        reg.register_tool(FnTool::new(
+            "halve",
+            "halve every entry",
+            Signature::open(vec![]),
+            |args: &Args| {
+                let data = args["data"].as_array().expect("data array");
+                let rows = data.iter().filter_map(Json::as_f64).map(|x| x / 2.0);
+                let rows = Json::array(rows.map(Json::num));
+                Ok(ToolOutput::value(Json::object([("rows", rows)])))
+            },
+        ));
+        reg.set_observer(obs.registry_observer().expect("enabled"));
+        let spec = Json::parse(
+            r#"{"target_tool": "sum", "tool_args": {
+                "data": {"unit": {"target_tool": "halve", "tool_args": {
+                    "data": {"tool": "numbers", "args": {"n": 4}, "transform": "/rows"}}},
+                  "transform": "/rows"}}}"#,
+        )
+        .unwrap();
+        let unit = ProxyUnit::parse(&spec).unwrap();
+        assert_eq!(unit.depth(), 2);
+        let out = execute_unit_observed(&reg, &unit, 1, &obs).unwrap();
+        assert_eq!(out.get("total").and_then(Json::as_f64), Some(3.0));
+
+        let snap = obs.snapshot();
+        // `numbers → halve` hands over `[0,1,2,3]`, `halve → sum`
+        // `[0,0.5,1,1.5]`: each counted once, in the unit that receives it.
+        let hand_offs = ["[0,1,2,3]", "[0,0.5,1,1.5]"];
+        let expected: usize = hand_offs
+            .iter()
+            .map(|text| Json::parse(text).unwrap().compact_len())
+            .sum();
+        assert_eq!(expected, 22);
+        assert_eq!(snap.metrics.counter("proxy.bytes_moved"), expected as u64);
+        assert_eq!(snap.metrics.counter("proxy.rows_moved"), 8);
+        let tools: Vec<_> = snap
+            .spans
+            .iter()
+            .filter(|sp| sp.name.starts_with("tool:"))
+            .collect();
+        assert_eq!(tools.len(), 3, "numbers, halve and sum were observed");
+        for sp in tools {
+            for key in ["arg_bytes", "out_bytes"] {
+                assert!(sp.attr(key).is_none(), "{} carries {key}", sp.name);
+            }
         }
     }
 

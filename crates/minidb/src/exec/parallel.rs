@@ -9,7 +9,7 @@
 
 use super::eval;
 use crate::deadline;
-use crate::error::DbResult;
+use crate::error::{DbError, DbResult};
 use crate::expr::ScopeCol;
 use crate::storage::TableData;
 use crate::value::{Key, Row};
@@ -28,6 +28,8 @@ use std::collections::BTreeMap;
 ///
 /// Every chunk checks the calling thread's deadline before it starts; the
 /// workers get it captured, since a thread-local does not cross threads.
+/// A worker that panics fails the call with an `internal:` execution error
+/// instead of unwinding into the caller; every worker is joined first.
 pub(crate) fn chunked<T: Send, R: Send>(
     mut items: Vec<T>,
     workers: usize,
@@ -55,10 +57,15 @@ pub(crate) fn chunked<T: Send, R: Send>(
             .into_iter()
             .map(|part| s.spawn(move || work(part)))
             .collect();
-        handles
+        let joined: Vec<DbResult<R>> = handles
             .into_iter()
-            .map(|h| h.join().expect("chunk worker panicked"))
-            .collect()
+            .map(|h| {
+                h.join().unwrap_or_else(|_| {
+                    Err(DbError::Execution("internal: chunk worker panicked".into()))
+                })
+            })
+            .collect();
+        joined.into_iter().collect()
     })
 }
 
@@ -133,7 +140,6 @@ pub(super) fn hash_probe(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::DbError;
     use crate::value::Value;
     use sqlkit::ast::{JoinKind, Select, Statement};
 
@@ -194,6 +200,41 @@ mod tests {
             })
             .unwrap_err();
             assert_eq!(err.to_string(), "execution error: bad item 3000");
+        }
+    }
+
+    #[test]
+    fn a_panicking_chunk_is_an_error_not_an_unwind() {
+        for workers in [2, 4] {
+            let second = N / workers as i64;
+            let outcome = std::panic::catch_unwind(|| {
+                let items: Vec<i64> = (0..N).collect();
+                let panics_in_chunk_2 = chunked(items.clone(), workers, |part: Vec<i64>| {
+                    assert_ne!(part[0], second, "chunk 2 fails");
+                    Ok(part)
+                });
+                // An earlier chunk's error still wins, and the panicking
+                // worker after it is joined, not left to the scope.
+                let errs_in_chunk_1 = chunked(items, workers, |part: Vec<i64>| match part[0] {
+                    0 => Err(DbError::Execution("bad chunk 1".into())),
+                    first => {
+                        assert_ne!(first, second, "chunk 2 fails");
+                        Ok(part)
+                    }
+                });
+                (panics_in_chunk_2, errs_in_chunk_1)
+            });
+            let (panicked, errored) = outcome.expect("no panic escapes `chunked`");
+            match panicked {
+                Err(DbError::Execution(msg)) => {
+                    assert!(msg.starts_with("internal: chunk worker panicked"), "{msg}")
+                }
+                other => panic!("{workers} workers: {other:?}"),
+            }
+            assert_eq!(
+                errored.unwrap_err(),
+                DbError::Execution("bad chunk 1".into())
+            );
         }
     }
 

@@ -292,7 +292,7 @@ mod tests {
             error: Some("denied (privilege): no".into()),
             attrs: vec![
                 ("tool".into(), AttrValue::Str("select".into())),
-                ("arg_bytes".into(), AttrValue::Int(42)),
+                ("rows".into(), AttrValue::Int(42)),
                 ("ok".into(), AttrValue::Bool(false)),
                 ("ratio".into(), AttrValue::Float(0.5)),
                 ("tool".into(), AttrValue::Str("dup-key".into())),

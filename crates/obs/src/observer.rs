@@ -2,9 +2,9 @@
 //!
 //! [`RegistryObserver`] implements `toolproto::CallObserver`: every tool
 //! call dispatched through an observed `Registry` becomes a `tool:{name}`
-//! span (argument bytes, output bytes, rows, ok/error) nested under
-//! whatever span is open on the calling thread, and bumps per-tool call,
-//! error, denial, and latency metrics.
+//! span (rows, outcome, ok/error) nested under whatever span is open on
+//! the calling thread, and bumps per-tool call, error, denial, and latency
+//! metrics.
 
 use crate::span::SpanGuard;
 use crate::Obs;
@@ -52,16 +52,15 @@ pub fn outcome_of(result: &ToolResult) -> &'static str {
 }
 
 impl CallObserver for RegistryObserver {
-    fn begin(&self, tool: &str, arg_bytes: usize) -> u64 {
+    fn begin(&self, tool: &str) -> u64 {
         let mut span = self.obs.span(&format!("tool:{tool}"));
         span.attr("tool", tool);
-        span.attr("arg_bytes", arg_bytes);
         let token = span.id().unwrap_or(0);
         let _ = OPEN_CALLS.try_with(|calls| calls.borrow_mut().push(span));
         token
     }
 
-    fn end(&self, token: u64, tool: &str, result: &ToolResult, out_bytes: usize) {
+    fn end(&self, token: u64, tool: &str, result: &ToolResult) {
         let span = OPEN_CALLS
             .try_with(|calls| {
                 let mut calls = calls.borrow_mut();
@@ -87,7 +86,6 @@ impl CallObserver for RegistryObserver {
         let outcome = outcome_of(result);
         self.obs
             .incr_with("tool.calls", &[("tool", tool), ("outcome", outcome)], 1);
-        span.attr("out_bytes", out_bytes);
         span.attr("outcome", outcome);
         match result {
             Ok(out) => {

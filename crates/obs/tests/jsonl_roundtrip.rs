@@ -11,7 +11,7 @@ fn record_a_run(obs: &Obs) {
         llm.attr("tool", "select");
         {
             let mut tool = obs.span("tool:select");
-            tool.attr("arg_bytes", 42u64);
+            tool.attr("rows", 42u64);
             tool.attr("ok", true);
             {
                 let mut sql = obs.span("sql:execute");

@@ -18,17 +18,15 @@ use std::sync::Arc;
 ///
 /// `begin` runs before tool lookup/validation (so unknown-tool and bad-args
 /// failures are observed too) and returns an opaque token that is handed
-/// back to `end` together with the result. Byte sizes are the compact-JSON
-/// lengths ([`Json::compact_len`]: counted, never serialised) of the
-/// argument payload and the output value (0 on error); they are only
-/// computed when an observer is attached.
+/// back to `end` together with the result. The registry never sizes a
+/// payload: bytes are counted where they cross a boundary (the proxy's
+/// hand-offs, the wire's frames), not on every dispatch.
 pub trait CallObserver: Send + Sync {
-    /// A call named `tool` is starting with `arg_bytes` of argument JSON.
-    fn begin(&self, tool: &str, arg_bytes: usize) -> u64;
+    /// A call named `tool` is starting.
+    fn begin(&self, tool: &str) -> u64;
 
-    /// The call identified by `token` finished with `result`; `out_bytes`
-    /// is the compact-JSON size of the output value (0 on error).
-    fn end(&self, token: u64, tool: &str, result: &ToolResult, out_bytes: usize);
+    /// The call identified by `token` finished with `result`.
+    fn end(&self, token: u64, tool: &str, result: &ToolResult);
 }
 
 /// A named collection of tools. Cheap to clone (tools are `Arc`ed); clones
@@ -167,13 +165,9 @@ impl Registry {
         let Some(observer) = &self.observer else {
             return self.dispatch(name, payload);
         };
-        let token = observer.begin(name, payload.compact_len());
+        let token = observer.begin(name);
         let result = self.dispatch(name, payload);
-        let out_bytes = result
-            .as_ref()
-            .map(|out| out.value.compact_len())
-            .unwrap_or(0);
-        observer.end(token, name, &result, out_bytes);
+        observer.end(token, name, &result);
         result
     }
 
@@ -327,19 +321,13 @@ mod tests {
             begun: AtomicU64,
             ok: AtomicU64,
             err: AtomicU64,
-            arg_bytes: AtomicU64,
-            out_bytes: AtomicU64,
         }
         impl CallObserver for Counting {
-            fn begin(&self, _tool: &str, arg_bytes: usize) -> u64 {
+            fn begin(&self, _tool: &str) -> u64 {
                 self.begun.fetch_add(1, Ordering::Relaxed);
-                self.arg_bytes
-                    .fetch_add(arg_bytes as u64, Ordering::Relaxed);
                 self.next.fetch_add(1, Ordering::Relaxed)
             }
-            fn end(&self, _token: u64, _tool: &str, result: &ToolResult, out_bytes: usize) {
-                self.out_bytes
-                    .fetch_add(out_bytes as u64, Ordering::Relaxed);
+            fn end(&self, _token: u64, _tool: &str, result: &ToolResult) {
                 match result {
                     Ok(_) => self.ok.fetch_add(1, Ordering::Relaxed),
                     Err(_) => self.err.fetch_add(1, Ordering::Relaxed),
@@ -356,18 +344,11 @@ mod tests {
         let payload = Json::object([("x", Json::num(7.0))]);
         reg.call("select", &payload).unwrap();
         reg.call("nope", &Json::Null).unwrap_err();
-        reg.call_owned("select", payload.clone()).unwrap();
+        reg.call_owned("select", payload).unwrap();
 
         assert_eq!(counting.begun.load(Ordering::Relaxed), 3);
         assert_eq!(counting.ok.load(Ordering::Relaxed), 2);
         assert_eq!(counting.err.load(Ordering::Relaxed), 1);
-        // Two `{"x":7}` payloads and one `null`; two `7` outputs.
-        let expected_args = 2 * payload.to_compact().len() + "null".len();
-        assert_eq!(
-            counting.arg_bytes.load(Ordering::Relaxed),
-            expected_args as u64
-        );
-        assert_eq!(counting.out_bytes.load(Ordering::Relaxed), 2);
 
         // The observer survives filtering and is dropped on clear.
         assert!(reg.filtered(&[], Risk::Safe).observer().is_some());

@@ -83,6 +83,8 @@ pub struct FrameReader<R: Read> {
     /// allocated once, so a read costs no zeroing.
     scratch: Box<[u8]>,
     max_frame: usize,
+    /// Bytes the last frame took on the stream, delimiter included.
+    last_len: usize,
 }
 
 impl<R: Read> FrameReader<R> {
@@ -94,6 +96,7 @@ impl<R: Read> FrameReader<R> {
             scanned: 0,
             scratch: vec![0; SCRATCH_BYTES].into_boxed_slice(),
             max_frame,
+            last_len: 0,
         }
     }
 
@@ -101,6 +104,12 @@ impl<R: Read> FrameReader<R> {
     /// an idle peer (nothing buffered at timeout) from a slow-loris one.
     pub fn pending_bytes(&self) -> usize {
         self.buf.len()
+    }
+
+    /// Bytes the last frame read took on the stream, its `\n` (and any
+    /// `\r` before it) included: what the peer sent for it.
+    pub fn last_frame_len(&self) -> usize {
+        self.last_len
     }
 
     /// Read one frame.
@@ -167,6 +176,7 @@ impl<R: Read> FrameReader<R> {
         let rest = self.buf.split_off(pos + 1);
         let mut frame = std::mem::replace(&mut self.buf, rest);
         self.scanned = 0;
+        self.last_len = frame.len();
         if pos > self.max_frame {
             return Err(FrameError::TooLarge {
                 limit: self.max_frame,
@@ -180,16 +190,18 @@ impl<R: Read> FrameReader<R> {
     }
 }
 
-/// Write one frame: the text, a newline, and a flush. `frame` must not
-/// contain a raw newline (compact JSON never does). The newline is appended
-/// to the frame itself, so the payload and the delimiter go out in a single
-/// write without being copied — two small writes on a TCP stream interact
-/// with Nagle + delayed ACK and cost tens of milliseconds per frame.
-pub fn write_frame<W: Write>(writer: &mut W, mut frame: String) -> io::Result<()> {
+/// Write one frame: the text, a newline, and a flush; returns the bytes
+/// written, newline included. `frame` must not contain a raw newline
+/// (compact JSON never does). The newline is appended to the frame itself,
+/// so the payload and the delimiter go out in a single write without being
+/// copied — two small writes on a TCP stream interact with Nagle + delayed
+/// ACK and cost tens of milliseconds per frame.
+pub fn write_frame<W: Write>(writer: &mut W, mut frame: String) -> io::Result<usize> {
     debug_assert!(!frame.contains('\n'), "frames are single-line");
     frame.push('\n');
     writer.write_all(frame.as_bytes())?;
-    writer.flush()
+    writer.flush()?;
+    Ok(frame.len())
 }
 
 #[cfg(test)]
@@ -205,7 +217,9 @@ mod tests {
     fn splits_pipelined_frames() {
         let mut r = reader("{\"a\":1}\n{\"b\":2}\r\n", 64);
         assert_eq!(r.read_frame(None, None).unwrap(), "{\"a\":1}");
+        assert_eq!(r.last_frame_len(), 8);
         assert_eq!(r.read_frame(None, None).unwrap(), "{\"b\":2}");
+        assert_eq!(r.last_frame_len(), 9, "the \\r counts too");
         assert_eq!(r.read_frame(None, None), Err(FrameError::Closed));
     }
 
@@ -359,7 +373,7 @@ mod tests {
     #[test]
     fn write_frame_appends_newline() {
         let mut out = Vec::new();
-        write_frame(&mut out, "{\"x\":1}".to_owned()).unwrap();
+        assert_eq!(write_frame(&mut out, "{\"x\":1}".to_owned()).unwrap(), 8);
         assert_eq!(out, b"{\"x\":1}\n");
     }
 }

@@ -810,51 +810,71 @@ fn handle_conn(
     // Responses are single small frames on a request/response protocol;
     // Nagle buys nothing here and costs a delayed-ACK round trip.
     let _ = stream.set_nodelay(true);
-    let read_half = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
+    let Ok(read_half) = stream.try_clone() else {
+        return;
     };
-    let mut reader = FrameReader::new(read_half, config.max_frame_bytes);
-    let mut writer = stream;
-    let mut ctx = SessionCtx::new(tenancy, config, obs).with_occupancy(occupancy);
+    let ctx = SessionCtx::new(tenancy, config, obs).with_occupancy(occupancy);
+    let reader = FrameReader::new(read_half, config.max_frame_bytes);
+    // A socket error just ends the connection.
+    let _ = serve_frames(ctx, reader, stream, Some(config.read_timeout), Some(stop));
+}
+
+/// The connection loop TCP and stdio share: read a frame, dispatch it,
+/// write the reply, until the peer leaves, a reply closes the connection,
+/// or `stop` is raised. A frame the reader rejects is answered with a typed
+/// error and ends the connection; an idle peer is just disconnected.
+/// `wire.bytes{dir}` counts every frame read and written, delimiter
+/// included, from lengths the loop already holds.
+///
+/// `deadline` bounds the wait for each frame and `stop` is polled between
+/// socket ticks; a blocking stream (stdio) passes `None` for both. Dropping
+/// `ctx` on return closes the session's `wire:session` span, if any.
+fn serve_frames<R: Read, W: Write>(
+    mut ctx: SessionCtx<'_>,
+    mut reader: FrameReader<R>,
+    mut writer: W,
+    deadline: Option<Duration>,
+    stop: Option<&AtomicBool>,
+) -> std::io::Result<()> {
+    let obs = ctx.obs;
+    let mut send = |frame: String| -> std::io::Result<()> {
+        let bytes = write_frame(&mut writer, frame)?;
+        obs.incr_with("wire.bytes", &[("dir", "out")], bytes as u64);
+        Ok(())
+    };
     loop {
-        let frame = match reader.read_frame(Some(config.read_timeout), Some(stop)) {
+        let frame = match reader.read_frame(deadline, stop) {
             Ok(frame) => frame,
-            Err(FrameError::Closed) | Err(FrameError::TruncatedEof) | Err(FrameError::Io(_)) => {
-                break;
-            }
-            Err(FrameError::TooLarge { limit }) => {
-                obs.incr("wire.rejected.oversize", 1);
-                let err = RpcError::new(
-                    ErrorCode::FrameTooLarge,
-                    format!("frame exceeds the {limit}-byte limit"),
-                );
-                let _ = write_frame(&mut writer, response_err(&Json::Null, &err));
-                break;
-            }
-            Err(FrameError::Timeout { deadline }) => {
-                // An idle peer just gets disconnected; a peer that dribbled
-                // a partial frame gets told why.
-                if reader.pending_bytes() > 0 {
-                    obs.incr("wire.rejected.timeout", 1);
-                    let err = RpcError::new(
-                        ErrorCode::DeadlineExceeded,
-                        format!("no complete frame within {}ms", deadline.as_millis()),
-                    );
-                    let _ = write_frame(&mut writer, response_err(&Json::Null, &err));
+            Err(err) => {
+                let (code, rejected) = match &err {
+                    FrameError::Closed | FrameError::TruncatedEof => return Ok(()),
+                    FrameError::Io(e) => return Err(std::io::Error::other(e.clone())),
+                    FrameError::Timeout { .. } if reader.pending_bytes() == 0 => return Ok(()),
+                    FrameError::Timeout { .. } => {
+                        (ErrorCode::DeadlineExceeded, Some("wire.rejected.timeout"))
+                    }
+                    FrameError::TooLarge { .. } => {
+                        (ErrorCode::FrameTooLarge, Some("wire.rejected.oversize"))
+                    }
+                    FrameError::InvalidUtf8 => (ErrorCode::ParseError, None),
+                };
+                if let Some(counter) = rejected {
+                    obs.incr(counter, 1);
                 }
-                break;
-            }
-            Err(FrameError::InvalidUtf8) => {
-                let err = RpcError::new(ErrorCode::ParseError, "frame is not valid UTF-8");
-                let _ = write_frame(&mut writer, response_err(&Json::Null, &err));
-                break;
+                return send(response_err(
+                    &Json::Null,
+                    &RpcError::new(code, err.to_string()),
+                ));
             }
         };
-        if stop.load(Ordering::Relaxed) {
+        obs.incr_with(
+            "wire.bytes",
+            &[("dir", "in")],
+            reader.last_frame_len() as u64,
+        );
+        if stop.is_some_and(|s| s.load(Ordering::Relaxed)) {
             let err = RpcError::new(ErrorCode::ShuttingDown, "server is draining");
-            let _ = write_frame(&mut writer, response_err(&Json::Null, &err));
-            break;
+            return send(response_err(&Json::Null, &err));
         }
         let dispatch = match parse_request(&frame) {
             Ok(req) => ctx.dispatch(req),
@@ -863,11 +883,11 @@ fn handle_conn(
                 close: false,
             },
         };
-        if write_frame(&mut writer, dispatch.frame).is_err() || dispatch.close {
-            break;
+        send(dispatch.frame)?;
+        if dispatch.close {
+            return Ok(());
         }
     }
-    // Dropping `ctx` closes the session's `wire:session` span, if any.
 }
 
 /// Serve exactly one session over arbitrary byte streams — the stdio
@@ -878,45 +898,11 @@ pub fn serve_stream<R: Read, W: Write>(
     config: &WireConfig,
     obs: &Obs,
     input: R,
-    mut output: W,
+    output: W,
 ) -> std::io::Result<()> {
-    let mut reader = FrameReader::new(input, config.max_frame_bytes);
-    let mut ctx = SessionCtx::new(tenancy, config, obs);
-    loop {
-        let frame = match reader.read_frame(None, None) {
-            Ok(frame) => frame,
-            Err(FrameError::Closed) | Err(FrameError::TruncatedEof) => break,
-            Err(FrameError::TooLarge { limit }) => {
-                let err = RpcError::new(
-                    ErrorCode::FrameTooLarge,
-                    format!("frame exceeds the {limit}-byte limit"),
-                );
-                write_frame(&mut output, response_err(&Json::Null, &err))?;
-                break;
-            }
-            Err(FrameError::InvalidUtf8) => {
-                let err = RpcError::new(ErrorCode::ParseError, "frame is not valid UTF-8");
-                write_frame(&mut output, response_err(&Json::Null, &err))?;
-                break;
-            }
-            Err(FrameError::Timeout { .. }) => break,
-            Err(FrameError::Io(e)) => {
-                return Err(std::io::Error::other(e));
-            }
-        };
-        let dispatch = match parse_request(&frame) {
-            Ok(req) => ctx.dispatch(req),
-            Err(err) => Dispatch {
-                frame: response_err(&Json::Null, &err),
-                close: false,
-            },
-        };
-        write_frame(&mut output, dispatch.frame)?;
-        if dispatch.close {
-            break;
-        }
-    }
-    Ok(())
+    let ctx = SessionCtx::new(tenancy, config, obs);
+    let reader = FrameReader::new(input, config.max_frame_bytes);
+    serve_frames(ctx, reader, output, None, None)
 }
 
 /// Serve one session on this process's stdin/stdout (the MCP-style stdio

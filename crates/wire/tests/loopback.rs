@@ -846,6 +846,42 @@ fn stream_transport_serves_a_scripted_session() {
     );
 }
 
+/// `wire.bytes{dir}` counts exactly the bytes the client wrote and read,
+/// delimiters included (a `\r\n` frame counts both bytes), whatever the
+/// replies carried.
+#[test]
+fn wire_bytes_count_what_the_client_wrote_and_read() {
+    use std::io::Cursor;
+    let tenancy = Tenancy::new(demo_db());
+    let config = WireConfig::default();
+    let obs = Obs::in_memory();
+    let script = concat!(
+        r#"{"jsonrpc":"2.0","id":1,"method":"initialize","params":{"user":"admin"}}"#,
+        "\n",
+        r#"{"jsonrpc":"2.0","id":2,"method":"tools/call","params":{"name":"select","arguments":{"sql":"SELECT * FROM sales"}}}"#,
+        "\r\n",
+        r#"{"jsonrpc":"2.0","id":3,"method":"tools/call","params":{"name":"nope"}}"#,
+        "\n",
+        "not json\n",
+        r#"{"jsonrpc":"2.0","id":4,"method":"shutdown"}"#,
+        "\n",
+    );
+    let mut output = Vec::new();
+    wire::serve_stream(
+        &tenancy,
+        &config,
+        &obs,
+        Cursor::new(script.as_bytes().to_vec()),
+        &mut output,
+    )
+    .unwrap();
+    assert_eq!(output.iter().filter(|&&b| b == b'\n').count(), 5);
+    let m = obs.snapshot().metrics;
+    let bytes = |dir| m.labeled_counter("wire.bytes", &[("dir", dir)]);
+    assert_eq!(bytes("in"), script.len() as u64);
+    assert_eq!(bytes("out"), output.len() as u64);
+}
+
 /// Method strings and tool names are client-controlled: whatever a peer
 /// sends, before or after `initialize`, the set of metric series (and so
 /// `/metrics`) must not grow.
@@ -1028,6 +1064,7 @@ fn outcomes_are_labels_and_benchmark_counter_names_survive() {
         "wire.requests.tools_call",
         "wire.rejected.busy",
         "proxy.bytes_moved",
+        "wire.bytes",
         "mvcc.conflicts",
         "wal.bytes",
         "wal.fsyncs",

@@ -200,7 +200,10 @@ fn proxy_moves_rows_without_the_llm_and_counts_them() {
     obs::validate_tree(&snap.spans).unwrap();
     assert_eq!(snap.metrics.counter("proxy.units"), 1);
     assert_eq!(snap.metrics.counter("proxy.rows_moved"), 60);
-    assert!(snap.metrics.counter("proxy.bytes_moved") > 60);
+    // The one hand-off, counted once: 60 rows `[i,"r<i % 3>",i]` of 8
+    // bytes plus i's digits twice (10 one-digit ids, 50 two-digit ones),
+    // and the array's brackets and 59 commas: 480 + 220 + 61.
+    assert_eq!(snap.metrics.counter("proxy.bytes_moved"), 761);
     // The producer-side select ran under the unit: registry-level calls
     // exceed what a caller issued directly (proxy + inner select + consumer).
     let ok = |tool| {
