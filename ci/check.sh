@@ -69,7 +69,10 @@ gate_tier1_tests() {
 # Full workspace suite, including the planner-vs-reference differential
 # (tests/planner_differential.rs: BIRD-Ext gold SQL plus the seeded
 # mutation workload) and the golden EXPLAIN snapshots, the gate's cache
-# on/off replay differential, the savepoint and engine proptests, the
+# on/off replay differential, the one-pinned-version properties
+# (tests/privilege_agreement.rs: tool-side and engine-side privilege
+# verdicts agree under GRANT/REVOKE churn; tests/schema_churn.rs: context
+# tools survive CREATE/DROP churn), the savepoint and engine proptests, the
 # crashlab differentials (single-session kill points plus the interleaved
 # concurrent-commit scenario), and the wire suites over real sockets:
 # loopback failure modes, the admin plane, cross-layer trace integrity,

@@ -106,7 +106,8 @@ mod tests {
     fn builds_with_requested_rows() {
         let db = build_database(1_000, 3);
         assert_eq!(db.table_rows("house").unwrap(), 1_000);
-        let schema = db.table_schema("house").unwrap();
+        let version = db.snapshot();
+        let schema = version.state.catalog.table("house").unwrap();
         assert_eq!(
             schema
                 .columns

@@ -89,15 +89,16 @@ mod tests {
             .collect();
         install_roles(&db, &tables);
 
-        let admin = db.privileges_of("alice_admin").unwrap();
+        let version = db.snapshot();
+        let admin = version.privileges.user("alice_admin").unwrap();
         assert!(admin.has(Action::Delete, "brand_a_sales"));
         assert!(!admin.has(Action::Select, "employee_salaries"));
 
-        let normal = db.privileges_of("norman").unwrap();
+        let normal = version.privileges.user("norman").unwrap();
         assert!(normal.has(Action::Select, "schools"));
         assert!(!normal.has(Action::Insert, "schools"));
 
-        let ivy = db.privileges_of("ivy").unwrap();
+        let ivy = version.privileges.user("ivy").unwrap();
         assert!(ivy.has(Action::Select, "employee_salaries"));
         assert!(!ivy.has(Action::Select, "schools"));
     }
@@ -108,9 +109,8 @@ mod tests {
         let tables = vec!["schools".to_string()];
         install_roles(&db, &tables);
         install_roles(&db, &tables);
-        assert!(db
-            .privileges_of("norman")
-            .unwrap()
-            .has(Action::Select, "schools"));
+        let version = db.snapshot();
+        let normal = version.privileges.user("norman").unwrap();
+        assert!(normal.has(Action::Select, "schools"));
     }
 }

@@ -26,11 +26,12 @@ fn pg_get_schema(ctx: Arc<BridgeContext>) -> impl Tool {
         "Return the schema of all tables in the database.",
         Signature::new(vec![]),
         move |_: &Args| {
+            let version = ctx.db.snapshot();
+            let catalog = &version.state.catalog;
             let mut tables = Vec::new();
-            for name in ctx.db.table_names() {
-                let schema = ctx
-                    .db
-                    .table_schema(&name)
+            for name in catalog.table_names() {
+                let schema = catalog
+                    .table(name)
                     .map_err(|e| ToolError::Execution(e.to_string()))?;
                 // The stock server dumps everything pg_dump-style: columns
                 // with types/defaults, keys, foreign keys, indexes, sizes —
@@ -47,7 +48,7 @@ fn pg_get_schema(ctx: Arc<BridgeContext>) -> impl Tool {
                         ),
                     ])
                 }));
-                let rows = ctx.db.table_rows(&name).unwrap_or(0);
+                let rows = version.state.data.get(name).map_or(0, |d| d.len());
                 tables.push(Json::object([
                     ("name", Json::str(name)),
                     ("columns", columns),

@@ -7,7 +7,7 @@
 
 use crate::config::SecurityPolicy;
 use minidb::sync::Mutex;
-use minidb::{Database, DbError, QueryResult, Session, Value};
+use minidb::{CommittedVersion, Database, DbError, QueryResult, Session, UserPrivileges, Value};
 use obs::Obs;
 use sqlkit::ast::Action;
 use std::sync::Arc;
@@ -63,7 +63,8 @@ pub struct BridgeContext {
     /// Prepared-plan cache (parse + static analysis keyed on normalized
     /// SQL, generation-invalidated). Unset by default; installed once by
     /// the gated server build. Security checks always re-verify the cached
-    /// profile against live privileges and policy.
+    /// profile against the policy and the privileges of the version pinned
+    /// for the call.
     pub(crate) plan_cache: std::sync::OnceLock<Arc<gate::PlanCache>>,
 }
 
@@ -118,12 +119,26 @@ impl BridgeContext {
         }
     }
 
-    /// Database-side privilege check, as a tool error.
-    pub fn check_privilege(&self, action: Action, object: &str) -> Result<(), ToolError> {
-        let privs = self
-            .db
-            .privileges_of(&self.user)
-            .map_err(|e| ToolError::Execution(e.to_string()))?;
+    /// The acting user's privileges in `version`, borrowed.
+    pub fn privileges<'v>(
+        &self,
+        version: &'v CommittedVersion,
+    ) -> Result<&'v UserPrivileges, ToolError> {
+        version
+            .privileges
+            .user(&self.user)
+            .map_err(|e| ToolError::Execution(e.to_string()))
+    }
+
+    /// Database-side privilege check against the grants of `version` (the
+    /// committed version pinned for the call), as a tool error.
+    pub fn check_privilege(
+        &self,
+        version: &CommittedVersion,
+        action: Action,
+        object: &str,
+    ) -> Result<(), ToolError> {
+        let privs = self.privileges(version)?;
         if privs.superuser || privs.has(action, object) {
             Ok(())
         } else {
@@ -286,8 +301,9 @@ mod tests {
         db.create_user("reader", false).unwrap();
         db.grant("reader", Action::Select, "t").unwrap();
         let ctx = BridgeContext::new(db, "reader", SecurityPolicy::default()).unwrap();
-        assert!(ctx.check_privilege(Action::Select, "t").is_ok());
-        let err = ctx.check_privilege(Action::Insert, "t").unwrap_err();
+        let v = ctx.db.snapshot();
+        assert!(ctx.check_privilege(&v, Action::Select, "t").is_ok());
+        let err = ctx.check_privilege(&v, Action::Insert, "t").unwrap_err();
         assert!(matches!(err, ToolError::Denied { ref code, .. } if code == "privilege"));
     }
 
@@ -308,7 +324,8 @@ mod tests {
         let policy = SecurityPolicy::default().with_blacklist(["hidden"]);
         let ctx = BridgeContext::with_obs(db, "reader", policy, Obs::in_memory()).unwrap();
 
-        let err = ctx.check_privilege(Action::Insert, "t").unwrap_err();
+        let v = ctx.db.snapshot();
+        let err = ctx.check_privilege(&v, Action::Insert, "t").unwrap_err();
         let dctx = err.denial_context().unwrap();
         assert_eq!(dctx.object.as_deref(), Some("t"));
         assert_eq!(dctx.action.as_deref(), Some("INSERT"));

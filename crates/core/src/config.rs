@@ -4,7 +4,7 @@
 //! object-level white/black lists (hide sensitive tables from the LLM even
 //! when the user could read them) and tool-level restrictions (e.g. block the
 //! `drop` tool outright). [`SecurityPolicy`] carries both, plus the adaptive
-//! schema-retrieval threshold *n* and the exemplar top-k default.
+//! schema-retrieval threshold *n*.
 
 use std::collections::BTreeSet;
 use toolproto::Risk;
@@ -33,8 +33,6 @@ pub struct SecurityPolicy {
     /// Adaptive schema retrieval: at most this many objects are returned in
     /// full; beyond it `get_schema` returns names only (paper §2.2).
     pub schema_threshold: usize,
-    /// Default `k` for `get_value` exemplar retrieval.
-    pub exemplar_k: usize,
 }
 
 impl Default for SecurityPolicy {
@@ -46,7 +44,6 @@ impl Default for SecurityPolicy {
             tool_blacklist: BTreeSet::new(),
             max_risk: Risk::Destructive,
             schema_threshold: 64,
-            exemplar_k: 5,
         }
     }
 }
@@ -142,8 +139,8 @@ impl SecurityPolicy {
     }
 
     /// The pointwise-strictest combination of this policy and `requested`:
-    /// blacklists union, whitelists intersect, and the risk cap, schema
-    /// threshold, and exemplar `k` each take the smaller value. The wire
+    /// blacklists union, whitelists intersect, and the risk cap and schema
+    /// threshold each take the smaller value. The wire
     /// layer uses this during `initialize` negotiation so a remote client
     /// can only *tighten* the server's base policy, never loosen it.
     pub fn restricted_by(&self, requested: &SecurityPolicy) -> SecurityPolicy {
@@ -172,7 +169,6 @@ impl SecurityPolicy {
                 .collect(),
             max_risk: self.max_risk.min(requested.max_risk),
             schema_threshold: self.schema_threshold.min(requested.schema_threshold),
-            exemplar_k: self.exemplar_k.min(requested.exemplar_k),
         }
     }
 }

@@ -8,81 +8,73 @@
 //!   mechanism that lets the LLM plan within its authorization boundary.
 //! * `get_value(col, key, k)` returns the top-k stored values most relevant
 //!   to a task key, grounding text predicates.
+//! * Each call reads names, definitions, privileges and values from one
+//!   pinned committed version, so concurrent DDL cannot tear its output.
 
 use crate::bridge::{value_to_json, BridgeContext};
 use crate::similarity;
-use minidb::TableSchema;
+use minidb::{Catalog, CommittedVersion, UserPrivileges};
 use sqlkit::ast::Action;
 use std::sync::Arc;
 use toolproto::{ArgSpec, ArgType, Args, FnTool, Json, Signature, Tool, ToolError, ToolOutput};
 
-/// Objects visible to this context's user (policy-allowed ∩ privilege-held),
-/// as `(name, is_view)` pairs.
-fn visible_objects(ctx: &BridgeContext) -> Result<Vec<(String, bool)>, ToolError> {
-    let privs = ctx
-        .db
-        .privileges_of(&ctx.user)
-        .map_err(|e| ToolError::Execution(e.to_string()))?;
+/// Objects of `version` visible to this context's user (policy-allowed ∩
+/// privilege-held), sorted, as `(name, is_view)` pairs.
+fn visible_objects<'v>(
+    ctx: &BridgeContext,
+    version: &'v CommittedVersion,
+    privs: &UserPrivileges,
+) -> Vec<(&'v str, bool)> {
+    let catalog = &version.state.catalog;
     let allowed = |name: &str| {
         ctx.policy.object_allowed(name) && (privs.superuser || !privs.actions_on(name).is_empty())
     };
-    let mut out: Vec<(String, bool)> = ctx
-        .db
-        .table_names()
-        .into_iter()
-        .filter(|t| allowed(t))
-        .map(|t| (t, false))
-        .collect();
-    out.extend(
-        ctx.db
-            .views()
-            .into_iter()
-            .filter(|(v, _)| allowed(v))
-            .map(|(v, _)| (v, true)),
-    );
+    let tables = catalog.table_names().into_iter().map(|t| (t, false));
+    let views = catalog.view_names().into_iter().map(|v| (v, true));
+    let mut out: Vec<(&str, bool)> = tables.chain(views).filter(|(n, _)| allowed(n)).collect();
     out.sort();
-    Ok(out)
+    out
 }
 
-/// Render one view's schema entry with privilege annotations.
-fn view_json(ctx: &BridgeContext, name: &str, columns: &[String]) -> Result<Json, ToolError> {
-    let privs = ctx
-        .db
-        .privileges_of(&ctx.user)
-        .map_err(|e| ToolError::Execution(e.to_string()))?;
-    let actions = privs.actions_on(name);
-    Ok(Json::object([
-        ("name", Json::str(name)),
-        ("type", Json::str("view")),
-        (
-            "columns",
-            Json::array(
-                columns
-                    .iter()
-                    .filter(|c| ctx.policy.column_allowed(name, c))
-                    .map(|c| Json::object([("name", Json::str(c.clone()))])),
+/// Render one object of `catalog`, a view or a table, with the user's
+/// privileges on it. Policy-restricted columns are simply absent from the
+/// LLM's view.
+fn object_json(
+    ctx: &BridgeContext,
+    catalog: &Catalog,
+    privs: &UserPrivileges,
+    name: &str,
+) -> Result<Json, ToolError> {
+    let privileges = Json::array(
+        privs
+            .actions_on(name)
+            .iter()
+            .map(|a| Json::str(a.keyword())),
+    );
+    if let Some(view) = catalog.view(name) {
+        return Ok(Json::object([
+            ("name", Json::str(name)),
+            ("type", Json::str("view")),
+            (
+                "columns",
+                Json::array(
+                    view.columns
+                        .iter()
+                        .filter(|c| ctx.policy.column_allowed(name, c))
+                        .map(|c| Json::object([("name", Json::str(c.clone()))])),
+                ),
             ),
-        ),
-        (
-            "privileges",
-            Json::array(actions.iter().map(|a| Json::str(a.keyword()))),
-        ),
-    ]))
-}
-
-/// Render one table's schema with privilege annotations.
-fn table_json(ctx: &BridgeContext, schema: &TableSchema) -> Result<Json, ToolError> {
-    let privs = ctx
-        .db
-        .privileges_of(&ctx.user)
+            ("privileges", privileges),
+        ]));
+    }
+    let schema = catalog
+        .table(name)
         .map_err(|e| ToolError::Execution(e.to_string()))?;
-    let actions = privs.actions_on(&schema.name);
-    // Policy-restricted columns are simply absent from the LLM's view.
     let columns = Json::array(
         schema
             .columns
             .iter()
-            .filter(|c| ctx.policy.column_allowed(&schema.name, &c.name))
+            .filter(|c| ctx.policy.column_allowed(name, &c.name))
             .map(|c| {
                 Json::object([
                     ("name", Json::str(c.name.clone())),
@@ -92,13 +84,10 @@ fn table_json(ctx: &BridgeContext, schema: &TableSchema) -> Result<Json, ToolErr
             }),
     );
     let mut fields: Vec<(String, Json)> = vec![
-        ("name".into(), Json::str(schema.name.clone())),
+        ("name".into(), Json::str(name)),
         ("type".into(), Json::str("table")),
         ("columns".into(), columns),
-        (
-            "privileges".into(),
-            Json::array(actions.iter().map(|a| Json::str(a.keyword()))),
-        ),
+        ("privileges".into(), privileges),
     ];
     if !schema.primary_key.is_empty() {
         fields.push((
@@ -135,12 +124,14 @@ pub fn get_schema_tool(ctx: Arc<BridgeContext>) -> impl Tool {
          Large databases return names only; use get_object for details.",
         Signature::new(vec![]),
         move |_: &Args| {
-            let objects = visible_objects(&ctx)?;
+            let version = ctx.db.snapshot();
+            let privs = ctx.privileges(&version)?;
+            let objects = visible_objects(&ctx, &version, privs);
             if objects.len() > ctx.policy.schema_threshold {
                 // Hierarchical mode: names only.
                 let names = Json::array(objects.iter().map(|(name, is_view)| {
                     Json::object([
-                        ("name", Json::str(name.clone())),
+                        ("name", Json::str(*name)),
                         ("type", Json::str(if *is_view { "view" } else { "table" })),
                     ])
                 }));
@@ -149,21 +140,11 @@ pub fn get_schema_tool(ctx: Arc<BridgeContext>) -> impl Tool {
                     ("detail", Json::str("names_only")),
                 ])));
             }
-            let views: std::collections::BTreeMap<String, Vec<String>> =
-                ctx.db.views().into_iter().collect();
-            let mut rendered = Vec::with_capacity(objects.len());
-            for (name, is_view) in &objects {
-                if *is_view {
-                    let columns = views.get(name).cloned().unwrap_or_default();
-                    rendered.push(view_json(&ctx, name, &columns)?);
-                } else {
-                    let schema = ctx
-                        .db
-                        .table_schema(name)
-                        .map_err(|e| ToolError::Execution(e.to_string()))?;
-                    rendered.push(table_json(&ctx, &schema)?);
-                }
-            }
+            let catalog = &version.state.catalog;
+            let rendered = objects
+                .iter()
+                .map(|(name, _)| object_json(&ctx, catalog, privs, name))
+                .collect::<Result<Vec<_>, _>>()?;
             Ok(ToolOutput::value(Json::object([
                 ("tables", Json::array(rendered)),
                 ("detail", Json::str("full")),
@@ -185,10 +166,8 @@ pub fn get_object_tool(ctx: Arc<BridgeContext>) -> impl Tool {
         move |args: &Args| {
             let name = args["name"].as_str().expect("validated");
             ctx.check_policy_object(name)?;
-            let privs = ctx
-                .db
-                .privileges_of(&ctx.user)
-                .map_err(|e| ToolError::Execution(e.to_string()))?;
+            let version = ctx.db.snapshot();
+            let privs = ctx.privileges(&version)?;
             if !privs.superuser && privs.actions_on(name).is_empty() {
                 return Err(ToolError::denied_with(
                     "privilege",
@@ -198,14 +177,7 @@ pub fn get_object_tool(ctx: Arc<BridgeContext>) -> impl Tool {
                         .with_tool("get_object_detail"),
                 ));
             }
-            if let Some((_, columns)) = ctx.db.views().into_iter().find(|(v, _)| v == name) {
-                return Ok(ToolOutput::value(view_json(&ctx, name, &columns)?));
-            }
-            let schema = ctx
-                .db
-                .table_schema(name)
-                .map_err(|e| ToolError::Execution(e.to_string()))?;
-            Ok(ToolOutput::value(table_json(&ctx, &schema)?))
+            object_json(&ctx, &version.state.catalog, privs, name).map(ToolOutput::value)
         },
     )
 }
@@ -226,7 +198,11 @@ pub fn get_value_tool(ctx: Arc<BridgeContext>) -> impl Tool {
             let table = args["table"].as_str().expect("validated");
             let column = args["column"].as_str().expect("validated");
             let key = args["key"].as_str().expect("validated");
-            let k = args["k"].as_i64().unwrap_or(ctx.policy.exemplar_k as i64) as usize;
+            // `k` bounds the payload handed back to the LLM: a non-positive
+            // one would otherwise cast to "every distinct value".
+            let k = args["k"].as_i64().filter(|&k| k >= 1).ok_or_else(|| {
+                ToolError::Execution(format!("k must be a positive integer, got {}", args["k"]))
+            })? as usize;
             ctx.check_policy_object(table)?;
             if !ctx.policy.column_allowed(table, column) {
                 return Err(ctx.deny_column(
@@ -237,12 +213,12 @@ pub fn get_value_tool(ctx: Arc<BridgeContext>) -> impl Tool {
                     ),
                 ));
             }
-            ctx.check_privilege(Action::Select, table)?;
+            let version = ctx.db.snapshot();
+            ctx.check_privilege(&version, Action::Select, table)?;
             // The distinct-scan behind `column_values` runs chunked-parallel
             // in the engine for large tables, so repeated grounding calls on
             // big columns stay cheap.
-            let values = ctx
-                .db
+            let values = version
                 .column_values(table, column)
                 .map_err(crate::bridge::db_error_to_tool)?;
             // Rank text values semantically; numeric columns instead return
@@ -468,20 +444,29 @@ mod tests {
     fn get_value_ranks_relevant_exemplars() {
         let db = demo();
         let reg = registry_for(&db, "manager", SecurityPolicy::default());
-        let out = reg
-            .call(
+        let get_value = |k: f64| {
+            reg.call(
                 "get_value",
                 &Json::object([
                     ("table", Json::str("brand_a_sales")),
                     ("column", Json::str("category")),
                     ("key", Json::str("women")),
-                    ("k", Json::num(2.0)),
+                    ("k", Json::num(k)),
                 ]),
             )
-            .unwrap();
+        };
+        let out = get_value(2.0).unwrap();
         let values = out.value.get("values").and_then(Json::as_array).unwrap();
         assert_eq!(values[0].as_str(), Some("women's wear"));
         assert_eq!(values.len(), 2);
+        // A non-positive k is refused, not cast to "every distinct value".
+        for k in [-1.0, 0.0] {
+            let err = get_value(k).unwrap_err();
+            assert!(
+                err.to_string().contains("k must be a positive integer"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -179,8 +179,7 @@ impl BridgeScopeServer {
         }
 
         // F2 — per-action SQL tools, exposed by privilege ∧ policy.
-        let privs = db.privileges_of(user)?;
-        let held = privs.held_actions();
+        let held = db.snapshot().privileges.user(user)?.held_actions();
         let mut any_write_tool = false;
         for action in Action::DATA_ACTIONS {
             if !held.contains(&action) {

@@ -14,8 +14,9 @@
 
 use crate::bridge::{db_error_to_tool, result_to_output, BridgeContext};
 use gate::PreparedPlan;
+use minidb::{CommittedVersion, ExecOptions};
 use obs::SpanGuard;
-use sqlkit::ast::{Action, Statement};
+use sqlkit::ast::Action;
 use std::sync::Arc;
 use toolproto::{ArgSpec, ArgType, Args, FnTool, Risk, Signature, Tool, ToolError, ToolResult};
 
@@ -46,10 +47,14 @@ fn verified_execute(ctx: &BridgeContext, expected: Action, sql: &str) -> ToolRes
     // it: the plan-cache key, the in-flight note and the statement-store key.
     let key =
         (ctx.obs.is_enabled() || ctx.plan_cache.get().is_some()).then(|| gate::normalize_sql(sql));
-    let prepared = prepare(ctx, sql, key.as_deref());
+    // One committed version for the whole call: the plan-cache stamp, the
+    // tool-side checks and the engine's own check all read it.
+    let version = ctx.db.snapshot();
+    let prepared = prepare(ctx, sql, key.as_deref(), &version);
     let cache_hit = matches!(prepared, Ok((_, true)));
-    let result = prepared
-        .and_then(|(plan, _)| verify_and_run(ctx, expected, &plan, key.as_deref(), &mut span));
+    let result = prepared.and_then(|(plan, _)| {
+        verify_and_run(ctx, expected, &plan, &version, key.as_deref(), &mut span)
+    });
     if ctx.obs.is_enabled() {
         match &result {
             Ok(out) => {
@@ -91,15 +96,17 @@ fn verified_execute(ctx: &BridgeContext, expected: Action, sql: &str) -> ToolRes
 
 /// Parse and statically analyze `sql`, through the prepared-plan cache when
 /// the gated build installed one. The cached artifact is pure parse +
-/// analysis — every privilege and policy check below re-runs on live state,
-/// so a cache hit can never widen access; it only skips re-deriving what
-/// the text alone determines. Returns whether the plan came from the cache,
-/// for the statement statistics store. `key` is the statement's normalized
-/// text, present whenever a cache is installed.
+/// analysis — every privilege and policy check below re-runs against the
+/// version pinned for the call, so a cache hit can never widen access; it
+/// only skips re-deriving what the text alone determines. Returns whether
+/// the plan came from the cache, for the statement statistics store. `key`
+/// is the statement's normalized text, present whenever a cache is
+/// installed.
 fn prepare(
     ctx: &BridgeContext,
     sql: &str,
     key: Option<&str>,
+    version: &CommittedVersion,
 ) -> Result<(Arc<PreparedPlan>, bool), ToolError> {
     match (ctx.plan_cache.get(), key) {
         (Some(cache), Some(key)) => {
@@ -107,10 +114,10 @@ fn prepare(
             // enclosing `sql:execute`, so a cross-layer trace shows whether
             // parsing/analysis was skipped.
             let mut span = ctx.obs.span("gate:plan");
-            // Keyed on plan_generation(), not generation() alone: a cached
-            // plan must also be invalidated when ANALYZE refreshes the
-            // optimizer statistics it was costed against.
-            let generation = ctx.db.plan_generation();
+            // Keyed on the plan generation, not the commit timestamp alone:
+            // a cached plan must also be invalidated when ANALYZE refreshes
+            // the optimizer statistics it was costed against.
+            let generation = version.plan_generation();
             let (plan, hit) = cache
                 .prepare(key, sql, generation)
                 .map_err(|e| ToolError::Execution(e.to_string()))?;
@@ -137,6 +144,7 @@ fn verify_and_run(
     ctx: &BridgeContext,
     expected: Action,
     prepared: &PreparedPlan,
+    version: &Arc<CommittedVersion>,
     key: Option<&str>,
     span: &mut SpanGuard,
 ) -> ToolResult {
@@ -154,26 +162,22 @@ fn verify_and_run(
     }
     // Object-level verification (tool-side, before the engine sees it).
     let profile = &prepared.profile;
-    for object in profile.all_objects() {
+    let objects = profile.all_objects();
+    for object in &objects {
         // Policy first: policy restrictions exist precisely to hide objects
-        // the user *could* access.
-        // CREATE TABLE introduces a new object: the policy still applies
-        // (a whitelist confines even creations), but privileges cannot be
-        // checked on a not-yet-existing object.
-        ctx.check_policy_object(&object)?;
+        // the user *could* access. A whitelist confines even creations.
+        ctx.check_policy_object(object)?;
     }
     for (action, object) in profile.required_privileges() {
-        let object_exists = ctx.db.table_schema(&object).is_ok();
-        if action == Action::Create && !object_exists {
-            // Creating a new object: engine-side check is superuser-only in
-            // this engine; defer to execution.
+        // CREATE TABLE introduces a new object, on which privileges cannot
+        // be checked: the engine's check (superuser-only) decides.
+        if action == Action::Create && !version.state.catalog.contains(&object) {
             continue;
         }
-        ctx.check_privilege(action, &object)?;
+        ctx.check_privilege(version, action, &object)?;
     }
     // Column-level policy: reject statements that may touch a restricted
     // column, including via wildcards (which would expose it).
-    let objects = profile.all_objects();
     if objects
         .iter()
         .any(|t| ctx.policy.has_column_restrictions(t))
@@ -192,48 +196,41 @@ fn verify_and_run(
             }
         }
     }
-    // Execute. Writes and in-transaction statements go through the shared
-    // session (that is what makes begin/insert/commit compose). Reads
-    // outside a transaction run on an ephemeral session instead, so proxy
-    // units can execute sibling SELECT producers truly in parallel rather
-    // than serializing on the shared-session lock.
-    let result = if expected == Action::Select {
-        let mut guard = ctx.session.lock();
-        if guard.in_transaction() {
-            guard.execute(stmt).map_err(db_error_to_tool)?
-        } else {
-            drop(guard);
-            let mut ephemeral = ctx
-                .db
-                .session(&ctx.user)
-                .map_err(|e| ToolError::Execution(e.to_string()))?;
-            // A traced call also profiles, so the span carries the annotated
-            // operator tree (actual rows *and* wall time per node). The cost
-            // is two clock reads per operator dispatch — negligible next to
-            // the wire round-trip — and when the flight recorder later
-            // retains this call as slow, the profile explains where the
-            // time went.
-            let opts = minidb::ExecOptions {
-                profiling: span.enabled(),
-                ..minidb::ExecOptions::default()
-            };
-            let (result, plan) = match stmt {
-                Statement::Select(_) => ephemeral.query(stmt, &opts),
-                // EXPLAIN [ANALYZE] SELECT shares the action; no plan to attach.
-                _ => ephemeral.execute(stmt).map(|result| (result, None)),
-            }
-            .map_err(db_error_to_tool)?;
-            if let (true, Some(plan)) = (span.enabled(), plan) {
-                for (key, count) in plan.attr_counts() {
-                    span.attr(key, count);
-                }
-                span.attr("plan.profile", plan.render().join("\n"));
-            }
-            result
-        }
+    // Execute on the pinned version; the engine re-checks the same profile
+    // against the same grants. Writes and in-transaction statements go
+    // through the shared session (that is what makes begin/insert/commit
+    // compose). Reads outside a transaction run on an ephemeral session
+    // instead, so proxy units can execute sibling SELECT producers truly in
+    // parallel rather than serializing on the shared-session lock.
+    let mut shared = ctx.session.lock();
+    let (result, plan) = if expected != Action::Select || shared.in_transaction() {
+        shared
+            .execute_pinned(stmt, profile, version, &ExecOptions::default())
+            .map(|(result, _)| (result, None))
     } else {
-        ctx.session.lock().execute(stmt).map_err(db_error_to_tool)?
-    };
+        drop(shared);
+        let mut ephemeral = ctx
+            .db
+            .session(&ctx.user)
+            .map_err(|e| ToolError::Execution(e.to_string()))?;
+        // A traced call also profiles, so the span carries the annotated
+        // operator tree (actual rows *and* wall time per node). The cost is
+        // two clock reads per operator dispatch — negligible next to the
+        // wire round-trip — and when the flight recorder later retains this
+        // call as slow, the profile explains where the time went.
+        let opts = ExecOptions {
+            profiling: span.enabled(),
+            ..ExecOptions::default()
+        };
+        ephemeral.execute_pinned(stmt, profile, version, &opts)
+    }
+    .map_err(db_error_to_tool)?;
+    if let (true, Some(plan)) = (span.enabled(), plan) {
+        for (key, count) in plan.attr_counts() {
+            span.attr(key, count);
+        }
+        span.attr("plan.profile", plan.render().join("\n"));
+    }
     Ok(result_to_output(result))
 }
 

@@ -18,9 +18,8 @@ use crate::error::{DbError, DbResult};
 use crate::exec::{self, DbState, QueryResult};
 use crate::mvcc::{self, CommittedVersion, TimestampOracle, Ts};
 use crate::plan::ExecOptions;
-use crate::planner::{self, physical::PhysPlan};
+use crate::planner::physical::PhysPlan;
 use crate::privilege::PrivilegeCatalog;
-use crate::schema::TableSchema;
 use crate::storage::{
     self, DurabilityConfig, DurableEngine, RecoveryReport, StorageEngine, VolatileEngine, WalRecord,
 };
@@ -29,7 +28,7 @@ use crate::txn::{self, CommitPipeline, TxnStatus, UndoOp};
 use crate::value::Value;
 use obs::Obs;
 use sqlkit::ast::{Action, Statement};
-use sqlkit::parse_statement;
+use sqlkit::{parse_statement, AccessProfile};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -191,13 +190,10 @@ impl Database {
         self.snapshot().state.catalog.stats_epoch()
     }
 
-    /// Generation for *plan* caches: changes whenever either the committed
-    /// state or the optimizer statistics change. Both inputs are monotonic,
-    /// so the sum is too — a cached physical plan is valid exactly while
-    /// `plan_generation()` is unchanged.
+    /// Generation for *plan* caches: [`CommittedVersion::plan_generation`]
+    /// of the latest committed version.
     pub fn plan_generation(&self) -> u64 {
-        let snap = self.snapshot();
-        snap.ts.saturating_add(snap.state.catalog.stats_epoch())
+        self.snapshot().plan_generation()
     }
 
     /// Engine label: `"volatile"` or `"wal"`.
@@ -566,11 +562,6 @@ impl Database {
         )
     }
 
-    /// Snapshot of one user's privileges.
-    pub fn privileges_of(&self, user: &str) -> DbResult<crate::privilege::UserPrivileges> {
-        Ok(self.snapshot().privileges.user(user)?.clone())
-    }
-
     // -- read-only introspection (all snapshot-based) ----------------------
 
     /// Table names currently in the catalog.
@@ -584,25 +575,6 @@ impl Database {
             .collect()
     }
 
-    /// View definitions currently in the catalog, as `(name, columns)`.
-    pub fn views(&self) -> Vec<(String, Vec<String>)> {
-        let snap = self.snapshot();
-        snap.state
-            .catalog
-            .view_names()
-            .into_iter()
-            .map(|n| {
-                let def = snap.state.catalog.view(n).expect("listed view exists");
-                (n.to_owned(), def.columns.clone())
-            })
-            .collect()
-    }
-
-    /// Snapshot a table schema.
-    pub fn table_schema(&self, name: &str) -> DbResult<TableSchema> {
-        Ok(self.snapshot().state.catalog.table(name)?.clone())
-    }
-
     /// Number of *committed* rows in a table. An open transaction's
     /// uncommitted writes are invisible here (snapshot isolation).
     pub fn table_rows(&self, name: &str) -> DbResult<usize> {
@@ -611,43 +583,10 @@ impl Database {
         Ok(snap.state.data.get(name).map_or(0, |d| d.len()))
     }
 
-    /// Distinct values of a column, in total order — the raw material for
-    /// BridgeScope's `get_value` exemplar retrieval.
+    /// Distinct values of a column in the latest committed version (see
+    /// [`CommittedVersion::column_values`]).
     pub fn column_values(&self, table: &str, column: &str) -> DbResult<Vec<Value>> {
-        let snap = self.snapshot();
-        let schema = snap.state.catalog.table(table)?;
-        let pos = schema
-            .column_index(column)
-            .ok_or_else(|| DbError::UnknownColumn(format!("{table}.{column}")))?;
-        let data = snap
-            .state
-            .data
-            .get(table)
-            .ok_or_else(|| DbError::UnknownTable(table.to_owned()))?;
-        // Chunked distinct-scan: per-worker sets over contiguous row-order
-        // chunks, merged in chunk order so the first occurrence of each
-        // total-order-equal group (e.g. Int(1) vs Float(1.0)) wins, exactly
-        // as in a sequential pass. A BTreeSet<Key> already iterates in
-        // total order, so the merged set *is* the sorted result.
-        let values: Vec<&Value> = data.iter().map(|(_, row)| &row[pos]).collect();
-        let sets = exec::chunked(values, planner::workers_for(data.len()), |part| {
-            Ok(part
-                .into_iter()
-                .filter(|v| !v.is_null())
-                .map(|v| crate::value::Key(vec![v.clone()]))
-                .collect::<std::collections::BTreeSet<_>>())
-        })?;
-        let mut merged = std::collections::BTreeSet::new();
-        for set in sets {
-            // `insert` keeps the existing (earlier-chunk) representative.
-            for key in set {
-                merged.insert(key);
-            }
-        }
-        Ok(merged
-            .into_iter()
-            .map(|k| k.0.into_iter().next().expect("single-column key"))
-            .collect())
+        self.snapshot().column_values(table, column)
     }
 
     /// Run a read-only closure over the latest committed state (test/bench
@@ -753,70 +692,85 @@ impl Session {
         self.execute(&stmt)
     }
 
-    /// Execute a parsed statement.
+    /// Execute a parsed statement: [`Session::execute_pinned`] with the
+    /// statement's own access profile, the latest committed version and
+    /// default options.
     pub fn execute(&mut self, stmt: &Statement) -> DbResult<QueryResult> {
-        match stmt {
-            Statement::Begin => return self.begin(),
-            Statement::Commit => return self.commit(),
-            Statement::Rollback => return self.rollback(),
-            Statement::Savepoint(name) => return self.savepoint(name),
-            Statement::RollbackTo(name) => return self.rollback_to(name),
-            Statement::Release(name) => return self.release(name),
-            Statement::Select(_) => {
-                return self
-                    .query(stmt, &ExecOptions::default())
-                    .map(|(result, _)| result)
-            }
-            _ => {}
-        }
-        let snap = self.authorize(stmt)?;
+        let profile = sqlkit::analyze(stmt);
+        self.execute_pinned(stmt, &profile, &self.db.snapshot(), &ExecOptions::default())
+            .map(|(result, _)| result)
+    }
+
+    /// The one statement entry point. `profile` must be `stmt`'s access
+    /// profile (`sqlkit::analyze`): the engine checks privileges against it
+    /// rather than re-deriving it. `version` is the committed version the
+    /// caller pinned: the privilege check reads its grants, and outside a
+    /// transaction the statement reads (or an autocommit write starts from)
+    /// its state. Returns the result and, for a planned SELECT, the executed
+    /// [`PhysPlan`] with each operator's actual rows (and wall time under
+    /// [`ExecOptions::profiling`]).
+    pub fn execute_pinned(
+        &mut self,
+        stmt: &Statement,
+        profile: &AccessProfile,
+        version: &Arc<CommittedVersion>,
+        opts: &ExecOptions,
+    ) -> DbResult<(QueryResult, Option<PhysPlan>)> {
+        let result = match stmt {
+            Statement::Begin => self.begin(),
+            Statement::Commit => self.commit(),
+            Statement::Rollback => self.rollback(),
+            Statement::Savepoint(name) => self.savepoint(name),
+            Statement::RollbackTo(name) => self.rollback_to(name),
+            Statement::Release(name) => self.release(name),
+            Statement::Select(_) => return self.select(stmt, profile, version, opts),
+            _ => self.execute_other(stmt, profile, version),
+        };
+        result.map(|result| (result, None))
+    }
+
+    /// Authorize and run a statement other than SELECT and transaction
+    /// control. No lock is held during execution.
+    fn execute_other(
+        &mut self,
+        stmt: &Statement,
+        profile: &AccessProfile,
+        version: &Arc<CommittedVersion>,
+    ) -> DbResult<QueryResult> {
+        self.authorize(stmt, profile, version)?;
         if let Statement::GrantRevoke(g) = stmt {
             return self.db.apply_grant_revoke(g);
         }
-        // Reads: a transaction sees its own workspace; otherwise the latest
-        // committed snapshot. Either way, no lock is held during execution.
         if let Statement::Explain { stmt, analyze } = stmt {
             let state = match &self.txn {
                 Some(t) => &t.work,
-                None => &snap.state,
+                None => &version.state,
             };
             return exec::explain(state, stmt, *analyze);
         }
-        // ANALYZE with no table touches every table: superuser-only (the
-        // static profile names no object for the per-table check to catch).
-        if let Statement::Analyze { table: None } = stmt {
-            if !snap.privileges.user(&self.user)?.superuser {
-                return Err(DbError::PrivilegeDenied {
-                    user: self.user.clone(),
-                    action: Action::Alter,
-                    object: "*".into(),
-                });
-            }
-        }
         // Writes.
-        if self.status == TxnStatus::Explicit {
-            let t = self.txn.as_mut().expect("explicit txn has workspace");
-            let mark = t.undo.len();
-            match exec::execute(&mut t.work, stmt, &mut t.undo) {
-                Ok(result) => {
-                    // Stage redo records now, while the workspace reflects
-                    // exactly this statement (redo images are read live).
-                    // Always staged: the commit-time merge replays them even
-                    // on the volatile engine.
-                    t.pipeline.stage(&t.work, &t.undo[mark..]);
-                    Ok(result)
-                }
-                Err(e) => {
-                    // Undo the partial effects of this statement, then mark
-                    // the transaction aborted (statement-level atomicity).
-                    let partial = t.undo.split_off(mark);
-                    txn::rollback(&mut t.work, partial);
-                    self.status = TxnStatus::Aborted;
-                    Err(e)
-                }
+        if self.status != TxnStatus::Explicit {
+            return self.autocommit_write(stmt, Arc::clone(version));
+        }
+        let t = self.txn.as_mut().expect("explicit txn has workspace");
+        let mark = t.undo.len();
+        match exec::execute(&mut t.work, stmt, &mut t.undo) {
+            Ok(result) => {
+                // Stage redo records now, while the workspace reflects
+                // exactly this statement (redo images are read live).
+                // Always staged: the commit-time merge replays them even
+                // on the volatile engine.
+                t.pipeline.stage(&t.work, &t.undo[mark..]);
+                Ok(result)
             }
-        } else {
-            self.autocommit_write(stmt, snap)
+            Err(e) => {
+                // Undo the partial effects of this statement, then mark
+                // the transaction aborted (statement-level atomicity).
+                let partial = t.undo.split_off(mark);
+                txn::rollback(&mut t.work, partial);
+                self.status = TxnStatus::Aborted;
+                Err(e)
+            }
         }
     }
 
@@ -848,44 +802,54 @@ impl Session {
         }
     }
 
-    /// What every statement passes before it runs: the transaction is not
-    /// aborted, and the user holds every privilege the statement's static
-    /// access profile requires — checked against the latest committed
-    /// version (grants are non-transactional), which is returned.
-    fn authorize(&self, stmt: &Statement) -> DbResult<Arc<CommittedVersion>> {
+    /// What every statement but transaction control passes before it runs:
+    /// the transaction is not aborted, and the user holds, in `version`'s
+    /// grants (grants are non-transactional), every privilege `profile`
+    /// requires. GRANT/REVOKE and a whole-database ANALYZE are
+    /// superuser-only: the static profile of the latter names no object
+    /// for the per-object check to catch.
+    fn authorize(
+        &self,
+        stmt: &Statement,
+        profile: &AccessProfile,
+        version: &CommittedVersion,
+    ) -> DbResult<()> {
         if self.status == TxnStatus::Aborted {
             return Err(DbError::TransactionState(
                 "current transaction is aborted, commands ignored until ROLLBACK".into(),
             ));
         }
-        let profile = sqlkit::analyze(stmt);
-        let snap = self.db.snapshot();
-        if let Statement::GrantRevoke(_) = stmt {
-            if !snap.privileges.user(&self.user)?.superuser {
+        let superuser_only = match stmt {
+            Statement::GrantRevoke(_) => Some((
+                Action::GrantRevoke,
+                profile.all_objects().into_iter().next().unwrap_or_default(),
+            )),
+            Statement::Analyze { table: None } => Some((Action::Alter, "*".to_owned())),
+            _ => None,
+        };
+        if let Some((action, object)) = superuser_only {
+            if !version.privileges.user(&self.user)?.superuser {
                 return Err(DbError::PrivilegeDenied {
                     user: self.user.clone(),
-                    action: Action::GrantRevoke,
-                    object: profile.all_objects().into_iter().next().unwrap_or_default(),
+                    action,
+                    object,
                 });
             }
-            return Ok(snap);
+            return Ok(());
         }
         for (action, object) in profile.required_privileges() {
-            snap.privileges.check(&self.user, action, &object)?;
+            version.privileges.check(&self.user, action, &object)?;
         }
-        Ok(snap)
+        Ok(())
     }
 
-    /// The one SELECT entry point: run a parsed SELECT under explicit
-    /// [`ExecOptions`] with the session's privilege checks, reading the
-    /// open transaction's workspace or else the latest committed snapshot
-    /// (no lock is held during execution either way). Returns the result
-    /// and, when the planner ran, the executed [`PhysPlan`] with each
-    /// operator's actual row count (and wall time under
-    /// [`ExecOptions::profiling`]). Only SELECT statements are accepted.
-    pub fn query(
+    /// Run a SELECT (with its privilege check) on the open transaction's
+    /// workspace or else on `version`; any other statement is refused.
+    fn select(
         &self,
         stmt: &Statement,
+        profile: &AccessProfile,
+        version: &CommittedVersion,
         opts: &ExecOptions,
     ) -> DbResult<(QueryResult, Option<PhysPlan>)> {
         let Statement::Select(sel) = stmt else {
@@ -893,21 +857,23 @@ impl Session {
                 "query accepts only SELECT statements".into(),
             ));
         };
-        let snap = self.authorize(stmt)?;
+        self.authorize(stmt, profile, version)?;
         let state = match &self.txn {
             Some(t) => &t.work,
-            None => &snap.state,
+            None => &version.state,
         };
         exec::execute_select(state, sel, opts)
     }
 
-    /// Parse `sql` and run it through [`Session::query`].
+    /// Parse `sql` and run it as a SELECT under explicit [`ExecOptions`] on
+    /// the latest committed version, as [`Session::execute_pinned`] does.
     pub fn query_with_options(
         &self,
         sql: &str,
         opts: &ExecOptions,
     ) -> DbResult<(QueryResult, Option<PhysPlan>)> {
-        self.query(&parse_statement(sql)?, opts)
+        let stmt = parse_statement(sql)?;
+        self.select(&stmt, &sqlkit::analyze(&stmt), &self.db.snapshot(), opts)
     }
 
     /// BEGIN an explicit transaction: pin the latest committed version as

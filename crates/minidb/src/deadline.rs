@@ -114,7 +114,7 @@ mod tests {
         s.execute_sql("COMMIT").unwrap();
         drop(expired);
         assert_eq!(db.table_rows("t").unwrap(), 1);
-        assert_eq!(db.views().len(), 1);
+        assert!(db.snapshot().state.catalog.view("v").is_some());
     }
 
     #[test]

@@ -106,6 +106,54 @@ pub struct CommittedVersion {
     pub catalog_ts: Ts,
 }
 
+impl CommittedVersion {
+    /// Generation for *plan* caches: changes whenever either the committed
+    /// state or the optimizer statistics change. Both inputs are monotonic,
+    /// so the sum is too — a cached physical plan is valid exactly while
+    /// the plan generation is unchanged.
+    pub fn plan_generation(&self) -> u64 {
+        self.ts.saturating_add(self.state.catalog.stats_epoch())
+    }
+
+    /// Distinct values of a column, in total order — the raw material for
+    /// BridgeScope's `get_value` exemplar retrieval.
+    pub fn column_values(&self, table: &str, column: &str) -> DbResult<Vec<Value>> {
+        let schema = self.state.catalog.table(table)?;
+        let pos = schema
+            .column_index(column)
+            .ok_or_else(|| DbError::UnknownColumn(format!("{table}.{column}")))?;
+        let data = self
+            .state
+            .data
+            .get(table)
+            .ok_or_else(|| DbError::UnknownTable(table.to_owned()))?;
+        // Chunked distinct-scan: per-worker sets over contiguous row-order
+        // chunks, merged in chunk order so the first occurrence of each
+        // total-order-equal group (e.g. Int(1) vs Float(1.0)) wins, exactly
+        // as in a sequential pass. A BTreeSet<Key> already iterates in
+        // total order, so the merged set *is* the sorted result.
+        let values: Vec<&Value> = data.iter().map(|(_, row)| &row[pos]).collect();
+        let sets = exec::chunked(values, crate::planner::workers_for(data.len()), |part| {
+            Ok(part
+                .into_iter()
+                .filter(|v| !v.is_null())
+                .map(|v| crate::value::Key(vec![v.clone()]))
+                .collect::<BTreeSet<_>>())
+        })?;
+        let mut merged = BTreeSet::new();
+        for set in sets {
+            // `insert` keeps the existing (earlier-chunk) representative.
+            for key in set {
+                merged.insert(key);
+            }
+        }
+        Ok(merged
+            .into_iter()
+            .map(|k| k.0.into_iter().next().expect("single-column key"))
+            .collect())
+    }
+}
+
 /// What one transaction wrote, at validation granularity. Derived from the
 /// undo log, which records exactly the pre-existing state a transaction
 /// disturbed.

@@ -1,11 +1,13 @@
 //! PostgreSQL-style privilege catalog.
 //!
 //! Privileges form the set `P_u ⊆ A × O` of the paper's §2.3: per-user
-//! grants of an [`Action`] on an object. BridgeScope consumes this catalog
-//! twice — once to decide which SQL tools a user's agent even *sees*
-//! (action-level modularization) and once per invocation to verify objects
-//! (object-level verification); the engine itself enforces it a third time
-//! at execution, like a real database would.
+//! grants of an [`Action`] on an object. BridgeScope reads this catalog when
+//! it builds a surface, to decide which SQL tools a user's agent even *sees*
+//! (action-level modularization), and on every tool call, to verify each
+//! object the statement touches (object-level verification). The engine
+//! checks the statement again before running it, like a real database
+//! would; on the tool path both checks read the one committed version
+//! pinned for the call, so their verdicts agree.
 
 use crate::error::{DbError, DbResult};
 use sqlkit::ast::Action;
@@ -37,15 +39,6 @@ impl UserPrivileges {
             .collect()
     }
 
-    /// Objects on which the user holds `action`.
-    pub fn objects_with(&self, action: Action) -> BTreeSet<String> {
-        self.grants
-            .iter()
-            .filter(|(a, _)| *a == action)
-            .map(|(_, o)| o.clone())
-            .collect()
-    }
-
     /// Every action the user holds on at least one object. Superusers hold
     /// everything (the caller supplies the object universe when it matters).
     pub fn held_actions(&self) -> BTreeSet<Action> {
@@ -53,11 +46,6 @@ impl UserPrivileges {
             return Action::DATA_ACTIONS.into_iter().collect();
         }
         self.grants.iter().map(|(a, _)| *a).collect()
-    }
-
-    /// Objects on which the user holds *any* action.
-    pub fn visible_objects(&self) -> BTreeSet<String> {
-        self.grants.iter().map(|(_, o)| o.clone()).collect()
     }
 
     /// Every explicit grant, in deterministic order (used for persistence
@@ -207,8 +195,6 @@ mod tests {
         let u = cat.user("n").unwrap();
         assert_eq!(u.actions_on("a").len(), Action::DATA_ACTIONS.len());
         assert_eq!(u.actions_on("b"), [Action::Select].into_iter().collect());
-        assert_eq!(u.objects_with(Action::Select).len(), 2);
-        assert_eq!(u.visible_objects().len(), 2);
         assert!(u.held_actions().contains(&Action::Delete));
     }
 

@@ -228,7 +228,8 @@ fn grant_revoke_inside_transaction_is_immediate_and_durable() {
         s.execute_sql("ROLLBACK").unwrap();
     }
     let db2 = reopen(&dir);
-    let p = db2.privileges_of("walter").expect("user survived crash");
+    let version = db2.snapshot();
+    let p = version.privileges.user("walter").expect("user exists");
     assert!(p.has(sqlkit::Action::Select, "t"));
     std::fs::remove_dir_all(&dir).ok();
 }

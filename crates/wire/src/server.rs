@@ -578,7 +578,6 @@ impl<'a> SessionCtx<'a> {
 fn decode_requested_policy(params: &Json) -> Result<SecurityPolicy, RpcError> {
     let mut policy = SecurityPolicy {
         schema_threshold: usize::MAX,
-        exemplar_k: usize::MAX,
         ..SecurityPolicy::permissive()
     };
     let Some(spec) = params.get("policy") else {
