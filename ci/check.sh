@@ -142,19 +142,30 @@ gate_e2ebench_smoke() {
   done
 }
 
-# The paper's F4 number as a count gate: one traced second of bulk_transfer
-# at seed 42 must move exactly 1 696 605 bytes tool-to-tool through proxy
-# units (`core.proxy_bytes_moved`, a count that repeats exactly for a seed),
-# with no failed call. A change that sizes a hand-off twice, or not at all,
-# fails here. About 13 s on 2 vCPUs once the benchmark is built.
+# The paper's F4 number and the span count per call as count gates (each
+# repeats exactly for a seed and run length). One traced second of
+# bulk_transfer at seed 42 must move exactly 1 696 605 bytes tool-to-tool
+# through proxy units (`core.proxy_bytes_moved`) and record 6.6667 spans
+# per call; one traced second of agent_mix at seed 42 must record 3.2806
+# spans per call; neither may fail a call. A change that sizes a hand-off
+# twice, or not at all, or adds a span to or loses one from the call path,
+# fails here. About 25 s on 2 vCPUs once the benchmark is built.
 gate_e2ebench_counts() {
   local out=target/e2ebench-counts.txt
   run bash e2ebench/run.sh --workload bulk_transfer --seed 42 --seconds 1 --trace 1 \
     | tee "$out" || return 1
   grep -Eq '^core\.proxy_bytes_moved +1696605(\.0+)? count$' "$out" \
     || { echo "FAIL: core.proxy_bytes_moved is not 1696605"; return 1; }
+  grep -Eq '^obs\.spans_per_call +6\.6667 ratio$' "$out" \
+    || { echo "FAIL: bulk_transfer obs.spans_per_call is not 6.6667"; return 1; }
   grep -q '^failed_frac 0 ' "$out" \
-    || { echo "FAIL: failed_frac is not 0"; return 1; }
+    || { echo "FAIL: bulk_transfer failed_frac is not 0"; return 1; }
+  run bash e2ebench/run.sh --workload agent_mix --seed 42 --seconds 1 --trace 1 \
+    | tee "$out" || return 1
+  grep -Eq '^obs\.spans_per_call +3\.2806 ratio$' "$out" \
+    || { echo "FAIL: agent_mix obs.spans_per_call is not 3.2806"; return 1; }
+  grep -q '^failed_frac 0 ' "$out" \
+    || { echo "FAIL: agent_mix failed_frac is not 0"; return 1; }
   echo "==> counts OK"
 }
 

@@ -96,29 +96,26 @@ impl BridgeScopeServer {
         // Retrieval-cache wiring: read-only F1 tools get memoized per
         // session surface, keyed on args and stamped with the database
         // generation (bumped by every committed DML/DDL/privilege change).
-        let cache_cfg = gate_config.cache.clone();
         let generation: GenerationSource = {
             let db = db.clone();
             Arc::new(move || db.generation())
         };
         let mut retrieval_caches: Vec<Weak<gate::GenCache<toolproto::ToolOutput>>> = Vec::new();
         let mut wrap_context = |tool: Arc<dyn Tool>| -> Arc<dyn Tool> {
-            match &cache_cfg {
-                Some(cfg) => {
-                    let cached = Arc::new(CachedTool::new(
-                        tool,
-                        cfg.context_capacity,
-                        Arc::clone(&generation),
-                        obs.clone(),
-                    ));
-                    retrieval_caches.push(Arc::downgrade(cached.cache()));
-                    cached
-                }
-                None => tool,
+            if !gate_config.cache {
+                return tool;
             }
+            let cached = Arc::new(CachedTool::new(
+                tool,
+                gate::CONTEXT_CACHE_CAPACITY,
+                Arc::clone(&generation),
+                obs.clone(),
+            ));
+            retrieval_caches.push(Arc::downgrade(cached.cache()));
+            cached
         };
-        let plan_cache = cache_cfg.as_ref().map(|cfg| {
-            let cache = Arc::new(PlanCache::new(cfg.plan_capacity));
+        let plan_cache = gate_config.cache.then(|| {
+            let cache = Arc::new(PlanCache::new(gate::PLAN_CACHE_CAPACITY));
             ctx.install_plan_cache(Arc::clone(&cache));
             cache
         });

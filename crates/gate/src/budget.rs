@@ -48,14 +48,6 @@ impl BudgetLimits {
         BudgetLimits::default()
     }
 
-    /// True when no resource is metered.
-    pub fn is_unlimited(&self) -> bool {
-        self.max_calls.is_none()
-            && self.max_rows.is_none()
-            && self.max_bytes.is_none()
-            && self.max_wall_ns.is_none()
-    }
-
     /// Builder: cap tool invocations.
     pub fn with_calls(mut self, max: u64) -> Self {
         self.max_calls = Some(max);

@@ -41,30 +41,18 @@ pub use retrieval::{args_key, CachedTool, GenerationSource};
 
 use std::sync::Arc;
 
-/// Capacity knobs for the two caches.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CacheConfig {
-    /// Maximum cached outputs per context tool (per session surface).
-    pub context_capacity: usize,
-    /// Maximum cached prepared plans (per session surface).
-    pub plan_capacity: usize,
-}
+/// Maximum cached outputs per context tool (per session surface).
+pub const CONTEXT_CACHE_CAPACITY: usize = 256;
 
-impl Default for CacheConfig {
-    fn default() -> Self {
-        CacheConfig {
-            context_capacity: 256,
-            plan_capacity: 128,
-        }
-    }
-}
+/// Maximum cached prepared plans (per session surface).
+pub const PLAN_CACHE_CAPACITY: usize = 128;
 
 /// Gate policy for one served surface. The default is fully transparent:
 /// no caches, no budgets — byte-identical behaviour to an ungated build.
 #[derive(Clone, Default)]
 pub struct GateConfig {
     /// Enable the retrieval and plan caches.
-    pub cache: Option<CacheConfig>,
+    pub cache: bool,
     /// Budget applied to each session individually.
     pub session_budget: Option<BudgetLimits>,
     /// Shared per-user ledger: every session of a user draws down one
@@ -74,14 +62,9 @@ pub struct GateConfig {
 }
 
 impl GateConfig {
-    /// True when the config changes nothing (no wrapping needed).
-    pub fn is_transparent(&self) -> bool {
-        self.cache.is_none() && self.session_budget.is_none() && self.user_ledger.is_none()
-    }
-
-    /// Builder: enable caches with default capacities.
+    /// Builder: enable the caches.
     pub fn with_cache(mut self) -> Self {
-        self.cache = Some(CacheConfig::default());
+        self.cache = true;
         self
     }
 

@@ -168,11 +168,6 @@ impl Database {
         self.shared.committed.read().clone()
     }
 
-    /// The most recently assigned commit timestamp.
-    pub fn last_commit_ts(&self) -> Ts {
-        self.shared.oracle.last()
-    }
-
     /// Monotonic generation counter for external caches: the timestamp of
     /// the latest *published* committed version. Every committed change —
     /// DML, DDL, and privilege changes alike ([`Database::grant`] and
@@ -674,11 +669,6 @@ impl Session {
     /// Stable session identifier (diagnostics).
     pub fn id(&self) -> u64 {
         self.id
-    }
-
-    /// Current transaction status.
-    pub fn txn_status(&self) -> TxnStatus {
-        self.status
     }
 
     /// Whether an explicit transaction is open.

@@ -88,11 +88,6 @@ impl TableSchema {
         self.columns.iter().find(|c| c.name == name)
     }
 
-    /// Column names in declaration order.
-    pub fn column_names(&self) -> Vec<&str> {
-        self.columns.iter().map(|c| c.name.as_str()).collect()
-    }
-
     /// Resolve a list of column names to positions, erroring on unknowns.
     pub fn resolve_columns(&self, names: &[String]) -> DbResult<Vec<usize>> {
         names

@@ -288,14 +288,6 @@ impl IndexData {
         set.map(|s| s.iter().copied().collect()).unwrap_or_default()
     }
 
-    /// Number of distinct keys.
-    pub fn distinct_keys(&self) -> usize {
-        match &self.entries {
-            Entries::Ordered(map) => map.len(),
-            Entries::Hash(map) => map.len(),
-        }
-    }
-
     /// All `(key, row ids)` pairs, for consistency checking. Hash indexes
     /// yield them in arbitrary order.
     fn entry_pairs(&self) -> Vec<(Key, Vec<RowId>)> {

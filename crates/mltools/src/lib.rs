@@ -22,7 +22,6 @@ pub mod dataset;
 pub mod forest;
 pub mod linreg;
 pub mod metrics;
-pub mod sync;
 pub mod tools;
 pub mod transform;
 pub mod trend;

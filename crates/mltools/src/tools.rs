@@ -10,11 +10,10 @@ use crate::dataset::{rows_of, Dataset, EncodingSpec, TextCol};
 use crate::forest::{self, Forest, ForestParams, TreeNode};
 use crate::linreg::{self, LinearModel};
 use crate::metrics;
-use crate::sync::Mutex;
 use crate::transform::{normalize_rows, train_test_split, NormKind};
 use crate::trend;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use toolproto::{ArgSpec, ArgType, Args, FnTool, Json, Registry, Signature, ToolError, ToolOutput};
 
 fn exec_err(e: impl std::fmt::Display) -> ToolError {
@@ -34,14 +33,15 @@ struct ModelStore {
 
 impl ModelStore {
     fn put(&self, model: Json) -> String {
-        let mut models = self.models.lock();
+        let mut models = self.models.lock().unwrap_or_else(PoisonError::into_inner);
         let id = format!("model-{}", models.len() + 1);
         models.insert(id.clone(), model);
         id
     }
 
     fn get(&self, id: &str) -> Option<Json> {
-        self.models.lock().get(id).cloned()
+        let models = self.models.lock().unwrap_or_else(PoisonError::into_inner);
+        models.get(id).cloned()
     }
 }
 

@@ -4,19 +4,20 @@
 //! Post-mortem traces answer "what happened over the whole run"; the flight
 //! recorder answers the live-operations question "what were the worst calls
 //! *recently*, and what did they spend their time on". Every finished span
-//! is offered to the recorder. Spans are buffered in a bounded FIFO pool;
-//! when a *trigger* span (a `tool:{name}` span or the `wire:call` wrapper)
-//! closes and the tail-based retention rule fires — the call was **slow**
-//! (over the threshold) or **errored** — the recorder captures it together
-//! with every buffered descendant — children always close before their
-//! parents, so the full subtree is already in the pool — into a ring of
-//! [`SlowCall`] entries. The ring overwrites its oldest entry when full,
-//! so memory stays bounded no matter how long the server runs; evictions
-//! are reported in the [`OfferOutcome`] so the owner can count them.
+//! is offered to the recorder on its way into the span ring. When a
+//! *trigger* span (a `tool:{name}` span or the `wire:call` wrapper) closes
+//! and the tail-based retention rule fires — the call was **slow** (over
+//! the threshold) or **errored** — the recorder reads the call's subtree
+//! from the span ring — children always close before their parents, so it
+//! is already there — into a ring of [`SLOW_CALL_CAPACITY`] [`SlowCall`]
+//! entries. That ring overwrites its oldest entry when full, so memory
+//! stays bounded no matter how long the server runs; the recorder counts
+//! its captures and evictions for the owner to export.
 
+use crate::recorder::SpanRing;
 use crate::span::SpanRecord;
 use crate::trace::TraceId;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use toolproto::Json;
@@ -25,35 +26,20 @@ use toolproto::Json;
 /// and the wire dispatch wrapper.
 const TRIGGER_PREFIXES: [&str; 2] = ["tool:", "wire:call"];
 
-/// Maximum buffered finished spans awaiting their root's close. Bounds
-/// memory; a subtree larger than this is captured truncated.
-const PENDING_CAPACITY: usize = 4096;
+/// Captured calls a recorder retains; the oldest is evicted first.
+pub const SLOW_CALL_CAPACITY: usize = 64;
 
-/// Tuning for a [`FlightRecorder`].
+/// Tuning for the flight recorder ([`crate::Obs::with_flight`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlightConfig {
     /// A trigger span slower than this (in nanoseconds) is captured.
     pub threshold_ns: u64,
-    /// Maximum retained [`SlowCall`] entries; the oldest is evicted first.
-    pub ring_capacity: usize,
-}
-
-impl Default for FlightConfig {
-    fn default() -> Self {
-        FlightConfig {
-            threshold_ns: 100_000_000, // 100ms
-            ring_capacity: 64,
-        }
-    }
 }
 
 impl FlightConfig {
-    /// Config with a custom slow threshold and the default capacities.
+    /// Config with a custom slow threshold.
     pub fn with_threshold_ns(threshold_ns: u64) -> Self {
-        FlightConfig {
-            threshold_ns,
-            ..FlightConfig::default()
-        }
+        FlightConfig { threshold_ns }
     }
 }
 
@@ -76,18 +62,6 @@ impl CaptureReason {
     }
 }
 
-/// What one [`FlightRecorder::offer`] call did, so the owning handle can
-/// account for captures and losses without re-locking the recorder.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OfferOutcome {
-    /// `Some` when the span triggered a capture, with the retention reason.
-    pub captured: Option<CaptureReason>,
-    /// A previously captured call was evicted from the ring to make room.
-    pub ring_evicted: bool,
-    /// Buffered spans dropped from the pending pool to respect its bound.
-    pub pending_dropped: u64,
-}
-
 /// One captured call: the trigger span plus its recorded subtree.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SlowCall {
@@ -97,8 +71,8 @@ pub struct SlowCall {
     pub reason: CaptureReason,
     /// The trigger span that fired the retention rule.
     pub root: SpanRecord,
-    /// The captured tree: the root plus every buffered descendant, sorted
-    /// by `(start_ns, id)` so parents precede children.
+    /// The captured tree: the root plus every descendant the span ring
+    /// held, sorted by `(start_ns, id)` so parents precede children.
     pub spans: Vec<SpanRecord>,
 }
 
@@ -136,46 +110,24 @@ impl SlowCall {
     }
 }
 
-struct FlightInner {
-    /// Finished spans awaiting a potential trigger ancestor, FIFO-bounded.
-    pending: VecDeque<SpanRecord>,
-    /// Captured slow calls, oldest first, ring-bounded.
-    ring: VecDeque<SlowCall>,
-}
-
 /// The recorder itself. Concurrency-safe; one lives inside an enabled
 /// [`crate::Obs`] handle when flight recording is configured.
-pub struct FlightRecorder {
-    config: FlightConfig,
-    inner: Mutex<FlightInner>,
+pub(crate) struct FlightRecorder {
+    pub(crate) config: FlightConfig,
+    /// Captured slow calls, oldest first, at most [`SLOW_CALL_CAPACITY`].
+    ring: Mutex<VecDeque<SlowCall>>,
+    /// Captures ever made; only advanced under the `ring` lock.
     seq: AtomicU64,
-}
-
-impl std::fmt::Debug for FlightRecorder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FlightRecorder")
-            .field("config", &self.config)
-            .field("captured", &self.seq.load(Ordering::Relaxed))
-            .finish()
-    }
 }
 
 impl FlightRecorder {
     /// A recorder with the given tuning.
-    pub fn new(config: FlightConfig) -> Self {
+    pub(crate) fn new(config: FlightConfig) -> Self {
         FlightRecorder {
             config,
-            inner: Mutex::new(FlightInner {
-                pending: VecDeque::new(),
-                ring: VecDeque::new(),
-            }),
+            ring: Mutex::new(VecDeque::new()),
             seq: AtomicU64::new(0),
         }
-    }
-
-    /// The configured slow threshold in nanoseconds.
-    pub fn threshold_ns(&self) -> u64 {
-        self.config.threshold_ns
     }
 
     fn retention_reason(&self, span: &SpanRecord) -> Option<CaptureReason> {
@@ -191,96 +143,60 @@ impl FlightRecorder {
         }
     }
 
-    /// Offer one finished span; tail-based retention decides capture. The
-    /// returned [`OfferOutcome`] reports the capture (with its reason) and
-    /// any data lost to the ring/pending bounds.
-    pub fn offer(&self, span: SpanRecord) -> OfferOutcome {
-        let captured = self.retention_reason(&span);
-        let mut outcome = OfferOutcome {
-            captured,
-            ..OfferOutcome::default()
+    fn calls(&self) -> std::sync::MutexGuard<'_, VecDeque<SlowCall>> {
+        self.ring.lock().expect("flight lock")
+    }
+
+    /// Record one finished span into `spans`; tail-based retention decides
+    /// whether its subtree is captured from there, and why.
+    pub(crate) fn offer(&self, span: SpanRecord, spans: &SpanRing) -> Option<CaptureReason> {
+        let Some(reason) = self.retention_reason(&span) else {
+            spans.record(span);
+            return None;
         };
-        let mut inner = self.inner.lock().expect("flight lock");
-        if let Some(reason) = captured {
-            let mut spans = collect_subtree(&inner.pending, &span);
-            spans.push(span.clone());
-            spans.sort_by_key(|s| (s.start_ns, s.id));
-            let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
-            if inner.ring.len() >= self.config.ring_capacity.max(1) {
-                inner.ring.pop_front();
-                outcome.ring_evicted = true;
-            }
-            inner.ring.push_back(SlowCall {
-                seq,
-                reason,
-                root: span.clone(),
-                spans,
-            });
+        let root = span.clone();
+        spans.record(span);
+        let tree = spans.subtree(&root);
+        let mut calls = self.calls();
+        if calls.len() == SLOW_CALL_CAPACITY {
+            calls.pop_front();
         }
-        inner.pending.push_back(span);
-        while inner.pending.len() > PENDING_CAPACITY {
-            inner.pending.pop_front();
-            outcome.pending_dropped += 1;
-        }
-        outcome
+        let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
+        calls.push_back(SlowCall {
+            seq,
+            reason,
+            root,
+            spans: tree,
+        });
+        Some(reason)
+    }
+
+    /// Captures ever made, and how many of them the ring has evicted.
+    pub(crate) fn counts(&self) -> (u64, u64) {
+        let calls = self.calls();
+        let captured = self.seq.load(Ordering::Relaxed);
+        (captured, captured - calls.len() as u64)
     }
 
     /// Captured calls, oldest first.
-    pub fn slow_calls(&self) -> Vec<SlowCall> {
-        self.inner
-            .lock()
-            .expect("flight lock")
-            .ring
-            .iter()
-            .cloned()
-            .collect()
+    pub(crate) fn slow_calls(&self) -> Vec<SlowCall> {
+        self.calls().iter().cloned().collect()
     }
 
     /// The newest captured call belonging to `trace`, if any is retained.
-    pub fn slow_call_by_trace(&self, trace: TraceId) -> Option<SlowCall> {
-        self.inner
-            .lock()
-            .expect("flight lock")
-            .ring
+    pub(crate) fn slow_call_by_trace(&self, trace: TraceId) -> Option<SlowCall> {
+        self.calls()
             .iter()
             .rev()
             .find(|call| call.trace() == Some(trace))
             .cloned()
     }
-
-    /// Currently retained captures (ring occupancy, for gauges).
-    pub fn ring_len(&self) -> usize {
-        self.inner.lock().expect("flight lock").ring.len()
-    }
-}
-
-/// Every pending span that is a descendant of `root` (by walking parent
-/// links within the pending pool — ancestors outside the pool terminate the
-/// walk without a match).
-fn collect_subtree(pending: &VecDeque<SpanRecord>, root: &SpanRecord) -> Vec<SpanRecord> {
-    let parent_of: BTreeMap<u64, Option<u64>> = pending.iter().map(|s| (s.id, s.parent)).collect();
-    let mut out = Vec::new();
-    for span in pending {
-        let mut cursor = span.parent;
-        let mut hops = 0usize;
-        while let Some(pid) = cursor {
-            if pid == root.id {
-                out.push(span.clone());
-                break;
-            }
-            hops += 1;
-            if hops > pending.len() {
-                break; // defensive: malformed parent cycle
-            }
-            cursor = parent_of.get(&pid).copied().flatten();
-        }
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recorder::SPAN_RING_CAPACITY;
 
     fn rec(id: u64, parent: Option<u64>, name: &str, start: u64, end: u64) -> SpanRecord {
         SpanRecord {
@@ -295,20 +211,29 @@ mod tests {
         }
     }
 
+    /// A recorder with `threshold_ns` and the span ring it reads.
+    fn recorder(threshold_ns: u64) -> (FlightRecorder, SpanRing) {
+        let config = FlightConfig::with_threshold_ns(threshold_ns);
+        (
+            FlightRecorder::new(config),
+            SpanRing::new(SPAN_RING_CAPACITY),
+        )
+    }
+
     #[test]
     fn captures_trigger_span_with_subtree() {
-        let fr = FlightRecorder::new(FlightConfig::with_threshold_ns(100));
+        let (fr, spans) = recorder(100);
+        let trace = TraceId::from_u128(7);
+        let span = |id, parent, name, start, end| SpanRecord {
+            trace,
+            ..rec(id, parent, name, start, end)
+        };
         // Children close first, then the slow tool span.
-        assert!(fr
-            .offer(rec(3, Some(2), "sql:execute", 20, 80))
-            .captured
-            .is_none());
-        assert!(fr
-            .offer(rec(4, Some(3), "sql:scan", 30, 60))
-            .captured
-            .is_none());
+        let offer = |s| fr.offer(s, &spans);
+        assert!(offer(span(3, Some(2), "sql:execute", 20, 80)).is_none());
+        assert!(offer(span(4, Some(3), "sql:scan", 30, 60)).is_none());
         assert_eq!(
-            fr.offer(rec(2, Some(1), "tool:select", 10, 200)).captured,
+            offer(span(2, Some(1), "tool:select", 10, 200)),
             Some(CaptureReason::Slow)
         );
         let calls = fr.slow_calls();
@@ -317,88 +242,72 @@ mod tests {
         assert_eq!(calls[0].reason, CaptureReason::Slow);
         let names: Vec<&str> = calls[0].spans.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names, ["tool:select", "sql:execute", "sql:scan"]);
+        // The capture is the trigger's subtree as the ring holds it.
+        assert_eq!(calls[0].spans, spans.subtree(&calls[0].root));
     }
 
     #[test]
     fn fast_and_untriggered_spans_are_ignored() {
-        let fr = FlightRecorder::new(FlightConfig::with_threshold_ns(100));
-        assert!(fr
-            .offer(rec(1, None, "tool:select", 0, 50))
-            .captured
-            .is_none()); // fast
-        assert!(fr
-            .offer(rec(2, None, "sql:execute", 0, 5000))
-            .captured
-            .is_none()); // not a trigger
+        let (fr, spans) = recorder(100);
+        // fast
+        let fast = fr.offer(rec(1, None, "tool:select", 0, 50), &spans);
+        assert!(fast.is_none());
+        // not a trigger
+        let other = fr.offer(rec(2, None, "sql:execute", 0, 5000), &spans);
+        assert!(other.is_none());
         assert!(fr.slow_calls().is_empty());
     }
 
     #[test]
     fn errored_calls_are_retained_even_when_fast() {
-        let fr = FlightRecorder::new(FlightConfig::with_threshold_ns(1_000_000));
+        let (fr, spans) = recorder(1_000_000);
         let mut errored = rec(1, None, "wire:call", 0, 10);
         errored.error = Some("boom".into());
-        assert_eq!(fr.offer(errored).captured, Some(CaptureReason::Error));
+        assert_eq!(fr.offer(errored, &spans), Some(CaptureReason::Error));
         // An error on a non-trigger span does nothing.
         let mut inner = rec(2, None, "sql:execute", 40, 50);
         inner.error = Some("boom".into());
-        assert!(fr.offer(inner).captured.is_none());
+        assert!(fr.offer(inner, &spans).is_none());
         let reasons: Vec<CaptureReason> = fr.slow_calls().iter().map(|c| c.reason).collect();
         assert_eq!(reasons, [CaptureReason::Error]);
     }
 
     #[test]
     fn lookup_by_trace_finds_newest_capture() {
-        let fr = FlightRecorder::new(FlightConfig::with_threshold_ns(10));
-        fr.offer(rec(1, None, "tool:a", 0, 100));
-        fr.offer(rec(2, None, "tool:b", 200, 300));
+        let (fr, spans) = recorder(10);
+        fr.offer(rec(1, None, "tool:a", 0, 100), &spans);
+        fr.offer(rec(2, None, "tool:b", 200, 300), &spans);
         let trace = TraceId::from_u128(1002).unwrap();
         let hit = fr.slow_call_by_trace(trace).unwrap();
         assert_eq!(hit.root.name, "tool:b");
         assert!(fr
             .slow_call_by_trace(TraceId::from_u128(9).unwrap())
             .is_none());
-        assert_eq!(fr.ring_len(), 2);
+        assert_eq!(fr.counts(), (2, 0));
     }
 
     #[test]
     fn ring_wraps_around_keeping_newest() {
-        let config = FlightConfig {
-            threshold_ns: 10,
-            ring_capacity: 3,
-        };
-        let fr = FlightRecorder::new(config);
-        let mut evictions = 0u64;
-        for i in 0..10u64 {
-            let out = fr.offer(rec(i + 1, None, "tool:slow", i * 1000, i * 1000 + 500));
-            evictions += u64::from(out.ring_evicted);
+        let (fr, spans) = recorder(10);
+        let total = SLOW_CALL_CAPACITY as u64 + 7;
+        for i in 0..total {
+            fr.offer(
+                rec(i + 1, None, "tool:slow", i * 1000, i * 1000 + 500),
+                &spans,
+            );
         }
         let calls = fr.slow_calls();
-        assert_eq!(calls.len(), 3);
-        // 10 captures into a 3-slot ring evict the oldest seven: the
-        // survivors are captures 8, 9, 10.
-        assert_eq!(evictions, 7);
+        assert_eq!(calls.len(), SLOW_CALL_CAPACITY);
+        // Seven captures past the capacity evict the oldest seven.
+        assert_eq!(fr.counts(), (total, 7));
         assert_eq!(calls[0].seq, 8);
-        assert_eq!(calls[2].seq, 10);
-    }
-
-    #[test]
-    fn pending_pool_is_bounded() {
-        let fr = FlightRecorder::new(FlightConfig::with_threshold_ns(1_000_000));
-        let mut dropped = 0u64;
-        for i in 0..PENDING_CAPACITY as u64 + 96 {
-            dropped += fr
-                .offer(rec(i + 1, None, "sql:execute", i, i + 1))
-                .pending_dropped;
-        }
-        assert_eq!(fr.inner.lock().unwrap().pending.len(), PENDING_CAPACITY);
-        assert_eq!(dropped, 96);
+        assert_eq!(calls[SLOW_CALL_CAPACITY - 1].seq, total);
     }
 
     #[test]
     fn slow_call_json_shape() {
-        let fr = FlightRecorder::new(FlightConfig::with_threshold_ns(1));
-        fr.offer(rec(1, None, "wire:call", 0, 100));
+        let (fr, spans) = recorder(1);
+        fr.offer(rec(1, None, "wire:call", 0, 100), &spans);
         let json = fr.slow_calls()[0].to_json();
         assert_eq!(json.get("type").and_then(Json::as_str), Some("slow_call"));
         assert_eq!(json.get("name").and_then(Json::as_str), Some("wire:call"));

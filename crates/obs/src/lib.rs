@@ -11,7 +11,9 @@
 //!   and monotonic nanosecond timings,
 //! * a [`MetricsRegistry`](metrics::MetricsRegistry) of counter, latency
 //!   histogram and gauge series, each a `(name, labels)` pair,
-//! * a [sharded in-memory span sink](recorder::ShardedSink),
+//! * one bounded, sharded ring of the most recent finished spans
+//!   ([`SPAN_RING_CAPACITY`] of them), which the snapshot, the flight
+//!   recorder and the JSONL flush all read,
 //! * a [JSONL exporter](export) (one event per line, `toolproto::Json`
 //!   syntax) with a matching parser, and
 //! * a [summary table renderer](summary) for human-readable per-run reports.
@@ -45,20 +47,20 @@ pub mod inflight;
 pub mod metrics;
 pub mod observer;
 pub mod prom;
-pub mod recorder;
+mod recorder;
 pub mod span;
 pub mod stmt;
 pub mod summary;
 pub mod trace;
 
 pub use export::{parse_jsonl, to_jsonl};
-pub use flight::{CaptureReason, FlightConfig, FlightRecorder, OfferOutcome, SlowCall};
+pub use flight::{CaptureReason, FlightConfig, SlowCall};
 pub use inflight::{InflightCall, InflightRegistry};
 pub use metrics::{
     Histogram, HistogramSnapshot, LabelSet, MetricsRegistry, MetricsSnapshot, Sample,
 };
 pub use observer::RegistryObserver;
-pub use recorder::ShardedSink;
+pub use recorder::SPAN_RING_CAPACITY;
 pub use span::{
     adopt_context, current_parent, current_trace, validate_tree, AttrValue, ParentScope,
     SpanContext, SpanGuard, SpanRecord,
@@ -66,9 +68,14 @@ pub use span::{
 pub use stmt::{StatementEntry, StatementOutcome, StatementStats, StatementStore};
 pub use trace::{next_span_id, next_trace_id, SpanId, TraceContext, TraceId};
 
+use flight::FlightRecorder;
+use recorder::{Cursor, SpanRing};
+use std::fs::File;
+use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError, Sender};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -80,8 +87,8 @@ pub enum ObsConfig {
     Off,
     /// Record spans and metrics in memory; read them via [`Obs::snapshot`].
     InMemory,
-    /// Record in memory and write a JSONL trace to this path on
-    /// [`Obs::flush`].
+    /// Record in memory and append a JSONL trace to this path on each
+    /// [`Obs::flush`] (the first flush truncates the file).
     Jsonl(PathBuf),
 }
 
@@ -89,13 +96,23 @@ pub(crate) struct ObsInner {
     epoch: Instant,
     next_id: AtomicU64,
     metrics: MetricsRegistry,
-    sink: ShardedSink,
-    jsonl_path: Option<PathBuf>,
+    spans: SpanRing,
+    /// The JSONL trace path and what earlier flushes appended to it.
+    jsonl: Option<(PathBuf, Mutex<JsonlWritten>)>,
     /// `Arc` so pull-model gauges (ring occupancy) can sample the recorder
     /// without holding the whole handle alive through `self`.
     flight: Option<Arc<FlightRecorder>>,
     statements: Arc<StatementStore>,
     inflight: Arc<InflightRegistry>,
+}
+
+/// What earlier flushes appended. The file is `None` until the first flush
+/// creates (or truncates) it.
+#[derive(Default)]
+struct JsonlWritten {
+    file: Option<File>,
+    spans: Cursor,
+    slow_call_seq: u64,
 }
 
 /// Distinct `(user, normalized statement)` keys retained by the statement
@@ -113,19 +130,36 @@ impl ObsInner {
 
     pub(crate) fn record(&self, span: SpanRecord) {
         if let Some(flight) = &self.flight {
-            let outcome = flight.offer(span.clone());
-            if outcome.captured.is_some() {
-                self.metrics.incr("obs.slow_calls.captured", 1);
-            }
-            if outcome.ring_evicted {
-                self.metrics.incr("obs.flight.dropped_total", 1);
-            }
-            if outcome.pending_dropped > 0 {
-                self.metrics
-                    .incr("obs.flight.pending_dropped_total", outcome.pending_dropped);
-            }
+            flight.offer(span, &self.spans);
+        } else {
+            self.spans.record(span);
         }
-        self.sink.record(span);
+    }
+
+    /// The registry's series plus the counters the span ring and the
+    /// flight recorder keep themselves: `obs.spans.{recorded,dropped}` and
+    /// `obs.slow_calls.captured` / `obs.flight.dropped_total`. Like any
+    /// counter, each pair appears once there is something to count.
+    fn metrics(&self, recorded: u64, dropped: u64) -> MetricsSnapshot {
+        let mut metrics = self.metrics.snapshot();
+        let (captured, evicted) = self.flight.as_ref().map_or((0, 0), |f| f.counts());
+        // (name, value, the count that makes its pair appear), sorted by name.
+        let counts = [
+            ("obs.flight.dropped_total", evicted, captured),
+            ("obs.slow_calls.captured", captured, captured),
+            ("obs.spans.dropped", dropped, recorded),
+            ("obs.spans.recorded", recorded, recorded),
+        ];
+        let counters = &mut metrics.labeled_counters;
+        for (name, value, _) in counts.into_iter().filter(|&(_, _, seen)| seen > 0) {
+            let sample = Sample {
+                name: name.to_owned(),
+                labels: LabelSet::new(),
+                value,
+            };
+            counters.insert(counters.partition_point(|c| c.name.as_str() < name), sample);
+        }
+        metrics
     }
 }
 
@@ -138,7 +172,7 @@ pub struct ObsSnapshot {
     pub metrics: MetricsSnapshot,
 }
 
-/// Handle to one observability domain: a shared span sink, id generator,
+/// Handle to one observability domain: a shared span ring, id generator,
 /// monotonic epoch, and metrics registry. Clones share state; a disabled
 /// handle (the default) records nothing.
 #[derive(Clone, Default)]
@@ -152,7 +186,12 @@ impl Obs {
         Obs { inner: None }
     }
 
-    fn enabled_with(jsonl_path: Option<PathBuf>, flight: Option<FlightConfig>) -> Self {
+    fn build(config: &ObsConfig, flight: Option<FlightConfig>) -> Self {
+        let jsonl = match config {
+            ObsConfig::Off => return Obs::disabled(),
+            ObsConfig::InMemory => None,
+            ObsConfig::Jsonl(path) => Some((path.clone(), Mutex::default())),
+        };
         let epoch = Instant::now();
         let metrics = MetricsRegistry::new();
         // Process uptime as a gauge: the epoch Instant is captured by value,
@@ -161,12 +200,10 @@ impl Obs {
             epoch.elapsed().as_secs_f64()
         });
         let flight = flight.map(|config| Arc::new(FlightRecorder::new(config)));
-        if let Some(recorder) = &flight {
-            // Samplers capture their own Arc so occupancy stays readable
-            // for as long as the registry lives.
-            let ring = Arc::clone(recorder);
+        if let Some(recorder) = flight.clone() {
             metrics.register_gauge("obs.flight.ring_occupancy", &[], move || {
-                ring.ring_len() as f64
+                let (captured, evicted) = recorder.counts();
+                (captured - evicted) as f64
             });
         }
         let statements = Arc::new(StatementStore::new(STATEMENT_STORE_CAPACITY));
@@ -180,8 +217,8 @@ impl Obs {
                 epoch,
                 next_id: AtomicU64::new(1),
                 metrics,
-                sink: ShardedSink::new(),
-                jsonl_path,
+                spans: SpanRing::new(SPAN_RING_CAPACITY),
+                jsonl,
                 flight,
                 statements,
                 inflight,
@@ -191,32 +228,24 @@ impl Obs {
 
     /// An enabled handle recording into memory only.
     pub fn in_memory() -> Self {
-        Obs::enabled_with(None, None)
+        Obs::build(&ObsConfig::InMemory, None)
     }
 
-    /// An enabled handle that additionally writes a JSONL trace to `path`
+    /// An enabled handle that additionally appends a JSONL trace to `path`
     /// when [`Obs::flush`] is called.
     pub fn jsonl(path: impl Into<PathBuf>) -> Self {
-        Obs::enabled_with(Some(path.into()), None)
+        Obs::build(&ObsConfig::Jsonl(path.into()), None)
     }
 
     /// Build a handle from a configuration value.
     pub fn from_config(config: &ObsConfig) -> Self {
-        match config {
-            ObsConfig::Off => Obs::disabled(),
-            ObsConfig::InMemory => Obs::in_memory(),
-            ObsConfig::Jsonl(path) => Obs::jsonl(path.clone()),
-        }
+        Obs::build(config, None)
     }
 
     /// Build a handle from a configuration value with a slow-call flight
     /// recorder attached (ignored when the config is [`ObsConfig::Off`]).
     pub fn with_flight(config: &ObsConfig, flight: FlightConfig) -> Self {
-        match config {
-            ObsConfig::Off => Obs::disabled(),
-            ObsConfig::InMemory => Obs::enabled_with(None, Some(flight)),
-            ObsConfig::Jsonl(path) => Obs::enabled_with(Some(path.clone()), Some(flight)),
-        }
+        Obs::build(config, Some(flight))
     }
 
     /// Whether this handle records anything.
@@ -279,39 +308,27 @@ impl Obs {
         }
     }
 
-    /// Whether a flight recorder is attached to this handle.
-    pub fn flight_enabled(&self) -> bool {
-        self.inner
-            .as_ref()
-            .map(|inner| inner.flight.is_some())
-            .unwrap_or(false)
+    fn flight(&self) -> Option<&FlightRecorder> {
+        self.inner.as_ref()?.flight.as_deref()
     }
 
     /// The flight recorder's slow threshold in nanoseconds, if attached.
     pub fn flight_threshold_ns(&self) -> Option<u64> {
-        self.inner
-            .as_ref()
-            .and_then(|inner| inner.flight.as_ref())
-            .map(|flight| flight.threshold_ns())
+        self.flight().map(|flight| flight.config.threshold_ns)
     }
 
     /// Captured slow calls, oldest first (empty when disabled or no flight
     /// recorder is attached).
     pub fn slow_calls(&self) -> Vec<SlowCall> {
-        self.inner
-            .as_ref()
-            .and_then(|inner| inner.flight.as_ref())
-            .map(|flight| flight.slow_calls())
+        self.flight()
+            .map(FlightRecorder::slow_calls)
             .unwrap_or_default()
     }
 
     /// The newest captured call for `trace`, if the flight recorder
     /// retained one.
     pub fn slow_call_by_trace(&self, trace: TraceId) -> Option<SlowCall> {
-        self.inner
-            .as_ref()
-            .and_then(|inner| inner.flight.as_ref())
-            .and_then(|flight| flight.slow_call_by_trace(trace))
+        self.flight()?.slow_call_by_trace(trace)
     }
 
     /// Record one executed statement into the statement statistics store
@@ -331,22 +348,14 @@ impl Obs {
             inner
                 .statements
                 .record(user, statement, latency_ns, rows, cache_hit, outcome);
-            inner.metrics.incr_with(
-                "stmt.calls",
-                &[
-                    ("user", user),
-                    (
-                        "outcome",
-                        match outcome {
-                            StatementOutcome::Ok => "ok",
-                            StatementOutcome::Conflict => "conflict",
-                            StatementOutcome::Denied => "denied",
-                            StatementOutcome::Error => "error",
-                        },
-                    ),
-                ],
-                1,
-            );
+            let label = match outcome {
+                StatementOutcome::Ok => "ok",
+                StatementOutcome::Conflict => "conflict",
+                StatementOutcome::Denied => "denied",
+                StatementOutcome::Error => "error",
+            };
+            let labels = [("user", user), ("outcome", label)];
+            inner.metrics.incr_with("stmt.calls", &labels, 1);
             inner
                 .metrics
                 .observe_ns_with("stmt.latency", &[("user", user)], latency_ns);
@@ -399,59 +408,78 @@ impl Obs {
         self.inner.as_ref().map(|i| i.now_ns()).unwrap_or(0)
     }
 
-    /// A point-in-time copy of all spans and metrics (empty when disabled).
+    /// A point-in-time copy of the spans the ring holds and of all metrics
+    /// (empty when disabled).
     pub fn snapshot(&self) -> ObsSnapshot {
         match &self.inner {
             None => ObsSnapshot {
                 spans: Vec::new(),
                 metrics: MetricsSnapshot::default(),
             },
-            Some(inner) => ObsSnapshot {
-                spans: inner.sink.snapshot(),
-                metrics: inner.metrics.snapshot(),
-            },
+            Some(inner) => {
+                let read = inner.spans.read(&mut Cursor::default());
+                ObsSnapshot {
+                    metrics: inner.metrics(read.recorded, read.dropped),
+                    spans: read.spans,
+                }
+            }
         }
-    }
-
-    /// Serialize the current snapshot as JSONL (empty string when
-    /// disabled). Captured slow calls, if any, are appended as
-    /// `{"type":"slow_call",…}` lines after the snapshot events; the
-    /// parser skips unknown types, so older readers ignore them.
-    pub fn export_jsonl(&self) -> String {
-        if !self.is_enabled() {
-            return String::new();
-        }
-        let mut out = export::to_jsonl(&self.snapshot());
-        for call in self.slow_calls() {
-            out.push_str(&call.to_json().to_string());
-            out.push('\n');
-        }
-        out
     }
 
     /// The JSONL output path configured for this handle, if any.
     pub fn jsonl_path(&self) -> Option<&Path> {
-        self.inner.as_ref().and_then(|i| i.jsonl_path.as_deref())
+        let inner = self.inner.as_ref()?;
+        inner.jsonl.as_ref().map(|(path, _)| path.as_path())
     }
 
-    /// Write the JSONL trace to the configured path, returning the path
-    /// written. `Ok(None)` when disabled or no path was configured.
+    /// Append to the JSONL trace at the configured path, returning the
+    /// path written; the handle's first flush truncates the file. A flush
+    /// appends the spans no earlier flush wrote, one `metrics` record and
+    /// the slow calls captured since (`{"type":"slow_call",…}` records,
+    /// which older parsers skip), so each span is serialized once and the
+    /// file's last `metrics` record is current. A span the ring evicted
+    /// before any flush reached it is counted in `obs.spans.dropped`.
+    /// `Ok(None)` when disabled or no path was configured.
     pub fn flush(&self) -> std::io::Result<Option<PathBuf>> {
-        let Some(path) = self.jsonl_path().map(Path::to_path_buf) else {
+        let Some(inner) = &self.inner else {
             return Ok(None);
         };
-        std::fs::write(&path, self.export_jsonl())?;
-        Ok(Some(path))
+        let Some((path, written)) = &inner.jsonl else {
+            return Ok(None);
+        };
+        // `FlushHandle` flushes from `drop`, which must not panic; a flush
+        // that panicked midway leaves at worst some spans to append twice.
+        let mut written = written.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut cursor = written.spans;
+        let read = inner.spans.read(&mut cursor);
+        let metrics = inner.metrics(read.recorded, read.dropped);
+        let mut out = export::to_jsonl(&ObsSnapshot {
+            spans: read.spans,
+            metrics,
+        });
+        let mut slow_call_seq = written.slow_call_seq;
+        // Oldest first, so the sequence numbers rise.
+        for call in self.slow_calls() {
+            if call.seq > slow_call_seq {
+                out.push_str(&call.to_json().to_compact());
+                out.push('\n');
+                slow_call_seq = call.seq;
+            }
+        }
+        let file = match &mut written.file {
+            Some(file) => file,
+            None => written.file.insert(File::create(path)?),
+        };
+        file.write_all(out.as_bytes())?;
+        (written.spans, written.slow_call_seq) = (cursor, slow_call_seq);
+        Ok(Some(path.clone()))
     }
 
     /// An observer suitable for `toolproto::Registry::set_observer`, or
     /// `None` when disabled (so disabled servers attach no observer at all).
     pub fn registry_observer(&self) -> Option<Arc<RegistryObserver>> {
-        if self.is_enabled() {
-            Some(Arc::new(RegistryObserver::new(self.clone())))
-        } else {
-            None
-        }
+        let observer = || Arc::new(RegistryObserver::new(self.clone()));
+        self.is_enabled().then(observer)
     }
 
     /// Start a background thread that calls [`Obs::flush`] every
@@ -462,31 +490,20 @@ impl Obs {
     pub fn start_flusher(&self, interval: Duration) -> Option<FlushHandle> {
         self.jsonl_path()?;
         let obs = self.clone();
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
+        let (stop, stopped) = mpsc::channel::<()>();
         let thread = std::thread::Builder::new()
             .name("obs-flusher".to_owned())
             .spawn(move || {
-                // Poll the stop flag at a finer grain than the flush
-                // interval so shutdown is prompt even for long intervals.
-                let tick = interval
-                    .min(Duration::from_millis(50))
-                    .max(Duration::from_millis(1));
-                let mut elapsed = Duration::ZERO;
-                while !stop_flag.load(Ordering::Relaxed) {
-                    std::thread::sleep(tick);
-                    elapsed += tick;
-                    if elapsed >= interval {
-                        elapsed = Duration::ZERO;
-                        let _ = obs.flush();
-                    }
+                // Dropping the sender ends the wait at once, so shutdown is
+                // prompt even for long intervals.
+                while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(interval) {
+                    let _ = obs.flush();
                 }
             })
             .ok()?;
         Some(FlushHandle {
             obs: self.clone(),
-            stop,
-            thread: Some(thread),
+            running: Some((stop, thread)),
         })
     }
 }
@@ -504,30 +521,20 @@ impl Drop for CallGuard {
     }
 }
 
-impl std::fmt::Debug for CallGuard {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.0 {
-            None => f.write_str("CallGuard(disabled)"),
-            Some((_, token)) => f.debug_tuple("CallGuard").field(token).finish(),
-        }
-    }
-}
-
 /// Guard for the periodic JSONL flusher started by [`Obs::start_flusher`].
 /// Dropping it stops the background thread and flushes one last time.
 #[derive(Debug)]
 pub struct FlushHandle {
     obs: Obs,
-    stop: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
+    running: Option<(Sender<()>, JoinHandle<()>)>,
 }
 
 impl FlushHandle {
     /// Stop the flusher thread and write a final flush. Idempotent; also
     /// runs on drop.
     pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(thread) = self.thread.take() {
+        if let Some((stop, thread)) = self.running.take() {
+            drop(stop);
             let _ = thread.join();
             let _ = self.obs.flush();
         }
@@ -567,7 +574,6 @@ mod tests {
         let snap = obs.snapshot();
         assert!(snap.spans.is_empty());
         assert!(snap.metrics.labeled_counters.is_empty());
-        assert_eq!(obs.export_jsonl(), "");
         assert!(obs.flush().unwrap().is_none());
         assert!(obs.registry_observer().is_none());
     }
@@ -592,7 +598,7 @@ mod tests {
     }
 
     #[test]
-    fn flight_recorder_captures_and_exports_slow_calls() {
+    fn flight_recorder_captures_slow_calls() {
         let obs = Obs::with_flight(&ObsConfig::InMemory, FlightConfig::with_threshold_ns(1));
         {
             let _call = obs.span("tool:select");
@@ -604,7 +610,6 @@ mod tests {
         assert_eq!(calls[0].root.name, "tool:select");
         assert_eq!(calls[0].spans.len(), 2);
         assert_eq!(obs.snapshot().metrics.counter("obs.slow_calls.captured"), 1);
-        assert!(obs.export_jsonl().contains("\"type\":\"slow_call\""));
     }
 
     #[test]
@@ -651,7 +656,7 @@ mod tests {
         obs.observe_ns_with("h", &[], 5);
         obs.register_gauge("g", &[], || 1.0);
         assert!(obs.snapshot().metrics.gauges.is_empty());
-        assert!(!obs.flight_enabled());
+        assert!(obs.flight_threshold_ns().is_none());
         assert!(obs.slow_calls().is_empty());
         assert!(obs.start_flusher(Duration::from_millis(5)).is_none());
     }
@@ -764,19 +769,36 @@ mod tests {
 
     #[test]
     fn flight_dropped_counter_and_occupancy_gauge_are_wired() {
-        let config = FlightConfig {
-            threshold_ns: 1,
-            ring_capacity: 2,
-        };
-        let obs = Obs::with_flight(&ObsConfig::InMemory, config);
-        for _ in 0..5 {
-            let span = obs.span("tool:slow");
-            std::thread::sleep(Duration::from_millis(1));
-            drop(span);
+        let never_slow = FlightConfig::with_threshold_ns(u64::MAX);
+        let obs = Obs::with_flight(&ObsConfig::InMemory, never_slow);
+        // Errored trigger spans are captured whatever their duration.
+        let (capacity, overflow) = (flight::SLOW_CALL_CAPACITY as u64, 3);
+        for _ in 0..capacity + overflow {
+            obs.span("tool:failing").fail("boom");
         }
         let metrics = obs.snapshot().metrics;
-        assert_eq!(metrics.counter("obs.slow_calls.captured"), 5);
-        assert_eq!(metrics.counter("obs.flight.dropped_total"), 3);
-        assert_eq!(metrics.gauge("obs.flight.ring_occupancy", &[]), Some(2.0));
+        let occupancy = metrics.gauge("obs.flight.ring_occupancy", &[]);
+        assert_eq!(
+            metrics.counter("obs.slow_calls.captured"),
+            capacity + overflow
+        );
+        assert_eq!(metrics.counter("obs.flight.dropped_total"), overflow);
+        assert_eq!(occupancy, Some(capacity as f64));
+    }
+
+    #[test]
+    fn span_counts_are_counters_that_match_the_ring() {
+        let obs = Obs::in_memory();
+        for _ in 0..5 {
+            drop(obs.span("x"));
+        }
+        let snap = obs.snapshot();
+        assert_eq!(snap.metrics.counter("obs.spans.recorded"), 5);
+        assert_eq!(snap.metrics.counter("obs.spans.dropped"), 0);
+        assert_eq!(snap.spans.len(), 5);
+        let counters = &snap.metrics.labeled_counters;
+        assert!(counters.windows(2).all(|w| w[0].name <= w[1].name));
+        let text = prom::render(&snap.metrics);
+        assert!(text.contains("obs_spans_recorded_total 5"), "{text}");
     }
 }

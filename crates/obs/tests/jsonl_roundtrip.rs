@@ -1,7 +1,9 @@
 //! JSONL round-trip: export a recorded snapshot, re-parse it with the same
 //! JSON kit, rebuild the span tree, and compare against the in-memory sink.
 
-use obs::{parse_jsonl, to_jsonl, validate_tree, AttrValue, Obs};
+use obs::{parse_jsonl, to_jsonl, validate_tree, AttrValue, FlightConfig, Obs, ObsConfig};
+use std::path::PathBuf;
+use toolproto::Json;
 
 fn record_a_run(obs: &Obs) {
     let mut task = obs.span("task");
@@ -37,7 +39,7 @@ fn record_a_run(obs: &Obs) {
 fn export_and_reparse_reproduces_the_snapshot_exactly() {
     let obs = Obs::in_memory();
     record_a_run(&obs);
-    let jsonl = obs.export_jsonl();
+    let jsonl = to_jsonl(&obs.snapshot());
     let original = obs.snapshot();
     validate_tree(&original.spans).unwrap();
     // One line per span plus one metrics line, each a standalone JSON object.
@@ -108,4 +110,89 @@ fn parser_skips_blank_and_unknown_lines_but_rejects_garbage() {
 
     let err = parse_jsonl("this is not json\n").unwrap_err();
     assert!(err.contains("line 1"), "error names the line: {err}");
+}
+
+fn trace_path(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("obs-{tag}-{}.jsonl", std::process::id()))
+}
+
+/// The `type` of every line of `text`.
+fn record_types(text: &str) -> Vec<String> {
+    text.lines()
+        .map(|line| {
+            let obj = Json::parse(line).expect("each line parses standalone");
+            obj.get("type").and_then(Json::as_str).unwrap().to_owned()
+        })
+        .collect()
+}
+
+#[test]
+fn flushes_over_growing_traffic_append_each_span_once() {
+    let path = trace_path("append");
+    let never_slow = FlightConfig::with_threshold_ns(u64::MAX);
+    let obs = Obs::with_flight(&ObsConfig::Jsonl(path.clone()), never_slow);
+    for round in 1..=5 {
+        for _ in 0..round {
+            record_a_run(&obs);
+        }
+        // An errored tool call is captured, and appended once.
+        obs.span("tool:failing").fail("boom");
+        obs.flush().unwrap();
+    }
+    let text = std::fs::read_to_string(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+
+    let snap = obs.snapshot();
+    let types = record_types(&text);
+    let count = |kind: &str| types.iter().filter(|t| *t == kind).count();
+    assert_eq!(count("span"), snap.spans.len());
+    assert_eq!(count("metrics"), 5, "one trailing metrics record per flush");
+    assert_eq!(count("slow_call"), obs.slow_calls().len());
+    assert_eq!(obs.slow_calls().len(), 5);
+
+    let rebuilt = parse_jsonl(&text).expect("the appended file re-parses");
+    validate_tree(&rebuilt.spans).unwrap();
+    assert_eq!(rebuilt.spans, snap.spans, "each span exactly once");
+    // The parser keeps the last metrics record, which is current.
+    assert_eq!(
+        rebuilt.metrics.labeled_counters,
+        snap.metrics.labeled_counters
+    );
+    let recorded = rebuilt.metrics.counter("obs.spans.recorded");
+    assert_eq!(recorded, snap.spans.len() as u64);
+    assert_eq!(rebuilt.metrics.counter("obs.spans.dropped"), 0);
+}
+
+#[test]
+fn a_flush_with_no_new_spans_appends_only_a_metrics_record() {
+    let path = trace_path("idle");
+    let obs = Obs::jsonl(&path);
+    record_a_run(&obs);
+    obs.flush().unwrap();
+    let first = std::fs::read_to_string(&path).unwrap();
+    obs.incr("wire.sessions", 1);
+    obs.flush().unwrap();
+    let second = std::fs::read_to_string(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+
+    let appended = second
+        .strip_prefix(first.as_str())
+        .expect("the file only grew");
+    assert_eq!(record_types(appended), ["metrics"]);
+    let rebuilt = parse_jsonl(&second).unwrap();
+    assert_eq!(rebuilt.metrics.counter("wire.sessions"), 2);
+    assert_eq!(rebuilt.spans, obs.snapshot().spans);
+}
+
+#[test]
+fn the_first_flush_truncates_a_preexisting_file() {
+    let path = trace_path("stale");
+    std::fs::write(&path, "{\"type\":\"span\",\"stale\":true}\n").unwrap();
+    let obs = Obs::jsonl(&path);
+    record_a_run(&obs);
+    obs.flush().unwrap();
+    let text = std::fs::read_to_string(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert!(!text.contains("stale"), "{text}");
+    assert_eq!(parse_jsonl(&text).unwrap().spans, obs.snapshot().spans);
 }

@@ -2,6 +2,7 @@
 //! gauge registration, flight-recorder ring semantics, and a golden test for
 //! the Prometheus exposition format.
 
+use obs::flight::SLOW_CALL_CAPACITY;
 use obs::metrics::MetricsRegistry;
 use obs::{FlightConfig, Obs, ObsConfig};
 use std::time::Duration;
@@ -88,18 +89,17 @@ fn gauges_register_sample_and_replace() {
 
 #[test]
 fn flight_ring_wraps_and_respects_threshold_and_prefixes() {
-    let config = FlightConfig {
-        threshold_ns: 1_000_000, // 1ms
-        ring_capacity: 4,
-    };
-    let obs = Obs::with_flight(&ObsConfig::InMemory, config);
-    assert!(obs.flight_enabled());
+    let obs = Obs::with_flight(
+        &ObsConfig::InMemory,
+        FlightConfig::with_threshold_ns(1_000_000), // 1ms
+    );
     assert_eq!(obs.flight_threshold_ns(), Some(1_000_000));
 
-    // Six slow trigger spans: the 4-slot ring keeps only the last four.
-    for i in 0..6 {
+    // Two more slow trigger spans than the ring holds: it keeps the newest.
+    let slow = SLOW_CALL_CAPACITY + 2;
+    for i in 0..slow {
         let span = obs.span(&format!("tool:slow{i}"));
-        std::thread::sleep(Duration::from_millis(3));
+        std::thread::sleep(Duration::from_millis(1));
         drop(span);
     }
     // Fast trigger span: below threshold, not captured.
@@ -110,11 +110,16 @@ fn flight_ring_wraps_and_respects_threshold_and_prefixes() {
     drop(span);
 
     let calls = obs.slow_calls();
-    assert_eq!(calls.len(), 4, "ring holds exactly its capacity");
-    let names: Vec<&str> = calls.iter().map(|c| c.root.name.as_str()).collect();
     assert_eq!(
-        names,
-        ["tool:slow2", "tool:slow3", "tool:slow4", "tool:slow5"]
+        calls.len(),
+        SLOW_CALL_CAPACITY,
+        "ring holds exactly its capacity"
+    );
+    let names: Vec<&str> = calls.iter().map(|c| c.root.name.as_str()).collect();
+    assert_eq!(names[0], "tool:slow2");
+    assert_eq!(
+        names[SLOW_CALL_CAPACITY - 1],
+        format!("tool:slow{}", slow - 1)
     );
     for pair in calls.windows(2) {
         assert!(pair[0].seq < pair[1].seq, "captures stay in order");
@@ -123,13 +128,16 @@ fn flight_ring_wraps_and_respects_threshold_and_prefixes() {
     let metrics = obs.snapshot().metrics;
     assert_eq!(
         metrics.counter("obs.slow_calls.captured"),
-        6,
+        slow as u64,
         "wraparound drops entries but the captured counter keeps counting"
     );
-    // Ring truncation is never silent: the two captures the 4-slot ring
+    // Ring truncation is never silent: the two captures the full ring
     // pushed out are counted, and occupancy is observable as a gauge.
     assert_eq!(metrics.counter("obs.flight.dropped_total"), 2);
-    assert_eq!(metrics.gauge("obs.flight.ring_occupancy", &[]), Some(4.0));
+    assert_eq!(
+        metrics.gauge("obs.flight.ring_occupancy", &[]),
+        Some(SLOW_CALL_CAPACITY as f64)
+    );
 
     // A slow call keeps its full span tree, children included.
     let parent = obs.span("wire:call deep");

@@ -8,7 +8,7 @@
 //! shape token accounting.
 
 use crate::json::Json;
-use crate::tool::{Args, Risk, Tool, ToolError, ToolOutput, ToolResult};
+use crate::tool::{Args, Risk, Tool, ToolError, ToolResult};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -134,11 +134,6 @@ impl Registry {
         self.observer = Some(observer);
     }
 
-    /// Detach the observer, if any.
-    pub fn clear_observer(&mut self) {
-        self.observer = None;
-    }
-
     /// The attached observer, if any.
     pub fn observer(&self) -> Option<&Arc<dyn CallObserver>> {
         self.observer.as_ref()
@@ -196,16 +191,11 @@ impl std::fmt::Debug for Registry {
     }
 }
 
-/// Convenience: build an output for callers that just need a status object.
-pub fn status_output(message: impl Into<String>) -> ToolOutput {
-    ToolOutput::value(Json::object([("status", Json::str(message))]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schema::{ArgSpec, ArgType, Signature};
-    use crate::tool::FnTool;
+    use crate::tool::{FnTool, ToolOutput};
 
     fn make(name: &str, risk: Risk) -> Arc<dyn Tool> {
         Arc::new(
@@ -350,10 +340,8 @@ mod tests {
         assert_eq!(counting.ok.load(Ordering::Relaxed), 2);
         assert_eq!(counting.err.load(Ordering::Relaxed), 1);
 
-        // The observer survives filtering and is dropped on clear.
+        // The observer survives filtering.
         assert!(reg.filtered(&[], Risk::Safe).observer().is_some());
-        reg.clear_observer();
-        assert!(reg.observer().is_none());
     }
 
     #[test]

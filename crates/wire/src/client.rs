@@ -76,12 +76,14 @@ pub struct ToolEntry {
     pub risk: Risk,
 }
 
+/// How long a client waits for each response: past the server's call timeout.
+const RESPONSE_TIMEOUT: Duration = Duration::from_secs(60);
+
 /// A blocking JSON-RPC client for one wire session.
 pub struct Client {
     reader: FrameReader<TcpStream>,
     writer: TcpStream,
     next_id: u64,
-    response_timeout: Duration,
     last_traceparent: Option<String>,
 }
 
@@ -101,16 +103,8 @@ impl Client {
             reader,
             writer: stream,
             next_id: 1,
-            response_timeout: Duration::from_secs(60),
             last_traceparent: None,
         })
-    }
-
-    /// Override how long to wait for each response (default 60 s; must
-    /// exceed the server's call timeout or slow calls will look lost).
-    pub fn with_response_timeout(mut self, timeout: Duration) -> Self {
-        self.response_timeout = timeout;
-        self
     }
 
     /// Issue one request and wait for the matching response. Returns the
@@ -133,7 +127,7 @@ impl Client {
         self.next_id += 1;
         let frame = request_frame_traced(&id, method, params, traceparent);
         write_frame(&mut self.writer, frame)?;
-        let reply = self.reader.read_frame(Some(self.response_timeout), None)?;
+        let reply = self.reader.read_frame(Some(RESPONSE_TIMEOUT), None)?;
         let doc = Json::parse(&reply)
             .map_err(|e| WireError::Protocol(format!("unparseable response: {e}")))?;
         // The reply is taken apart by value: `result` (possibly thousands

@@ -5,7 +5,7 @@
 //! * `cargo run --example serve` — bind a TCP listener (default
 //!   `127.0.0.1:0`, i.e. an ephemeral port), print the address, and serve
 //!   until the process is killed. Pass `--addr HOST:PORT` to pick a port
-//!   and `--trace FILE` to export the JSONL trace on shutdown. Pass
+//!   and `--trace FILE` to append the JSONL trace to `FILE` every 2 s. Pass
 //!   `--data-dir DIR` to serve a *durable* database (WAL + snapshot in
 //!   `DIR`; recovered on start, seeded with the demo content only when the
 //!   directory is fresh) and `--fsync {commit,off}` to pick whether each

@@ -49,7 +49,7 @@ pub mod prelude {
     pub use bridgescope_core::{
         pg_mcp, pg_mcp_minus, BridgeScopeServer, SecurityPolicy, BRIDGESCOPE_PROMPT,
     };
-    pub use gate::{BudgetLedger, BudgetLimits, CacheConfig, GateConfig};
+    pub use gate::{BudgetLedger, BudgetLimits, GateConfig};
     pub use llmsim::{LlmProfile, ReactAgent, TaskSpec};
     pub use minidb::{
         Database, DbError, DurabilityConfig, FsyncPolicy, QueryResult, RecoveryReport, Session,

@@ -79,6 +79,8 @@ fn scripted_session_moves_rows_through_a_proxy_and_exports_a_valid_trace() {
     let path = std::env::temp_dir().join(format!("serve-smoke-{}.jsonl", std::process::id()));
     let _ = std::fs::remove_file(&path);
     let obs = Obs::jsonl(&path);
+    // A flusher appending every few milliseconds while the session runs.
+    let flusher = obs.start_flusher(Duration::from_millis(5)).unwrap();
     let server = WireServer::bind(
         "127.0.0.1:0",
         Tenancy::new(demo_db()).with_external(ml_registry()),
@@ -111,11 +113,14 @@ fn scripted_session_moves_rows_through_a_proxy_and_exports_a_valid_trace() {
     client.call("proxy", &spec).unwrap().unwrap();
     client.shutdown().unwrap();
     server.shutdown();
+    drop(flusher);
 
     let written = obs.flush().unwrap().expect("a JSONL path was configured");
     let parsed = obs::parse_jsonl(&std::fs::read_to_string(&written).unwrap()).unwrap();
     std::fs::remove_file(&written).ok();
     obs::validate_tree(&parsed.spans).unwrap();
+    // However many flushes ran, the file holds each span exactly once.
+    assert_eq!(parsed.spans, obs.snapshot().spans);
     for needed in ["wire:session", "wire:call", "tool:select", "proxy:unit"] {
         assert!(
             parsed.spans.iter().any(|s| s.name == needed),
@@ -239,6 +244,28 @@ fn admin_plane_serves_retained_aggregated_and_in_flight_calls() {
             .any(|s| s.get("name").and_then(Json::as_str) == Some("tool:sleepy")),
         "{spans:?}"
     );
+    // The capture is the trigger's subtree as the span ring holds it; the
+    // trigger starts first.
+    let captured: Vec<i64> = spans
+        .iter()
+        .map(|s| s.get("id").and_then(Json::as_i64).unwrap())
+        .collect();
+    let held = obs.snapshot().spans;
+    let descends = |mut id: Option<u64>| {
+        while let Some(span) = id {
+            if span as i64 == captured[0] {
+                return true;
+            }
+            id = held.iter().find(|s| s.id == span).and_then(|s| s.parent);
+        }
+        false
+    };
+    let subtree: Vec<i64> = held
+        .iter()
+        .filter(|s| descends(Some(s.id)))
+        .map(|s| s.id as i64)
+        .collect();
+    assert_eq!(captured, subtree);
 
     // /statements: 100 identical selects and one denial, aggregated per
     // (user, normalized statement).
