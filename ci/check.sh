@@ -14,7 +14,7 @@ set -uo pipefail
 cd "$(dirname "$0")/.."
 
 # Gate registry: every name listed here MUST run, or the suite fails.
-EXPECTED_GATES="fmt clippy build-release tier1-tests workspace-tests obs-layer \
+EXPECTED_GATES="fmt clippy doc build-release tier1-tests workspace-tests obs-layer \
 mvcc-stress e2ebench-build e2ebench-smoke e2ebench-counts"
 
 GATES_RUN=""
@@ -55,6 +55,12 @@ gate_fmt() {
 
 gate_clippy() {
   run cargo clippy --workspace --all-targets --offline --locked -- -D warnings
+}
+
+# rustdoc must be warning-free: a broken or ambiguous intra-doc link, or a
+# public doc comment linking to an item its crate does not export, fails.
+gate_doc() {
+  run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --locked
 }
 
 # Tier-1 verify (ROADMAP.md): release build + umbrella tests.
@@ -173,6 +179,7 @@ gate_e2ebench_counts() {
 
 run_gate fmt             gate_fmt
 run_gate clippy          gate_clippy
+run_gate doc             gate_doc
 run_gate build-release   gate_build_release
 run_gate tier1-tests     gate_tier1_tests
 run_gate workspace-tests gate_workspace_tests

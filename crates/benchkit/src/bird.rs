@@ -23,7 +23,7 @@ pub struct BirdTask {
     /// Which domain (database) the task belongs to.
     pub domain: &'static str,
     /// Tables whose contents decide write-task correctness.
-    pub eval_tables: Vec<String>,
+    pub(crate) eval_tables: Vec<String>,
 }
 
 impl BirdTask {
@@ -43,7 +43,7 @@ pub struct BirdExt {
 
 /// Stored categories of the retail sales table; the first entry is the
 /// paper's motivating "women's wear".
-pub const CATEGORIES: [&str; 5] = [
+pub(crate) const CATEGORIES: [&str; 5] = [
     "women's wear",
     "menswear",
     "children's clothing",

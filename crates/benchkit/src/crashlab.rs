@@ -27,9 +27,9 @@ pub struct CrashLabConfig {
     /// Seed for the BIRD-Ext content and task generation.
     pub seed: u64,
     /// Cap on workload statements (0 = the full write-task gold set).
-    pub max_statements: usize,
+    pub(crate) max_statements: usize,
     /// Crash after every `kill_every`-th statement (minimum 1).
-    pub kill_every: usize,
+    pub(crate) kill_every: usize,
     /// Fsync policy for the durable engine under test.
     pub fsync: FsyncPolicy,
 }
@@ -53,7 +53,7 @@ impl CrashLabConfig {
 pub struct CrashPoint {
     /// 1-based index of the last workload statement executed before the
     /// crash.
-    pub after_statement: usize,
+    pub(crate) after_statement: usize,
     /// The statement text (truncated for reporting).
     pub statement: String,
     /// Transactions replayed from the WAL on reopen.
@@ -68,11 +68,11 @@ pub struct CrashLabReport {
     /// Number of workload statements executed.
     pub statements: usize,
     /// Statements where durable and volatile disagreed on success/failure.
-    pub outcome_mismatches: usize,
+    pub(crate) outcome_mismatches: usize,
     /// One entry per injected crash.
     pub points: Vec<CrashPoint>,
     /// Whether the mid-transaction crash left no trace after recovery.
-    pub mid_txn_clean: bool,
+    pub(crate) mid_txn_clean: bool,
 }
 
 impl CrashLabReport {
@@ -108,7 +108,7 @@ impl CrashLabReport {
 
 /// The gold SQL of every BIRD-Ext write task (insert, update, delete),
 /// in task order. This is the crash workload.
-pub fn write_workload(seed: u64, limit: usize) -> Vec<String> {
+pub(crate) fn write_workload(seed: u64, limit: usize) -> Vec<String> {
     let ext = bird::generate(seed);
     let mut stmts = Vec::new();
     for task in ext.tasks.iter().filter(|t| t.is_write()) {
@@ -190,122 +190,6 @@ pub fn run(config: &CrashLabConfig) -> DbResult<CrashLabReport> {
     })
 }
 
-/// One stage of the interleaved-commit crash scenario.
-#[derive(Debug, Clone)]
-pub struct InterleavedStage {
-    /// Which kill point this is (see [`interleaved_commits`]).
-    pub name: &'static str,
-    /// Transactions the WAL replayed on reopen.
-    pub replayed_txns: u64,
-    /// Whether recovery matched the reference at this commit prefix.
-    pub matched: bool,
-}
-
-/// Report of [`interleaved_commits`].
-#[derive(Debug, Clone)]
-pub struct InterleavedReport {
-    /// One entry per kill point.
-    pub stages: Vec<InterleavedStage>,
-}
-
-impl InterleavedReport {
-    /// True when every kill point recovered to exactly its commit prefix.
-    pub fn passed(&self) -> bool {
-        self.stages.iter().all(|s| s.matched)
-    }
-
-    /// Human-readable summary.
-    pub fn render(&self) -> String {
-        let mut out = String::from("crashlab interleaved commits:\n");
-        for s in &self.stages {
-            out.push_str(&format!(
-                "  {:<22} replayed_txns={:<4} {}\n",
-                s.name,
-                s.replayed_txns,
-                if s.matched { "MATCH" } else { "DIVERGED" },
-            ));
-        }
-        out
-    }
-}
-
-/// Crash-recovery with *two concurrent committing transactions* (MVCC):
-/// sessions A and B both open explicit transactions against the same
-/// durable database and write disjoint rows; the harness kills the engine
-/// at three points along the interleaving and asserts recovery equals the
-/// committed-timestamp prefix *exactly* — uncommitted workspaces leave no
-/// trace, and each commit becomes durable the instant its WAL group
-/// append returns:
-///
-/// 1. `both-open`: A and B have written but neither committed → recovery
-///    equals the base state.
-/// 2. `a-committed`: A committed, B still open → recovery equals base + A
-///    (B's writes absent even though they happened *before* A's commit in
-///    wall-clock order — commit timestamps, not write order, decide).
-/// 3. `both-committed`: A then B committed → recovery equals base + A + B.
-pub fn interleaved_commits(config: &CrashLabConfig) -> DbResult<InterleavedReport> {
-    if config.dir.exists() {
-        let _ = std::fs::remove_dir_all(&config.dir);
-    }
-    let setup = "CREATE TABLE pairs (id INTEGER PRIMARY KEY, who TEXT NOT NULL)";
-    let a_sql = "INSERT INTO pairs VALUES (1, 'a')";
-    let b_sql = "INSERT INTO pairs VALUES (2, 'b')";
-
-    // Reference fingerprints for each commit prefix, from a volatile twin.
-    let fingerprint_after = |commits: &[&str]| -> DbResult<String> {
-        let reference = Database::new();
-        reference.session("admin")?.execute_sql(setup)?;
-        for sql in commits {
-            reference.session("admin")?.execute_sql(sql)?;
-        }
-        Ok(reference.state_fingerprint())
-    };
-    let base_fp = fingerprint_after(&[])?;
-    let a_fp = fingerprint_after(&[a_sql])?;
-    let ab_fp = fingerprint_after(&[a_sql, b_sql])?;
-
-    let mut stages = Vec::new();
-    // Each stage replays the interleaving from scratch up to its kill
-    // point, so every recovery exercises the full WAL history.
-    for (name, commits, expected) in [
-        ("both-open", 0, &base_fp),
-        ("a-committed", 1, &a_fp),
-        ("both-committed", 2, &ab_fp),
-    ] {
-        let _ = std::fs::remove_dir_all(&config.dir);
-        let (durable, _) = open_durable(config)?;
-        durable.session("admin")?.execute_sql(setup)?;
-        let mut a = durable.session("admin")?;
-        let mut b = durable.session("admin")?;
-        // Interleave: both transactions open and write before either
-        // commits. B writes first; A commits first — commit timestamps,
-        // not write order, decide what recovery restores.
-        a.execute_sql("BEGIN")?;
-        b.execute_sql("BEGIN")?;
-        b.execute_sql(b_sql)?;
-        a.execute_sql(a_sql)?;
-        if commits >= 1 {
-            a.execute_sql("COMMIT")?;
-        }
-        if commits >= 2 {
-            b.execute_sql("COMMIT")?;
-        }
-        // Kill: forget the sessions (skipping rollback-on-drop, as a dead
-        // process would) and drop the engine without a checkpoint.
-        std::mem::forget(a);
-        std::mem::forget(b);
-        drop(durable);
-        let (reopened, report) = open_durable(config)?;
-        stages.push(InterleavedStage {
-            name,
-            replayed_txns: report.replayed_txns,
-            matched: reopened.state_fingerprint() == *expected,
-        });
-    }
-    let _ = std::fs::remove_dir_all(&config.dir);
-    Ok(InterleavedReport { stages })
-}
-
 fn truncate_stmt(stmt: &str) -> String {
     const MAX: usize = 72;
     if stmt.len() <= MAX {
@@ -333,6 +217,91 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// One stage of the interleaved-commit crash scenario.
+    #[derive(Debug)]
+    struct InterleavedStage {
+        /// Which kill point this is (see [`interleaved_commits`]).
+        name: &'static str,
+        /// Whether recovery matched the reference at this commit prefix.
+        matched: bool,
+    }
+
+    /// Crash-recovery with *two concurrent committing transactions* (MVCC):
+    /// sessions A and B both open explicit transactions against the same
+    /// durable database and write disjoint rows; the harness kills the engine
+    /// at three points along the interleaving and asserts recovery equals the
+    /// committed-timestamp prefix *exactly* — uncommitted workspaces leave no
+    /// trace, and each commit becomes durable the instant its WAL group
+    /// append returns:
+    ///
+    /// 1. `both-open`: A and B have written but neither committed → recovery
+    ///    equals the base state.
+    /// 2. `a-committed`: A committed, B still open → recovery equals base + A
+    ///    (B's writes absent even though they happened *before* A's commit in
+    ///    wall-clock order — commit timestamps, not write order, decide).
+    /// 3. `both-committed`: A then B committed → recovery equals base + A + B.
+    fn interleaved_commits(config: &CrashLabConfig) -> DbResult<Vec<InterleavedStage>> {
+        if config.dir.exists() {
+            let _ = std::fs::remove_dir_all(&config.dir);
+        }
+        let setup = "CREATE TABLE pairs (id INTEGER PRIMARY KEY, who TEXT NOT NULL)";
+        let a_sql = "INSERT INTO pairs VALUES (1, 'a')";
+        let b_sql = "INSERT INTO pairs VALUES (2, 'b')";
+
+        // Reference fingerprints for each commit prefix, from a volatile twin.
+        let fingerprint_after = |commits: &[&str]| -> DbResult<String> {
+            let reference = Database::new();
+            reference.session("admin")?.execute_sql(setup)?;
+            for sql in commits {
+                reference.session("admin")?.execute_sql(sql)?;
+            }
+            Ok(reference.state_fingerprint())
+        };
+        let base_fp = fingerprint_after(&[])?;
+        let a_fp = fingerprint_after(&[a_sql])?;
+        let ab_fp = fingerprint_after(&[a_sql, b_sql])?;
+
+        let mut stages = Vec::new();
+        // Each stage replays the interleaving from scratch up to its kill
+        // point, so every recovery exercises the full WAL history.
+        for (name, commits, expected) in [
+            ("both-open", 0, &base_fp),
+            ("a-committed", 1, &a_fp),
+            ("both-committed", 2, &ab_fp),
+        ] {
+            let _ = std::fs::remove_dir_all(&config.dir);
+            let (durable, _) = open_durable(config)?;
+            durable.session("admin")?.execute_sql(setup)?;
+            let mut a = durable.session("admin")?;
+            let mut b = durable.session("admin")?;
+            // Interleave: both transactions open and write before either
+            // commits. B writes first; A commits first — commit timestamps,
+            // not write order, decide what recovery restores.
+            a.execute_sql("BEGIN")?;
+            b.execute_sql("BEGIN")?;
+            b.execute_sql(b_sql)?;
+            a.execute_sql(a_sql)?;
+            if commits >= 1 {
+                a.execute_sql("COMMIT")?;
+            }
+            if commits >= 2 {
+                b.execute_sql("COMMIT")?;
+            }
+            // Kill: forget the sessions (skipping rollback-on-drop, as a dead
+            // process would) and drop the engine without a checkpoint.
+            std::mem::forget(a);
+            std::mem::forget(b);
+            drop(durable);
+            let (reopened, _) = open_durable(config)?;
+            stages.push(InterleavedStage {
+                name,
+                matched: reopened.state_fingerprint() == *expected,
+            });
+        }
+        let _ = std::fs::remove_dir_all(&config.dir);
+        Ok(stages)
     }
 
     #[test]
@@ -365,10 +334,10 @@ mod tests {
     fn interleaved_commits_recover_exact_prefix() {
         let dir = tmpdir("interleave");
         let config = CrashLabConfig::new(&dir);
-        let report = interleaved_commits(&config).expect("interleaved crashlab runs");
-        assert_eq!(report.stages.len(), 3);
-        assert!(report.passed(), "report:\n{}", report.render());
-        assert!(report.render().contains("both-committed"));
+        let stages = interleaved_commits(&config).expect("interleaved crashlab runs");
+        assert_eq!(stages.len(), 3);
+        assert!(stages.iter().all(|s| s.matched), "stages: {stages:#?}");
+        assert_eq!(stages[2].name, "both-committed");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -6,7 +6,7 @@ use toolproto::Json;
 
 /// Compare a read task's answer (the agent's final query result JSON) with
 /// the gold result, as order-insensitive row multisets with float tolerance.
-pub fn read_correct(answer: Option<&Json>, gold: &QueryResult) -> bool {
+pub(crate) fn read_correct(answer: Option<&Json>, gold: &QueryResult) -> bool {
     let Some(answer) = answer else {
         return false;
     };
@@ -95,7 +95,7 @@ fn format_num(n: f64) -> String {
 
 /// Compare the contents of `tables` between the agent-run database and the
 /// gold database, order-insensitively.
-pub fn write_correct(agent_db: &Database, gold_db: &Database, tables: &[String]) -> bool {
+pub(crate) fn write_correct(agent_db: &Database, gold_db: &Database, tables: &[String]) -> bool {
     for table in tables {
         let a = table_contents(agent_db, table);
         let g = table_contents(gold_db, table);

@@ -66,32 +66,11 @@ pub fn task_seed(run_seed: u64, task_id: &str) -> u64 {
     h
 }
 
-/// Build the agent-facing registry + prompt for a toolkit over a database.
-pub fn build_toolkit(
-    toolkit: Toolkit,
-    db: &Database,
-    user: &str,
-    external: &Registry,
-) -> (Registry, String) {
-    build_toolkit_with_policy(toolkit, db, user, external, SecurityPolicy::default())
-}
-
-/// [`build_toolkit`] with an explicit BridgeScope security policy (baselines
-/// have no policy surface, so it only affects BridgeScope).
-pub fn build_toolkit_with_policy(
-    toolkit: Toolkit,
-    db: &Database,
-    user: &str,
-    external: &Registry,
-    policy: SecurityPolicy,
-) -> (Registry, String) {
-    build_toolkit_observed(toolkit, db, user, external, policy, Obs::disabled())
-}
-
-/// [`build_toolkit_with_policy`] recording into `obs`. BridgeScope threads
-/// the handle through every layer; the baselines at least get the
-/// registry-level call observer, so per-tool counts and latencies stay
-/// comparable across toolkits.
+/// Build the agent-facing registry + prompt for a toolkit over a database,
+/// recording into `obs`. The security policy only affects BridgeScope (the
+/// baselines have no policy surface). BridgeScope threads the handle through
+/// every layer; the baselines at least get the registry-level call observer,
+/// so per-tool counts and latencies stay comparable across toolkits.
 pub fn build_toolkit_observed(
     toolkit: Toolkit,
     db: &Database,
@@ -150,18 +129,8 @@ pub struct CellOutcome {
     pub traces: Vec<TaskTrace>,
 }
 
-/// Run one BIRD-Ext cell.
+/// Run one BIRD-Ext cell under the default security policy.
 pub fn run_bird_cell(bench: &BirdExt, cell: &BirdCell) -> CellOutcome {
-    run_bird_cell_with_policy(bench, cell, SecurityPolicy::default())
-}
-
-/// [`run_bird_cell`] with an explicit BridgeScope security policy — used by
-/// the ablation benches (e.g. sweeping the adaptive schema threshold *n*).
-pub fn run_bird_cell_with_policy(
-    bench: &BirdExt,
-    cell: &BirdCell,
-    policy: SecurityPolicy,
-) -> CellOutcome {
     let task_tables: Vec<String> = bench
         .template
         .table_names()
@@ -180,12 +149,13 @@ pub fn run_bird_cell_with_policy(
     for task in tasks {
         let db = bench.template.fork();
         install_roles(&db, &task_tables);
-        let (registry, prompt) = build_toolkit_with_policy(
+        let (registry, prompt) = build_toolkit_observed(
             cell.toolkit,
             &db,
             cell.role.user(),
             &external,
-            policy.clone(),
+            SecurityPolicy::default(),
+            Obs::disabled(),
         );
         let agent = ReactAgent::new(cell.profile.clone(), prompt);
         let trace = agent.run(&registry, &task.spec, task_seed(cell.seed, &task.spec.id));
@@ -238,7 +208,7 @@ pub fn run_nl2ml(cfg: &Nl2mlConfig) -> CellOutcome {
 /// [`run_nl2ml`] recording the whole run into `obs`: task/LLM-call spans
 /// from the agent, tool/SQL/proxy spans from the toolkit, and the `llm.*` /
 /// `tool.*` / `proxy.*` counters a summary or JSONL export reads from.
-pub fn run_nl2ml_observed(cfg: &Nl2mlConfig, obs: &Obs) -> CellOutcome {
+pub(crate) fn run_nl2ml_observed(cfg: &Nl2mlConfig, obs: &Obs) -> CellOutcome {
     let db = crate::housing::build_database(cfg.rows, cfg.seed);
     db.create_user("analyst", false).expect("fresh db");
     db.grant("analyst", sqlkit::Action::Select, "house")
@@ -281,7 +251,7 @@ pub fn run_nl2ml_observed(cfg: &Nl2mlConfig, obs: &Obs) -> CellOutcome {
 /// The token cost of routing the full house table through an idealized
 /// LLM twice (the paper's ≥1.5M-token lower bound for PG-MCP with an
 /// unlimited context window).
-pub fn idealized_pg_mcp_tokens(rows: usize, seed: u64) -> usize {
+pub(crate) fn idealized_pg_mcp_tokens(rows: usize, seed: u64) -> usize {
     let db = crate::housing::build_database(rows, seed);
     let mut s = db.session("admin").expect("admin");
     let result = s.execute_sql("SELECT * FROM house").expect("house exists");

@@ -12,26 +12,6 @@ use minidb::Database;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Column order of the generated `house` table.
-pub const HOUSE_COLUMNS: [&str; 10] = [
-    "longitude",
-    "latitude",
-    "housing_median_age",
-    "total_rooms",
-    "total_bedrooms",
-    "population",
-    "households",
-    "median_income",
-    "median_house_value",
-    "ocean_proximity",
-];
-
-/// Index of the regression target (`median_house_value`).
-pub const TARGET_INDEX: usize = 8;
-
-/// Categories of `ocean_proximity`.
-pub const PROXIMITIES: [&str; 4] = ["NEAR BAY", "NEAR OCEAN", "INLAND", "ISLAND"];
-
 /// Build the `house` database with `rows` rows (the paper uses 20,000; the
 /// PG-MCP-S variant samples 20).
 pub fn build_database(rows: usize, seed: u64) -> Database {
@@ -101,6 +81,23 @@ fn flush(session: &mut minidb::Session, batch: &mut Vec<String>) {
 mod tests {
     use super::*;
     use minidb::{QueryResult, Value};
+
+    /// Column order of the generated `house` table.
+    const HOUSE_COLUMNS: [&str; 10] = [
+        "longitude",
+        "latitude",
+        "housing_median_age",
+        "total_rooms",
+        "total_bedrooms",
+        "population",
+        "households",
+        "median_income",
+        "median_house_value",
+        "ocean_proximity",
+    ];
+
+    /// Categories of `ocean_proximity`.
+    const PROXIMITIES: [&str; 4] = ["NEAR BAY", "NEAR OCEAN", "INLAND", "ISLAND"];
 
     #[test]
     fn builds_with_requested_rows() {

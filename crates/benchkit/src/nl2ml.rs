@@ -62,7 +62,7 @@ fn norm_tool(i: usize) -> &'static str {
 }
 
 /// Generate the 30 NL2ML tasks (10 per level).
-pub fn tasks() -> Vec<TaskSpec> {
+pub(crate) fn tasks() -> Vec<TaskSpec> {
     let mut out = Vec::with_capacity(30);
     // Level 1: select → train.
     for i in 0..10 {
@@ -178,43 +178,43 @@ pub fn tasks() -> Vec<TaskSpec> {
     out
 }
 
-/// The proxy-unit nesting level of a task (1–3), from its id.
-pub fn level_of(task: &TaskSpec) -> usize {
-    if task.id.contains("-l1-") {
-        1
-    } else if task.id.contains("-l2-") {
-        2
-    } else {
-        3
-    }
-}
-
-/// The proxy-unit nesting depth a task's pipeline folds into: the last
-/// stage's chain of nested producers. Level 3's two stages fold into a
-/// depth-3 unit (predict ← train ← select).
-pub fn proxy_depth(task: &TaskSpec) -> usize {
-    fn stage_depth(task: &TaskSpec, idx: usize) -> usize {
-        1 + task.pipeline[idx]
-            .data_args
-            .iter()
-            .map(|(_, src)| match src {
-                DataSource::Sql(_) => 0,
-                DataSource::Stage(i) => stage_depth(task, *i),
-            })
-            .max()
-            .unwrap_or(0)
-    }
-    if task.pipeline.is_empty() {
-        0
-    } else {
-        stage_depth(task, task.pipeline.len() - 1)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use llmsim::TaskKind;
+
+    /// The proxy-unit nesting level of a task (1–3), from its id.
+    fn level_of(task: &TaskSpec) -> usize {
+        if task.id.contains("-l1-") {
+            1
+        } else if task.id.contains("-l2-") {
+            2
+        } else {
+            3
+        }
+    }
+
+    /// The proxy-unit nesting depth a task's pipeline folds into: the last
+    /// stage's chain of nested producers. Level 3's two stages fold into a
+    /// depth-3 unit (predict ← train ← select).
+    fn proxy_depth(task: &TaskSpec) -> usize {
+        fn stage_depth(task: &TaskSpec, idx: usize) -> usize {
+            1 + task.pipeline[idx]
+                .data_args
+                .iter()
+                .map(|(_, src)| match src {
+                    DataSource::Sql(_) => 0,
+                    DataSource::Stage(i) => stage_depth(task, *i),
+                })
+                .max()
+                .unwrap_or(0)
+        }
+        if task.pipeline.is_empty() {
+            0
+        } else {
+            stage_depth(task, task.pipeline.len() - 1)
+        }
+    }
 
     #[test]
     fn thirty_tasks_ten_per_level() {

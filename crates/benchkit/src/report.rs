@@ -11,13 +11,13 @@ use llmsim::{Aggregate, LlmProfile};
 use std::fmt::Write as _;
 
 /// The two agents of the paper's evaluation.
-pub fn paper_profiles() -> Vec<LlmProfile> {
+pub(crate) fn paper_profiles() -> Vec<LlmProfile> {
     vec![LlmProfile::gpt4o(), LlmProfile::claude4()]
 }
 
 /// Best-achievable LLM-call bound for a completed read task: one call each
 /// for context retrieval, SQL execution, and result finalization (§3.2).
-pub const BEST_ACHIEVABLE_READ_CALLS: f64 = 3.0;
+pub(crate) const BEST_ACHIEVABLE_READ_CALLS: f64 = 3.0;
 
 // ---------------------------------------------------------------------------
 // Figure 5 — tooling granularity
@@ -146,7 +146,7 @@ impl Fig5Report {
 // ---------------------------------------------------------------------------
 
 /// The five (role, class) cells of Figure 6 / Table 1, in the paper's order.
-pub const PRIVILEGE_CELLS: [(Role, TaskClass, &str); 5] = [
+pub(crate) const PRIVILEGE_CELLS: [(Role, TaskClass, &str); 5] = [
     (Role::Administrator, TaskClass::Read, "(A, read)"),
     (Role::Administrator, TaskClass::Write, "(A, write)"),
     (Role::Normal, TaskClass::Write, "(N, write)"),
@@ -263,7 +263,7 @@ impl PrivilegeReport {
     }
 
     /// Token saving of BridgeScope vs PG-MCP in an infeasible cell (index
-    /// into [`PRIVILEGE_CELLS`]), as a fraction, for a given agent.
+    /// into `PRIVILEGE_CELLS`), as a fraction, for a given agent.
     pub fn token_saving(&self, agent: &str, cell: usize) -> Option<f64> {
         let bs = self
             .rows
@@ -317,7 +317,7 @@ pub fn table2(rows: usize, sample_rows: usize, limit: Option<usize>, seed: u64) 
 
 /// [`table2`] with caller-supplied agent profiles (tests use shrunken
 /// context windows so small tables overflow quickly).
-pub fn table2_with_profiles(
+pub(crate) fn table2_with_profiles(
     profiles: &[LlmProfile],
     rows: usize,
     sample_rows: usize,

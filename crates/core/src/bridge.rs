@@ -23,7 +23,7 @@ pub struct DatabaseHandle(Database);
 
 impl DatabaseHandle {
     /// Unwrap into the underlying database.
-    pub fn into_database(self) -> Database {
+    pub(crate) fn into_database(self) -> Database {
         self.0
     }
 }
@@ -132,7 +132,7 @@ impl BridgeContext {
 
     /// Database-side privilege check against the grants of `version` (the
     /// committed version pinned for the call), as a tool error.
-    pub fn check_privilege(
+    pub(crate) fn check_privilege(
         &self,
         version: &CommittedVersion,
         action: Action,
@@ -158,7 +158,7 @@ impl BridgeContext {
     }
 
     /// User-side policy check, as a tool error.
-    pub fn check_policy_object(&self, object: &str) -> Result<(), ToolError> {
+    pub(crate) fn check_policy_object(&self, object: &str) -> Result<(), ToolError> {
         if self.policy.object_allowed(object) {
             Ok(())
         } else {
@@ -175,7 +175,7 @@ impl BridgeContext {
     /// Like [`check_policy_object`](Self::check_policy_object), but records
     /// the restricted column (`table.column`) as the denied object. Used by
     /// tools that gate on the column blacklist.
-    pub fn deny_column(&self, table: &str, column: &str, message: String) -> ToolError {
+    pub(crate) fn deny_column(&self, table: &str, column: &str, message: String) -> ToolError {
         let context = DenialContext::default().with_object(format!("{table}.{column}"));
         self.record_denial("policy", &context);
         ToolError::denied_with("policy", message, context)
@@ -207,7 +207,7 @@ pub fn db_error_to_tool(e: DbError) -> ToolError {
 }
 
 /// Convert an engine value to JSON.
-pub fn value_to_json(v: &Value) -> Json {
+pub(crate) fn value_to_json(v: &Value) -> Json {
     match v {
         Value::Null => Json::Null,
         Value::Int(i) => Json::Number(*i as f64),

@@ -25,9 +25,9 @@ pub struct SecurityPolicy {
     /// articulated user-side: schema outputs omit them, exemplar retrieval
     /// refuses them, and the verification gate rejects statements that may
     /// touch them (including via `SELECT *`).
-    pub column_blacklist: BTreeSet<(String, String)>,
+    pub(crate) column_blacklist: BTreeSet<(String, String)>,
     /// Tool names never exposed (e.g. `drop`).
-    pub tool_blacklist: BTreeSet<String>,
+    pub(crate) tool_blacklist: BTreeSet<String>,
     /// Maximum risk class of exposed tools.
     pub max_risk: Risk,
     /// Adaptive schema retrieval: at most this many objects are returned in
@@ -111,7 +111,7 @@ impl SecurityPolicy {
     }
 
     /// Whether an object may be shown to / operated on by the LLM.
-    pub fn object_allowed(&self, name: &str) -> bool {
+    pub(crate) fn object_allowed(&self, name: &str) -> bool {
         if self.object_blacklist.contains(name) {
             return false;
         }
@@ -122,19 +122,19 @@ impl SecurityPolicy {
     }
 
     /// Whether a column of an (allowed) object may be shown/operated on.
-    pub fn column_allowed(&self, table: &str, column: &str) -> bool {
+    pub(crate) fn column_allowed(&self, table: &str, column: &str) -> bool {
         !self
             .column_blacklist
             .contains(&(table.to_owned(), column.to_owned()))
     }
 
     /// Whether any column of `table` is restricted.
-    pub fn has_column_restrictions(&self, table: &str) -> bool {
+    pub(crate) fn has_column_restrictions(&self, table: &str) -> bool {
         self.column_blacklist.iter().any(|(t, _)| t == table)
     }
 
     /// Whether a tool may be exposed to the LLM.
-    pub fn tool_allowed(&self, name: &str, risk: Risk) -> bool {
+    pub(crate) fn tool_allowed(&self, name: &str, risk: Risk) -> bool {
         risk <= self.max_risk && !self.tool_blacklist.contains(name)
     }
 

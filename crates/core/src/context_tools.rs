@@ -117,7 +117,7 @@ fn object_json(
 }
 
 /// Build the `get_schema` tool.
-pub fn get_schema_tool(ctx: Arc<BridgeContext>) -> impl Tool {
+pub(crate) fn get_schema_tool(ctx: Arc<BridgeContext>) -> impl Tool {
     FnTool::new(
         "get_schema",
         "Return the schema of every object you may access, annotated with your privileges. \
@@ -154,7 +154,7 @@ pub fn get_schema_tool(ctx: Arc<BridgeContext>) -> impl Tool {
 }
 
 /// Build the `get_object` tool.
-pub fn get_object_tool(ctx: Arc<BridgeContext>) -> impl Tool {
+pub(crate) fn get_object_tool(ctx: Arc<BridgeContext>) -> impl Tool {
     FnTool::new(
         "get_object",
         "Return one object's detailed definition (columns, keys, your privileges).",
@@ -183,7 +183,7 @@ pub fn get_object_tool(ctx: Arc<BridgeContext>) -> impl Tool {
 }
 
 /// Build the `get_value` tool.
-pub fn get_value_tool(ctx: Arc<BridgeContext>) -> impl Tool {
+pub(crate) fn get_value_tool(ctx: Arc<BridgeContext>) -> impl Tool {
     FnTool::new(
         "get_value",
         "Return the top-k stored values of a column most relevant to a task key; use it to \

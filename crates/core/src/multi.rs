@@ -13,6 +13,7 @@ use crate::config::SecurityPolicy;
 use crate::proxy::proxy_tool;
 use crate::server::BridgeScopeServer;
 use minidb::{Database, DbError};
+use obs::Obs;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use toolproto::{ArgSpec, ArgType, Args, FnTool, Json, Registry, Signature, ToolError, ToolOutput};
@@ -158,7 +159,7 @@ impl MultiSourceServer {
         }
         combined.extend(external);
         let surface = combined.clone();
-        combined.register_tool(proxy_tool(surface));
+        combined.register_tool(proxy_tool(surface, Obs::disabled()));
         Ok(MultiSourceServer {
             registry: combined,
             prompt: crate::prompt::BRIDGESCOPE_PROMPT,

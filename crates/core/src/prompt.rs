@@ -31,7 +31,7 @@ Answer concisely when the task completes or must be aborted.";
 
 /// The generic prompt of a stock MCP database server (used by the PG-MCP
 /// baselines).
-pub const GENERIC_DB_PROMPT: &str = "\
+pub(crate) const GENERIC_DB_PROMPT: &str = "\
 You are a data agent. You can operate a database with the provided tools. \
 Answer the user's request using SQL where needed.";
 

@@ -31,7 +31,7 @@ use toolproto::{Args, FnTool, Json, Registry, Risk, Signature, Tool, ToolError, 
 
 /// Maximum nesting depth of proxy units (a safety valve; the NL2ML
 /// benchmark's hardest tasks use 3).
-pub const MAX_PROXY_DEPTH: usize = 16;
+pub(crate) const MAX_PROXY_DEPTH: usize = 16;
 
 /// The adaptation function `f` of a proxy unit.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -374,14 +374,10 @@ fn run_producer(
 /// Build the `proxy` tool over a snapshot of the tool surface. The snapshot
 /// should contain every tool proxy units may reference (database tools plus
 /// any domain-specific MCP tools) — but not the proxy itself; nesting is
-/// expressed with `unit`, not recursive proxy calls.
-pub fn proxy_tool(surface: Registry) -> impl Tool {
-    proxy_tool_observed(surface, Obs::disabled())
-}
-
-/// [`proxy_tool`] with an observability handle: every executed unit is
-/// recorded as a `proxy:unit` span with rows/bytes-moved accounting.
-pub fn proxy_tool_observed(surface: Registry, obs: Obs) -> impl Tool {
+/// expressed with `unit`, not recursive proxy calls. With `obs` enabled,
+/// every executed unit is recorded as a `proxy:unit` span with
+/// rows/bytes-moved accounting.
+pub(crate) fn proxy_tool(surface: Registry, obs: Obs) -> impl Tool {
     let surface = Arc::new(surface);
     FnTool::new(
         "proxy",
@@ -612,7 +608,7 @@ mod tests {
     fn proxy_tool_end_to_end() {
         let surface = test_registry();
         let mut reg = Registry::new();
-        reg.register_tool(proxy_tool(surface));
+        reg.register_tool(proxy_tool(surface, Obs::disabled()));
         let out = reg
             .call(
                 "proxy",

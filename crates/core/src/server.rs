@@ -9,12 +9,12 @@
 use crate::bridge::{BridgeContext, DatabaseHandle};
 use crate::config::SecurityPolicy;
 use crate::context_tools::{get_object_tool, get_schema_tool, get_value_tool};
-use crate::proxy::proxy_tool_observed;
+use crate::proxy::proxy_tool;
 use crate::sql_tools::{action_risk, action_tool};
 use crate::txn_tools::{begin_tool, commit_tool, rollback_tool};
 use gate::{BudgetMeter, CachedTool, GateConfig, GenerationSource, MeteredTool, PlanCache};
 use minidb::DbError;
-use obs::{Obs, ObsConfig, ObsSnapshot};
+use obs::{Obs, ObsSnapshot};
 use sqlkit::ast::Action;
 use std::sync::{Arc, Weak};
 use toolproto::{Registry, Tool};
@@ -29,7 +29,7 @@ pub struct BridgeScopeServer {
     /// The shared context (for tests and advanced wiring).
     pub context: Arc<BridgeContext>,
     /// The observability handle recording this surface (disabled by
-    /// default; see [`BridgeScopeServer::build_with_config`]).
+    /// default; see [`BridgeScopeServer::build_observed`]).
     pub obs: Obs,
 }
 
@@ -37,33 +37,29 @@ impl BridgeScopeServer {
     /// Build the tool surface for `user` under `policy`. Tools in
     /// `external` (e.g. ML/MCP tools) become available to proxy units and
     /// are re-exported in the final registry. Observability is off; use
-    /// [`BridgeScopeServer::build_with_config`] to record traces.
+    /// [`BridgeScopeServer::build_observed`] to record traces.
     pub fn build(
         db: impl Into<DatabaseHandle>,
         user: &str,
         policy: SecurityPolicy,
         external: &Registry,
     ) -> Result<BridgeScopeServer, DbError> {
-        Self::build_with_config(db, user, policy, external, &ObsConfig::Off)
-    }
-
-    /// [`BridgeScopeServer::build`] with an observability configuration:
-    /// `Off` makes every recording call a no-op, `InMemory` collects spans
-    /// and metrics for [`BridgeScopeServer::snapshot`], and `Jsonl` also
-    /// arms [`Obs::flush`] to export the trace as JSON Lines.
-    pub fn build_with_config(
-        db: impl Into<DatabaseHandle>,
-        user: &str,
-        policy: SecurityPolicy,
-        external: &Registry,
-        config: &ObsConfig,
-    ) -> Result<BridgeScopeServer, DbError> {
-        Self::build_observed(db, user, policy, external, Obs::from_config(config))
+        Self::build_gated(
+            db,
+            user,
+            policy,
+            external,
+            Obs::disabled(),
+            &GateConfig::default(),
+        )
     }
 
     /// [`BridgeScopeServer::build`] recording into an existing `obs` handle,
     /// so several servers (or a server plus an agent harness) can share one
-    /// trace. Attaches a registry-level call observer and the observed proxy
+    /// trace. For a fresh handle pass `Obs::from_config(&config)`: `Off`
+    /// makes every recording call a no-op, `InMemory` collects spans and
+    /// metrics for [`BridgeScopeServer::snapshot`], and `Jsonl` also arms
+    /// [`Obs::flush`] to export the trace as JSON Lines. Attaches a registry-level call observer and the observed proxy
     /// when the handle is enabled.
     pub fn build_observed(
         db: impl Into<DatabaseHandle>,
@@ -247,10 +243,7 @@ impl BridgeScopeServer {
         // F4 — the proxy operates over a snapshot of everything above. The
         // proxy call itself is metered like any other tool.
         let surface = registry.clone();
-        registry.register(wrap_budget(Arc::new(proxy_tool_observed(
-            surface,
-            obs.clone(),
-        ))));
+        registry.register(wrap_budget(Arc::new(proxy_tool(surface, obs.clone()))));
 
         Ok(BridgeScopeServer {
             registry,

@@ -8,7 +8,7 @@
 //! substring containment.
 
 /// Levenshtein edit distance (iterative, two-row).
-pub fn levenshtein(a: &str, b: &str) -> usize {
+pub(crate) fn levenshtein(a: &str, b: &str) -> usize {
     let a: Vec<char> = a.chars().collect();
     let b: Vec<char> = b.chars().collect();
     if a.is_empty() {
@@ -31,7 +31,7 @@ pub fn levenshtein(a: &str, b: &str) -> usize {
 }
 
 /// Similarity in [0, 1]: 1 = identical (case-insensitive).
-pub fn similarity(key: &str, value: &str) -> f64 {
+pub(crate) fn similarity(key: &str, value: &str) -> f64 {
     let k = key.trim().to_lowercase();
     let v = value.trim().to_lowercase();
     if k.is_empty() || v.is_empty() {
@@ -74,7 +74,7 @@ pub fn similarity(key: &str, value: &str) -> f64 {
 
 /// Rank `values` by similarity to `key`, returning the top-k most relevant
 /// (ties broken lexicographically for determinism).
-pub fn top_k<'v>(key: &str, values: &'v [String], k: usize) -> Vec<(&'v str, f64)> {
+pub(crate) fn top_k<'v>(key: &str, values: &'v [String], k: usize) -> Vec<(&'v str, f64)> {
     let mut scored: Vec<(&str, f64)> = values
         .iter()
         .map(|v| (v.as_str(), similarity(key, v)))

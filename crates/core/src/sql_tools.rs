@@ -24,7 +24,7 @@ use toolproto::{ArgSpec, ArgType, Args, FnTool, Risk, Signature, Tool, ToolError
 const SQL_ATTR_MAX: usize = 200;
 
 /// Risk class of an action's tool.
-pub fn action_risk(action: Action) -> Risk {
+pub(crate) fn action_risk(action: Action) -> Risk {
     match action {
         Action::Select => Risk::Safe,
         Action::Insert | Action::Update | Action::Delete => Risk::Mutating,
@@ -256,7 +256,7 @@ fn description(action: Action) -> String {
 }
 
 /// Build the dedicated tool for one SQL action.
-pub fn action_tool(ctx: Arc<BridgeContext>, action: Action) -> impl Tool {
+pub(crate) fn action_tool(ctx: Arc<BridgeContext>, action: Action) -> impl Tool {
     FnTool::new(
         action.keyword(),
         description(action),

@@ -30,7 +30,7 @@ fn run_txn_op(
 }
 
 /// Build the `begin` tool.
-pub fn begin_tool(ctx: Arc<BridgeContext>) -> impl Tool {
+pub(crate) fn begin_tool(ctx: Arc<BridgeContext>) -> impl Tool {
     FnTool::new(
         "begin",
         "Begin a transaction. Call before any statement that modifies the database.",
@@ -41,7 +41,7 @@ pub fn begin_tool(ctx: Arc<BridgeContext>) -> impl Tool {
 }
 
 /// Build the `commit` tool.
-pub fn commit_tool(ctx: Arc<BridgeContext>) -> impl Tool {
+pub(crate) fn commit_tool(ctx: Arc<BridgeContext>) -> impl Tool {
     FnTool::new(
         "commit",
         "Commit the current transaction.",
@@ -52,7 +52,7 @@ pub fn commit_tool(ctx: Arc<BridgeContext>) -> impl Tool {
 }
 
 /// Build the `rollback` tool.
-pub fn rollback_tool(ctx: Arc<BridgeContext>) -> impl Tool {
+pub(crate) fn rollback_tool(ctx: Arc<BridgeContext>) -> impl Tool {
     FnTool::new(
         "rollback",
         "Roll back the current transaction, discarding its changes.",

@@ -37,7 +37,7 @@ pub enum SubmitError {
 
 /// Per-tenant bounded FIFOs with weighted round-robin dequeue. A plain
 /// data structure: the caller provides the locking.
-pub struct WeightedQueues<T> {
+pub(crate) struct WeightedQueues<T> {
     queues: BTreeMap<String, VecDeque<T>>,
     /// Tenants with at least one queued item, in rotation order.
     rotation: Vec<String>,
@@ -54,7 +54,7 @@ impl<T> WeightedQueues<T> {
     /// Create queues where each tenant may hold `per_tenant_capacity`
     /// pending items, tenants in `weights` get their configured share, and
     /// everyone else gets `default_weight` (both clamped to ≥ 1).
-    pub fn new(
+    pub(crate) fn new(
         per_tenant_capacity: usize,
         default_weight: u32,
         weights: impl IntoIterator<Item = (String, u32)>,
@@ -72,7 +72,7 @@ impl<T> WeightedQueues<T> {
     }
 
     /// The weight applied to `tenant`.
-    pub fn weight_of(&self, tenant: &str) -> u32 {
+    pub(crate) fn weight_of(&self, tenant: &str) -> u32 {
         self.weights
             .get(tenant)
             .copied()
@@ -81,7 +81,7 @@ impl<T> WeightedQueues<T> {
 
     /// Enqueue `item` for `tenant`, or shed it when the tenant's queue is
     /// full.
-    pub fn push(&mut self, tenant: &str, item: T) -> Result<(), SubmitError> {
+    pub(crate) fn push(&mut self, tenant: &str, item: T) -> Result<(), SubmitError> {
         let queue = match self.queues.get_mut(tenant) {
             Some(queue) => queue,
             None => self.queues.entry(tenant.to_owned()).or_default(),
@@ -98,7 +98,7 @@ impl<T> WeightedQueues<T> {
     }
 
     /// Dequeue the next item under the weighted rotation.
-    pub fn pop(&mut self) -> Option<T> {
+    pub(crate) fn pop(&mut self) -> Option<T> {
         while !self.rotation.is_empty() {
             if self.cursor >= self.rotation.len() {
                 self.cursor = 0;
@@ -131,13 +131,8 @@ impl<T> WeightedQueues<T> {
     }
 
     /// Total items queued across all tenants.
-    pub fn queued(&self) -> usize {
+    pub(crate) fn queued(&self) -> usize {
         self.queued
-    }
-
-    /// Items queued for one tenant.
-    pub fn queued_for(&self, tenant: &str) -> usize {
-        self.queues.get(tenant).map_or(0, VecDeque::len)
     }
 }
 
@@ -327,8 +322,7 @@ mod tests {
         q.push("hog", "h1").unwrap();
         assert_eq!(q.push("hog", "h2"), Err(SubmitError::Shed));
         q.push("calm", "c0").unwrap();
-        assert_eq!(q.queued_for("hog"), 2);
-        assert_eq!(q.queued_for("calm"), 1);
+        assert_eq!(drain(&mut q), ["h0", "c0", "h1"]);
     }
 
     #[test]

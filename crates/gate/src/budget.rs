@@ -33,13 +33,13 @@ use toolproto::{Args, DenialContext, Risk, Signature, Tool, ToolError, ToolResul
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BudgetLimits {
     /// Maximum tool invocations.
-    pub max_calls: Option<u64>,
+    pub(crate) max_calls: Option<u64>,
     /// Maximum summed `ToolOutput::rows`.
-    pub max_rows: Option<u64>,
+    pub(crate) max_rows: Option<u64>,
     /// Maximum summed compact-rendered output bytes.
-    pub max_bytes: Option<u64>,
+    pub(crate) max_bytes: Option<u64>,
     /// Maximum summed wall time inside tools, in nanoseconds.
-    pub max_wall_ns: Option<u64>,
+    pub(crate) max_wall_ns: Option<u64>,
 }
 
 impl BudgetLimits {
@@ -91,7 +91,7 @@ pub struct BudgetUsage {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BudgetBreach {
     /// `"calls"`, `"rows"`, `"bytes"`, or `"wall_ns"`.
-    pub resource: &'static str,
+    pub(crate) resource: &'static str,
     /// `"session"` or `"user"`.
     pub scope: &'static str,
     /// Usage at check time.
@@ -102,7 +102,7 @@ pub struct BudgetBreach {
 
 impl BudgetBreach {
     /// The stable machine-readable denial message (see module docs).
-    pub fn denial_message(&self) -> String {
+    pub(crate) fn denial_message(&self) -> String {
         format!(
             "budget exhausted: {} limit for this {} reached ({}/{})",
             self.resource, self.scope, self.used, self.limit
@@ -111,7 +111,7 @@ impl BudgetBreach {
 
     /// The full typed denial for tool band transport: code `"budget"`, the
     /// stable message, and the denied tool in the context.
-    pub fn into_denial(self, tool: &str) -> ToolError {
+    pub(crate) fn into_denial(self, tool: &str) -> ToolError {
         ToolError::denied_with(
             "budget",
             self.denial_message(),
@@ -240,15 +240,6 @@ impl BudgetLedger {
             let limits = self.overrides.get(user).unwrap_or(&self.limits).clone();
             Arc::new(BudgetMeter::user(limits))
         }))
-    }
-
-    /// Usage of `user`, if that user has ever been metered.
-    pub fn usage_of(&self, user: &str) -> Option<BudgetUsage> {
-        self.meters
-            .lock()
-            .expect("ledger lock")
-            .get(user)
-            .map(|m| m.usage())
     }
 }
 
@@ -399,6 +390,39 @@ mod tests {
         assert!(err.to_string().contains("rows limit for this session"));
     }
 
+    fn denial_message(err: &ToolError) -> &str {
+        match err {
+            ToolError::Denied { code, message, .. } if code == "budget" => message,
+            other => panic!("expected budget denial, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn bytes_budget_denies_once_the_payload_fills_it() {
+        // The echo reply `"v"` is 3 bytes: the first call fills the budget.
+        let reg = metered_registry(vec![Arc::new(BudgetMeter::session(
+            BudgetLimits::default().with_bytes(3),
+        ))]);
+        reg.call("echo", &payload()).unwrap();
+        let err = reg.call("echo", &payload()).unwrap_err();
+        assert_eq!(
+            denial_message(&err),
+            "budget exhausted: bytes limit for this session reached (3/3)"
+        );
+    }
+
+    #[test]
+    fn zero_wall_time_budget_denies_the_first_call() {
+        let reg = metered_registry(vec![Arc::new(BudgetMeter::session(
+            BudgetLimits::default().with_wall_ns(0),
+        ))]);
+        let err = reg.call("echo", &payload()).unwrap_err();
+        assert_eq!(
+            denial_message(&err),
+            "budget exhausted: wall_ns limit for this session reached (0/0)"
+        );
+    }
+
     #[test]
     fn user_ledger_is_shared_across_sessions() {
         let ledger = BudgetLedger::new(BudgetLimits::default().with_calls(3));
@@ -409,8 +433,8 @@ mod tests {
         a.call("echo", &payload()).unwrap();
         let err = b.call("echo", &payload()).unwrap_err();
         assert!(err.to_string().contains("for this user"));
-        assert_eq!(ledger.usage_of("alice").unwrap().calls, 3);
-        assert!(ledger.usage_of("bob").is_none());
+        assert_eq!(ledger.meter_for("alice").usage().calls, 3);
+        assert_eq!(ledger.meter_for("bob").usage().calls, 0);
     }
 
     #[test]
@@ -425,7 +449,7 @@ mod tests {
         for _ in 0..5 {
             alice.call("echo", &payload()).unwrap();
         }
-        assert_eq!(ledger.usage_of("alice").unwrap().calls, 5);
+        assert_eq!(ledger.meter_for("alice").usage().calls, 5);
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub struct CacheStats {
     pub misses: u64,
     /// Misses caused specifically by a generation mismatch (the entry
     /// existed but a committed write had invalidated it).
-    pub invalidations: u64,
+    pub(crate) invalidations: u64,
     /// Entries evicted by the LRU bound.
     pub evictions: u64,
 }

@@ -6,15 +6,15 @@
 //! *whether* and *how cheaply* a tool call runs, with three cooperating
 //! parts:
 //!
-//! * **Retrieval + plan caches** ([`cache`], [`retrieval`], [`plan`]) —
+//! * **Retrieval + plan caches** (`cache`, `retrieval`, `plan`) —
 //!   generation-tagged LRU memoization of read-only context tools and of
 //!   parse/analysis work, invalidated precisely by minidb's committed-
 //!   version timestamp (every committed DML/DDL/privilege change bumps it).
-//! * **Cost budgets** ([`budget`]) — per-session and per-user accounting of
+//! * **Cost budgets** (`budget`) — per-session and per-user accounting of
 //!   calls, rows scanned, bytes moved, and wall time, enforced at the tool
 //!   gate with a typed `ToolError::Denied { code: "budget", .. }` that
 //!   mirrors the privilege-denial contract.
-//! * **Admission control** ([`admission`]) — a fixed set of execution
+//! * **Admission control** (`admission`) — a fixed set of execution
 //!   tickets for wire tool calls, with per-tenant bounded waiting queues
 //!   granted by weighted round-robin, so a runaway tenant sheds against its
 //!   own queue instead of starving everyone.
@@ -27,17 +27,20 @@
 //! database generation arrives as a closure ([`GenerationSource`]), so the
 //! gate itself never links the engine.
 
-pub mod admission;
-pub mod budget;
-pub mod cache;
-pub mod plan;
-pub mod retrieval;
+#![warn(unreachable_pub)]
+#![warn(unnameable_types)]
 
-pub use admission::{Admission, SubmitError, Ticket, WeightedQueues};
+mod admission;
+mod budget;
+mod cache;
+mod plan;
+mod retrieval;
+
+pub use admission::{Admission, SubmitError, Ticket};
 pub use budget::{BudgetBreach, BudgetLedger, BudgetLimits, BudgetMeter, BudgetUsage, MeteredTool};
 pub use cache::{CacheStats, GenCache};
 pub use plan::{normalize_sql, PlanCache, PreparedPlan};
-pub use retrieval::{args_key, CachedTool, GenerationSource};
+pub use retrieval::{CachedTool, GenerationSource};
 
 use std::sync::Arc;
 

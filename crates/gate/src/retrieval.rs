@@ -25,7 +25,7 @@ pub type GenerationSource = Arc<dyn Fn() -> u64 + Send + Sync>;
 
 /// Deterministic cache key for a validated argument map: the compact JSON
 /// rendering of its (already sorted) entries.
-pub fn args_key(args: &Args) -> String {
+pub(crate) fn args_key(args: &Args) -> String {
     let mut key = String::from("{");
     for (i, (name, value)) in args.iter().enumerate() {
         if i > 0 {

@@ -10,10 +10,9 @@
 //! annotation, skip the transaction), mirroring the failure modes the paper
 //! attributes to GPT-4o and Claude-4.
 
-use crate::message::{Role, Transcript};
 use crate::profile::LlmProfile;
 use crate::task::{DataSource, SqlStep, TaskKind, TaskSpec};
-use crate::tokens::ContextWindow;
+use crate::tokens::{estimate, ContextWindow};
 use crate::trace::{EventKind, Outcome, TaskTrace, TraceEvent};
 use obs::Obs;
 use rand::rngs::SmallRng;
@@ -64,23 +63,17 @@ impl ReactAgent {
             registry,
             task,
             rng: SmallRng::seed_from_u64(seed),
-            transcript: Transcript::new(),
             window: ContextWindow::new(self.profile.context_window),
             trace: TaskTrace::new(task.id.clone()),
             surface: Surface::inspect(registry),
             obs: self.obs.clone(),
         };
-        runner.transcript.push(
-            Role::System,
-            format!(
-                "{}\nTools:\n{}",
-                self.system_prompt,
-                registry.render_prompt()
-            ),
+        let system = format!(
+            "{}\nTools:\n{}",
+            self.system_prompt,
+            registry.render_prompt()
         );
-        runner.transcript.push(Role::User, task.nl.clone());
-        runner.window = ContextWindow::new(self.profile.context_window);
-        runner.window.push(runner.transcript.total_tokens());
+        runner.window.push(estimate(&system) + estimate(&task.nl));
 
         let outcome = match task.kind {
             TaskKind::Pipeline => runner.run_pipeline(),
@@ -203,7 +196,8 @@ struct Runner<'a> {
     registry: &'a Registry,
     task: &'a TaskSpec,
     rng: SmallRng,
-    transcript: Transcript,
+    /// The transcript so far, kept as its token count: every LLM call
+    /// re-reads all of it as prompt.
     window: ContextWindow,
     trace: TaskTrace,
     surface: Surface,
@@ -235,11 +229,11 @@ impl<'a> Runner<'a> {
     /// overflow.
     fn llm_call(&mut self, reasoning: &str, kind: EventKind) -> bool {
         // Prompt: the whole transcript so far.
-        let prompt = self.transcript.total_tokens();
+        let prompt = self.window.used();
         self.trace.prompt_tokens += prompt;
         let action = kind.to_string();
         let content = format!("{}\n{action}", self.reason_text(reasoning));
-        let tokens = self.transcript.push(Role::Assistant, content);
+        let tokens = estimate(&content);
         self.trace.completion_tokens += tokens;
         self.trace.llm_calls += 1;
         if self.obs.is_enabled() {
@@ -271,7 +265,7 @@ impl<'a> Runner<'a> {
                     }
                 }
                 let rendered = out.value.to_compact();
-                let tokens = self.transcript.push(Role::Tool, rendered);
+                let tokens = estimate(&rendered);
                 let ok = self.window.push(tokens);
                 self.trace.events.push(TraceEvent {
                     call: self.trace.llm_calls,
@@ -283,9 +277,7 @@ impl<'a> Runner<'a> {
                 (Ok(out.value), ok)
             }
             Err(e) => {
-                let tokens = self
-                    .transcript
-                    .push(Role::Tool, format!("{{\"error\": \"{e}\"}}"));
+                let tokens = estimate(&format!("{{\"error\": \"{e}\"}}"));
                 let ok = self.window.push(tokens);
                 self.trace.events.push(TraceEvent {
                     call: self.trace.llm_calls,

@@ -150,7 +150,7 @@ impl TaskSpec {
     /// Every ⟨action, table⟩ requirement of the task (pipelines require
     /// `select` on their SQL sources' tables, which the caller encodes in
     /// `steps` when privilege checks matter).
-    pub fn required_actions(&self) -> Vec<(String, String)> {
+    pub(crate) fn required_actions(&self) -> Vec<(String, String)> {
         let mut out = Vec::new();
         for step in &self.steps {
             for t in &step.tables {

@@ -7,7 +7,7 @@
 //! token tables operate at.
 
 /// Approximate characters per token.
-pub const CHARS_PER_TOKEN: usize = 4;
+pub(crate) const CHARS_PER_TOKEN: usize = 4;
 
 /// Estimate the token count of a text.
 pub fn estimate(text: &str) -> usize {
@@ -16,7 +16,7 @@ pub fn estimate(text: &str) -> usize {
 
 /// Running token accumulator with an overflow limit.
 #[derive(Debug, Clone, Copy)]
-pub struct ContextWindow {
+pub(crate) struct ContextWindow {
     /// Maximum tokens the window can hold.
     pub limit: usize,
     used: usize,
@@ -24,24 +24,19 @@ pub struct ContextWindow {
 
 impl ContextWindow {
     /// A window with the given token limit.
-    pub fn new(limit: usize) -> Self {
+    pub(crate) fn new(limit: usize) -> Self {
         ContextWindow { limit, used: 0 }
     }
 
     /// Tokens currently in the window.
-    pub fn used(&self) -> usize {
+    pub(crate) fn used(&self) -> usize {
         self.used
     }
 
     /// Add tokens; returns `false` (and saturates) on overflow.
-    pub fn push(&mut self, tokens: usize) -> bool {
+    pub(crate) fn push(&mut self, tokens: usize) -> bool {
         self.used = self.used.saturating_add(tokens);
         self.used <= self.limit
-    }
-
-    /// Whether the window has overflowed.
-    pub fn overflowed(&self) -> bool {
-        self.used > self.limit
     }
 }
 
@@ -67,9 +62,8 @@ mod tests {
         let mut w = ContextWindow::new(10);
         assert!(w.push(6));
         assert!(w.push(4));
-        assert!(!w.overflowed());
         assert!(!w.push(1));
-        assert!(w.overflowed());
         assert_eq!(w.used(), 11);
+        assert!(!w.push(0), "an overflowed window stays overflowed");
     }
 }

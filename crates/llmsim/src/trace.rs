@@ -183,7 +183,7 @@ pub struct Aggregate {
     /// Completed runs.
     pub completed: usize,
     /// Runs aborted before any SQL execution.
-    pub aborted_early: usize,
+    pub(crate) aborted_early: usize,
     /// Sum of LLM calls.
     pub llm_calls: usize,
     /// Sum of total tokens.
@@ -191,7 +191,7 @@ pub struct Aggregate {
     /// Runs that initiated a transaction.
     pub began_txn: usize,
     /// Runs that needed a transaction (write tasks).
-    pub needed_txn: usize,
+    pub(crate) needed_txn: usize,
     /// Runs judged correct by the benchmark's evaluator.
     pub correct: usize,
 }

@@ -30,12 +30,13 @@ use obs::Obs;
 use sqlkit::ast::{Action, Statement};
 use sqlkit::{parse_statement, AccessProfile};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Default bound on the retained-version history buffer.
-const DEFAULT_RETAIN_CAP: usize = 32;
+/// Bound on the retained-version history buffer (the latest version is
+/// always kept).
+const RETAINED_VERSIONS_CAP: usize = 32;
 
 /// How many times an autocommit statement re-executes after losing a
 /// first-writer-wins race before surfacing the conflict. Each commit admits
@@ -61,8 +62,6 @@ struct Shared {
     /// vacuum; snapshots held by readers stay alive via their own `Arc`s
     /// regardless, so trimming is always memory-safe.
     retained: Mutex<VecDeque<Arc<CommittedVersion>>>,
-    /// Bound on `retained` length.
-    retain_cap: AtomicUsize,
     /// Observability handle (`mvcc.*` counters, `txn:conflict` / `vacuum`
     /// spans). Swappable after construction via [`Database::attach_obs`].
     obs: RwLock<Obs>,
@@ -85,14 +84,14 @@ impl Default for Database {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct VacuumReport {
     /// Versions in the history buffer before the pass.
-    pub examined: usize,
+    pub(crate) examined: usize,
     /// Versions dropped from the buffer.
-    pub reclaimed: usize,
+    pub(crate) reclaimed: usize,
     /// Versions still retained after the pass.
     pub retained: usize,
     /// Oldest active explicit-transaction snapshot (`None` = no open
     /// transactions; everything before the latest version is reclaimable).
-    pub oldest_active: Option<Ts>,
+    pub(crate) oldest_active: Option<Ts>,
 }
 
 impl Database {
@@ -124,7 +123,6 @@ impl Database {
                 durable,
                 active: Mutex::new(BTreeMap::new()),
                 retained: Mutex::new(VecDeque::from([version])),
-                retain_cap: AtomicUsize::new(DEFAULT_RETAIN_CAP),
                 obs: RwLock::new(Obs::disabled()),
             }),
             next_session: Arc::new(AtomicU64::new(1)),
@@ -402,11 +400,10 @@ impl Database {
     }
 
     fn retain_version(&self, version: Arc<CommittedVersion>) {
-        let cap = self.shared.retain_cap.load(Ordering::Relaxed).max(1);
         let mut retained = self.shared.retained.lock();
         retained.push_back(version);
         // Inline trim bounds the buffer even without a vacuum thread.
-        while retained.len() > cap {
+        while retained.len() > RETAINED_VERSIONS_CAP {
             retained.pop_front();
         }
     }
@@ -430,19 +427,13 @@ impl Database {
     /// Begin timestamp of the oldest open explicit transaction, if any.
     /// This is the vacuum horizon: versions older than it serve no open
     /// snapshot.
-    pub fn oldest_active_snapshot(&self) -> Option<Ts> {
+    pub(crate) fn oldest_active_snapshot(&self) -> Option<Ts> {
         self.shared.active.lock().keys().next().copied()
     }
 
     /// Number of versions currently in the history buffer.
     pub fn retained_versions(&self) -> usize {
         self.shared.retained.lock().len()
-    }
-
-    /// Bound the history buffer to `cap` versions (minimum 1: the latest
-    /// version is always retained).
-    pub fn set_retain_cap(&self, cap: usize) {
-        self.shared.retain_cap.store(cap.max(1), Ordering::Relaxed);
     }
 
     /// Reclaim retained versions older than the oldest active snapshot
@@ -454,7 +445,6 @@ impl Database {
         let obs = self.obs();
         let mut span = obs.span("vacuum");
         let oldest_active = self.oldest_active_snapshot();
-        let cap = self.shared.retain_cap.load(Ordering::Relaxed).max(1);
         let mut retained = self.shared.retained.lock();
         let examined = retained.len();
         let latest_ts = retained.back().map_or(0, |v| v.ts);
@@ -462,7 +452,7 @@ impl Database {
         let mut reclaimed = 0usize;
         while retained.len() > 1 {
             let drop_front = match retained.front() {
-                Some(v) => v.ts < horizon || retained.len() > cap,
+                Some(v) => v.ts < horizon || retained.len() > RETAINED_VERSIONS_CAP,
                 None => false,
             };
             if !drop_front {
@@ -949,7 +939,7 @@ impl Session {
     /// ROLLBACK TO SAVEPOINT: undo everything after the savepoint within
     /// the workspace, keeping the transaction (and the savepoint itself)
     /// open. Also recovers an aborted transaction, as in PostgreSQL.
-    pub fn rollback_to(&mut self, name: &str) -> DbResult<QueryResult> {
+    pub(crate) fn rollback_to(&mut self, name: &str) -> DbResult<QueryResult> {
         if self.status == TxnStatus::Autocommit {
             return Err(DbError::TransactionState(
                 "ROLLBACK TO SAVEPOINT requires an open transaction".into(),
@@ -1438,7 +1428,6 @@ mod tests {
     #[test]
     fn vacuum_respects_active_snapshots_and_cap() {
         let db = setup();
-        db.set_retain_cap(100);
         let mut s = db.session("admin").unwrap();
         for i in 0..10 {
             s.execute_sql(&format!("INSERT INTO t VALUES ({}, 'x')", 50 + i))
@@ -1485,7 +1474,7 @@ mod tests {
         let text = e.to_string();
         assert!(text.starts_with("serialization conflict"), "{text}");
         assert!(text.contains("retry"), "{text}");
-        assert!(e.is_retryable());
+        assert!(e.is_serialization_conflict());
     }
 }
 

@@ -6,7 +6,7 @@
 //! survive all the way into the agent transcript.
 
 use sqlkit::ast::Action;
-use sqlkit::parser::ParseError;
+use sqlkit::ParseError;
 use std::fmt;
 
 /// Any error produced by the engine.
@@ -110,21 +110,6 @@ impl DbError {
         matches!(self, DbError::PrivilegeDenied { .. })
     }
 
-    /// Whether retrying could plausibly succeed — corrected SQL for the
-    /// analysis errors, or simply re-running the same transaction for a
-    /// serialization conflict.
-    pub fn is_retryable(&self) -> bool {
-        matches!(
-            self,
-            DbError::Parse(_)
-                | DbError::UnknownTable(_)
-                | DbError::UnknownColumn(_)
-                | DbError::AmbiguousColumn(_)
-                | DbError::TypeError(_)
-                | DbError::SerializationConflict { .. }
-        )
-    }
-
     /// Whether this is an MVCC first-writer-wins conflict (the transaction
     /// was rolled back and can be retried verbatim).
     pub fn is_serialization_conflict(&self) -> bool {
@@ -147,9 +132,7 @@ mod tests {
             object: "t".into(),
         };
         assert!(e.is_privilege());
-        assert!(!e.is_retryable());
-        assert!(DbError::UnknownColumn("c".into()).is_retryable());
-        assert!(!DbError::ConstraintViolation("x".into()).is_retryable());
+        assert!(!e.is_serialization_conflict());
     }
 
     #[test]

@@ -13,7 +13,7 @@ use sqlkit::ast::{Expr, InsertSource, Select, Statement};
 /// Describe how a statement would run. For SELECTs this is the costed
 /// physical operator tree; DML statements get a one-line access-path
 /// summary (with the source plan inlined for INSERT ... SELECT).
-pub fn explain(state: &DbState, stmt: &Statement, analyze: bool) -> DbResult<QueryResult> {
+pub(crate) fn explain(state: &DbState, stmt: &Statement, analyze: bool) -> DbResult<QueryResult> {
     let mut lines: Vec<String> = Vec::new();
     match stmt {
         Statement::Select(sel) => lines.extend(plan_lines(state, sel, analyze, 0)?),

@@ -33,7 +33,7 @@ mod volcano;
 pub(crate) use ddl::build_auto_indexes;
 pub(crate) use dml::{foreign_key_target_exists, rows_match_key};
 pub(crate) use eval::scope_cols_of;
-pub use explain::explain;
+pub(crate) use explain::explain;
 pub(crate) use parallel::chunked;
 
 use crate::error::{DbError, DbResult};
@@ -88,7 +88,7 @@ const DEADLINE_ROWS: usize = 1024;
 
 /// Execute any statement except transaction control (handled by sessions).
 /// DDL runs to completion once started: it never checks the call deadline.
-pub fn execute(
+pub(crate) fn execute(
     state: &mut DbState,
     stmt: &Statement,
     undo: &mut Vec<UndoOp>,
@@ -138,7 +138,7 @@ pub fn execute(
 /// tree — returning the executed plan, each node annotated with the rows it
 /// actually emitted — or run the sequential reference pipeline (no plan)
 /// when [`ExecOptions::planner`] is off.
-pub fn execute_select(
+pub(crate) fn execute_select(
     state: &DbState,
     sel: &Select,
     opts: &ExecOptions,

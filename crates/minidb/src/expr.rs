@@ -12,7 +12,7 @@ use sqlkit::ast::{BinaryOp, ColumnRef, Expr, Literal, Select, SelectItem, UnaryO
 
 /// One column visible to expression evaluation.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScopeCol {
+pub(crate) struct ScopeCol {
     /// Table binding (alias or table name) the column belongs to, when it
     /// comes from a FROM item; `None` for computed columns.
     pub binding: Option<String>,
@@ -22,7 +22,7 @@ pub struct ScopeCol {
 
 /// An evaluation scope: column metadata + current row values.
 #[derive(Debug, Clone, Copy)]
-pub struct Scope<'a> {
+pub(crate) struct Scope<'a> {
     /// Column descriptors, parallel to `values`.
     pub columns: &'a [ScopeCol],
     /// Current row.
@@ -31,7 +31,7 @@ pub struct Scope<'a> {
 
 impl<'a> Scope<'a> {
     /// Resolve a column reference to its position.
-    pub fn resolve(&self, col: &ColumnRef) -> DbResult<usize> {
+    pub(crate) fn resolve(&self, col: &ColumnRef) -> DbResult<usize> {
         match &col.table {
             Some(t) => self
                 .columns
@@ -55,7 +55,7 @@ impl<'a> Scope<'a> {
 }
 
 /// Convert a literal to a runtime value.
-pub fn literal_value(lit: &Literal) -> Value {
+pub(crate) fn literal_value(lit: &Literal) -> Value {
     match lit {
         Literal::Null => Value::Null,
         Literal::Bool(b) => Value::Bool(*b),
@@ -66,7 +66,7 @@ pub fn literal_value(lit: &Literal) -> Value {
 }
 
 /// Evaluate an expression against a scope.
-pub fn eval(expr: &Expr, scope: &Scope<'_>) -> DbResult<Value> {
+pub(crate) fn eval(expr: &Expr, scope: &Scope<'_>) -> DbResult<Value> {
     match expr {
         Expr::Literal(lit) => Ok(literal_value(lit)),
         Expr::Column(col) => {
@@ -189,7 +189,7 @@ pub fn eval(expr: &Expr, scope: &Scope<'_>) -> DbResult<Value> {
 /// Split an expression into its top-level AND conjuncts. A non-AND
 /// expression is its own single conjunct. Used by predicate analysis to
 /// find index-probe and equi-join opportunities.
-pub fn conjuncts(e: &Expr) -> Vec<&Expr> {
+pub(crate) fn conjuncts(e: &Expr) -> Vec<&Expr> {
     let mut out = Vec::new();
     let mut stack = vec![e];
     while let Some(e) = stack.pop() {
@@ -212,7 +212,7 @@ pub fn conjuncts(e: &Expr) -> Vec<&Expr> {
 /// `None` when the name is unknown *or ambiguous*. Planning uses this to
 /// decide whether a hash join applies; an ambiguous reference simply falls
 /// back to the evaluating path, which reports the proper error.
-pub fn try_resolve(columns: &[ScopeCol], col: &ColumnRef) -> Option<usize> {
+pub(crate) fn try_resolve(columns: &[ScopeCol], col: &ColumnRef) -> Option<usize> {
     match &col.table {
         Some(t) => columns
             .iter()
@@ -231,7 +231,7 @@ pub fn try_resolve(columns: &[ScopeCol], col: &ColumnRef) -> Option<usize> {
 }
 
 /// SQL truthiness: NULL is unknown.
-pub fn truth(v: &Value) -> Option<bool> {
+pub(crate) fn truth(v: &Value) -> Option<bool> {
     match v {
         Value::Null => None,
         Value::Bool(b) => Some(*b),
@@ -374,7 +374,7 @@ fn arithmetic(op: BinaryOp, l: &Value, r: &Value) -> DbResult<Value> {
 }
 
 /// SQL LIKE with `%` (any run) and `_` (any char), case-sensitive.
-pub fn like_match(s: &str, pattern: &str) -> bool {
+pub(crate) fn like_match(s: &str, pattern: &str) -> bool {
     let s: Vec<char> = s.chars().collect();
     let p: Vec<char> = pattern.chars().collect();
     // Iterative two-pointer algorithm with backtracking on the last `%`.
@@ -403,7 +403,7 @@ pub fn like_match(s: &str, pattern: &str) -> bool {
 
 /// Built-in scalar functions (public so the aggregate evaluator can apply
 /// them to already-computed aggregate results, e.g. `ROUND(SUM(x), 2)`).
-pub fn scalar_function(name: &str, args: &[Value]) -> DbResult<Value> {
+pub(crate) fn scalar_function(name: &str, args: &[Value]) -> DbResult<Value> {
     let arity = |n: usize| -> DbResult<()> {
         if args.len() == n {
             Ok(())
@@ -612,13 +612,13 @@ fn text_unary(name: &str, v: &Value, f: impl Fn(&str) -> String) -> DbResult<Val
 }
 
 /// Names the executor treats as aggregate functions.
-pub fn is_aggregate_name(name: &str) -> bool {
+pub(crate) fn is_aggregate_name(name: &str) -> bool {
     matches!(name, "count" | "sum" | "avg" | "min" | "max")
 }
 
 /// Whether a SELECT block aggregates: GROUP BY, or an aggregate call in its
 /// items, HAVING or ORDER BY.
-pub fn select_aggregates(sel: &Select) -> bool {
+pub(crate) fn select_aggregates(sel: &Select) -> bool {
     !sel.group_by.is_empty()
         || sel
             .items
@@ -629,7 +629,7 @@ pub fn select_aggregates(sel: &Select) -> bool {
 }
 
 /// Whether an expression contains an aggregate call.
-pub fn contains_aggregate(expr: &Expr) -> bool {
+pub(crate) fn contains_aggregate(expr: &Expr) -> bool {
     match expr {
         Expr::Function { name, args, .. } => {
             is_aggregate_name(name) || args.iter().any(contains_aggregate)
@@ -663,7 +663,7 @@ pub fn contains_aggregate(expr: &Expr) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sqlkit::parser::parse_statement;
+    use sqlkit::parse_statement;
     use sqlkit::Statement;
 
     fn eval_const(sql_expr: &str) -> DbResult<Value> {

@@ -4,22 +4,22 @@
 //! The database substrate for the BridgeScope reproduction (the paper runs on
 //! PostgreSQL; see DESIGN.md for the substitution argument). Features:
 //!
-//! * typed storage ([`value::Value`]) with SQL three-valued comparison
+//! * typed storage ([`Value`]) with SQL three-valued comparison
 //!   semantics;
-//! * a catalog ([`schema`]) with primary keys, unique constraints, foreign
+//! * a catalog (`schema`) with primary keys, unique constraints, foreign
 //!   keys, CHECK constraints, and secondary indexes;
-//! * an executor ([`exec`]) covering single-block SELECT (inner/left/cross
+//! * an executor (`exec`) covering single-block SELECT (inner/left/cross
 //!   joins, aggregation with DISTINCT, uncorrelated subqueries, ORDER BY /
 //!   LIMIT / OFFSET / DISTINCT) and fully validated DML/DDL;
-//! * undo-log transactions ([`txn`]) with statement-level atomicity and
+//! * undo-log transactions (`txn`) with statement-level atomicity and
 //!   PostgreSQL-style aborted-transaction behaviour;
-//! * a PostgreSQL-style privilege catalog ([`privilege`]) checked by the
+//! * a PostgreSQL-style privilege catalog (`privilege`) checked by the
 //!   engine on every statement;
-//! * a concurrency-safe facade ([`db::Database`] / [`db::Session`]);
+//! * a concurrency-safe facade ([`Database`] / [`Session`]);
 //! * cooperative call deadlines ([`deadline`]) the executor checks as it
 //!   dispatches work.
 //!
-//! Concurrency model: **MVCC snapshot isolation** ([`mvcc`]). Every
+//! Concurrency model: **MVCC snapshot isolation** (`mvcc`). Every
 //! committed state is an immutable version; readers clone an `Arc` to the
 //! latest version and never take a lock or block a writer. Transactions
 //! execute on a private copy-on-write workspace and commit optimistically:
@@ -30,33 +30,35 @@
 //! Autocommit statements retry conflicts internally; see DESIGN.md §10.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
+#![warn(unnameable_types)]
 
-pub mod db;
+mod db;
 pub mod deadline;
-pub mod error;
-pub mod exec;
-pub mod expr;
-pub mod mvcc;
-pub mod plan;
+mod error;
+mod exec;
+mod expr;
+mod mvcc;
+mod plan;
 pub mod planner;
-pub mod privilege;
-pub mod schema;
+mod privilege;
+mod schema;
 pub mod storage;
 pub mod sync;
-pub mod txn;
-pub mod value;
+mod txn;
+mod value;
 
 pub use db::{Database, Session, VacuumHandle, VacuumReport};
 pub use error::{DbError, DbResult};
-pub use exec::QueryResult;
-pub use mvcc::{CommittedVersion, TimestampOracle, Ts};
+pub use exec::{DbState, QueryResult};
+pub use mvcc::CommittedVersion;
 pub use plan::ExecOptions;
-pub use planner::physical::PhysPlan;
+pub use planner::physical::{PhysNode, PhysOp, PhysPlan};
 pub use privilege::{PrivilegeCatalog, UserPrivileges};
-pub use schema::{Catalog, Column, ForeignKey, TableSchema};
-pub use storage::{
-    DurabilityConfig, DurableEngine, FsyncPolicy, RecoveryReport, StorageEngine, VolatileEngine,
-    WalRecord,
+pub use schema::{
+    Catalog, Column, ColumnStats, ForeignKey, IndexDef, TableSchema, TableStats, ViewDef,
 };
-pub use txn::TxnStatus;
-pub use value::{Row, Value};
+pub use storage::{
+    DataMap, DurabilityConfig, FsyncPolicy, IndexData, IndexKind, RecoveryReport, TableData,
+};
+pub use value::{Key, Value};

@@ -36,38 +36,38 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Commit timestamp: a monotonically increasing logical clock value.
-pub type Ts = u64;
+pub(crate) type Ts = u64;
 
 /// Global commit-timestamp allocator. Timestamps are assigned under the
 /// commit lock immediately before the WAL group append, so WAL order and
 /// timestamp order agree by construction.
 #[derive(Debug)]
-pub struct TimestampOracle(AtomicU64);
+pub(crate) struct TimestampOracle(AtomicU64);
 
 impl TimestampOracle {
     /// Oracle whose next allocation is `last + 1`.
-    pub fn new(last: Ts) -> Self {
+    pub(crate) fn new(last: Ts) -> Self {
         TimestampOracle(AtomicU64::new(last))
     }
 
     /// The most recently allocated timestamp.
-    pub fn last(&self) -> Ts {
+    pub(crate) fn last(&self) -> Ts {
         self.0.load(Ordering::SeqCst)
     }
 
     /// Allocate the next timestamp.
-    pub fn next(&self) -> Ts {
+    pub(crate) fn next(&self) -> Ts {
         self.0.fetch_add(1, Ordering::SeqCst) + 1
     }
 }
 
 /// Last-writer commit timestamps for one table, at three granularities.
 #[derive(Debug, Clone, Default)]
-pub struct TableClock {
+pub(crate) struct TableClock {
     /// Commit ts of the last write of any kind (rows or schema).
-    pub any_ts: Ts,
+    pub(crate) any_ts: Ts,
     /// Commit ts of the last schema change (CREATE/ALTER/index DDL).
-    pub schema_ts: Ts,
+    pub(crate) schema_ts: Ts,
     /// Per-row last-writer commit timestamps, indexed by `RowId`. Behind an
     /// `Arc` so cloning the clock map per commit shares untouched tables.
     rows: Arc<Vec<Ts>>,
@@ -76,7 +76,7 @@ pub struct TableClock {
 impl TableClock {
     /// Commit ts of the last write to `rid` (0 = not written since the
     /// database's initial version).
-    pub fn row_ts(&self, rid: RowId) -> Ts {
+    pub(crate) fn row_ts(&self, rid: RowId) -> Ts {
         self.rows.get(rid).copied().unwrap_or(0)
     }
 
@@ -100,10 +100,10 @@ pub struct CommittedVersion {
     /// Users and grants as of this version.
     pub privileges: PrivilegeCatalog,
     /// Per-table version clocks used by first-writer-wins validation.
-    pub clocks: BTreeMap<String, TableClock>,
+    pub(crate) clocks: BTreeMap<String, TableClock>,
     /// Commit ts of the last catalog-shape change (create/drop/rename of a
     /// table or view).
-    pub catalog_ts: Ts,
+    pub(crate) catalog_ts: Ts,
 }
 
 impl CommittedVersion {
@@ -158,7 +158,7 @@ impl CommittedVersion {
 /// undo log, which records exactly the pre-existing state a transaction
 /// disturbed.
 #[derive(Debug, Default)]
-pub struct WriteSet {
+pub(crate) struct WriteSet {
     /// Per-table writes.
     pub tables: BTreeMap<String, TableWrites>,
     /// Whether the catalog shape changed (create/drop/rename table, view
@@ -168,18 +168,18 @@ pub struct WriteSet {
 
 /// One table's entry in a [`WriteSet`].
 #[derive(Debug, Default)]
-pub struct TableWrites {
+pub(crate) struct TableWrites {
     /// Pre-existing rows this transaction updated or deleted, by snapshot
     /// row id. Rows both inserted and then touched inside the same
     /// transaction are excluded — they were never visible to anyone else.
     pub rows: BTreeSet<RowId>,
     /// Rows inserted by this transaction (workspace row ids; the merge path
     /// may re-allocate them).
-    pub inserted: BTreeSet<RowId>,
+    pub(crate) inserted: BTreeSet<RowId>,
     /// Old images of updated pre-existing rows (for removed-key FK checks).
-    pub updated_old: Vec<Row>,
+    pub(crate) updated_old: Vec<Row>,
     /// Old images of deleted pre-existing rows.
-    pub deleted_old: Vec<Row>,
+    pub(crate) deleted_old: Vec<Row>,
     /// Schema-level DDL touched this table.
     pub ddl: bool,
     /// The table was created by this transaction (nothing pre-existing to
@@ -191,15 +191,10 @@ impl WriteSet {
     fn table(&mut self, name: &str) -> &mut TableWrites {
         self.tables.entry(name.to_owned()).or_default()
     }
-
-    /// Whether the transaction wrote nothing.
-    pub fn is_empty(&self) -> bool {
-        self.tables.is_empty() && !self.catalog
-    }
 }
 
 /// Derive a transaction's write set from its undo log.
-pub fn write_set(ops: &[UndoOp]) -> WriteSet {
+pub(crate) fn write_set(ops: &[UndoOp]) -> WriteSet {
     let mut ws = WriteSet::default();
     for op in ops {
         match op {
@@ -270,7 +265,7 @@ fn conflict(table: &str, detail: impl Into<String>) -> DbError {
 /// First-writer-wins validation: reject the write set if anything it
 /// touched was written by a transaction that committed after `base_ts`
 /// (this transaction's snapshot).
-pub fn validate(ws: &WriteSet, base_ts: Ts, latest: &CommittedVersion) -> DbResult<()> {
+pub(crate) fn validate(ws: &WriteSet, base_ts: Ts, latest: &CommittedVersion) -> DbResult<()> {
     if ws.catalog && latest.catalog_ts > base_ts {
         return Err(conflict("<catalog>", "concurrent schema change"));
     }
@@ -304,7 +299,7 @@ pub fn validate(ws: &WriteSet, base_ts: Ts, latest: &CommittedVersion) -> DbResu
 
 /// Result of replaying a validated transaction onto the latest version.
 #[derive(Debug)]
-pub struct MergeOutcome {
+pub(crate) struct MergeOutcome {
     /// The merged state (latest version + this transaction's writes).
     pub state: DbState,
     /// Privileges (unchanged by data transactions, cloned for the version).
@@ -323,7 +318,7 @@ pub struct MergeOutcome {
 /// both allocated, even though their writes are logically disjoint. Later
 /// records of the same transaction referring to a re-allocated row are
 /// remapped.
-pub fn merge(
+pub(crate) fn merge(
     latest: &CommittedVersion,
     ws: &WriteSet,
     records: &[WalRecord],
@@ -502,7 +497,7 @@ fn check_removed_keys<'a>(
 /// the commit timestamp. Must be called with the *final* (post-merge)
 /// records so re-allocated insert ids are stamped where they actually
 /// landed.
-pub fn stamped_clocks(
+pub(crate) fn stamped_clocks(
     latest: &CommittedVersion,
     ws: &WriteSet,
     records: &[WalRecord],

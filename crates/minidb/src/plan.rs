@@ -90,7 +90,7 @@ impl ExecOptions {
 /// matches). When a column is pinned twice the first binding wins; the full
 /// predicate is still evaluated afterwards, so a contradictory second
 /// binding just yields an empty result through residual filtering.
-pub fn equality_bindings(
+pub(crate) fn equality_bindings(
     schema: &TableSchema,
     binding: &str,
     predicate: &Expr,
@@ -132,7 +132,7 @@ pub fn equality_bindings(
 /// Pick the best index fully pinned by `pinned` and build its probe key.
 /// Preference order: unique before non-unique (fewer candidates), hash
 /// before ordered (O(1) probe), then name for determinism.
-pub fn choose_index<'a>(
+pub(crate) fn choose_index<'a>(
     data: &'a TableData,
     pinned: &BTreeMap<usize, Value>,
 ) -> Option<(&'a str, &'a IndexData, Key)> {
@@ -154,14 +154,14 @@ pub fn choose_index<'a>(
 
 /// Equi-join structure extracted from an ON condition.
 #[derive(Debug, Clone)]
-pub struct EquiJoin {
+pub(crate) struct EquiJoin {
     /// Key column positions in the combined (left) scope.
-    pub left_keys: Vec<usize>,
+    pub(crate) left_keys: Vec<usize>,
     /// Key column positions in the right table's own scope.
-    pub right_keys: Vec<usize>,
+    pub(crate) right_keys: Vec<usize>,
     /// ON conjuncts that are not extracted equi-keys; evaluated against each
     /// candidate pair exactly as the nested loop would.
-    pub residual: Vec<Expr>,
+    pub(crate) residual: Vec<Expr>,
 }
 
 /// Analyze an ON condition for hash-joinability: split it into top-level
@@ -169,7 +169,7 @@ pub struct EquiJoin {
 /// no equi-key exists (the nested loop is the only sound plan). Conjuncts
 /// that mention unknown or ambiguous columns go to the residual, where
 /// evaluation reports the proper error.
-pub fn analyze_equi_join(
+pub(crate) fn analyze_equi_join(
     left_cols: &[ScopeCol],
     right_cols: &[ScopeCol],
     on: &Expr,

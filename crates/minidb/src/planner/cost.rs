@@ -13,24 +13,24 @@ use crate::value::Value;
 use sqlkit::ast::{BinaryOp, Expr};
 
 /// Equality selectivity when no statistics exist for the column.
-pub const DEFAULT_EQ_SELECTIVITY: f64 = 0.1;
+pub(crate) const DEFAULT_EQ_SELECTIVITY: f64 = 0.1;
 /// Selectivity of a range comparison (`<`, `<=`, `>`, `>=`, BETWEEN).
-pub const RANGE_SELECTIVITY: f64 = 0.3;
+pub(crate) const RANGE_SELECTIVITY: f64 = 0.3;
 /// Selectivity of a LIKE pattern match.
-pub const LIKE_SELECTIVITY: f64 = 0.25;
+pub(crate) const LIKE_SELECTIVITY: f64 = 0.25;
 /// Selectivity of any other predicate shape (OR trees, functions, ...).
-pub const OTHER_SELECTIVITY: f64 = 0.5;
+pub(crate) const OTHER_SELECTIVITY: f64 = 0.5;
 /// Cost factor for evaluating the full ON/WHERE expression on one row
 /// pair inside a nested loop, relative to visiting a stored row. Makes the
 /// hash join (which evaluates the condition only for key-matching pairs)
 /// win whenever the inputs are non-trivial, matching its observed profile.
-pub const EVAL_FACTOR: f64 = 2.0;
+pub(crate) const EVAL_FACTOR: f64 = 2.0;
 
 /// Equality selectivity for one column: `1 / NDV` with statistics, the
 /// default guess without. A column where every row holds the same value
 /// (NDV = 1) yields selectivity 1.0 — an index probe on it would fetch the
 /// whole table, so the planner correctly prefers the sequential scan.
-pub fn eq_selectivity(stats: Option<&TableStats>, column: usize) -> f64 {
+pub(crate) fn eq_selectivity(stats: Option<&TableStats>, column: usize) -> f64 {
     match stats.and_then(|s| s.column_distinct(column)) {
         Some(ndv) if ndv > 0 => 1.0 / ndv as f64,
         // Analyzed but empty (or all-NULL) column: everything matches
@@ -107,7 +107,7 @@ fn conjunct_selectivity(
 /// Combined selectivity of a predicate's top-level AND conjuncts against a
 /// single table, assuming independence. Clamped away from zero so
 /// downstream cardinalities never vanish entirely.
-pub fn predicate_selectivity(
+pub(crate) fn predicate_selectivity(
     schema: &TableSchema,
     stats: Option<&TableStats>,
     binding: &str,
@@ -123,7 +123,7 @@ pub fn predicate_selectivity(
 /// Selectivity of a predicate with no single-table scope to resolve
 /// against (post-join WHERE clauses, view filters): the same per-conjunct
 /// shapes as [`predicate_selectivity`], minus the statistics refinement.
-pub fn generic_predicate_selectivity(predicate: &Expr) -> f64 {
+pub(crate) fn generic_predicate_selectivity(predicate: &Expr) -> f64 {
     let mut sel = 1.0;
     for conjunct in crate::expr::conjuncts(predicate) {
         sel *= match conjunct {
@@ -152,7 +152,7 @@ pub fn generic_predicate_selectivity(predicate: &Expr) -> f64 {
 }
 
 /// Estimated rows an index probe on `pinned` columns returns.
-pub fn index_probe_estimate(
+pub(crate) fn index_probe_estimate(
     stats: Option<&TableStats>,
     rows: f64,
     pinned: &std::collections::BTreeMap<usize, Value>,
@@ -165,29 +165,29 @@ pub fn index_probe_estimate(
 }
 
 /// Cost of a full sequential scan.
-pub fn seq_scan_cost(rows: f64) -> f64 {
+pub(crate) fn seq_scan_cost(rows: f64) -> f64 {
     rows
 }
 
 /// Cost of an index probe returning an estimated `est` candidate rows: the
 /// probe itself plus the candidate fetches.
-pub fn index_scan_cost(est: f64) -> f64 {
+pub(crate) fn index_scan_cost(est: f64) -> f64 {
     est + 1.0
 }
 
 /// Cost of a nested-loop join over materialized inputs.
-pub fn nl_join_cost(left_rows: f64, right_rows: f64) -> f64 {
+pub(crate) fn nl_join_cost(left_rows: f64, right_rows: f64) -> f64 {
     left_rows * right_rows * EVAL_FACTOR
 }
 
 /// Cost of a grace-hash join: build + probe passes plus output assembly.
-pub fn hash_join_cost(left_rows: f64, right_rows: f64, est_out: f64) -> f64 {
+pub(crate) fn hash_join_cost(left_rows: f64, right_rows: f64, est_out: f64) -> f64 {
     left_rows + right_rows + est_out
 }
 
 /// Estimated output cardinality of an equi-join. With statistics the
 /// classic `|L|·|R| / max(ndv)` formula applies; without, a flat fraction.
-pub fn join_output_estimate(left_rows: f64, right_rows: f64, key_ndv: Option<u64>) -> f64 {
+pub(crate) fn join_output_estimate(left_rows: f64, right_rows: f64, key_ndv: Option<u64>) -> f64 {
     match key_ndv {
         Some(ndv) if ndv > 0 => left_rows * right_rows / ndv as f64,
         _ => left_rows * right_rows * DEFAULT_EQ_SELECTIVITY,

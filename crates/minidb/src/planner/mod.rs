@@ -2,10 +2,10 @@
 //! explicit physical operator tree ([`physical::PhysPlan`]).
 //!
 //! The planner makes every physical decision, each driven by the cost model
-//! in [`cost`] and refined by ANALYZE statistics ([`stats`]); the executor
+//! in `cost` and refined by ANALYZE statistics (`stats`); the executor
 //! obeys the tree:
 //!
-//! 1. **Access path** per base table ([`choose_probe`]): index probe vs
+//! 1. **Access path** per base table (`choose_probe`): index probe vs
 //!    sequential scan. A matching index is not enough — the probe must *win
 //!    on cost*: on a column where every row holds the same value it is
 //!    priced at the full table and loses. UPDATE/DELETE candidate selection
@@ -16,12 +16,12 @@
 //! 3. **Join order** for chains of ≥2 inner joins whose ON conditions are
 //!    pure equi-conjunctions over base tables: a greedy smallest-first
 //!    order executed with keyed hash joins, followed by a
-//!    [`physical::PhysOp::Restore`] that provably reconstructs the
+//!    `physical::PhysOp::Restore` that provably reconstructs the
 //!    syntactic row order from hidden per-scan sequence numbers.
 //! 4. **Pushdowns**: ORDER BY + LIMIT becomes a top-k sort; LIMIT without
 //!    ORDER BY over a single filtered scan becomes a streaming early-exit
 //!    pipeline.
-//! 5. **Scan fan-out** ([`workers_for`]): how many threads a filtered
+//! 5. **Scan fan-out** (`workers_for`): how many threads a filtered
 //!    base-table scan splits across. (Filters, grouping passes and hash-join
 //!    probes over intermediate rows apply the same rule at run time, to the
 //!    rows that actually arrive — an estimate would be the wrong input.)
@@ -30,9 +30,9 @@
 //! *and* order) to the sequential reference pipeline in `exec::seq`; the
 //! differential suite in `tests/planner_differential.rs` enforces this.
 
-pub mod cost;
-pub mod physical;
-pub mod stats;
+pub(crate) mod cost;
+pub(crate) mod physical;
+pub(crate) mod stats;
 
 use crate::error::DbResult;
 use crate::exec::{scope_cols_of, DbState};
@@ -83,7 +83,7 @@ pub(crate) struct Probe {
     /// Probe key: the pinned value of each index column.
     pub key: Key,
     /// Estimated candidate rows.
-    pub est_rows: f64,
+    pub(crate) est_rows: f64,
 }
 
 /// The access-path chooser for one base table: the best index `pred` fully

@@ -17,14 +17,14 @@ use sqlkit::ast::{Expr, JoinKind, Select};
 #[derive(Debug, Clone)]
 pub struct PhysNode {
     /// Estimated output rows.
-    pub est_rows: f64,
+    pub(crate) est_rows: f64,
     /// Estimated cumulative cost (abstract row-visit units).
     pub cost: f64,
     /// Rows the operator emitted; `None` until the plan has executed.
-    pub actual_rows: Option<u64>,
+    pub(crate) actual_rows: Option<u64>,
     /// Inclusive wall time in nanoseconds (a node's time contains its
     /// children's); set only by a profiled execution.
-    pub actual_ns: Option<u64>,
+    pub(crate) actual_ns: Option<u64>,
     /// The operator.
     pub op: PhysOp,
 }
@@ -336,9 +336,9 @@ pub struct PhysPlan {
     /// read their expressions from here.
     pub sel: Select,
     /// Combined FROM scope in syntactic order.
-    pub scope_cols: Vec<ScopeCol>,
+    pub(crate) scope_cols: Vec<ScopeCol>,
     /// Whether the query aggregates (GROUP BY or aggregate functions).
-    pub has_aggregate: bool,
+    pub(crate) has_aggregate: bool,
 }
 
 impl PhysPlan {

@@ -15,7 +15,7 @@ use std::collections::BTreeSet;
 /// column, the number of distinct non-NULL values and the NULL count.
 /// Distinctness uses the total order ([`crate::value::Value::total_cmp`]),
 /// the same notion the executor's DISTINCT and GROUP BY use.
-pub fn collect_table_stats(schema: &TableSchema, data: &TableData) -> TableStats {
+pub(crate) fn collect_table_stats(schema: &TableSchema, data: &TableData) -> TableStats {
     let ncols = schema.columns.len();
     let mut sets: Vec<BTreeSet<Key>> = (0..ncols).map(|_| BTreeSet::new()).collect();
     let mut nulls = vec![0u64; ncols];

@@ -50,7 +50,7 @@ impl UserPrivileges {
 
     /// Every explicit grant, in deterministic order (used for persistence
     /// and state fingerprints; superuser status is separate).
-    pub fn grant_list(&self) -> Vec<(Action, String)> {
+    pub(crate) fn grant_list(&self) -> Vec<(Action, String)> {
         self.grants.iter().cloned().collect()
     }
 }
@@ -123,7 +123,7 @@ impl PrivilegeCatalog {
     }
 
     /// Revoke every data action on `object` from `user`.
-    pub fn revoke_all(&mut self, user: &str, object: &str) -> DbResult<()> {
+    pub(crate) fn revoke_all(&mut self, user: &str, object: &str) -> DbResult<()> {
         for action in Action::DATA_ACTIONS {
             self.revoke(user, action, object)?;
         }
@@ -145,7 +145,7 @@ impl PrivilegeCatalog {
     }
 
     /// All user names.
-    pub fn user_names(&self) -> Vec<&str> {
+    pub(crate) fn user_names(&self) -> Vec<&str> {
         self.users.keys().map(String::as_str).collect()
     }
 }

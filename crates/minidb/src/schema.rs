@@ -68,7 +68,7 @@ pub struct TableSchema {
     /// Primary-key column names (empty if none).
     pub primary_key: Vec<String>,
     /// Multi-column UNIQUE constraints.
-    pub uniques: Vec<Vec<String>>,
+    pub(crate) uniques: Vec<Vec<String>>,
     /// Foreign keys.
     pub foreign_keys: Vec<ForeignKey>,
     /// CHECK expressions (kept as AST; evaluated against candidate rows).
@@ -79,7 +79,7 @@ pub struct TableSchema {
 
 impl TableSchema {
     /// Position of a column by name.
-    pub fn column_index(&self, name: &str) -> Option<usize> {
+    pub(crate) fn column_index(&self, name: &str) -> Option<usize> {
         self.columns.iter().position(|c| c.name == name)
     }
 
@@ -89,7 +89,7 @@ impl TableSchema {
     }
 
     /// Resolve a list of column names to positions, erroring on unknowns.
-    pub fn resolve_columns(&self, names: &[String]) -> DbResult<Vec<usize>> {
+    pub(crate) fn resolve_columns(&self, names: &[String]) -> DbResult<Vec<usize>> {
         names
             .iter()
             .map(|n| {
@@ -120,7 +120,7 @@ pub struct ColumnStats {
     /// Number of distinct non-NULL values.
     pub distinct: u64,
     /// Number of NULL values.
-    pub nulls: u64,
+    pub(crate) nulls: u64,
 }
 
 /// Optimizer statistics for one table: a point-in-time sample taken by
@@ -136,7 +136,7 @@ pub struct TableStats {
 
 impl TableStats {
     /// Distinct count of the column at `index`, if collected.
-    pub fn column_distinct(&self, index: usize) -> Option<u64> {
+    pub(crate) fn column_distinct(&self, index: usize) -> Option<u64> {
         self.columns.get(index).map(|c| c.distinct)
     }
 }
@@ -188,7 +188,7 @@ impl Catalog {
     }
 
     /// Register a new table schema.
-    pub fn add_table(&mut self, schema: TableSchema) -> DbResult<()> {
+    pub(crate) fn add_table(&mut self, schema: TableSchema) -> DbResult<()> {
         if self.tables.contains_key(&schema.name) {
             return Err(DbError::AlreadyExists(schema.name));
         }
@@ -199,7 +199,7 @@ impl Catalog {
     /// Remove a table schema, returning it. Any collected statistics are
     /// dropped with it — a re-created or rewritten table starts unanalyzed
     /// (stale column counts would mislead the cost model).
-    pub fn remove_table(&mut self, name: &str) -> DbResult<TableSchema> {
+    pub(crate) fn remove_table(&mut self, name: &str) -> DbResult<TableSchema> {
         let schema = self
             .tables
             .remove(name)
@@ -211,19 +211,19 @@ impl Catalog {
     }
 
     /// Optimizer statistics for a table, if `ANALYZE` has run on it.
-    pub fn table_stats(&self, name: &str) -> Option<&TableStats> {
+    pub(crate) fn table_stats(&self, name: &str) -> Option<&TableStats> {
         self.stats.get(name)
     }
 
     /// Install (or replace) the statistics of a table, bumping the stats
     /// epoch so plan caches keyed on it re-plan.
-    pub fn set_table_stats(&mut self, name: &str, stats: TableStats) {
+    pub(crate) fn set_table_stats(&mut self, name: &str, stats: TableStats) {
         self.stats.insert(name.to_owned(), stats);
         self.stats_epoch += 1;
     }
 
     /// Remove a table's statistics, returning them (undo of `ANALYZE`).
-    pub fn take_table_stats(&mut self, name: &str) -> Option<TableStats> {
+    pub(crate) fn take_table_stats(&mut self, name: &str) -> Option<TableStats> {
         let old = self.stats.remove(name);
         if old.is_some() {
             self.stats_epoch += 1;
@@ -232,24 +232,24 @@ impl Catalog {
     }
 
     /// Tables with collected statistics, sorted.
-    pub fn analyzed_tables(&self) -> Vec<&str> {
+    pub(crate) fn analyzed_tables(&self) -> Vec<&str> {
         self.stats.keys().map(String::as_str).collect()
     }
 
     /// Monotonic counter of statistics mutations.
-    pub fn stats_epoch(&self) -> u64 {
+    pub(crate) fn stats_epoch(&self) -> u64 {
         self.stats_epoch
     }
 
     /// Mutable access to a schema (ALTER TABLE, index DDL).
-    pub fn table_mut(&mut self, name: &str) -> DbResult<&mut TableSchema> {
+    pub(crate) fn table_mut(&mut self, name: &str) -> DbResult<&mut TableSchema> {
         self.tables
             .get_mut(name)
             .ok_or_else(|| DbError::UnknownTable(name.to_owned()))
     }
 
     /// Tables holding a foreign key that references `name`.
-    pub fn referencing_tables(&self, name: &str) -> Vec<&TableSchema> {
+    pub(crate) fn referencing_tables(&self, name: &str) -> Vec<&TableSchema> {
         self.tables
             .values()
             .filter(|t| t.foreign_keys.iter().any(|fk| fk.foreign_table == name))
@@ -267,12 +267,12 @@ impl Catalog {
     }
 
     /// Whether any object (table or view) uses the name.
-    pub fn contains_object(&self, name: &str) -> bool {
+    pub(crate) fn contains_object(&self, name: &str) -> bool {
         self.tables.contains_key(name) || self.views.contains_key(name)
     }
 
     /// Register a view. The name must be free across tables and views.
-    pub fn add_view(&mut self, view: ViewDef) -> DbResult<()> {
+    pub(crate) fn add_view(&mut self, view: ViewDef) -> DbResult<()> {
         if self.contains_object(&view.name) {
             return Err(DbError::AlreadyExists(view.name));
         }
@@ -281,14 +281,14 @@ impl Catalog {
     }
 
     /// Remove a view, returning its definition.
-    pub fn remove_view(&mut self, name: &str) -> DbResult<ViewDef> {
+    pub(crate) fn remove_view(&mut self, name: &str) -> DbResult<ViewDef> {
         self.views
             .remove(name)
             .ok_or_else(|| DbError::UnknownTable(name.to_owned()))
     }
 
     /// Rename a table, leaving inbound FK references updated.
-    pub fn rename_table(&mut self, old: &str, new: &str) -> DbResult<()> {
+    pub(crate) fn rename_table(&mut self, old: &str, new: &str) -> DbResult<()> {
         if self.tables.contains_key(new) {
             return Err(DbError::AlreadyExists(new.to_owned()));
         }

@@ -16,7 +16,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Stable identifier of a row within one table.
-pub type RowId = usize;
+pub(crate) type RowId = usize;
 
 /// Copy-on-write map of table storage, keyed by table name.
 ///
@@ -98,7 +98,7 @@ pub enum IndexKind {
 /// collide and equate them too — numeric values hash through their `f64`
 /// image with `-0.0` and NaN canonicalised.
 #[derive(Debug, Clone)]
-pub struct HashedKey(pub Key);
+pub(crate) struct HashedKey(pub Key);
 
 impl PartialEq for HashedKey {
     fn eq(&self, other: &Self) -> bool {
@@ -158,7 +158,7 @@ fn canonical_f64_bits(f: f64) -> u64 {
 /// never *under*-include. Collapsing `-0.0` to `0.0` at every IndexData
 /// entry point closes the gap for both index kinds. The hash-join operator
 /// canonicalizes its build/probe keys the same way.
-pub fn canonical_key(mut key: Key) -> Key {
+pub(crate) fn canonical_key(mut key: Key) -> Key {
     for v in &mut key.0 {
         if let Value::Float(f) = v {
             if *f == 0.0 {
@@ -199,7 +199,7 @@ impl IndexData {
     }
 
     /// New empty index with an explicit physical representation.
-    pub fn with_kind(columns: Vec<usize>, unique: bool, kind: IndexKind) -> Self {
+    pub(crate) fn with_kind(columns: Vec<usize>, unique: bool, kind: IndexKind) -> Self {
         let entries = match kind {
             IndexKind::Ordered => Entries::Ordered(BTreeMap::new()),
             IndexKind::Hash => Entries::Hash(HashMap::new()),
@@ -220,13 +220,13 @@ impl IndexData {
     }
 
     /// Extract this index's key from a row, canonicalized.
-    pub fn key_of(&self, row: &Row) -> Key {
+    pub(crate) fn key_of(&self, row: &Row) -> Key {
         canonical_key(Key(self.columns.iter().map(|&i| row[i].clone()).collect()))
     }
 
     /// Whether inserting `key` would violate uniqueness. NULL-containing
     /// keys never conflict (SQL UNIQUE semantics).
-    pub fn would_conflict(&self, key: &Key, ignore: Option<RowId>) -> bool {
+    pub(crate) fn would_conflict(&self, key: &Key, ignore: Option<RowId>) -> bool {
         if !self.unique || key.0.iter().any(Value::is_null) {
             return false;
         }
@@ -407,21 +407,21 @@ impl TableData {
 
     /// Total slot count (live + tombstoned). Persisted by snapshots so a
     /// rebuilt table allocates future row ids exactly like the original.
-    pub fn slot_count(&self) -> usize {
+    pub(crate) fn slot_count(&self) -> usize {
         self.slots.len()
     }
 
     /// The free list, in allocation (stack) order. Persisted by snapshots:
     /// `insert` pops from the *end*, so reproducing the order reproduces
     /// the original's row-id allocation sequence after recovery.
-    pub fn free_list(&self) -> Vec<RowId> {
+    pub(crate) fn free_list(&self) -> Vec<RowId> {
         self.free.clone()
     }
 
     /// Overwrite the slot count and free list after a bulk rebuild from
     /// persisted rows (recovery / ALTER replay). Extends the slot vector so
     /// every free id addresses a real (tombstoned) slot.
-    pub fn set_free_list(&mut self, slot_count: usize, free: Vec<RowId>) {
+    pub(crate) fn set_free_list(&mut self, slot_count: usize, free: Vec<RowId>) {
         if slot_count > self.slots.len() {
             self.slots.resize(slot_count, None);
         }
@@ -429,7 +429,7 @@ impl TableData {
     }
 
     /// Clone out all live rows as `(RowId, Row)` pairs, in id order.
-    pub fn rows_snapshot(&self) -> Vec<(RowId, Row)> {
+    pub(crate) fn rows_snapshot(&self) -> Vec<(RowId, Row)> {
         self.iter().map(|(rid, row)| (rid, row.clone())).collect()
     }
 
@@ -444,7 +444,7 @@ impl TableData {
     /// Add an index over column positions and build it from existing rows.
     /// Returns `Err` with a conflicting key description if a unique index
     /// finds duplicates.
-    pub fn build_index(
+    pub(crate) fn build_index(
         &mut self,
         name: &str,
         columns: Vec<usize>,
@@ -454,7 +454,7 @@ impl TableData {
     }
 
     /// [`TableData::build_index`] with an explicit physical representation.
-    pub fn build_index_kind(
+    pub(crate) fn build_index_kind(
         &mut self,
         name: &str,
         columns: Vec<usize>,

@@ -1,29 +1,31 @@
 //! Storage layer: in-memory tables behind a pluggable durability engine.
 //!
-//! The row/index substrate lives in [`mem`] (slotted rows, ordered + hash
-//! secondary indexes). On top of it sits the [`StorageEngine`] trait — the
+//! The row/index substrate lives in `mem` (slotted rows, ordered + hash
+//! secondary indexes). On top of it sits the `StorageEngine` trait — the
 //! seam between the transactional facade (`db.rs`) and durability:
 //!
-//! * [`VolatileEngine`] (the default) persists nothing. Every existing test
+//! * `VolatileEngine` (the default) persists nothing. Every existing test
 //!   and benchmark stays hermetic and exactly as fast as before.
-//! * [`wal::DurableEngine`] appends logical redo records ([`wal::WalRecord`])
+//! * `wal::DurableEngine` appends logical redo records ([`wal::WalRecord`])
 //!   to a write-ahead log in length-prefixed, CRC-checksummed frames,
 //!   fsyncs according to [`FsyncPolicy`], and periodically compacts the
-//!   whole state into a [`snapshot`], truncating the log.
+//!   whole state into a `snapshot`, truncating the log.
 //!
 //! Commit is the atomic durability point: the facade stages redo records
-//! per statement and hands them to [`StorageEngine::commit_txn`] only when
+//! per statement and hands them to `StorageEngine::commit_txn` only when
 //! the transaction commits, so a rollback — or a crash before commit —
 //! leaves no trace after replay. Recovery (`DurableEngine::open`) loads the
 //! newest snapshot, replays the WAL tail, and tolerates a torn final frame
 //! by dropping it (never panicking).
 
-pub mod mem;
-pub mod snapshot;
+pub(crate) mod mem;
+pub(crate) mod snapshot;
 pub mod wal;
 
-pub use mem::{canonical_key, DataMap, HashedKey, IndexData, IndexKind, RowId, TableData};
-pub use wal::{DurableEngine, FsyncPolicy, WalRecord};
+pub(crate) use mem::{canonical_key, HashedKey, RowId};
+pub use mem::{DataMap, IndexData, IndexKind, TableData};
+pub use wal::FsyncPolicy;
+pub(crate) use wal::{DurableEngine, WalRecord};
 
 use crate::error::DbResult;
 use crate::exec::DbState;
@@ -74,11 +76,11 @@ pub struct RecoveryReport {
     /// Whether a snapshot file was present and loaded.
     pub snapshot_loaded: bool,
     /// Highest transaction id covered by the snapshot (0 if none).
-    pub snapshot_txn: u64,
+    pub(crate) snapshot_txn: u64,
     /// Committed transactions replayed from the WAL tail.
     pub replayed_txns: u64,
     /// Individual redo records applied during replay.
-    pub replayed_records: u64,
+    pub(crate) replayed_records: u64,
     /// Bytes of torn/corrupt WAL tail dropped (and truncated away).
     pub dropped_bytes: u64,
     /// Valid WAL bytes scanned.
@@ -108,7 +110,7 @@ impl RecoveryReport {
 /// The seam between the transactional facade and durability. Implementations
 /// are called under the database's write lock, after in-memory state already
 /// reflects the transaction, so they never see torn in-memory state.
-pub trait StorageEngine: Send + Sync {
+pub(crate) trait StorageEngine: Send + Sync {
     /// Engine label for diagnostics ("volatile" / "wal").
     fn name(&self) -> &'static str;
 
@@ -144,7 +146,7 @@ pub trait StorageEngine: Send + Sync {
 /// The default engine: in-memory only, nothing persists. Keeps every
 /// hermetic test and benchmark free of filesystem traffic.
 #[derive(Debug, Default)]
-pub struct VolatileEngine;
+pub(crate) struct VolatileEngine;
 
 impl StorageEngine for VolatileEngine {
     fn name(&self) -> &'static str {

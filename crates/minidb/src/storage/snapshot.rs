@@ -140,7 +140,7 @@ fn decode(payload: &[u8]) -> DbResult<(DbState, PrivilegeCatalog)> {
 /// Write a snapshot covering transactions up to and including `last_txn`.
 /// Atomic: temp file + fsync + rename, then the directory is fsynced so the
 /// rename itself is durable.
-pub fn save(
+pub(crate) fn save(
     path: &Path,
     state: &DbState,
     privileges: &PrivilegeCatalog,
@@ -173,7 +173,7 @@ pub fn save(
 
 /// Load a snapshot: returns the state, privileges, and the `last_txn` the
 /// snapshot covers. Corruption is a typed error, never a panic.
-pub fn load(path: &Path) -> DbResult<(DbState, PrivilegeCatalog, u64)> {
+pub(crate) fn load(path: &Path) -> DbResult<(DbState, PrivilegeCatalog, u64)> {
     let bytes = std::fs::read(path).map_err(|e| io_err("read snapshot", e))?;
     if bytes.len() < 24 || &bytes[..8] != MAGIC {
         return Err(corrupt("bad magic or short header"));

@@ -7,7 +7,7 @@
 //! logical records replay through the exact same `TableData` entry points
 //! that maintain secondary indexes, so replayed state is index-consistent
 //! by construction. Row ids are logged explicitly and replay uses
-//! [`TableData::restore`], so every later record that addresses a row by id
+//! `TableData::restore`, so every later record that addresses a row by id
 //! stays valid and recovered id allocation matches the original run.
 //!
 //! On disk the log is a sequence of frames:
@@ -39,7 +39,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 /// WAL file name inside the durability directory.
-pub const WAL_FILE: &str = "wal.log";
+pub(crate) const WAL_FILE: &str = "wal.log";
 /// Snapshot file name inside the durability directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.db";
 
@@ -243,7 +243,7 @@ fn crc32_table() -> &'static [u32; 256] {
 }
 
 /// IEEE CRC-32 of a byte slice.
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let table = crc32_table();
     let mut c = 0xFFFF_FFFFu32;
     for &b in bytes {
@@ -843,7 +843,7 @@ pub struct WalScan {
     /// Records from the valid frame prefix, in log order.
     pub records: Vec<WalRecord>,
     /// Byte length of the valid prefix.
-    pub valid_len: usize,
+    pub(crate) valid_len: usize,
     /// Whether anything after `valid_len` was dropped.
     pub torn: bool,
 }
@@ -1055,7 +1055,7 @@ pub(crate) fn apply_record(
 pub(crate) struct ReplayStats {
     pub txns: u64,
     pub records: u64,
-    pub max_txn: u64,
+    pub(crate) max_txn: u64,
 }
 
 /// Apply every *committed* transaction with id greater than `skip_through`
@@ -1122,8 +1122,7 @@ fn io_err(context: &str, e: std::io::Error) -> DbError {
 /// Storage engine that appends redo records to a WAL and compacts into
 /// snapshots. See the module docs for the on-disk format and recovery
 /// invariants.
-pub struct DurableEngine {
-    wal_path: PathBuf,
+pub(crate) struct DurableEngine {
     snap_path: PathBuf,
     file: File,
     fsync: FsyncPolicy,
@@ -1139,7 +1138,7 @@ impl DurableEngine {
     /// Open (or create) the durability directory, recover committed state,
     /// and truncate any torn WAL tail. Returns the engine plus the
     /// recovered state, privileges, and a [`RecoveryReport`].
-    pub fn open(
+    pub(crate) fn open(
         config: &DurabilityConfig,
         obs: Obs,
     ) -> DbResult<(DurableEngine, DbState, PrivilegeCatalog, RecoveryReport)> {
@@ -1211,7 +1210,6 @@ impl DurableEngine {
             .open(&wal_path)
             .map_err(|e| io_err("open WAL for append", e))?;
         let engine = DurableEngine {
-            wal_path,
             snap_path,
             file,
             fsync: config.fsync_policy,
@@ -1225,11 +1223,6 @@ impl DurableEngine {
             obs,
         };
         Ok((engine, state, privileges, report))
-    }
-
-    /// Path of the WAL file (tests / diagnostics).
-    pub fn wal_path(&self) -> &std::path::Path {
-        &self.wal_path
     }
 
     fn sync_now(&mut self) -> DbResult<()> {

@@ -20,7 +20,7 @@ use crate::value::Row;
 
 /// One reversible step of a transaction.
 #[derive(Debug, Clone)]
-pub enum UndoOp {
+pub(crate) enum UndoOp {
     /// A row was inserted; undo deletes it.
     Insert {
         /// Table name.
@@ -100,7 +100,7 @@ pub enum UndoOp {
 
 /// Replay an undo log in reverse, restoring `state` to its pre-transaction
 /// image.
-pub fn rollback(state: &mut DbState, log: Vec<UndoOp>) {
+pub(crate) fn rollback(state: &mut DbState, log: Vec<UndoOp>) {
     for op in log.into_iter().rev() {
         match op {
             UndoOp::Insert { table, rid } => {
@@ -176,7 +176,7 @@ pub fn rollback(state: &mut DbState, log: Vec<UndoOp>) {
 /// exactly that statement: redo images (current row contents, current
 /// schemas) are read from the live state, which is only correct before any
 /// later statement touches the same rows.
-pub fn redo_records(state: &DbState, ops: &[UndoOp]) -> Vec<WalRecord> {
+pub(crate) fn redo_records(state: &DbState, ops: &[UndoOp]) -> Vec<WalRecord> {
     let mut records = Vec::with_capacity(ops.len());
     for op in ops {
         match op {
@@ -277,45 +277,35 @@ pub fn redo_records(state: &DbState, ops: &[UndoOp]) -> Vec<WalRecord> {
 /// one atomic append; ROLLBACK (or statement failure) discards the affected
 /// suffix in lockstep with the undo log.
 #[derive(Debug, Default)]
-pub struct CommitPipeline {
+pub(crate) struct CommitPipeline {
     staged: Vec<WalRecord>,
 }
 
 impl CommitPipeline {
     /// Stage the redo records for one just-executed statement.
-    pub fn stage(&mut self, state: &DbState, ops: &[UndoOp]) {
+    pub(crate) fn stage(&mut self, state: &DbState, ops: &[UndoOp]) {
         self.staged.extend(redo_records(state, ops));
     }
 
     /// Number of staged records (savepoints remember this as a cut point).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.staged.len()
     }
 
-    /// Whether nothing is staged.
-    pub fn is_empty(&self) -> bool {
-        self.staged.is_empty()
-    }
-
     /// Discard staged records beyond `len` (statement failure / ROLLBACK TO).
-    pub fn truncate(&mut self, len: usize) {
+    pub(crate) fn truncate(&mut self, len: usize) {
         self.staged.truncate(len);
     }
 
     /// Take the staged batch for commit, leaving the pipeline empty.
-    pub fn take(&mut self) -> Vec<WalRecord> {
+    pub(crate) fn take(&mut self) -> Vec<WalRecord> {
         std::mem::take(&mut self.staged)
-    }
-
-    /// Discard everything (full ROLLBACK).
-    pub fn clear(&mut self) {
-        self.staged.clear();
     }
 }
 
 /// Session transaction status.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TxnStatus {
+pub(crate) enum TxnStatus {
     /// Autocommit: every statement commits on success, rolls back on error.
     Autocommit,
     /// Inside an explicit BEGIN … COMMIT/ROLLBACK block.

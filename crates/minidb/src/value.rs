@@ -72,7 +72,7 @@ impl Value {
     }
 
     /// SQL equality: NULL compares as unknown (`None`).
-    pub fn sql_eq(&self, other: &Value) -> Option<bool> {
+    pub(crate) fn sql_eq(&self, other: &Value) -> Option<bool> {
         self.sql_cmp(other).map(|o| o == Ordering::Equal)
     }
 
@@ -80,7 +80,7 @@ impl Value {
     /// Mixed non-numeric types compare as unknown rather than erroring —
     /// matching the lenient behaviour of engines like SQLite that BIRD-style
     /// workloads rely on.
-    pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
+    pub(crate) fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
         match (self, other) {
             (Value::Null, _) | (_, Value::Null) => None,
             (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
@@ -143,7 +143,7 @@ impl Value {
     /// Integers widen into float columns, and integral floats narrow into
     /// integer columns; anything else must match exactly. NULL always
     /// coerces (NOT NULL is enforced separately by the constraint layer).
-    pub fn coerce_to(&self, ty: TypeName) -> Result<Value, String> {
+    pub(crate) fn coerce_to(&self, ty: TypeName) -> Result<Value, String> {
         match (self, ty) {
             (Value::Null, _) => Ok(Value::Null),
             (Value::Int(_), TypeName::Integer) => Ok(self.clone()),
@@ -163,7 +163,7 @@ impl Value {
     }
 
     /// SQL CAST semantics (more permissive than storage coercion).
-    pub fn cast_to(&self, ty: TypeName) -> Result<Value, String> {
+    pub(crate) fn cast_to(&self, ty: TypeName) -> Result<Value, String> {
         match (self, ty) {
             (Value::Null, _) => Ok(Value::Null),
             (v, TypeName::Text) => Ok(Value::Text(v.render())),
@@ -229,7 +229,7 @@ impl From<bool> for Value {
 }
 
 /// A stored row.
-pub type Row = Vec<Value>;
+pub(crate) type Row = Vec<Value>;
 
 /// Wrapper giving rows of values a total order, for use as index and
 /// grouping keys.

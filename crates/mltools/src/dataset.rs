@@ -11,7 +11,7 @@ use toolproto::Json;
 /// One categorical column's encoding: its raw index and the category list
 /// (sorted; one one-hot feature per category, in order).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TextCol {
+pub(crate) struct TextCol {
     /// Index into the raw rows.
     pub index: usize,
     /// Sorted category values.
@@ -26,7 +26,7 @@ pub struct EncodingSpec {
     /// Raw row width the recipe expects (including the target column).
     pub width: usize,
     /// Categorical columns and their domains.
-    pub text_cols: Vec<TextCol>,
+    pub(crate) text_cols: Vec<TextCol>,
 }
 
 /// A fully numeric feature matrix plus target vector.
@@ -199,7 +199,7 @@ impl Dataset {
 
 /// Extract the row array from a tool argument that may be either a bare
 /// array or a `{"rows": …}` query result.
-pub fn rows_of(value: &Json) -> Result<&[Json], String> {
+pub(crate) fn rows_of(value: &Json) -> Result<&[Json], String> {
     if let Some(rows) = value.as_array() {
         return Ok(rows);
     }

@@ -6,7 +6,7 @@ use rand::{Rng, SeedableRng};
 
 /// A regression tree node.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TreeNode {
+pub(crate) enum TreeNode {
     /// Leaf prediction.
     Leaf(f64),
     /// Internal split: `feature <= threshold` goes left.
@@ -24,7 +24,7 @@ pub enum TreeNode {
 
 impl TreeNode {
     /// Predict one row.
-    pub fn predict_row(&self, row: &[f64]) -> f64 {
+    pub(crate) fn predict_row(&self, row: &[f64]) -> f64 {
         match self {
             TreeNode::Leaf(v) => *v,
             TreeNode::Split {
@@ -41,25 +41,17 @@ impl TreeNode {
             }
         }
     }
-
-    /// Number of nodes (diagnostics).
-    pub fn size(&self) -> usize {
-        match self {
-            TreeNode::Leaf(_) => 1,
-            TreeNode::Split { left, right, .. } => 1 + left.size() + right.size(),
-        }
-    }
 }
 
 /// Hyperparameters for forest training.
 #[derive(Debug, Clone, Copy)]
-pub struct ForestParams {
+pub(crate) struct ForestParams {
     /// Number of trees.
     pub n_trees: usize,
     /// Maximum tree depth.
     pub max_depth: usize,
     /// Minimum samples to attempt a split.
-    pub min_samples_split: usize,
+    pub(crate) min_samples_split: usize,
     /// RNG seed.
     pub seed: u64,
 }
@@ -77,14 +69,14 @@ impl Default for ForestParams {
 
 /// A trained forest.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Forest {
+pub(crate) struct Forest {
     /// The ensemble.
     pub trees: Vec<TreeNode>,
 }
 
 impl Forest {
     /// Predict one row (mean over trees).
-    pub fn predict_row(&self, row: &[f64]) -> f64 {
+    pub(crate) fn predict_row(&self, row: &[f64]) -> f64 {
         if self.trees.is_empty() {
             return 0.0;
         }
@@ -92,13 +84,13 @@ impl Forest {
     }
 
     /// Predict a matrix.
-    pub fn predict(&self, x: &[Vec<f64>]) -> Vec<f64> {
+    pub(crate) fn predict(&self, x: &[Vec<f64>]) -> Vec<f64> {
         x.iter().map(|r| self.predict_row(r)).collect()
     }
 }
 
 /// Train a forest.
-pub fn fit(x: &[Vec<f64>], y: &[f64], params: ForestParams) -> Result<Forest, String> {
+pub(crate) fn fit(x: &[Vec<f64>], y: &[f64], params: ForestParams) -> Result<Forest, String> {
     if x.is_empty() || x.len() != y.len() {
         return Err("empty or mismatched training data".into());
     }
@@ -259,7 +251,7 @@ mod tests {
         let y = vec![7.0; 20];
         let forest = fit(&x, &y, ForestParams::default()).unwrap();
         assert!((forest.predict_row(&[3.0]) - 7.0).abs() < 1e-9);
-        assert!(forest.trees.iter().all(|t| t.size() == 1));
+        assert!(forest.trees.iter().all(|t| matches!(t, TreeNode::Leaf(_))));
     }
 
     #[test]

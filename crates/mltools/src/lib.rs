@@ -7,28 +7,27 @@
 //!
 //! * [`transform`] — z-score / min-max normalization, train-test splits;
 //! * [`linreg`] — ridge-regularized linear regression (normal equations);
-//! * [`forest`] — CART random-forest regression with bootstrap + feature
+//! * `forest` — CART random-forest regression with bootstrap + feature
 //!   bagging;
 //! * [`metrics`] — RMSE / MAE / R²;
-//! * [`trend`] — moving-average + OLS-slope trend detection (the chain-store
+//! * `trend` — moving-average + OLS-slope trend detection (the chain-store
 //!   scenario's `trend_analyze`);
-//! * [`tools::ml_registry`] — everything wrapped as `toolproto` tools whose
+//! * [`ml_registry`] — everything wrapped as `toolproto` tools whose
 //!   wire format matches the database `select` output, so they compose with
 //!   BridgeScope proxy units directly.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
+#![warn(unnameable_types)]
 
-pub mod dataset;
-pub mod forest;
+mod dataset;
+mod forest;
 pub mod linreg;
 pub mod metrics;
-pub mod tools;
+mod tools;
 pub mod transform;
-pub mod trend;
+mod trend;
 
-pub use dataset::Dataset;
-pub use forest::{Forest, ForestParams};
-pub use linreg::LinearModel;
+pub use dataset::{Dataset, EncodingSpec};
 pub use tools::ml_registry;
 pub use transform::NormKind;
-pub use trend::Trend;

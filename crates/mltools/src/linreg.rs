@@ -6,12 +6,12 @@ pub struct LinearModel {
     /// Feature weights.
     pub weights: Vec<f64>,
     /// Intercept term.
-    pub intercept: f64,
+    pub(crate) intercept: f64,
 }
 
 impl LinearModel {
     /// Predict one row.
-    pub fn predict_row(&self, row: &[f64]) -> f64 {
+    pub(crate) fn predict_row(&self, row: &[f64]) -> f64 {
         self.intercept
             + self
                 .weights

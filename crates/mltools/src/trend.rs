@@ -4,7 +4,7 @@
 
 /// Detected trend direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Trend {
+pub(crate) enum Trend {
     /// Slope significantly positive.
     Rising,
     /// Slope significantly negative.
@@ -15,7 +15,7 @@ pub enum Trend {
 
 impl Trend {
     /// Lower-case label for tool output.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             Trend::Rising => "rising",
             Trend::Falling => "falling",
@@ -25,7 +25,7 @@ impl Trend {
 }
 
 /// Centered-window moving average (window clamped at the edges).
-pub fn moving_average(series: &[f64], window: usize) -> Vec<f64> {
+pub(crate) fn moving_average(series: &[f64], window: usize) -> Vec<f64> {
     if series.is_empty() || window == 0 {
         return series.to_vec();
     }
@@ -40,7 +40,7 @@ pub fn moving_average(series: &[f64], window: usize) -> Vec<f64> {
 }
 
 /// OLS slope of `series` against its index.
-pub fn ols_slope(series: &[f64]) -> f64 {
+pub(crate) fn ols_slope(series: &[f64]) -> f64 {
     let n = series.len();
     if n < 2 {
         return 0.0;
@@ -64,7 +64,7 @@ pub fn ols_slope(series: &[f64]) -> f64 {
 /// Analyze net sales (sales minus optional refunds): smooth, fit a slope,
 /// classify. `relative_threshold` scales with the series magnitude so the
 /// verdict is unit-free.
-pub fn analyze(sales: &[f64], refunds: Option<&[f64]>, window: usize) -> (Trend, f64) {
+pub(crate) fn analyze(sales: &[f64], refunds: Option<&[f64]>, window: usize) -> (Trend, f64) {
     let net: Vec<f64> = match refunds {
         Some(r) => sales
             .iter()

@@ -45,7 +45,7 @@ fn attr_from_json(value: &Json) -> Result<AttrValue, String> {
 }
 
 /// Serialize one span to its JSONL object.
-pub fn span_to_json(span: &SpanRecord) -> Json {
+pub(crate) fn span_to_json(span: &SpanRecord) -> Json {
     let attrs = Json::array(
         span.attrs
             .iter()
@@ -86,7 +86,7 @@ fn req_u64(obj: &Json, key: &str) -> Result<u64, String> {
 }
 
 /// Parse one span object back into a [`SpanRecord`].
-pub fn span_from_json(obj: &Json) -> Result<SpanRecord, String> {
+pub(crate) fn span_from_json(obj: &Json) -> Result<SpanRecord, String> {
     let name = obj
         .get("name")
         .and_then(Json::as_str)
@@ -182,7 +182,7 @@ fn histogram_from_json(v: &Json) -> Option<HistogramSnapshot> {
 
 /// Serialize a metrics snapshot to its JSONL object: one
 /// `{"name","labels","value"}` object per series, in an array per kind.
-pub fn metrics_to_json(metrics: &MetricsSnapshot) -> Json {
+pub(crate) fn metrics_to_json(metrics: &MetricsSnapshot) -> Json {
     let counters = metrics
         .labeled_counters
         .iter()
@@ -231,7 +231,7 @@ fn samples_from_json<V>(
 }
 
 /// Parse a metrics object back into a [`MetricsSnapshot`].
-pub fn metrics_from_json(obj: &Json) -> Result<MetricsSnapshot, String> {
+pub(crate) fn metrics_from_json(obj: &Json) -> Result<MetricsSnapshot, String> {
     Ok(MetricsSnapshot {
         labeled_counters: samples_from_json(obj, "counters", count_from_json)?,
         labeled_histograms: samples_from_json(obj, "histograms", histogram_from_json)?,

@@ -19,7 +19,7 @@ use toolproto::Json;
 
 /// One live call, as reported by [`InflightRegistry::snapshot`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InflightCall {
+pub(crate) struct InflightCall {
     /// Registration token (ordering key; unique within one registry).
     pub token: u64,
     /// Trace the call belongs to.
@@ -37,19 +37,26 @@ pub struct InflightCall {
 /// The registry itself. Concurrency-safe; one lives inside every enabled
 /// [`crate::Obs`] handle.
 #[derive(Debug, Default)]
-pub struct InflightRegistry {
+pub(crate) struct InflightRegistry {
     inner: Mutex<BTreeMap<u64, InflightCall>>,
 }
 
 impl InflightRegistry {
     /// An empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         InflightRegistry::default()
     }
 
     /// Register a call; the caller removes it with [`InflightRegistry::end`]
     /// (normally via the RAII guard in `crate::Obs::begin_call`).
-    pub fn begin(&self, token: u64, trace: Option<TraceId>, user: &str, tool: &str, start_ns: u64) {
+    pub(crate) fn begin(
+        &self,
+        token: u64,
+        trace: Option<TraceId>,
+        user: &str,
+        tool: &str,
+        start_ns: u64,
+    ) {
         self.inner.lock().expect("inflight lock").insert(
             token,
             InflightCall {
@@ -66,7 +73,7 @@ impl InflightRegistry {
     /// Attach the currently executing statement to the live call(s) on
     /// `trace`. Lookup is by trace because the SQL layer knows its ambient
     /// trace id but not the wire dispatcher's registration token.
-    pub fn note_statement(&self, trace: TraceId, statement: &str) {
+    pub(crate) fn note_statement(&self, trace: TraceId, statement: &str) {
         let mut inner = self.inner.lock().expect("inflight lock");
         for call in inner.values_mut() {
             if call.trace == Some(trace) {
@@ -76,12 +83,12 @@ impl InflightRegistry {
     }
 
     /// Remove a finished call.
-    pub fn end(&self, token: u64) {
+    pub(crate) fn end(&self, token: u64) {
         self.inner.lock().expect("inflight lock").remove(&token);
     }
 
     /// Live calls, oldest registration first.
-    pub fn snapshot(&self) -> Vec<InflightCall> {
+    pub(crate) fn snapshot(&self) -> Vec<InflightCall> {
         self.inner
             .lock()
             .expect("inflight lock")
@@ -97,7 +104,7 @@ impl InflightRegistry {
 
     /// JSON form served by the admin `/queries` endpoint. `now_ns` (the
     /// obs clock) turns start times into elapsed durations.
-    pub fn to_json(&self, now_ns: u64) -> Json {
+    pub(crate) fn to_json(&self, now_ns: u64) -> Json {
         let queries = Json::array(self.snapshot().into_iter().map(|c| {
             Json::object([
                 (

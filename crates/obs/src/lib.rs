@@ -9,13 +9,13 @@
 //!
 //! * hierarchical [spans](span::SpanRecord) with ids, parents, attributes,
 //!   and monotonic nanosecond timings,
-//! * a [`MetricsRegistry`](metrics::MetricsRegistry) of counter, latency
+//! * a [`MetricsRegistry`] of counter, latency
 //!   histogram and gauge series, each a `(name, labels)` pair,
 //! * one bounded, sharded ring of the most recent finished spans
-//!   ([`SPAN_RING_CAPACITY`] of them), which the snapshot, the flight
+//!   (`SPAN_RING_CAPACITY` of them), which the snapshot, the flight
 //!   recorder and the JSONL flush all read,
-//! * a [JSONL exporter](export) (one event per line, `toolproto::Json`
-//!   syntax) with a matching parser, and
+//! * a JSONL exporter ([`to_jsonl`]: one event per line, `toolproto::Json`
+//!   syntax) with a matching parser ([`parse_jsonl`]), and
 //! * a [summary table renderer](summary) for human-readable per-run reports.
 //!
 //! The entry point is [`Obs`]: a cheap clonable handle that is either
@@ -40,36 +40,36 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
+#![warn(unnameable_types)]
 
-pub mod export;
+mod export;
 pub mod flight;
-pub mod inflight;
+mod inflight;
 pub mod metrics;
-pub mod observer;
+mod observer;
 pub mod prom;
 mod recorder;
-pub mod span;
-pub mod stmt;
+mod span;
+mod stmt;
 pub mod summary;
-pub mod trace;
+mod trace;
 
 pub use export::{parse_jsonl, to_jsonl};
-pub use flight::{CaptureReason, FlightConfig, SlowCall};
-pub use inflight::{InflightCall, InflightRegistry};
-pub use metrics::{
-    Histogram, HistogramSnapshot, LabelSet, MetricsRegistry, MetricsSnapshot, Sample,
-};
+pub use flight::{FlightConfig, SlowCall};
+pub use metrics::{Histogram, MetricsRegistry, Sample};
 pub use observer::RegistryObserver;
-pub use recorder::SPAN_RING_CAPACITY;
 pub use span::{
-    adopt_context, current_parent, current_trace, validate_tree, AttrValue, ParentScope,
-    SpanContext, SpanGuard, SpanRecord,
+    adopt_context, validate_tree, AttrValue, ParentScope, SpanContext, SpanGuard, SpanRecord,
 };
 pub use stmt::{StatementEntry, StatementOutcome, StatementStats, StatementStore};
-pub use trace::{next_span_id, next_trace_id, SpanId, TraceContext, TraceId};
+pub use trace::{next_span_id, SpanId, TraceContext, TraceId};
 
 use flight::FlightRecorder;
-use recorder::{Cursor, SpanRing};
+use inflight::InflightRegistry;
+use metrics::{LabelSet, MetricsSnapshot};
+use recorder::{Cursor, SpanRing, SPAN_RING_CAPACITY};
+use span::current_trace;
 use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};

@@ -19,17 +19,17 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 /// A label set: `(key, value)` pairs sorted by key.
-pub type LabelSet = Vec<(String, String)>;
+pub(crate) type LabelSet = Vec<(String, String)>;
 
 /// Upper bounds (inclusive, nanoseconds) of the latency histogram buckets:
 /// log-linear, two per power of two (`2^k`, `1.5·2^k`) from 512 ns to
 /// 2^34 ns ≈ 17.2 s, so adjacent bounds differ by at most 1.5×. A final
 /// open-ended bucket catches everything above the last bound, for
 /// [`BUCKET_COUNT`] buckets total.
-pub const LATENCY_BOUNDS_NS: [u64; 51] = latency_bounds();
+pub(crate) const LATENCY_BOUNDS_NS: [u64; 51] = latency_bounds();
 
 /// Number of histogram buckets (`LATENCY_BOUNDS_NS` plus the overflow bucket).
-pub const BUCKET_COUNT: usize = LATENCY_BOUNDS_NS.len() + 1;
+pub(crate) const BUCKET_COUNT: usize = LATENCY_BOUNDS_NS.len() + 1;
 
 const fn latency_bounds() -> [u64; 51] {
     let mut bounds = [0; 51];
@@ -104,8 +104,8 @@ pub struct HistogramSnapshot {
     /// Total number of observations.
     pub count: u64,
     /// Sum of all observed values in nanoseconds.
-    pub sum_ns: u64,
-    /// Per-bucket counts, aligned with [`LATENCY_BOUNDS_NS`] plus one
+    pub(crate) sum_ns: u64,
+    /// Per-bucket counts, aligned with `LATENCY_BOUNDS_NS` plus one
     /// overflow bucket at the end.
     pub buckets: Vec<u64>,
 }
@@ -119,7 +119,7 @@ impl HistogramSnapshot {
     /// Approximate quantile (`0.0..=1.0`) as the upper bound of the bucket
     /// containing that rank, so at most 1.5× the exact value; the overflow
     /// bucket reports the last bound.
-    pub fn quantile_ns(&self, q: f64) -> u64 {
+    pub(crate) fn quantile_ns(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }

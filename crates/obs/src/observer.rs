@@ -40,7 +40,7 @@ impl RegistryObserver {
 /// Classify a tool result into the low-cardinality `outcome` label:
 /// `ok`, `denied`, `conflict` (MVCC serialization conflict — the retry
 /// storm signal), or `tool-error` for everything else.
-pub fn outcome_of(result: &ToolResult) -> &'static str {
+pub(crate) fn outcome_of(result: &ToolResult) -> &'static str {
     match result {
         Ok(_) => "ok",
         Err(ToolError::Denied { .. }) => "denied",

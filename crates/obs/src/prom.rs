@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Sanitize a metric name into the Prometheus charset `[a-zA-Z0-9_:]`.
-pub fn sanitize_name(name: &str) -> String {
+pub(crate) fn sanitize_name(name: &str) -> String {
     let mut out = String::with_capacity(name.len());
     for (i, c) in name.chars().enumerate() {
         let ok = c.is_ascii_alphanumeric() || c == '_' || c == ':';
@@ -38,7 +38,7 @@ pub fn sanitize_name(name: &str) -> String {
 }
 
 /// Escape a label value per the exposition format.
-pub fn escape_label_value(value: &str) -> String {
+pub(crate) fn escape_label_value(value: &str) -> String {
     let mut out = String::with_capacity(value.len());
     for c in value.chars() {
         match c {

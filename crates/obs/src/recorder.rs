@@ -15,7 +15,7 @@ use std::sync::{Mutex, MutexGuard};
 /// Spans the ring holds at most, about 44 MB at 0.7 KB per span. A shard
 /// holds twice the spans of the longest traced benchmark run at
 /// `--seconds 2`, even when one thread records them all.
-pub const SPAN_RING_CAPACITY: usize = 65_536;
+pub(crate) const SPAN_RING_CAPACITY: usize = 65_536;
 
 /// Independent shards of the ring.
 const SHARDS: usize = 4;
@@ -57,7 +57,7 @@ pub(crate) struct SpanRing {
 
 impl SpanRing {
     /// A ring of `capacity` spans; the product uses [`SPAN_RING_CAPACITY`].
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         SpanRing {
             shards: Default::default(),
             shard_capacity: (capacity / SHARDS).max(1),
@@ -70,7 +70,7 @@ impl SpanRing {
 
     /// Take one finished span into the calling thread's home shard,
     /// evicting that shard's oldest when full.
-    pub fn record(&self, span: SpanRecord) {
+    pub(crate) fn record(&self, span: SpanRecord) {
         let mut shard = self.shard(HOME.get());
         if shard.spans.len() == self.shard_capacity {
             shard.spans.pop_front();
@@ -82,7 +82,7 @@ impl SpanRing {
 
     /// Every held span newer than `cursor`, which advances past them.
     /// A zeroed cursor reads everything the ring holds.
-    pub fn read(&self, cursor: &mut Cursor) -> RingRead {
+    pub(crate) fn read(&self, cursor: &mut Cursor) -> RingRead {
         let mut read = RingRead::default();
         for (index, seen) in cursor.iter_mut().enumerate() {
             let shard = self.shard(index);
@@ -100,7 +100,7 @@ impl SpanRing {
     /// included, sorted by `(start_ns, id)`. A descendant nests inside the
     /// root's interval, so only spans of the trace within it are cloned and
     /// walked; one pass over the ring, one shard lock at a time.
-    pub fn subtree(&self, root: &SpanRecord) -> Vec<SpanRecord> {
+    pub(crate) fn subtree(&self, root: &SpanRecord) -> Vec<SpanRecord> {
         let within = |s: &&SpanRecord| {
             s.trace == root.trace && root.start_ns <= s.start_ns && s.end_ns <= root.end_ns
         };

@@ -125,7 +125,7 @@ thread_local! {
 }
 
 /// The id of the innermost open span on this thread, if any.
-pub fn current_parent() -> Option<u64> {
+pub(crate) fn current_parent() -> Option<u64> {
     PARENT_STACK
         .try_with(|s| s.borrow().last().copied())
         .ok()
@@ -134,7 +134,7 @@ pub fn current_parent() -> Option<u64> {
 }
 
 /// The trace id new spans on this thread would join, if any.
-pub fn current_trace() -> Option<TraceId> {
+pub(crate) fn current_trace() -> Option<TraceId> {
     TRACE_STACK
         .try_with(|s| s.borrow().last().copied())
         .ok()

@@ -38,7 +38,7 @@ pub struct StatementStats {
     /// Sum of execution latencies in nanoseconds.
     pub total_ns: u64,
     /// Worst single execution latency in nanoseconds.
-    pub max_ns: u64,
+    pub(crate) max_ns: u64,
     /// Total rows returned.
     pub rows: u64,
     /// Executions that hit the prepared-plan cache.
@@ -162,7 +162,7 @@ impl StatementStore {
     }
 
     /// Keys evicted since construction.
-    pub fn evicted_total(&self) -> u64 {
+    pub(crate) fn evicted_total(&self) -> u64 {
         self.evicted.load(Ordering::Relaxed)
     }
 

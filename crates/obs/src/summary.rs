@@ -9,7 +9,7 @@ use crate::metrics::{HistogramSnapshot, LabelSet};
 use crate::ObsSnapshot;
 
 /// Format nanoseconds with an adaptive unit (ns / µs / ms / s).
-pub fn fmt_ns(ns: u64) -> String {
+pub(crate) fn fmt_ns(ns: u64) -> String {
     if ns < 1_000 {
         format!("{ns}ns")
     } else if ns < 1_000_000 {
@@ -22,7 +22,7 @@ pub fn fmt_ns(ns: u64) -> String {
 }
 
 /// A series as one token: `name{k=v,…}`, or just `name` when unlabeled.
-pub fn series_name(name: &str, labels: &LabelSet) -> String {
+pub(crate) fn series_name(name: &str, labels: &LabelSet) -> String {
     if labels.is_empty() {
         return name.to_owned();
     }

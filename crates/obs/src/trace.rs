@@ -169,7 +169,7 @@ fn next_raw() -> u64 {
 }
 
 /// Draw the next trace id from the per-process generator (never all-zero).
-pub fn next_trace_id() -> TraceId {
+pub(crate) fn next_trace_id() -> TraceId {
     let n = next_raw();
     let hi = splitmix64(n);
     let lo = splitmix64(n ^ 0x5851_f42d_4c95_7f2d);

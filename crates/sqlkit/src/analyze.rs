@@ -48,7 +48,7 @@ impl AccessProfile {
 pub struct ColumnUsage {
     /// Tables whose *entire* row is exposed or written: `SELECT *`,
     /// `t.*`, or `INSERT INTO t VALUES …` without a column list.
-    pub wildcard_tables: BTreeSet<String>,
+    pub(crate) wildcard_tables: BTreeSet<String>,
     /// Column references resolved to a table (`t.c`, or an alias of `t`).
     pub qualified: BTreeSet<(String, String)>,
     /// Unqualified column names, paired with the set of tables in scope at

@@ -132,7 +132,7 @@ pub enum BinaryOp {
 
 impl BinaryOp {
     /// SQL spelling of the operator.
-    pub fn symbol(&self) -> &'static str {
+    pub(crate) fn symbol(&self) -> &'static str {
         match self {
             BinaryOp::Or => "OR",
             BinaryOp::And => "AND",
@@ -350,7 +350,7 @@ impl TableRef {
 pub enum JoinKind {
     /// INNER JOIN.
     Inner,
-    /// LEFT [OUTER] JOIN.
+    /// LEFT \[OUTER\] JOIN.
     Left,
     /// CROSS JOIN.
     Cross,
@@ -653,7 +653,7 @@ pub enum Statement {
     CreateIndex(CreateIndex),
     /// ALTER TABLE.
     AlterTable(AlterTable),
-    /// BEGIN [TRANSACTION].
+    /// BEGIN \[TRANSACTION\].
     Begin,
     /// COMMIT.
     Commit,
@@ -661,9 +661,9 @@ pub enum Statement {
     Rollback,
     /// SAVEPOINT name.
     Savepoint(String),
-    /// ROLLBACK TO [SAVEPOINT] name.
+    /// ROLLBACK TO \[SAVEPOINT\] name.
     RollbackTo(String),
-    /// RELEASE [SAVEPOINT] name.
+    /// RELEASE \[SAVEPOINT\] name.
     Release(String),
     /// GRANT / REVOKE.
     GrantRevoke(GrantRevoke),

@@ -51,7 +51,7 @@ pub fn parse_statement(sql: &str) -> Result<Statement, ParseError> {
 }
 
 /// Parse a semicolon-separated script into statements.
-pub fn parse_statements(sql: &str) -> Result<Vec<Statement>, ParseError> {
+pub(crate) fn parse_statements(sql: &str) -> Result<Vec<Statement>, ParseError> {
     let tokens = lex(sql)?;
     let mut parser = Parser {
         tokens,

@@ -823,7 +823,7 @@ mod tests {
     mod reference {
         use super::Json;
 
-        pub fn to_compact(v: &Json) -> String {
+        pub(super) fn to_compact(v: &Json) -> String {
             let mut out = String::new();
             write_value(v, &mut out);
             out

@@ -4,24 +4,26 @@
 //! dependency-light model of the Model Context Protocol's tool abstraction.
 //! It provides:
 //!
-//! * [`json::Json`] — a self-contained JSON value with strict parser, compact
+//! * [`Json`] — a self-contained JSON value with strict parser, compact
 //!   and pretty writers, and RFC-6901 pointers (used by proxy transforms);
-//! * [`schema`] — JSON-schema-flavoured argument signatures with validation
+//! * `schema` — JSON-schema-flavoured argument signatures with validation
 //!   and prompt rendering;
-//! * [`tool::Tool`] — the callable tool trait with a typed error model that
+//! * [`Tool`] — the callable tool trait with a typed error model that
 //!   distinguishes *denied* (security gate) from *failed* (execution error);
-//! * [`registry::Registry`] — the session-visible tool surface, with
+//! * [`Registry`] — the session-visible tool surface, with
 //!   risk/blocklist filtering used to implement user-side security policies.
 //!
 //! Everything is synchronous and in-process: the paper's claims concern the
 //! *shape* of the tool surface, not network transport.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
+#![warn(unnameable_types)]
 
-pub mod json;
-pub mod registry;
-pub mod schema;
-pub mod tool;
+mod json;
+mod registry;
+mod schema;
+mod tool;
 
 pub use json::{Json, JsonError, MAX_DEPTH};
 pub use registry::{CallObserver, Registry};

@@ -216,7 +216,7 @@ impl Signature {
 
     /// [`Signature::validate`] by value: the argument values move from the
     /// payload into the normalized object instead of being cloned.
-    pub fn validate_owned(&self, payload: Json) -> Result<BTreeMap<String, Json>, ArgError> {
+    pub(crate) fn validate_owned(&self, payload: Json) -> Result<BTreeMap<String, Json>, ArgError> {
         let mut given = match payload {
             Json::Object(map) => map,
             Json::Null => BTreeMap::new(),

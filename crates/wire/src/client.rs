@@ -117,7 +117,7 @@ impl Client {
     /// traceparent the server echoes (the *effective* one — the server may
     /// substitute its own context for a malformed value) is retained and
     /// readable via [`Client::last_traceparent`].
-    pub fn request_traced(
+    pub(crate) fn request_traced(
         &mut self,
         method: &str,
         params: &Json,
@@ -157,9 +157,13 @@ impl Client {
     }
 
     /// Open a session as `user`, optionally requesting additional policy
-    /// restrictions (an object with `blocked_tools`, `object_blacklist`,
-    /// `object_whitelist`, and/or `max_risk`; the server merges it with its
-    /// base policy, tightening only).
+    /// restrictions: an object with any of `blocked_tools`,
+    /// `object_blacklist`, `object_whitelist` (arrays of names),
+    /// `column_blacklist` (an array of `[table, column]` pairs), `max_risk`
+    /// (`safe|mutating|destructive`), and `schema_threshold` (a
+    /// non-negative integer). The server merges it with its base policy,
+    /// tightening only, and answers any other key or a malformed value with
+    /// `InvalidParams`.
     pub fn initialize_with(&mut self, user: &str, policy: &Json) -> Result<Json, WireError> {
         let mut pairs = vec![("protocol", Json::str(PROTOCOL)), ("user", Json::str(user))];
         if !policy.is_null() {

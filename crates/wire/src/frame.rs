@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 
 /// Default maximum frame size (1 MiB): far above any legitimate tool
 /// payload, far below anything that could exhaust server memory per peer.
-pub const DEFAULT_MAX_FRAME_BYTES: usize = 1 << 20;
+pub(crate) const DEFAULT_MAX_FRAME_BYTES: usize = 1 << 20;
 
 /// Why reading a frame failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -73,7 +73,7 @@ const SCRATCH_BYTES: usize = 64 << 10;
 /// newline once (`scanned` remembers how far), and the bytes that make up
 /// the frame are moved out of the buffer, not copied. Memory is bounded by
 /// `max_frame` plus one scratch.
-pub struct FrameReader<R: Read> {
+pub(crate) struct FrameReader<R: Read> {
     inner: R,
     /// Bytes received and not yet handed out as a frame.
     buf: Vec<u8>,
@@ -89,7 +89,7 @@ pub struct FrameReader<R: Read> {
 
 impl<R: Read> FrameReader<R> {
     /// Wrap a stream; frames longer than `max_frame` bytes are rejected.
-    pub fn new(inner: R, max_frame: usize) -> Self {
+    pub(crate) fn new(inner: R, max_frame: usize) -> Self {
         FrameReader {
             inner,
             buf: Vec::new(),
@@ -102,13 +102,13 @@ impl<R: Read> FrameReader<R> {
 
     /// Bytes buffered toward an incomplete frame. Lets callers distinguish
     /// an idle peer (nothing buffered at timeout) from a slow-loris one.
-    pub fn pending_bytes(&self) -> usize {
+    pub(crate) fn pending_bytes(&self) -> usize {
         self.buf.len()
     }
 
     /// Bytes the last frame read took on the stream, its `\n` (and any
     /// `\r` before it) included: what the peer sent for it.
-    pub fn last_frame_len(&self) -> usize {
+    pub(crate) fn last_frame_len(&self) -> usize {
         self.last_len
     }
 
@@ -120,7 +120,7 @@ impl<R: Read> FrameReader<R> {
     /// blocking stream (stdio) simply blocks until data or EOF. When `stop`
     /// is set the reader returns [`FrameError::Closed`] at the next tick,
     /// which is how server connections notice graceful shutdown.
-    pub fn read_frame(
+    pub(crate) fn read_frame(
         &mut self,
         deadline: Option<Duration>,
         stop: Option<&AtomicBool>,
@@ -196,7 +196,7 @@ impl<R: Read> FrameReader<R> {
 /// so the payload and the delimiter go out in a single write without being
 /// copied — two small writes on a TCP stream interact with Nagle + delayed
 /// ACK and cost tens of milliseconds per frame.
-pub fn write_frame<W: Write>(writer: &mut W, mut frame: String) -> io::Result<usize> {
+pub(crate) fn write_frame<W: Write>(writer: &mut W, mut frame: String) -> io::Result<usize> {
     debug_assert!(!frame.contains('\n'), "frames are single-line");
     frame.push('\n');
     writer.write_all(frame.as_bytes())?;

@@ -20,11 +20,11 @@
 //!   thread while it holds one of a fixed number of admission tickets
 //!   ([`gate::Admission`]); a tenant whose waiting queue is full is answered
 //!   `server_busy` instead of accepting unbounded work. See
-//!   [`server::WireConfig`].
+//!   [`WireConfig`].
 //! * **Limits** — max frame size, per-frame read deadlines, call deadlines
 //!   that stop the engine work they bound, and per-session request budgets,
 //!   each with a typed error code. Malformed input never panics the server,
-//!   and a panicking tool ends only its own session. See [`frame`].
+//!   and a panicking tool ends only its own session. See `frame`.
 //! * **Observability** — every session is a `wire:session` span, every
 //!   dispatch a `wire:call` span parenting the usual `tool:{name}` spans,
 //!   plus `wire.*` counters and a call-latency histogram, all through the
@@ -60,15 +60,17 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
+#![warn(unnameable_types)]
 
-pub mod admin;
-pub mod client;
-pub mod frame;
+mod admin;
+mod client;
+mod frame;
 pub mod rpc;
-pub mod server;
+mod server;
 
 pub use admin::AdminServer;
 pub use client::{mirror_registry, Client, ToolEntry, WireError};
-pub use frame::{FrameError, FrameReader, DEFAULT_MAX_FRAME_BYTES};
+pub use frame::FrameError;
 pub use rpc::{ErrorCode, RpcError, PROTOCOL};
 pub use server::{serve_stdio, serve_stream, Tenancy, WireConfig, WireServer};

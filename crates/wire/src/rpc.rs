@@ -140,7 +140,7 @@ impl RpcError {
     }
 
     /// Attach structured data.
-    pub fn with_data(mut self, data: Json) -> Self {
+    pub(crate) fn with_data(mut self, data: Json) -> Self {
         self.data = data;
         self
     }
@@ -267,7 +267,7 @@ pub fn request_frame(id: &Json, method: &str, params: &Json) -> String {
 }
 
 /// Encode a request frame carrying an optional `traceparent`.
-pub fn request_frame_traced(
+pub(crate) fn request_frame_traced(
     id: &Json,
     method: &str,
     params: &Json,
@@ -293,7 +293,7 @@ pub fn response_ok(id: &Json, result: Json) -> String {
 }
 
 /// Encode a success response frame echoing the effective `traceparent`.
-pub fn response_ok_traced(id: &Json, result: Json, traceparent: Option<&str>) -> String {
+pub(crate) fn response_ok_traced(id: &Json, result: Json, traceparent: Option<&str>) -> String {
     let mut pairs = vec![("jsonrpc", Json::str("2.0")), ("id", id.clone())];
     if let Some(tp) = traceparent {
         pairs.push(("traceparent", Json::str(tp)));
@@ -303,13 +303,17 @@ pub fn response_ok_traced(id: &Json, result: Json, traceparent: Option<&str>) ->
 }
 
 /// Encode an error response frame.
-pub fn response_err(id: &Json, error: &RpcError) -> String {
+pub(crate) fn response_err(id: &Json, error: &RpcError) -> String {
     response_err_traced(id, error, None)
 }
 
 /// Encode an error response frame echoing the effective `traceparent`, so
 /// failed and denied calls stay attributable to their trace too.
-pub fn response_err_traced(id: &Json, error: &RpcError, traceparent: Option<&str>) -> String {
+pub(crate) fn response_err_traced(
+    id: &Json,
+    error: &RpcError,
+    traceparent: Option<&str>,
+) -> String {
     let mut pairs = vec![("jsonrpc", Json::str("2.0")), ("id", id.clone())];
     if let Some(tp) = traceparent {
         pairs.push(("traceparent", Json::str(tp)));
@@ -319,7 +323,7 @@ pub fn response_err_traced(id: &Json, error: &RpcError, traceparent: Option<&str
 }
 
 /// Render a [`Risk`] for the wire.
-pub fn risk_to_str(risk: Risk) -> &'static str {
+pub(crate) fn risk_to_str(risk: Risk) -> &'static str {
     match risk {
         Risk::Safe => "safe",
         Risk::Mutating => "mutating",
@@ -328,7 +332,7 @@ pub fn risk_to_str(risk: Risk) -> &'static str {
 }
 
 /// Parse a wire risk string.
-pub fn risk_from_str(text: &str) -> Option<Risk> {
+pub(crate) fn risk_from_str(text: &str) -> Option<Risk> {
     match text {
         "safe" => Some(Risk::Safe),
         "mutating" => Some(Risk::Mutating),
@@ -422,7 +426,7 @@ fn arg_error_from_json(value: &Json) -> Option<ArgError> {
 /// the exact variant. Denials carry their code and full [`DenialContext`]
 /// in `data`; this is what makes wire denial outcomes indistinguishable
 /// from in-process ones.
-pub fn tool_error_to_rpc(err: &ToolError) -> RpcError {
+pub(crate) fn tool_error_to_rpc(err: &ToolError) -> RpcError {
     match err {
         ToolError::InvalidArgs(arg) => RpcError::new(ErrorCode::ToolInvalidArgs, arg.to_string())
             .with_data(arg_error_to_json(arg)),
@@ -483,7 +487,7 @@ pub fn tool_output_to_json(out: &ToolOutput) -> Json {
 /// [`tool_output_to_json`] by value: the output's value moves into the
 /// result object. The server uses this, so a reply is built without copying
 /// the rows it carries.
-pub fn tool_output_into_json(out: ToolOutput) -> Json {
+pub(crate) fn tool_output_into_json(out: ToolOutput) -> Json {
     let mut pairs = vec![("value", out.value)];
     if let Some(rows) = out.rows {
         pairs.push(("rows", Json::num(rows as f64)));
@@ -498,7 +502,7 @@ pub fn tool_output_from_json(value: &Json) -> Result<ToolOutput, String> {
 
 /// [`tool_output_from_json`] by value: `value` moves out of the result
 /// object. The client uses this on the reply it has just parsed.
-pub fn tool_output_from_json_owned(result: Json) -> Result<ToolOutput, String> {
+pub(crate) fn tool_output_from_json_owned(result: Json) -> Result<ToolOutput, String> {
     let rows = result
         .get("rows")
         .and_then(Json::as_i64)

@@ -576,10 +576,7 @@ impl<'a> SessionCtx<'a> {
 /// permissive so [`SecurityPolicy::restricted_by`] treats them as "no
 /// request" rather than an accidental tightening.
 fn decode_requested_policy(params: &Json) -> Result<SecurityPolicy, RpcError> {
-    let mut policy = SecurityPolicy {
-        schema_threshold: usize::MAX,
-        ..SecurityPolicy::permissive()
-    };
+    let mut policy = SecurityPolicy::permissive().with_schema_threshold(usize::MAX);
     let Some(spec) = params.get("policy") else {
         return Ok(policy);
     };
@@ -612,6 +609,40 @@ fn decode_requested_policy(params: &Json) -> Result<SecurityPolicy, RpcError> {
             }
             "object_whitelist" => {
                 policy = policy.with_whitelist(strings(value, "object_whitelist")?);
+            }
+            "column_blacklist" => {
+                let pairs = value
+                    .as_array()
+                    .and_then(|items| {
+                        items
+                            .iter()
+                            .map(|pair| match pair.as_array()? {
+                                [table, column] => {
+                                    Some((table.as_str()?.to_owned(), column.as_str()?.to_owned()))
+                                }
+                                _ => None,
+                            })
+                            .collect::<Option<Vec<_>>>()
+                    })
+                    .ok_or_else(|| {
+                        RpcError::new(
+                            ErrorCode::InvalidParams,
+                            "'policy.column_blacklist' must be an array of [table, column] pairs",
+                        )
+                    })?;
+                policy = policy.with_column_blacklist(pairs);
+            }
+            "schema_threshold" => {
+                let n = value
+                    .as_i64()
+                    .and_then(|n| usize::try_from(n).ok())
+                    .ok_or_else(|| {
+                        RpcError::new(
+                            ErrorCode::InvalidParams,
+                            "'policy.schema_threshold' must be a non-negative integer",
+                        )
+                    })?;
+                policy = policy.with_schema_threshold(n);
             }
             "max_risk" => {
                 let risk = value.as_str().and_then(risk_from_str).ok_or_else(|| {

@@ -204,6 +204,61 @@ fn denials_round_trip_with_context() {
 }
 
 #[test]
+fn requested_column_blacklist_denies_only_that_column() {
+    let server = serve(WireConfig::default());
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    client
+        .initialize_with(
+            "admin",
+            &Json::object([
+                (
+                    "column_blacklist",
+                    Json::array([Json::array([Json::str("sales"), Json::str("amount")])]),
+                ),
+                ("schema_threshold", Json::num(8.0)),
+            ]),
+        )
+        .unwrap();
+    let select = |client: &mut Client, sql: &str| {
+        client
+            .call("select", &Json::object([("sql", Json::str(sql))]))
+            .unwrap()
+    };
+    match select(&mut client, "SELECT amount FROM sales").unwrap_err() {
+        ToolError::Denied { code, .. } => assert_eq!(code, "policy"),
+        other => panic!("expected a policy denial, got {other:?}"),
+    }
+    let out = select(&mut client, "SELECT id FROM sales").unwrap();
+    assert_eq!(out.rows, Some(1));
+    server.shutdown();
+}
+
+#[test]
+fn malformed_requested_policy_is_invalid_params() {
+    let server = serve(WireConfig::default());
+    let malformed = [
+        (
+            "column_blacklist",
+            Json::array([Json::array([Json::str("sales")])]),
+        ),
+        (
+            "column_blacklist",
+            Json::array([Json::array([Json::str("sales"), Json::num(1.0)])]),
+        ),
+        ("schema_threshold", Json::num(-1.0)),
+        ("schema_threshold", Json::num(2.5)),
+    ];
+    for (key, value) in malformed {
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        match client.initialize_with("admin", &Json::object([(key, value)])) {
+            Err(WireError::Rpc(rpc)) => assert_eq!(rpc.code, ErrorCode::InvalidParams, "{key}"),
+            other => panic!("expected InvalidParams for {key}, got {other:?}"),
+        }
+    }
+    server.shutdown();
+}
+
+#[test]
 fn unknown_user_fails_auth() {
     let server = serve(WireConfig::default());
     let mut client = Client::connect(server.local_addr()).unwrap();

@@ -15,7 +15,7 @@
 //! * [`obs`] — std-only observability kernel (hierarchical spans, metrics
 //!   registry, JSONL trace export) threaded through every layer above it;
 //! * [`llmsim`] — deterministic behavioural simulator of ReAct LLM agents;
-//! * [`core`](bridgescope_core) — **the paper's contribution**: fine-grained
+//! * [`core`] — **the paper's contribution**: fine-grained
 //!   context/SQL/transaction tools, privilege-aware exposure, object-level
 //!   verification, and the proxy mechanism;
 //! * [`gate`] — the agent-traffic gate between sessions and the tool
