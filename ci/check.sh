@@ -14,8 +14,8 @@ set -uo pipefail
 cd "$(dirname "$0")/.."
 
 # Gate registry: every name listed here MUST run, or the suite fails.
-EXPECTED_GATES="fmt clippy doc build-release tier1-tests workspace-tests obs-layer \
-mvcc-stress e2ebench-build e2ebench-smoke e2ebench-counts"
+EXPECTED_GATES="fmt clippy doc pub-surface build-release tier1-tests workspace-tests \
+obs-layer mvcc-stress e2ebench-build e2ebench-smoke e2ebench-counts"
 
 GATES_RUN=""
 GATES_FAILED=""
@@ -61,6 +61,34 @@ gate_clippy() {
 # public doc comment linking to an item its crate does not export, fails.
 gate_doc() {
   run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --locked
+}
+
+# Public surface: every `pub` fn/struct/enum/trait/type/const/static/mod
+# declared in crates/*/src whose name appears (on word boundaries) in no
+# .rs file outside that crate's src/ is either named only by a public
+# signature or dead weight the crate-private default should have caught.
+# The count may not grow past the ceiling; lower it when a change lowers
+# the count.
+PUB_SURFACE_CEILING=45
+
+gate_pub_surface() {
+  local src name decls=0 unmatched=0
+  local -a outside
+  for src in crates/*/src; do
+    mapfile -t outside < <(find . -name '*.rs' -not -path '*/target/*' -not -path "./$src/*")
+    while IFS= read -r name; do
+      decls=$((decls + 1))
+      if ! grep -qw -- "$name" "${outside[@]}"; then
+        unmatched=$((unmatched + 1))
+        echo "  unmatched: $src $name"
+      fi
+    done < <(grep -rhoE --include='*.rs' \
+      '^\s*pub (fn|struct|enum|trait|type|const|static|mod) [A-Za-z_][A-Za-z0-9_]*' "$src" \
+      | awk '{print $NF}')
+  done
+  echo "==> $decls pub declarations, $unmatched named nowhere outside their crate (ceiling $PUB_SURFACE_CEILING)"
+  [ "$unmatched" -le "$PUB_SURFACE_CEILING" ] \
+    || { echo "FAIL: $unmatched unmatched pub names exceed the ceiling $PUB_SURFACE_CEILING"; return 1; }
 }
 
 # Tier-1 verify (ROADMAP.md): release build + umbrella tests.
@@ -180,6 +208,7 @@ gate_e2ebench_counts() {
 run_gate fmt             gate_fmt
 run_gate clippy          gate_clippy
 run_gate doc             gate_doc
+run_gate pub-surface     gate_pub_surface
 run_gate build-release   gate_build_release
 run_gate tier1-tests     gate_tier1_tests
 run_gate workspace-tests gate_workspace_tests

@@ -109,13 +109,8 @@ pub(crate) fn write_correct(agent_db: &Database, gold_db: &Database, tables: &[S
 fn table_contents(db: &Database, table: &str) -> Vec<Vec<String>> {
     let mut rows: Vec<Vec<String>> = db.with_state(|state| {
         state
-            .data
-            .get(table)
-            .map(|data| {
-                data.iter()
-                    .map(|(_, row)| normalize_value_row(row))
-                    .collect()
-            })
+            .rows(table)
+            .map(|rows| rows.map(normalize_value_row).collect())
             .unwrap_or_default()
     });
     rows.sort();

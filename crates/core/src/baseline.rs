@@ -48,7 +48,7 @@ fn pg_get_schema(ctx: Arc<BridgeContext>) -> impl Tool {
                         ),
                     ])
                 }));
-                let rows = version.state.data.get(name).map_or(0, |d| d.len());
+                let rows = version.state.row_count(name).unwrap_or(0);
                 tables.push(Json::object([
                     ("name", Json::str(name)),
                     ("columns", columns),

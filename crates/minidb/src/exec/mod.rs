@@ -42,7 +42,7 @@ use crate::planner::physical::PhysPlan;
 use crate::schema::Catalog;
 use crate::storage::{DataMap, RowId, TableData};
 use crate::txn::UndoOp;
-use crate::value::{Key, Row};
+use crate::value::{Key, Row, Value};
 use sqlkit::ast::{Action, Select, Statement};
 
 /// Mutable database state: catalog + per-table storage.
@@ -52,8 +52,34 @@ pub struct DbState {
     pub catalog: Catalog,
     /// Table storage, keyed by table name. Copy-on-write: cloning a
     /// `DbState` (MVCC snapshot / transaction workspace) shares every table
-    /// until it is written.
-    pub data: DataMap,
+    /// until it is written. Crate-private: outside the engine rows are read
+    /// only through the accessors below.
+    pub(crate) data: DataMap,
+}
+
+impl DbState {
+    /// Live rows in `table`; `None` for an unknown table.
+    pub fn row_count(&self, table: &str) -> Option<usize> {
+        self.data.get(table).map(TableData::len)
+    }
+
+    /// The live rows of `table` in storage (row-id) order, the order a
+    /// plain `SELECT *` returns them in; `None` for an unknown table.
+    pub fn rows(&self, table: &str) -> Option<impl Iterator<Item = &[Value]>> {
+        self.data
+            .get(table)
+            .map(|data| data.iter().map(|(_, row)| row.as_slice()))
+    }
+
+    /// Check every table's indexes against its live rows. The error names
+    /// the first table whose index diverged and describes the divergence.
+    pub fn verify_indexes(&self) -> Result<(), String> {
+        for (table, data) in self.data.iter() {
+            data.verify_index_consistency()
+                .map_err(|e| format!("table {table}: {e}"))?;
+        }
+        Ok(())
+    }
 }
 
 /// The result of executing one statement.
@@ -163,4 +189,71 @@ fn probe_index(data: &TableData, table: &str, index: &str, key: &Key) -> DbResul
         ))
     })?;
     Ok(idx.lookup(key))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Database;
+
+    fn seeded() -> Database {
+        let db = Database::new();
+        let mut s = db.session("admin").unwrap();
+        for sql in [
+            "CREATE TABLE a (id INTEGER PRIMARY KEY, v TEXT)",
+            "CREATE TABLE b (id INTEGER PRIMARY KEY, v TEXT)",
+            "CREATE INDEX idx_b_v ON b (v)",
+            "INSERT INTO a VALUES (1, 'x')",
+            "INSERT INTO b VALUES (1, 'x'), (2, 'y'), (3, 'z')",
+            "DELETE FROM b WHERE id = 2",
+            "INSERT INTO b VALUES (4, 'w')",
+        ] {
+            s.execute_sql(sql).unwrap();
+        }
+        db
+    }
+
+    #[test]
+    fn unknown_table_has_no_rows() {
+        let db = seeded();
+        db.with_state(|state| {
+            assert_eq!(state.row_count("missing"), None);
+            assert!(state.rows("missing").is_none());
+            assert_eq!(state.row_count("a"), Some(1));
+            assert_eq!(state.row_count("b"), Some(3));
+        });
+    }
+
+    #[test]
+    fn rows_follow_storage_order_like_select_star() {
+        let db = seeded();
+        let stored: Vec<Row> =
+            db.with_state(|state| state.rows("b").unwrap().map(<[Value]>::to_vec).collect());
+        // The delete freed row 2's slot and the next insert reused it.
+        let ids: Vec<&Value> = stored.iter().map(|row| &row[0]).collect();
+        assert_eq!(ids, [&Value::Int(1), &Value::Int(4), &Value::Int(3)]);
+        let mut s = db.session("admin").unwrap();
+        let QueryResult::Rows { rows, .. } = s.execute_sql("SELECT * FROM b").unwrap() else {
+            panic!("SELECT returns rows");
+        };
+        assert_eq!(rows, stored);
+    }
+
+    #[test]
+    fn verify_indexes_names_the_table_with_a_corrupt_index() {
+        let mut state = seeded().with_state(DbState::clone);
+        state.verify_indexes().unwrap();
+        // Sabotage one index of `b` directly: the check must notice.
+        state
+            .data
+            .get_mut("b")
+            .unwrap()
+            .indexes
+            .get_mut("idx_b_v")
+            .unwrap()
+            .insert(Key(vec![Value::Int(99)]), 7);
+        let err = state.verify_indexes().unwrap_err();
+        assert!(err.starts_with("table b:"), "{err}");
+        assert!(err.contains("idx_b_v"), "{err}");
+    }
 }

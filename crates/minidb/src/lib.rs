@@ -53,12 +53,10 @@ pub use error::{DbError, DbResult};
 pub use exec::{DbState, QueryResult};
 pub use mvcc::CommittedVersion;
 pub use plan::ExecOptions;
-pub use planner::physical::{PhysNode, PhysOp, PhysPlan};
+pub use planner::physical::PhysPlan;
 pub use privilege::{PrivilegeCatalog, UserPrivileges};
 pub use schema::{
     Catalog, Column, ColumnStats, ForeignKey, IndexDef, TableSchema, TableStats, ViewDef,
 };
-pub use storage::{
-    DataMap, DurabilityConfig, FsyncPolicy, IndexData, IndexKind, RecoveryReport, TableData,
-};
-pub use value::{Key, Value};
+pub use storage::{DurabilityConfig, FsyncPolicy, RecoveryReport};
+pub use value::Value;

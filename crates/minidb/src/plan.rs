@@ -50,10 +50,6 @@ pub struct ExecOptions {
     /// single-threaded hash join instead of the nested loop (same rows,
     /// same order). Oracles over large joins set it; the planner ignores it.
     pub hash_join: bool,
-    /// Allow the planner's pushdown optimizations (streaming LIMIT
-    /// early-exit, ORDER BY top-k). Benchmarks disable this to measure the
-    /// pushdown win; it has no effect when `planner` is off.
-    pub pushdown: bool,
     /// Measure per-operator wall time during planned execution (`EXPLAIN
     /// ANALYZE`, slow-call profiles). Off by default: the hot path takes
     /// one branch per operator *dispatch* — not per row — so disabled
@@ -66,7 +62,6 @@ impl Default for ExecOptions {
         ExecOptions {
             planner: true,
             hash_join: false,
-            pushdown: true,
             profiling: false,
         }
     }
@@ -79,7 +74,6 @@ impl ExecOptions {
         ExecOptions {
             planner: false,
             hash_join: false,
-            pushdown: false,
             profiling: false,
         }
     }

@@ -284,7 +284,11 @@ struct EquiEdge {
 /// Lower a resolved SELECT into a physical plan. `sel` must already have
 /// its subqueries resolved to constants (the executor does this before
 /// planning, exactly as the reference pipeline does before executing).
-pub fn plan_select(state: &DbState, sel: &Select, opts: &ExecOptions) -> DbResult<PhysPlan> {
+///
+/// No [`ExecOptions`] field changes the plan: `planner` chose this path,
+/// `hash_join` is reference-only and `profiling` applies at execution. The
+/// parameter stays because the e2ebench ladder calls this signature.
+pub fn plan_select(state: &DbState, sel: &Select, _opts: &ExecOptions) -> DbResult<PhysPlan> {
     let lw = Lowering { state };
 
     // Combined FROM scope in syntactic order (also validates FROM items).
@@ -310,8 +314,7 @@ pub fn plan_select(state: &DbState, sel: &Select, opts: &ExecOptions) -> DbResul
     // worthwhile when the expected rows scanned to fill the limit undercut
     // the full scan (and no index probe is already sublinear).
     let mut streaming = false;
-    if opts.pushdown
-        && sel.limit.is_some()
+    if sel.limit.is_some()
         && sel.joins.is_empty()
         && sel.order_by.is_empty()
         && !sel.distinct
@@ -388,7 +391,7 @@ pub fn plan_select(state: &DbState, sel: &Select, opts: &ExecOptions) -> DbResul
     if !sel.order_by.is_empty() {
         // ORDER BY pushdown: a LIMIT above (with no DISTINCT in between)
         // bounds the sort to its first k rows.
-        let top_k = if opts.pushdown && !sel.distinct {
+        let top_k = if !sel.distinct {
             sel.limit.map(|l| (l + sel.offset.unwrap_or(0)) as usize)
         } else {
             None

@@ -15,24 +15,24 @@ use sqlkit::ast::{Expr, JoinKind, Select};
 
 /// One operator in the physical tree.
 #[derive(Debug, Clone)]
-pub struct PhysNode {
+pub(crate) struct PhysNode {
     /// Estimated output rows.
     pub(crate) est_rows: f64,
     /// Estimated cumulative cost (abstract row-visit units).
-    pub cost: f64,
+    pub(crate) cost: f64,
     /// Rows the operator emitted; `None` until the plan has executed.
     pub(crate) actual_rows: Option<u64>,
     /// Inclusive wall time in nanoseconds (a node's time contains its
     /// children's); set only by a profiled execution.
     pub(crate) actual_ns: Option<u64>,
     /// The operator.
-    pub op: PhysOp,
+    pub(crate) op: PhysOp,
 }
 
 /// Physical operators. Children are boxed nodes; leaf scans carry what the
 /// executor needs to open them against a [`crate::exec::DbState`].
 #[derive(Debug, Clone)]
-pub enum PhysOp {
+pub(crate) enum PhysOp {
     /// `SELECT` without FROM: exactly one empty row.
     ResultRow,
     /// Full scan in row-id order. `pushed` carries the full WHERE clause
@@ -177,7 +177,7 @@ pub enum PhysOp {
 
 impl PhysNode {
     /// Child nodes, in left-to-right order.
-    pub fn children(&self) -> Vec<&PhysNode> {
+    pub(crate) fn children(&self) -> Vec<&PhysNode> {
         match &self.op {
             PhysOp::ResultRow
             | PhysOp::SeqScan { .. }
@@ -197,7 +197,7 @@ impl PhysNode {
     }
 
     /// One-line description of this operator (no cost annotations).
-    pub fn describe(&self) -> String {
+    pub(crate) fn describe(&self) -> String {
         match &self.op {
             PhysOp::ResultRow => "Result (no table)".into(),
             PhysOp::SeqScan {
@@ -331,10 +331,10 @@ impl PhysNode {
 #[derive(Debug, Clone)]
 pub struct PhysPlan {
     /// Root operator.
-    pub root: PhysNode,
+    pub(crate) root: PhysNode,
     /// The (subquery-resolved) SELECT the plan executes; head operators
     /// read their expressions from here.
-    pub sel: Select,
+    pub(crate) sel: Select,
     /// Combined FROM scope in syntactic order.
     pub(crate) scope_cols: Vec<ScopeCol>,
     /// Whether the query aggregates (GROUP BY or aggregate functions).

@@ -49,7 +49,7 @@ impl IndexDef {
     /// keys, and an O(1) probe beats a tree walk. The mapping is a pure
     /// function of the definition so index rebuilds (e.g. after ALTER TABLE
     /// DROP COLUMN) always reproduce the same physical kind.
-    pub fn kind(&self) -> crate::storage::IndexKind {
+    pub(crate) fn kind(&self) -> crate::storage::IndexKind {
         if self.unique {
             crate::storage::IndexKind::Ordered
         } else {

@@ -28,47 +28,37 @@ pub(crate) type RowId = usize;
 /// `BTreeMap<String, TableData>` it replaced, so the executor and the undo
 /// log are oblivious to the sharing.
 #[derive(Debug, Clone, Default)]
-pub struct DataMap {
+pub(crate) struct DataMap {
     tables: BTreeMap<String, Arc<TableData>>,
 }
 
 impl DataMap {
     /// Shared view of one table's storage.
-    pub fn get(&self, name: &str) -> Option<&TableData> {
+    pub(crate) fn get(&self, name: &str) -> Option<&TableData> {
         self.tables.get(name).map(Arc::as_ref)
     }
 
     /// Mutable view of one table's storage, unsharing it first if any
     /// snapshot still holds the same version (copy-on-write).
-    pub fn get_mut(&mut self, name: &str) -> Option<&mut TableData> {
+    pub(crate) fn get_mut(&mut self, name: &str) -> Option<&mut TableData> {
         self.tables.get_mut(name).map(Arc::make_mut)
     }
 
     /// Register (or replace) a table's storage.
-    pub fn insert(&mut self, name: String, data: TableData) {
+    pub(crate) fn insert(&mut self, name: String, data: TableData) {
         self.tables.insert(name, Arc::new(data));
     }
 
     /// Remove a table's storage, returning it (unshared).
-    pub fn remove(&mut self, name: &str) -> Option<TableData> {
+    pub(crate) fn remove(&mut self, name: &str) -> Option<TableData> {
         self.tables
             .remove(name)
             .map(|data| Arc::try_unwrap(data).unwrap_or_else(|shared| (*shared).clone()))
     }
 
     /// Iterate over `(name, storage)` in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&String, &TableData)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&String, &TableData)> {
         self.tables.iter().map(|(name, data)| (name, data.as_ref()))
-    }
-
-    /// Number of tables.
-    pub fn len(&self) -> usize {
-        self.tables.len()
-    }
-
-    /// Whether no tables are stored.
-    pub fn is_empty(&self) -> bool {
-        self.tables.is_empty()
     }
 }
 
@@ -83,7 +73,7 @@ impl std::ops::Index<&str> for DataMap {
 
 /// Physical representation of an index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IndexKind {
+pub(crate) enum IndexKind {
     /// B-tree keyed by [`Key`]'s total order. Used for constraint indexes.
     Ordered,
     /// Hash table keyed by a hash consistent with [`Key`]'s total order.
@@ -178,11 +168,11 @@ enum Entries {
 /// Index payload: a map from key tuple to the set of rows with that key,
 /// physically ordered or hashed (see [`IndexKind`]).
 #[derive(Debug, Clone)]
-pub struct IndexData {
+pub(crate) struct IndexData {
     /// Positions (into the table schema) of the indexed columns.
-    pub columns: Vec<usize>,
+    pub(crate) columns: Vec<usize>,
     /// Whether duplicate keys are rejected.
-    pub unique: bool,
+    pub(crate) unique: bool,
     entries: Entries,
 }
 
@@ -194,7 +184,7 @@ impl Default for IndexData {
 
 impl IndexData {
     /// New empty ordered index over the given column positions.
-    pub fn new(columns: Vec<usize>, unique: bool) -> Self {
+    pub(crate) fn new(columns: Vec<usize>, unique: bool) -> Self {
         IndexData::with_kind(columns, unique, IndexKind::Ordered)
     }
 
@@ -212,7 +202,7 @@ impl IndexData {
     }
 
     /// This index's physical representation.
-    pub fn kind(&self) -> IndexKind {
+    pub(crate) fn kind(&self) -> IndexKind {
         match &self.entries {
             Entries::Ordered(_) => IndexKind::Ordered,
             Entries::Hash(_) => IndexKind::Hash,
@@ -242,7 +232,7 @@ impl IndexData {
     }
 
     /// Add a row under its key.
-    pub fn insert(&mut self, key: Key, rid: RowId) {
+    pub(crate) fn insert(&mut self, key: Key, rid: RowId) {
         let key = canonical_key(key);
         match &mut self.entries {
             Entries::Ordered(map) => {
@@ -255,7 +245,7 @@ impl IndexData {
     }
 
     /// Remove a row from its key.
-    pub fn remove(&mut self, key: &Key, rid: RowId) {
+    pub(crate) fn remove(&mut self, key: &Key, rid: RowId) {
         let key = canonical_key(key.clone());
         match &mut self.entries {
             Entries::Ordered(map) => {
@@ -279,7 +269,7 @@ impl IndexData {
     }
 
     /// Row ids exactly matching a key.
-    pub fn lookup(&self, key: &Key) -> Vec<RowId> {
+    pub(crate) fn lookup(&self, key: &Key) -> Vec<RowId> {
         let key = canonical_key(key.clone());
         let set = match &self.entries {
             Entries::Ordered(map) => map.get(&key),
@@ -306,33 +296,28 @@ impl IndexData {
 
 /// Storage of one table: slotted rows plus named indexes.
 #[derive(Debug, Clone, Default)]
-pub struct TableData {
+pub(crate) struct TableData {
     slots: Vec<Option<Row>>,
     free: Vec<RowId>,
     live: usize,
     /// Secondary indexes by name.
-    pub indexes: BTreeMap<String, IndexData>,
+    pub(crate) indexes: BTreeMap<String, IndexData>,
 }
 
 impl TableData {
     /// Empty storage.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         TableData::default()
     }
 
     /// Number of live rows.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.live
-    }
-
-    /// Whether the table has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
     }
 
     /// Insert a row, maintaining all indexes. The row must already be
     /// validated (types, constraints) by the executor.
-    pub fn insert(&mut self, row: Row) -> RowId {
+    pub(crate) fn insert(&mut self, row: Row) -> RowId {
         let rid = match self.free.pop() {
             Some(rid) => {
                 self.slots[rid] = Some(row);
@@ -355,7 +340,7 @@ impl TableData {
     /// Re-insert a row at a specific id (transaction rollback of a delete).
     /// Panics if the slot is occupied — that would mean the undo log and the
     /// storage diverged.
-    pub fn restore(&mut self, rid: RowId, row: Row) {
+    pub(crate) fn restore(&mut self, rid: RowId, row: Row) {
         if rid >= self.slots.len() {
             self.slots.resize(rid + 1, None);
         }
@@ -375,7 +360,7 @@ impl TableData {
     }
 
     /// Delete a row by id, returning it.
-    pub fn delete(&mut self, rid: RowId) -> Option<Row> {
+    pub(crate) fn delete(&mut self, rid: RowId) -> Option<Row> {
         let row = self.slots.get_mut(rid)?.take()?;
         self.free.push(rid);
         self.live -= 1;
@@ -387,7 +372,7 @@ impl TableData {
     }
 
     /// Replace a row in place, maintaining indexes. Returns the old row.
-    pub fn update(&mut self, rid: RowId, new_row: Row) -> Option<Row> {
+    pub(crate) fn update(&mut self, rid: RowId, new_row: Row) -> Option<Row> {
         let slot = self.slots.get_mut(rid)?;
         let old = slot.take()?;
         for idx in self.indexes.values_mut() {
@@ -401,7 +386,7 @@ impl TableData {
     }
 
     /// Fetch a row by id.
-    pub fn get(&self, rid: RowId) -> Option<&Row> {
+    pub(crate) fn get(&self, rid: RowId) -> Option<&Row> {
         self.slots.get(rid).and_then(Option::as_ref)
     }
 
@@ -434,7 +419,7 @@ impl TableData {
     }
 
     /// Iterate over `(RowId, &Row)` for live rows, in id order.
-    pub fn iter(&self) -> impl Iterator<Item = (RowId, &Row)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (RowId, &Row)> {
         self.slots
             .iter()
             .enumerate()
@@ -478,9 +463,9 @@ impl TableData {
 
     /// Verify that every index agrees exactly with the live rows: each live
     /// row appears under precisely its key and nothing else is indexed.
-    /// Returns a description of the first divergence found. Used by the
-    /// rollback machinery (debug builds) and the differential tests.
-    pub fn verify_index_consistency(&self) -> Result<(), String> {
+    /// Returns a description of the first divergence found. Reached through
+    /// [`crate::DbState::verify_indexes`].
+    pub(crate) fn verify_index_consistency(&self) -> Result<(), String> {
         for (name, idx) in &self.indexes {
             let mut expected: BTreeMap<Key, BTreeSet<RowId>> = BTreeMap::new();
             for (rid, row) in self.iter() {

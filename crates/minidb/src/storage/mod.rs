@@ -6,7 +6,7 @@
 //!
 //! * `VolatileEngine` (the default) persists nothing. Every existing test
 //!   and benchmark stays hermetic and exactly as fast as before.
-//! * `wal::DurableEngine` appends logical redo records ([`wal::WalRecord`])
+//! * `wal::DurableEngine` appends logical redo records (`wal::WalRecord`)
 //!   to a write-ahead log in length-prefixed, CRC-checksummed frames,
 //!   fsyncs according to [`FsyncPolicy`], and periodically compacts the
 //!   whole state into a `snapshot`, truncating the log.
@@ -22,8 +22,7 @@ pub(crate) mod mem;
 pub(crate) mod snapshot;
 pub mod wal;
 
-pub(crate) use mem::{canonical_key, HashedKey, RowId};
-pub use mem::{DataMap, IndexData, IndexKind, TableData};
+pub(crate) use mem::{canonical_key, DataMap, HashedKey, IndexData, IndexKind, RowId, TableData};
 pub use wal::FsyncPolicy;
 pub(crate) use wal::{DurableEngine, WalRecord};
 

@@ -16,7 +16,7 @@
 //! [len: u32 LE] [crc32(payload): u32 LE] [payload: len bytes]
 //! ```
 //!
-//! one [`WalRecord`] per frame, grouped `Begin … records … Commit` per
+//! one `WalRecord` per frame, grouped `Begin … records … Commit` per
 //! transaction. Recovery scans frames until the first torn or corrupt one
 //! (short read, impossible length, or CRC mismatch), drops everything from
 //! there on, truncates the file back to the valid prefix, and applies only
@@ -73,7 +73,7 @@ impl FsyncPolicy {
 /// One logical redo record. `Begin`/`Commit`/`Rollback` frame transactions;
 /// everything else replays a committed mutation.
 #[derive(Debug, Clone, PartialEq)]
-pub enum WalRecord {
+pub(crate) enum WalRecord {
     /// Transaction start.
     Begin {
         /// Engine-assigned transaction id (monotonic).
@@ -625,7 +625,7 @@ pub(crate) fn parse_select_sql(text: &str) -> Result<ast::Select, String> {
 
 impl WalRecord {
     /// Serialize this record into `buf` (payload only, no frame header).
-    pub fn encode(&self, buf: &mut Vec<u8>) {
+    pub(crate) fn encode(&self, buf: &mut Vec<u8>) {
         match self {
             WalRecord::Begin { txn } => {
                 buf.push(0);
@@ -741,7 +741,7 @@ impl WalRecord {
     }
 
     /// Decode one record from a frame payload.
-    pub fn decode(payload: &[u8]) -> Result<WalRecord, String> {
+    pub(crate) fn decode(payload: &[u8]) -> Result<WalRecord, String> {
         let mut r = Reader::new(payload);
         let rec = match r.u8()? {
             0 => WalRecord::Begin { txn: r.u64()? },
@@ -827,7 +827,7 @@ impl WalRecord {
 }
 
 /// Append one framed record to `buf`.
-pub fn frame(buf: &mut Vec<u8>, record: &WalRecord) {
+pub(crate) fn frame(buf: &mut Vec<u8>, record: &WalRecord) {
     let mut payload = Vec::new();
     record.encode(&mut payload);
     put_u32(buf, payload.len() as u32);
@@ -839,19 +839,19 @@ pub fn frame(buf: &mut Vec<u8>, record: &WalRecord) {
 /// many bytes of it were valid frames, and whether a torn/corrupt tail was
 /// dropped.
 #[derive(Debug)]
-pub struct WalScan {
+pub(crate) struct WalScan {
     /// Records from the valid frame prefix, in log order.
-    pub records: Vec<WalRecord>,
+    pub(crate) records: Vec<WalRecord>,
     /// Byte length of the valid prefix.
     pub(crate) valid_len: usize,
     /// Whether anything after `valid_len` was dropped.
-    pub torn: bool,
+    pub(crate) torn: bool,
 }
 
 /// Scan frames until the first torn or corrupt one. Never panics: short
 /// frames, impossible lengths, CRC mismatches, and undecodable payloads all
 /// end the scan at the last good frame boundary.
-pub fn scan(bytes: &[u8]) -> WalScan {
+pub(crate) fn scan(bytes: &[u8]) -> WalScan {
     let mut records = Vec::new();
     let mut pos = 0usize;
     while bytes.len() - pos >= 8 {

@@ -164,10 +164,8 @@ pub(crate) fn rollback(state: &mut DbState, log: Vec<UndoOp>) {
     // so undo replay keeps them in sync by construction. Cheap insurance in
     // debug builds: fail loudly if that invariant ever breaks.
     #[cfg(debug_assertions)]
-    for (table, data) in state.data.iter() {
-        if let Err(e) = data.verify_index_consistency() {
-            panic!("index out of sync after rollback of table {table}: {e}");
-        }
+    if let Err(e) = state.verify_indexes() {
+        panic!("index out of sync after rollback of {e}");
     }
 }
 

@@ -234,7 +234,7 @@ pub(crate) type Row = Vec<Value>;
 /// Wrapper giving rows of values a total order, for use as index and
 /// grouping keys.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Key(pub Vec<Value>);
+pub(crate) struct Key(pub Vec<Value>);
 
 impl Eq for Key {}
 

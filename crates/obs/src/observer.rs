@@ -6,18 +6,8 @@
 //! the calling thread, and bumps per-tool call, error, denial, and latency
 //! metrics.
 
-use crate::span::SpanGuard;
 use crate::Obs;
-use std::cell::RefCell;
 use toolproto::{CallObserver, ToolError, ToolResult};
-
-thread_local! {
-    /// Spans for calls that have begun but not yet ended on this thread.
-    /// A stack suffices because dispatch is synchronous and re-entrant
-    /// (a proxy call runs nested producer calls on worker threads or
-    /// inline on the same thread).
-    static OPEN_CALLS: RefCell<Vec<SpanGuard>> = const { RefCell::new(Vec::new()) };
-}
 
 /// Observer that records each registry dispatch as a span plus metrics.
 ///
@@ -52,42 +42,27 @@ pub(crate) fn outcome_of(result: &ToolResult) -> &'static str {
 }
 
 impl CallObserver for RegistryObserver {
-    fn begin(&self, tool: &str) -> u64 {
+    fn observe(&self, tool: &str, dispatch: &mut dyn FnMut() -> ToolResult) -> ToolResult {
+        // The span is open while the call dispatches, so spans the tool
+        // opens (a proxy's nested producer calls, the engine's statements)
+        // nest under it.
         let mut span = self.obs.span(&format!("tool:{tool}"));
         span.attr("tool", tool);
-        let token = span.id().unwrap_or(0);
-        let _ = OPEN_CALLS.try_with(|calls| calls.borrow_mut().push(span));
-        token
-    }
-
-    fn end(&self, token: u64, tool: &str, result: &ToolResult) {
-        let span = OPEN_CALLS
-            .try_with(|calls| {
-                let mut calls = calls.borrow_mut();
-                calls
-                    .iter()
-                    .rposition(|s| s.id() == Some(token))
-                    .map(|pos| calls.remove(pos))
-            })
-            .ok()
-            .flatten();
-        let Some(mut span) = span else {
-            return;
-        };
+        let result = dispatch();
 
         // Series are named after tools of the surface only. A name the
         // registry does not know is client-controlled text: it stays on the
         // span (spans are capacity-bounded) and is counted under `unknown`,
         // so a peer cannot grow the metrics registry.
-        let tool = match result {
+        let tool = match &result {
             Err(ToolError::UnknownTool(_)) => "unknown",
             _ => tool,
         };
-        let outcome = outcome_of(result);
+        let outcome = outcome_of(&result);
         self.obs
             .incr_with("tool.calls", &[("tool", tool), ("outcome", outcome)], 1);
         span.attr("outcome", outcome);
-        match result {
+        match &result {
             Ok(out) => {
                 span.attr("ok", true);
                 if let Some(rows) = out.rows {
@@ -109,6 +84,7 @@ impl CallObserver for RegistryObserver {
         }
         self.obs
             .observe_ns_with("tool.latency", &[("tool", tool)], span.elapsed_ns());
+        result
     }
 }
 

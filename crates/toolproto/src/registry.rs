@@ -16,17 +16,15 @@ use std::sync::Arc;
 /// to wrap invocations in spans and bump per-tool metrics without making
 /// `toolproto` depend on the observability kernel.
 ///
-/// `begin` runs before tool lookup/validation (so unknown-tool and bad-args
-/// failures are observed too) and returns an opaque token that is handed
-/// back to `end` together with the result. The registry never sizes a
-/// payload: bytes are counted where they cross a boundary (the proxy's
-/// hand-offs, the wire's frames), not on every dispatch.
+/// `observe` wraps the whole call: `dispatch` runs tool lookup, argument
+/// validation and the invocation (so unknown-tool and bad-args failures are
+/// observed too), and the observer must call it exactly once and return its
+/// result. The registry never sizes a payload: bytes are counted where they
+/// cross a boundary (the proxy's hand-offs, the wire's frames), not on
+/// every dispatch.
 pub trait CallObserver: Send + Sync {
-    /// A call named `tool` is starting.
-    fn begin(&self, tool: &str) -> u64;
-
-    /// The call identified by `token` finished with `result`.
-    fn end(&self, token: u64, tool: &str, result: &ToolResult);
+    /// Run the call named `tool` through `dispatch` and return its result.
+    fn observe(&self, tool: &str, dispatch: &mut dyn FnMut() -> ToolResult) -> ToolResult;
 }
 
 /// A named collection of tools. Cheap to clone (tools are `Arc`ed); clones
@@ -160,10 +158,10 @@ impl Registry {
         let Some(observer) = &self.observer else {
             return self.dispatch(name, payload);
         };
-        let token = observer.begin(name);
-        let result = self.dispatch(name, payload);
-        observer.end(token, name, &result);
-        result
+        let mut payload = Some(payload);
+        observer.observe(name, &mut || {
+            self.dispatch(name, payload.take().expect("observer dispatches once"))
+        })
     }
 
     /// Render the tool prompt: one block per tool with name, signature, and
@@ -307,21 +305,19 @@ mod tests {
 
         #[derive(Default)]
         struct Counting {
-            next: AtomicU64,
             begun: AtomicU64,
             ok: AtomicU64,
             err: AtomicU64,
         }
         impl CallObserver for Counting {
-            fn begin(&self, _tool: &str) -> u64 {
+            fn observe(&self, _tool: &str, dispatch: &mut dyn FnMut() -> ToolResult) -> ToolResult {
                 self.begun.fetch_add(1, Ordering::Relaxed);
-                self.next.fetch_add(1, Ordering::Relaxed)
-            }
-            fn end(&self, _token: u64, _tool: &str, result: &ToolResult) {
-                match result {
+                let result = dispatch();
+                match &result {
                     Ok(_) => self.ok.fetch_add(1, Ordering::Relaxed),
                     Err(_) => self.err.fetch_add(1, Ordering::Relaxed),
                 };
+                result
             }
         }
 

@@ -55,8 +55,6 @@ pub struct WireConfig {
     pub max_frame_bytes: usize,
     /// Per-frame read deadline (also the idle timeout between requests).
     pub read_timeout: Duration,
-    /// Socket write timeout.
-    pub write_timeout: Duration,
     /// Deadline on the engine work of one tool call, counted from when it
     /// starts to run: the executor stops a statement still running past it
     /// and the call is answered `deadline_exceeded`. A commit that has
@@ -76,7 +74,6 @@ impl Default for WireConfig {
             tenant_weights: Vec::new(),
             max_frame_bytes: crate::frame::DEFAULT_MAX_FRAME_BYTES,
             read_timeout: Duration::from_secs(10),
-            write_timeout: Duration::from_secs(10),
             call_timeout: Duration::from_secs(30),
             max_requests_per_session: None,
         }
@@ -667,6 +664,8 @@ fn decode_requested_policy(params: &Json) -> Result<SecurityPolicy, RpcError> {
 /// Socket read-timeout tick: how often a blocked read re-checks the stop
 /// flag and the frame deadline.
 const SOCKET_TICK: Duration = Duration::from_millis(50);
+/// Socket write timeout: a peer that stops reading is dropped after this.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 /// Accept-loop poll interval while no connection is pending.
 const ACCEPT_TICK: Duration = Duration::from_millis(5);
 
@@ -742,19 +741,26 @@ impl WireServer {
                             Ok((stream, _peer)) => {
                                 obs.incr("wire.connections", 1);
                                 let stop = Arc::clone(&stop);
-                                let obs = obs.clone();
+                                let conn_obs = obs.clone();
                                 let tenancy = Arc::clone(&tenancy);
                                 let config = Arc::clone(&config);
                                 let occupancy = Arc::clone(&occupancy);
-                                let handle = thread::Builder::new()
+                                let spawned = thread::Builder::new()
                                     .name("wire-conn".into())
                                     .spawn(move || {
                                         handle_conn(
-                                            stream, &tenancy, &config, &obs, &stop, occupancy,
+                                            stream, &tenancy, &config, &conn_obs, &stop, occupancy,
                                         );
-                                    })
-                                    .expect("spawn wire connection");
-                                conns.push(handle);
+                                    });
+                                match spawned {
+                                    Ok(handle) => conns.push(handle),
+                                    // No thread for this connection (the
+                                    // process is at its thread limit): the
+                                    // unstarted closure drops its stream,
+                                    // closing just this connection, and the
+                                    // loop keeps accepting.
+                                    Err(_) => obs.incr("wire.rejected.busy", 1),
+                                }
                                 conns.retain(|h| !h.is_finished());
                             }
                             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -768,8 +774,7 @@ impl WireServer {
                     for h in conns {
                         let _ = h.join();
                     }
-                })
-                .expect("spawn wire accept loop")
+                })?
         };
         Ok(WireServer {
             addr: local,
@@ -836,7 +841,7 @@ fn handle_conn(
     occupancy: Arc<Occupancy>,
 ) {
     let _ = stream.set_read_timeout(Some(SOCKET_TICK));
-    let _ = stream.set_write_timeout(Some(config.write_timeout));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     // Responses are single small frames on a request/response protocol;
     // Nagle buys nothing here and costs a delayed-ACK round trip.
     let _ = stream.set_nodelay(true);

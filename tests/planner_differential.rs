@@ -199,13 +199,9 @@ fn planned(session: &Session, sql: &str) -> (QueryResult, String) {
 }
 
 fn assert_indexes_consistent(db: &Database) {
-    db.with_state(|state| {
-        for (table, data) in state.data.iter() {
-            if let Err(e) = data.verify_index_consistency() {
-                panic!("index inconsistency in table {table}: {e}");
-            }
-        }
-    });
+    if let Err(e) = db.with_state(|state| state.verify_indexes()) {
+        panic!("index inconsistency in {e}");
+    }
 }
 
 fn seed_shop(db: &Database) -> Session {
