@@ -15,7 +15,7 @@ cd "$(dirname "$0")/.."
 
 # Gate registry: every name listed here MUST run, or the suite fails.
 EXPECTED_GATES="fmt clippy doc pub-surface build-release tier1-tests workspace-tests \
-obs-layer mvcc-stress e2ebench-build e2ebench-smoke e2ebench-counts"
+obs-layer mvcc-stress durability e2ebench-build e2ebench-smoke e2ebench-counts"
 
 GATES_RUN=""
 GATES_FAILED=""
@@ -149,6 +149,18 @@ gate_mvcc_stress() {
   run cargo test -q --offline --locked -p minidb --test mvcc_stress
 }
 
+# Durability: the WAL recovery suite (commit/reopen round trips, the
+# torn-tail and bit-flip properties, snapshots refused whole when truncated
+# or damaged at any byte, a failed automatic checkpoint that must not fail
+# its commit; crates/minidb/tests/wal_recovery.rs) and the crashlab
+# differentials on BIRD-Ext (a reopen at every kill point, the interleaved
+# concurrent commits, and a checkpoint then reopen against the volatile
+# reference; crates/benchkit/src/crashlab.rs).
+gate_durability() {
+  run cargo test -q --offline --locked -p minidb --test wal_recovery || return 1
+  run cargo test -q --offline --locked -p benchkit crashlab
+}
+
 # The layered benchmark is its own cargo package (own workspace and lock
 # file, path-deps on ../crates/*), so the workspace gates above never
 # compile it. Build it and run its unit tests here, so an API change that
@@ -214,6 +226,7 @@ run_gate tier1-tests     gate_tier1_tests
 run_gate workspace-tests gate_workspace_tests
 run_gate obs-layer       gate_obs_layer
 run_gate mvcc-stress     gate_mvcc_stress
+run_gate durability      gate_durability
 run_gate e2ebench-build  gate_e2ebench_build
 run_gate e2ebench-smoke  gate_e2ebench_smoke
 run_gate e2ebench-counts gate_e2ebench_counts

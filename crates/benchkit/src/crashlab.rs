@@ -341,6 +341,30 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// BIRD-Ext plus the whole write workload, checkpointed and reopened:
+    /// the snapshot alone restores the volatile reference's state.
+    #[test]
+    fn checkpoint_then_reopen_matches_reference() {
+        let dir = tmpdir("checkpoint");
+        let config = CrashLabConfig::new(&dir);
+        let reference = Database::new();
+        bird::build_database_on(&reference, config.seed);
+        let (durable, _) = open_durable(&config).expect("open fresh directory");
+        bird::build_database_on(&durable, config.seed);
+        for stmt in write_workload(config.seed, 0) {
+            let d = durable.session("admin").unwrap().execute_sql(&stmt);
+            let v = reference.session("admin").unwrap().execute_sql(&stmt);
+            assert_eq!(d.is_ok(), v.is_ok(), "{stmt}");
+        }
+        durable.checkpoint().expect("checkpoint");
+        drop(durable);
+        let (reopened, report) = open_durable(&config).expect("reopen from the snapshot");
+        assert!(report.snapshot_loaded);
+        assert_eq!(report.replayed_txns, 0);
+        assert_eq!(reopened.state_fingerprint(), reference.state_fingerprint());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn workload_is_nonempty_and_bounded() {
         let w = write_workload(7, 5);

@@ -436,11 +436,15 @@ impl Database {
         self.shared.retained.lock().len()
     }
 
-    /// Reclaim retained versions older than the oldest active snapshot
-    /// (safety invariant: a version may be dropped from the buffer only if
-    /// every snapshot that could read it is newer — open transactions pin
-    /// their own version via `Arc`, so the buffer is never load-bearing for
-    /// them, but the horizon keeps history inspectable while they run).
+    /// Reclaim retained versions older than the oldest active snapshot.
+    ///
+    /// The buffer is not load-bearing: open transactions pin their own
+    /// version via `Arc`, and nothing reads a retained version but
+    /// [`Database::retained_versions`] and its gauge. What the buffer does
+    /// is pin up to `RETAINED_VERSIONS_CAP` versions, each with the table
+    /// copies its commit made — measured in DESIGN.md §10 at hundreds of
+    /// MB of peak RSS on a 40k-row workload. It stays until paged
+    /// copy-on-write storage makes those copies cost what a commit touches.
     pub fn vacuum(&self) -> VacuumReport {
         let obs = self.obs();
         let mut span = obs.span("vacuum");

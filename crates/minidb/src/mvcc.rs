@@ -523,7 +523,7 @@ pub(crate) fn stamped_clocks(
             WalRecord::DropTable { name } => {
                 clocks.remove(name);
             }
-            WalRecord::AlterRewrite {
+            WalRecord::TableImage {
                 old_name, schema, ..
             } => {
                 // The rewrite re-images every row; a fresh clock with the

@@ -9,14 +9,18 @@
 //! * `wal::DurableEngine` appends logical redo records (`wal::WalRecord`)
 //!   to a write-ahead log in length-prefixed, CRC-checksummed frames,
 //!   fsyncs according to [`FsyncPolicy`], and periodically compacts the
-//!   whole state into a `snapshot`, truncating the log.
+//!   whole state into a `snapshot`, truncating the log. A snapshot is one
+//!   committed `Begin … Commit` group of the same records, so `wal` holds
+//!   the only codec for durable state.
 //!
 //! Commit is the atomic durability point: the facade stages redo records
 //! per statement and hands them to `StorageEngine::commit_txn` only when
 //! the transaction commits, so a rollback — or a crash before commit —
-//! leaves no trace after replay. Recovery (`DurableEngine::open`) loads the
-//! newest snapshot, replays the WAL tail, and tolerates a torn final frame
-//! by dropping it (never panicking).
+//! leaves no trace after replay. Once a group is durable, a failed
+//! automatic checkpoint does not fail its commit: the WAL still holds it.
+//! Recovery (`DurableEngine::open`) loads the newest snapshot whole or
+//! refuses it, replays the WAL tail, and tolerates a torn final frame by
+//! dropping it (never panicking).
 
 pub(crate) mod mem;
 pub(crate) mod snapshot;
@@ -119,9 +123,10 @@ pub(crate) trait StorageEngine: Send + Sync {
     }
 
     /// Durably record one committed transaction. `state`/`privileges` are
-    /// the post-commit images (used for automatic snapshot compaction).
-    /// An error means the commit is NOT durable; the caller must roll the
-    /// in-memory effects back before surfacing it.
+    /// the post-commit images (used for automatic snapshot compaction,
+    /// whose failure is counted, not returned). An error means the commit
+    /// is NOT durable; the caller must roll the in-memory effects back
+    /// before surfacing it.
     fn commit_txn(
         &mut self,
         records: &[WalRecord],

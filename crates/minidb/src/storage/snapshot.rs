@@ -1,31 +1,32 @@
-//! Snapshot compaction: the full committed state in one checksummed file.
-//!
-//! Layout:
+//! Snapshot compaction: the full committed state as one committed WAL
+//! group, in the WAL's own frames and records (`wal` is the only codec):
 //!
 //! ```text
-//! "MDBSNAP1"  (8-byte magic)
-//! last_txn: u64 LE           — highest transaction id the snapshot covers
-//! [len: u32 LE][crc32: u32 LE][payload]   — one frame, same as the WAL
+//! "MDBSNAP2"                 8-byte magic
+//! Begin { txn: last_txn }    highest transaction id the snapshot covers
+//! TableImage …               per table: schema, rows at their ids, free list
+//! CreateView …               per view
+//! CreateUser, Grant …        per user, then per held grant
+//! Analyze …                  per analyzed table
+//! Commit { txn: last_txn }
 //! ```
 //!
-//! The payload holds every table (schema + rows at their ids + allocation
-//! state), every view (query as SQL text), and the privilege catalog.
-//! Writes go to a temp file that is fsynced and atomically renamed over the
-//! target, so a crash mid-snapshot leaves the previous snapshot intact.
-//! Replay skips WAL transactions at or below `last_txn`, which makes the
-//! crash window between the rename and the WAL truncation harmless: those
-//! transactions are simply recognized as already applied.
+//! Loading applies the records to an empty state, all or nothing: a torn or
+//! damaged frame, or anything but exactly one `Begin … Commit` group, is an
+//! error, never a partial state. Writes go to a temp file that is fsynced
+//! and atomically renamed over the target, so a crash mid-snapshot leaves
+//! the previous snapshot intact. Replay skips WAL transactions at or below
+//! `last_txn`, which makes the crash window between the rename and the WAL
+//! truncation harmless: those transactions are recognized as applied.
 
-use super::mem::TableData;
-use super::wal::{self, Reader};
+use super::wal::{self, WalRecord};
 use crate::error::{DbError, DbResult};
 use crate::exec::DbState;
 use crate::privilege::PrivilegeCatalog;
-use crate::schema::ViewDef;
 use std::io::Write;
 use std::path::Path;
 
-const MAGIC: &[u8; 8] = b"MDBSNAP1";
+const MAGIC: &[u8; 8] = b"MDBSNAP2";
 
 fn io_err(context: &str, e: std::io::Error) -> DbError {
     DbError::Storage(format!("{context}: {e}"))
@@ -33,108 +34,6 @@ fn io_err(context: &str, e: std::io::Error) -> DbError {
 
 fn corrupt(detail: impl Into<String>) -> DbError {
     DbError::Storage(format!("corrupt snapshot: {}", detail.into()))
-}
-
-/// Serialize the full state into the snapshot payload (no header/frame).
-fn encode(state: &DbState, privileges: &PrivilegeCatalog) -> Vec<u8> {
-    let mut buf = Vec::new();
-    let table_names = state.catalog.table_names();
-    wal::put_u32(&mut buf, table_names.len() as u32);
-    for name in &table_names {
-        let schema = state.catalog.table(name).expect("catalog lists the table");
-        let data = state.data.get(name).expect("data mirrors catalog");
-        wal::put_schema(&mut buf, schema);
-        wal::put_table_payload(
-            &mut buf,
-            data.slot_count(),
-            &data.rows_snapshot(),
-            &data.free_list(),
-        );
-    }
-    let view_names = state.catalog.view_names();
-    wal::put_u32(&mut buf, view_names.len() as u32);
-    for name in &view_names {
-        let def = state.catalog.view(name).expect("catalog lists the view");
-        wal::put_str(&mut buf, &def.name);
-        wal::put_strs(&mut buf, &def.columns);
-        wal::put_str(&mut buf, &sqlkit::format_select(&def.query));
-    }
-    let users = privileges.user_names();
-    wal::put_u32(&mut buf, users.len() as u32);
-    for name in &users {
-        let u = privileges.user(name).expect("catalog lists the user");
-        wal::put_str(&mut buf, name);
-        wal::put_bool(&mut buf, u.superuser);
-        let grants = u.grant_list();
-        wal::put_u32(&mut buf, grants.len() as u32);
-        for (action, object) in &grants {
-            buf.push(wal::action_tag(*action));
-            wal::put_str(&mut buf, object);
-        }
-    }
-    // Optimizer statistics, so ANALYZE survives checkpoint + restart.
-    let analyzed = state.catalog.analyzed_tables();
-    wal::put_u32(&mut buf, analyzed.len() as u32);
-    for name in &analyzed {
-        let stats = state
-            .catalog
-            .table_stats(name)
-            .expect("catalog lists the analyzed table");
-        wal::put_str(&mut buf, name);
-        wal::put_stats(&mut buf, stats);
-    }
-    buf
-}
-
-fn decode(payload: &[u8]) -> DbResult<(DbState, PrivilegeCatalog)> {
-    let mut r = Reader::new(payload);
-    let mut state = DbState::default();
-    let ntables = r.u32().map_err(corrupt)? as usize;
-    for _ in 0..ntables {
-        let schema = r.schema().map_err(corrupt)?;
-        let (slot_count, rows, free) = r.table_payload().map_err(corrupt)?;
-        let data: TableData = wal::rebuild_table(&schema, slot_count, rows, free)?;
-        let name = schema.name.clone();
-        state.catalog.add_table(schema)?;
-        state.data.insert(name, data);
-    }
-    let nviews = r.u32().map_err(corrupt)? as usize;
-    for _ in 0..nviews {
-        let name = r.str().map_err(corrupt)?;
-        let columns = r.strs().map_err(corrupt)?;
-        let query_sql = r.str().map_err(corrupt)?;
-        let query = wal::parse_select_sql(&query_sql).map_err(corrupt)?;
-        state.catalog.add_view(ViewDef {
-            name,
-            query,
-            columns,
-        })?;
-    }
-    let mut privileges = PrivilegeCatalog::new();
-    let nusers = r.u32().map_err(corrupt)? as usize;
-    for _ in 0..nusers {
-        let name = r.str().map_err(corrupt)?;
-        let superuser = r.bool().map_err(corrupt)?;
-        privileges.create_user(&name, superuser)?;
-        let ngrants = r.u32().map_err(corrupt)? as usize;
-        for _ in 0..ngrants {
-            let action = r.action().map_err(corrupt)?;
-            let object = r.str().map_err(corrupt)?;
-            privileges.grant(&name, action, &object)?;
-        }
-    }
-    let nstats = r.u32().map_err(corrupt)? as usize;
-    for _ in 0..nstats {
-        let name = r.str().map_err(corrupt)?;
-        let stats = r.stats().map_err(corrupt)?;
-        if state.catalog.contains(&name) {
-            state.catalog.set_table_stats(&name, stats);
-        }
-    }
-    if !r.is_done() {
-        return Err(corrupt("trailing bytes after snapshot payload"));
-    }
-    Ok((state, privileges))
 }
 
 /// Write a snapshot covering transactions up to and including `last_txn`.
@@ -146,13 +45,50 @@ pub(crate) fn save(
     privileges: &PrivilegeCatalog,
     last_txn: u64,
 ) -> DbResult<()> {
-    let payload = encode(state, privileges);
-    let mut buf = Vec::with_capacity(payload.len() + 24);
-    buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&last_txn.to_le_bytes());
-    wal::put_u32(&mut buf, payload.len() as u32);
-    wal::put_u32(&mut buf, wal::crc32(&payload));
-    buf.extend_from_slice(&payload);
+    let mut buf = MAGIC.to_vec();
+    let mut put = |record: WalRecord| wal::frame(&mut buf, &record);
+    put(WalRecord::Begin { txn: last_txn })?;
+    let catalog = &state.catalog;
+    for name in catalog.table_names() {
+        let data = &state.data[name];
+        put(WalRecord::TableImage {
+            old_name: name.to_owned(),
+            schema: catalog.table(name)?.clone(),
+            slot_count: data.slot_count(),
+            rows: data.rows_snapshot(),
+            free: data.free_list(),
+        })?;
+    }
+    for name in catalog.view_names() {
+        let def = catalog.view(name).expect("catalog lists the view");
+        put(WalRecord::CreateView {
+            name: def.name.clone(),
+            columns: def.columns.clone(),
+            query_sql: sqlkit::format_select(&def.query),
+        })?;
+    }
+    for name in privileges.user_names() {
+        let user = privileges.user(name)?;
+        put(WalRecord::CreateUser {
+            name: name.to_owned(),
+            superuser: user.superuser,
+        })?;
+        for (action, object) in user.grant_list() {
+            put(WalRecord::Grant {
+                user: name.to_owned(),
+                action,
+                object,
+            })?;
+        }
+    }
+    for name in catalog.analyzed_tables() {
+        let stats = catalog.table_stats(name).expect("catalog lists the stats");
+        put(WalRecord::Analyze {
+            table: name.to_owned(),
+            stats: stats.clone(),
+        })?;
+    }
+    put(WalRecord::Commit { txn: last_txn })?;
 
     let tmp = path.with_extension("tmp");
     {
@@ -172,27 +108,35 @@ pub(crate) fn save(
 }
 
 /// Load a snapshot: returns the state, privileges, and the `last_txn` the
-/// snapshot covers. Corruption is a typed error, never a panic.
+/// snapshot covers. Corruption is a typed error, never a panic and never a
+/// partial state.
 pub(crate) fn load(path: &Path) -> DbResult<(DbState, PrivilegeCatalog, u64)> {
     let bytes = std::fs::read(path).map_err(|e| io_err("read snapshot", e))?;
-    if bytes.len() < 24 || &bytes[..8] != MAGIC {
-        return Err(corrupt("bad magic or short header"));
+    let Some(frames) = bytes.strip_prefix(MAGIC) else {
+        return Err(if bytes.starts_with(b"MDBSNAP1") {
+            DbError::Storage(
+                "snapshot is in the retired MDBSNAP1 format; re-create the data directory".into(),
+            )
+        } else {
+            corrupt("bad magic")
+        });
+    };
+    let scanned = wal::scan(frames);
+    if scanned.torn {
+        let at = MAGIC.len() + scanned.valid_len;
+        return Err(corrupt(format!("torn or damaged frame at byte {at}")));
     }
-    let last_txn = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-    let len = u32::from_le_bytes(bytes[16..20].try_into().unwrap()) as usize;
-    let crc = u32::from_le_bytes(bytes[20..24].try_into().unwrap());
-    if bytes.len() - 24 != len {
-        return Err(corrupt(format!(
-            "payload length mismatch: header says {len}, file has {}",
-            bytes.len() - 24
-        )));
+    let mut records = scanned.records.into_iter();
+    let txn = match (records.next(), records.next_back()) {
+        (Some(WalRecord::Begin { txn }), Some(WalRecord::Commit { txn: end })) if txn == end => txn,
+        _ => return Err(corrupt("not one Begin … Commit group")),
+    };
+    let (mut state, mut privileges) = (DbState::default(), PrivilegeCatalog::new());
+    for record in records {
+        wal::apply_record(&mut state, &mut privileges, record)
+            .map_err(|e| corrupt(e.to_string()))?;
     }
-    let payload = &bytes[24..];
-    if wal::crc32(payload) != crc {
-        return Err(corrupt("payload CRC mismatch"));
-    }
-    let (state, privileges) = decode(payload)?;
-    Ok((state, privileges, last_txn))
+    Ok((state, privileges, txn))
 }
 
 #[cfg(test)]
@@ -240,6 +184,19 @@ mod tests {
             .unwrap()
             .has(sqlkit::ast::Action::Select, "t"));
         assert!(privileges2.user("admin").unwrap().superuser);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn retired_format_is_named() {
+        let dir = std::env::temp_dir().join(format!("minidb-snapv1-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("snapshot.db");
+        std::fs::write(&path, b"MDBSNAP1\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0").unwrap();
+        match load(&path) {
+            Err(DbError::Storage(msg)) => assert!(msg.contains("MDBSNAP1"), "{msg}"),
+            other => panic!("expected a storage error, got {other:?}"),
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -17,11 +17,17 @@
 //! ```
 //!
 //! one `WalRecord` per frame, grouped `Begin … records … Commit` per
-//! transaction. Recovery scans frames until the first torn or corrupt one
-//! (short read, impossible length, or CRC mismatch), drops everything from
-//! there on, truncates the file back to the valid prefix, and applies only
+//! transaction. A frame holds at most `u32::MAX` payload bytes; `frame`
+//! refuses a longer record before anything is written. Recovery scans
+//! frames until the first torn or corrupt one (short read, a length that
+//! runs past the file, or CRC mismatch), drops everything from there on,
+//! truncates the file back to the valid prefix, and applies only
 //! transactions whose `Commit` frame survived — so a crash mid-append never
 //! yields more than the committed prefix, and never a panic.
+//!
+//! This module is the only codec for durable state: a snapshot (see
+//! `snapshot`) is one committed group of these same records, framed by
+//! `frame` and read back by `scan` and `apply_record`.
 
 use super::mem::{RowId, TableData};
 use super::snapshot;
@@ -42,9 +48,6 @@ use std::time::Instant;
 pub(crate) const WAL_FILE: &str = "wal.log";
 /// Snapshot file name inside the durability directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.db";
-
-/// Frames longer than this are treated as torn garbage, not allocated.
-const MAX_FRAME: u32 = 1 << 30;
 
 /// When the write-ahead log is fsynced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -149,22 +152,23 @@ pub(crate) enum WalRecord {
         /// The index definition (physical kind derives from it).
         def: IndexDef,
     },
-    /// ALTER TABLE, logged as a full re-image of the table: the post-ALTER
-    /// schema plus every row at its (preserved) id. Mirrors the snapshot
+    /// A whole table: its schema plus every row at its (preserved) id and
+    /// the allocation state. ALTER TABLE logs one (mirroring the snapshot
     /// undo the executor uses — trivially correct for every ALTER shape,
-    /// and ALTERs are rare enough that the log volume is irrelevant.
-    AlterRewrite {
-        /// Table name before the ALTER (differs from `schema.name` for
-        /// RENAME; replay repoints inbound foreign keys like the catalog
-        /// rename does).
+    /// and ALTERs are rare enough that the log volume is irrelevant), and a
+    /// checkpoint writes one per table.
+    TableImage {
+        /// Table name before the record (differs from `schema.name` only
+        /// for ALTER … RENAME; replay repoints inbound foreign keys like
+        /// the catalog rename does).
         old_name: String,
-        /// Post-ALTER schema.
+        /// The table's schema.
         schema: TableSchema,
-        /// Post-ALTER slot count (allocation state).
+        /// Slot count (allocation state).
         slot_count: usize,
-        /// Post-ALTER rows at their ids.
+        /// Live rows at their ids.
         rows: Vec<(RowId, Row)>,
-        /// Post-ALTER free list, in stack order.
+        /// Free list, in stack order.
         free: Vec<RowId>,
     },
     /// A user was created.
@@ -243,7 +247,7 @@ fn crc32_table() -> &'static [u32; 256] {
 }
 
 /// IEEE CRC-32 of a byte slice.
-pub(crate) fn crc32(bytes: &[u8]) -> u32 {
+fn crc32(bytes: &[u8]) -> u32 {
     let table = crc32_table();
     let mut c = 0xFFFF_FFFFu32;
     for &b in bytes {
@@ -257,24 +261,24 @@ pub(crate) fn crc32(bytes: &[u8]) -> u32 {
 // little-endian integers, u32-length-prefixed strings and sequences.
 // ---------------------------------------------------------------------------
 
-pub(crate) fn put_u32(buf: &mut Vec<u8>, v: u32) {
+fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
+fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-pub(crate) fn put_str(buf: &mut Vec<u8>, s: &str) {
+fn put_str(buf: &mut Vec<u8>, s: &str) {
     put_u32(buf, s.len() as u32);
     buf.extend_from_slice(s.as_bytes());
 }
 
-pub(crate) fn put_bool(buf: &mut Vec<u8>, b: bool) {
+fn put_bool(buf: &mut Vec<u8>, b: bool) {
     buf.push(u8::from(b));
 }
 
-pub(crate) fn put_value(buf: &mut Vec<u8>, v: &Value) {
+fn put_value(buf: &mut Vec<u8>, v: &Value) {
     match v {
         Value::Null => buf.push(0),
         Value::Int(i) => {
@@ -296,14 +300,14 @@ pub(crate) fn put_value(buf: &mut Vec<u8>, v: &Value) {
     }
 }
 
-pub(crate) fn put_row(buf: &mut Vec<u8>, row: &Row) {
+fn put_row(buf: &mut Vec<u8>, row: &Row) {
     put_u32(buf, row.len() as u32);
     for v in row {
         put_value(buf, v);
     }
 }
 
-pub(crate) fn put_strs(buf: &mut Vec<u8>, items: &[String]) {
+fn put_strs(buf: &mut Vec<u8>, items: &[String]) {
     put_u32(buf, items.len() as u32);
     for s in items {
         put_str(buf, s);
@@ -319,7 +323,7 @@ fn type_tag(ty: TypeName) -> u8 {
     }
 }
 
-pub(crate) fn action_tag(a: Action) -> u8 {
+fn action_tag(a: Action) -> u8 {
     match a {
         Action::Select => 0,
         Action::Insert => 1,
@@ -333,7 +337,7 @@ pub(crate) fn action_tag(a: Action) -> u8 {
     }
 }
 
-pub(crate) fn put_schema(buf: &mut Vec<u8>, schema: &TableSchema) {
+fn put_schema(buf: &mut Vec<u8>, schema: &TableSchema) {
     put_str(buf, &schema.name);
     put_u32(buf, schema.columns.len() as u32);
     for c in &schema.columns {
@@ -374,7 +378,7 @@ pub(crate) fn put_schema(buf: &mut Vec<u8>, schema: &TableSchema) {
     }
 }
 
-pub(crate) fn put_stats(buf: &mut Vec<u8>, stats: &TableStats) {
+fn put_stats(buf: &mut Vec<u8>, stats: &TableStats) {
     put_u64(buf, stats.row_count);
     put_u32(buf, stats.columns.len() as u32);
     for c in &stats.columns {
@@ -383,41 +387,20 @@ pub(crate) fn put_stats(buf: &mut Vec<u8>, stats: &TableStats) {
     }
 }
 
-pub(crate) fn put_table_payload(
-    buf: &mut Vec<u8>,
-    slot_count: usize,
-    rows: &[(RowId, Row)],
-    free: &[RowId],
-) {
-    put_u64(buf, slot_count as u64);
-    put_u32(buf, rows.len() as u32);
-    for (rid, row) in rows {
-        put_u64(buf, *rid as u64);
-        put_row(buf, row);
-    }
-    put_u32(buf, free.len() as u32);
-    for rid in free {
-        put_u64(buf, *rid as u64);
-    }
-}
-
 /// Cursor over encoded bytes; every read is bounds-checked and surfaces a
 /// description instead of panicking (corrupt input must degrade to a typed
 /// error).
-/// Decoded table payload: `(slot_count, rows as (rid, row), free list)`.
-pub(crate) type TablePayload = (usize, Vec<(RowId, Row)>, Vec<RowId>);
-
-pub(crate) struct Reader<'a> {
+struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
+    fn new(buf: &'a [u8]) -> Self {
         Reader { buf, pos: 0 }
     }
 
-    pub(crate) fn is_done(&self) -> bool {
+    fn is_done(&self) -> bool {
         self.pos == self.buf.len()
     }
 
@@ -434,29 +417,29 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
-    pub(crate) fn u8(&mut self) -> Result<u8, String> {
+    fn u8(&mut self) -> Result<u8, String> {
         Ok(self.take(1)?[0])
     }
 
-    pub(crate) fn u32(&mut self) -> Result<u32, String> {
+    fn u32(&mut self) -> Result<u32, String> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
-    pub(crate) fn u64(&mut self) -> Result<u64, String> {
+    fn u64(&mut self) -> Result<u64, String> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    pub(crate) fn bool(&mut self) -> Result<bool, String> {
+    fn bool(&mut self) -> Result<bool, String> {
         Ok(self.u8()? != 0)
     }
 
-    pub(crate) fn str(&mut self) -> Result<String, String> {
+    fn str(&mut self) -> Result<String, String> {
         let n = self.u32()? as usize;
         let bytes = self.take(n)?;
         String::from_utf8(bytes.to_vec()).map_err(|e| format!("invalid UTF-8 string: {e}"))
     }
 
-    pub(crate) fn value(&mut self) -> Result<Value, String> {
+    fn value(&mut self) -> Result<Value, String> {
         Ok(match self.u8()? {
             0 => Value::Null,
             1 => Value::Int(i64::from_le_bytes(self.take(8)?.try_into().unwrap())),
@@ -469,12 +452,12 @@ impl<'a> Reader<'a> {
         })
     }
 
-    pub(crate) fn row(&mut self) -> Result<Row, String> {
+    fn row(&mut self) -> Result<Row, String> {
         let n = self.u32()? as usize;
         (0..n).map(|_| self.value()).collect()
     }
 
-    pub(crate) fn strs(&mut self) -> Result<Vec<String>, String> {
+    fn strs(&mut self) -> Result<Vec<String>, String> {
         let n = self.u32()? as usize;
         (0..n).map(|_| self.str()).collect()
     }
@@ -489,7 +472,7 @@ impl<'a> Reader<'a> {
         })
     }
 
-    pub(crate) fn action(&mut self) -> Result<Action, String> {
+    fn action(&mut self) -> Result<Action, String> {
         Ok(match self.u8()? {
             0 => Action::Select,
             1 => Action::Insert,
@@ -504,7 +487,7 @@ impl<'a> Reader<'a> {
         })
     }
 
-    pub(crate) fn schema(&mut self) -> Result<TableSchema, String> {
+    fn schema(&mut self) -> Result<TableSchema, String> {
         let name = self.str()?;
         let ncols = self.u32()? as usize;
         let mut columns = Vec::with_capacity(ncols);
@@ -571,7 +554,7 @@ impl<'a> Reader<'a> {
         })
     }
 
-    pub(crate) fn stats(&mut self) -> Result<TableStats, String> {
+    fn stats(&mut self) -> Result<TableStats, String> {
         let row_count = self.u64()?;
         let ncols = self.u32()? as usize;
         let mut columns = Vec::with_capacity(ncols.min(1 << 16));
@@ -581,21 +564,6 @@ impl<'a> Reader<'a> {
             columns.push(ColumnStats { distinct, nulls });
         }
         Ok(TableStats { row_count, columns })
-    }
-
-    pub(crate) fn table_payload(&mut self) -> Result<TablePayload, String> {
-        let slot_count = self.u64()? as usize;
-        let nrows = self.u32()? as usize;
-        let mut rows = Vec::with_capacity(nrows.min(1 << 20));
-        for _ in 0..nrows {
-            let rid = self.u64()? as usize;
-            rows.push((rid, self.row()?));
-        }
-        let nfree = self.u32()? as usize;
-        let free = (0..nfree)
-            .map(|_| self.u64().map(|v| v as usize))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok((slot_count, rows, free))
     }
 }
 
@@ -615,7 +583,7 @@ fn parse_expr_sql(text: &str) -> Result<ast::Expr, String> {
     ))
 }
 
-pub(crate) fn parse_select_sql(text: &str) -> Result<ast::Select, String> {
+fn parse_select_sql(text: &str) -> Result<ast::Select, String> {
     match sqlkit::parse_statement(text) {
         Ok(ast::Statement::Select(sel)) => Ok(sel),
         Ok(_) => Err(format!("stored view query {text:?} is not a SELECT")),
@@ -625,7 +593,7 @@ pub(crate) fn parse_select_sql(text: &str) -> Result<ast::Select, String> {
 
 impl WalRecord {
     /// Serialize this record into `buf` (payload only, no frame header).
-    pub(crate) fn encode(&self, buf: &mut Vec<u8>) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         match self {
             WalRecord::Begin { txn } => {
                 buf.push(0);
@@ -685,7 +653,7 @@ impl WalRecord {
                 put_strs(buf, &def.columns);
                 put_bool(buf, def.unique);
             }
-            WalRecord::AlterRewrite {
+            WalRecord::TableImage {
                 old_name,
                 schema,
                 slot_count,
@@ -695,7 +663,16 @@ impl WalRecord {
                 buf.push(11);
                 put_str(buf, old_name);
                 put_schema(buf, schema);
-                put_table_payload(buf, *slot_count, rows, free);
+                put_u64(buf, *slot_count as u64);
+                put_u32(buf, rows.len() as u32);
+                for (rid, row) in rows {
+                    put_u64(buf, *rid as u64);
+                    put_row(buf, row);
+                }
+                put_u32(buf, free.len() as u32);
+                for rid in free {
+                    put_u64(buf, *rid as u64);
+                }
             }
             WalRecord::CreateUser { name, superuser } => {
                 buf.push(12);
@@ -741,7 +718,7 @@ impl WalRecord {
     }
 
     /// Decode one record from a frame payload.
-    pub(crate) fn decode(payload: &[u8]) -> Result<WalRecord, String> {
+    fn decode(payload: &[u8]) -> Result<WalRecord, String> {
         let mut r = Reader::new(payload);
         let rec = match r.u8()? {
             0 => WalRecord::Begin { txn: r.u64()? },
@@ -779,18 +756,17 @@ impl WalRecord {
                     unique: r.bool()?,
                 },
             },
-            11 => {
-                let old_name = r.str()?;
-                let schema = r.schema()?;
-                let (slot_count, rows, free) = r.table_payload()?;
-                WalRecord::AlterRewrite {
-                    old_name,
-                    schema,
-                    slot_count,
-                    rows,
-                    free,
-                }
-            }
+            11 => WalRecord::TableImage {
+                old_name: r.str()?,
+                schema: r.schema()?,
+                slot_count: r.u64()? as usize,
+                rows: (0..r.u32()?)
+                    .map(|_| Ok((r.u64()? as usize, r.row()?)))
+                    .collect::<Result<_, String>>()?,
+                free: (0..r.u32()?)
+                    .map(|_| r.u64().map(|rid| rid as usize))
+                    .collect::<Result<_, _>>()?,
+            },
             12 => WalRecord::CreateUser {
                 name: r.str()?,
                 superuser: r.bool()?,
@@ -826,13 +802,23 @@ impl WalRecord {
     }
 }
 
-/// Append one framed record to `buf`.
-pub(crate) fn frame(buf: &mut Vec<u8>, record: &WalRecord) {
+/// Append one framed record to `buf`. A payload longer than the `u32`
+/// length field can say is refused before a byte is appended; no length
+/// inside a payload exceeds the payload's, so none of the codec's `u32`
+/// lengths can wrap either.
+pub(crate) fn frame(buf: &mut Vec<u8>, record: &WalRecord) -> DbResult<()> {
     let mut payload = Vec::new();
     record.encode(&mut payload);
-    put_u32(buf, payload.len() as u32);
+    put_u32(buf, frame_len(payload.len())?);
     put_u32(buf, crc32(&payload));
     buf.extend_from_slice(&payload);
+    Ok(())
+}
+
+/// The frame length field for a payload of `len` bytes.
+fn frame_len(len: usize) -> DbResult<u32> {
+    u32::try_from(len)
+        .map_err(|_| DbError::Storage(format!("a {len}-byte record overflows a WAL frame")))
 }
 
 /// Result of scanning a WAL byte stream: the decodable record prefix, how
@@ -849,15 +835,15 @@ pub(crate) struct WalScan {
 }
 
 /// Scan frames until the first torn or corrupt one. Never panics: short
-/// frames, impossible lengths, CRC mismatches, and undecodable payloads all
-/// end the scan at the last good frame boundary.
+/// frames, lengths that run past the buffer, CRC mismatches, and
+/// undecodable payloads all end the scan at the last good frame boundary.
 pub(crate) fn scan(bytes: &[u8]) -> WalScan {
     let mut records = Vec::new();
     let mut pos = 0usize;
     while bytes.len() - pos >= 8 {
         let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
         let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap());
-        if len > MAX_FRAME || bytes.len() - pos - 8 < len as usize {
+        if bytes.len() - pos - 8 < len as usize {
             break; // torn tail: length field damaged or payload cut short
         }
         let payload = &bytes[pos + 8..pos + 8 + len as usize];
@@ -884,7 +870,7 @@ pub(crate) fn scan(bytes: &[u8]) -> WalScan {
 /// Build table storage from persisted parts: restore rows at their ids,
 /// then rebuild automatic and named indexes from the schema, then install
 /// the persisted allocation state.
-pub(crate) fn rebuild_table(
+fn rebuild_table(
     schema: &TableSchema,
     slot_count: usize,
     rows: Vec<(RowId, Row)>,
@@ -950,13 +936,7 @@ pub(crate) fn apply_record(
             })
         }
         WalRecord::CreateTable { schema } => {
-            let mut data = TableData::new();
-            crate::exec::build_auto_indexes(&schema, &mut data)?;
-            for def in &schema.indexes {
-                let positions = schema.resolve_columns(&def.columns)?;
-                data.build_index_kind(&def.name, positions, def.unique, def.kind())
-                    .map_err(DbError::Storage)?;
-            }
+            let data = rebuild_table(&schema, 0, Vec::new(), Vec::new())?;
             let name = schema.name.clone();
             state.catalog.add_table(schema)?;
             state.data.insert(name, data);
@@ -994,7 +974,7 @@ pub(crate) fn apply_record(
             }
             Ok(())
         }
-        WalRecord::AlterRewrite {
+        WalRecord::TableImage {
             old_name,
             schema,
             slot_count,
@@ -1052,17 +1032,17 @@ pub(crate) fn apply_record(
 
 /// Statistics from replaying a scanned record stream.
 #[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct ReplayStats {
-    pub txns: u64,
-    pub records: u64,
-    pub(crate) max_txn: u64,
+struct ReplayStats {
+    txns: u64,
+    records: u64,
+    max_txn: u64,
 }
 
 /// Apply every *committed* transaction with id greater than `skip_through`
 /// (transactions at or below it are already covered by the snapshot).
 /// Records of transactions without a surviving `Commit` marker — including
 /// a trailing group cut off by a torn tail — are discarded.
-pub(crate) fn replay(
+fn replay(
     records: Vec<WalRecord>,
     state: &mut DbState,
     privileges: &mut PrivilegeCatalog,
@@ -1225,6 +1205,30 @@ impl DurableEngine {
         Ok((engine, state, privileges, report))
     }
 
+    /// Write a snapshot covering `last_txn`, then truncate the WAL.
+    fn compact(
+        &mut self,
+        state: &DbState,
+        privileges: &PrivilegeCatalog,
+        last_txn: u64,
+    ) -> DbResult<()> {
+        snapshot::save(&self.snap_path, state, privileges, last_txn)?;
+        // The snapshot now covers everything; an empty WAL is the correct
+        // complement. Order matters: the rename in `save` lands before the
+        // truncation, so a crash (or an error) between the two merely
+        // replays WAL transactions the snapshot already holds — which
+        // replay skips by transaction id.
+        self.file
+            .set_len(0)
+            .map_err(|e| io_err("truncate WAL after snapshot", e))?;
+        self.file
+            .sync_data()
+            .map_err(|e| io_err("sync truncated WAL", e))?;
+        self.dirty = false;
+        self.bytes_since_checkpoint = 0;
+        Ok(())
+    }
+
     fn sync_now(&mut self) -> DbResult<()> {
         let span = self.obs.span("wal:fsync");
         let t0 = Instant::now();
@@ -1258,13 +1262,13 @@ impl StorageEngine for DurableEngine {
         }
         let t0 = Instant::now();
         let txn = self.next_txn;
-        self.next_txn += 1;
         let mut buf = Vec::new();
-        frame(&mut buf, &WalRecord::Begin { txn });
+        frame(&mut buf, &WalRecord::Begin { txn })?;
         for rec in records {
-            frame(&mut buf, rec);
+            frame(&mut buf, rec)?;
         }
-        frame(&mut buf, &WalRecord::Commit { txn });
+        frame(&mut buf, &WalRecord::Commit { txn })?;
+        self.next_txn += 1;
         {
             let mut span = self.obs.span("wal:append");
             span.attr("txn", txn.to_string());
@@ -1288,7 +1292,10 @@ impl StorageEngine for DurableEngine {
         self.bytes_since_checkpoint += buf.len() as u64;
         self.commits_since_snapshot += 1;
         if self.snapshot_every > 0 && self.commits_since_snapshot >= self.snapshot_every {
-            self.checkpoint(state, privileges)?;
+            // The group is durable, and the WAL keeps it if the snapshot
+            // fails: `checkpoint` counts and traces a failure, and the
+            // commit stands.
+            let _ = self.checkpoint(state, privileges);
         }
         Ok(())
     }
@@ -1301,26 +1308,21 @@ impl StorageEngine for DurableEngine {
     }
 
     fn checkpoint(&mut self, state: &DbState, privileges: &PrivilegeCatalog) -> DbResult<()> {
+        // Whether or not this one succeeds, the next automatic checkpoint
+        // comes `snapshot_every` commits later.
+        self.commits_since_snapshot = 0;
         let mut span = self.obs.span("snapshot:write");
         let last_txn = self.next_txn.saturating_sub(1);
         span.attr("txn", last_txn.to_string());
-        snapshot::save(&self.snap_path, state, privileges, last_txn)?;
-        // The snapshot now covers everything; an empty WAL is the correct
-        // complement. Order matters: the rename in `save` lands before the
-        // truncation, so a crash between the two merely replays WAL
-        // transactions the snapshot already holds — which replay skips by
-        // transaction id.
-        self.file
-            .set_len(0)
-            .map_err(|e| io_err("truncate WAL after snapshot", e))?;
-        self.file
-            .sync_data()
-            .map_err(|e| io_err("sync truncated WAL", e))?;
-        self.dirty = false;
-        self.commits_since_snapshot = 0;
-        self.bytes_since_checkpoint = 0;
-        self.obs.incr("wal.snapshots", 1);
-        Ok(())
+        let written = self.compact(state, privileges, last_txn);
+        match &written {
+            Ok(()) => self.obs.incr("wal.snapshots", 1),
+            Err(e) => {
+                span.fail(e.to_string());
+                self.obs.incr("wal.checkpoint_errors", 1);
+            }
+        }
+        written
     }
 
     fn wal_bytes_since_checkpoint(&self) -> u64 {
@@ -1374,10 +1376,10 @@ mod tests {
     #[test]
     fn frame_scan_stops_at_corruption() {
         let mut buf = Vec::new();
-        frame(&mut buf, &WalRecord::Begin { txn: 1 });
-        frame(&mut buf, &WalRecord::Commit { txn: 1 });
+        frame(&mut buf, &WalRecord::Begin { txn: 1 }).unwrap();
+        frame(&mut buf, &WalRecord::Commit { txn: 1 }).unwrap();
         let good_len = buf.len();
-        frame(&mut buf, &WalRecord::Begin { txn: 2 });
+        frame(&mut buf, &WalRecord::Begin { txn: 2 }).unwrap();
         let last = buf.len() - 1;
         buf[last] ^= 0xFF; // corrupt the final frame's payload
         let scanned = scan(&buf);
@@ -1387,9 +1389,16 @@ mod tests {
     }
 
     #[test]
+    fn frame_length_is_the_u32_field() {
+        assert_eq!(frame_len(u32::MAX as usize).unwrap(), u32::MAX);
+        let err = frame_len(u32::MAX as usize + 1).unwrap_err();
+        assert!(matches!(err, DbError::Storage(_)), "got {err:?}");
+    }
+
+    #[test]
     fn scan_tolerates_garbage_length() {
         let mut buf = Vec::new();
-        frame(&mut buf, &WalRecord::Commit { txn: 1 });
+        frame(&mut buf, &WalRecord::Commit { txn: 1 }).unwrap();
         let good_len = buf.len();
         buf.extend_from_slice(&u32::MAX.to_le_bytes()); // absurd length
         buf.extend_from_slice(&[0u8; 12]);

@@ -251,12 +251,12 @@ pub(crate) fn redo_records(state: &DbState, ops: &[UndoOp]) -> Vec<WalRecord> {
                 table, renamed_to, ..
             } => {
                 // Full re-image of the post-ALTER table (rare; see the
-                // WalRecord::AlterRewrite docs for the trade-off).
+                // WalRecord::TableImage docs for the trade-off).
                 let current = renamed_to.as_deref().unwrap_or(table);
                 if let (Ok(schema), Some(data)) =
                     (state.catalog.table(current), state.data.get(current))
                 {
-                    records.push(WalRecord::AlterRewrite {
+                    records.push(WalRecord::TableImage {
                         old_name: table.clone(),
                         schema: schema.clone(),
                         slot_count: data.slot_count(),

@@ -320,6 +320,122 @@ fn corrupt_snapshot_surfaces_typed_error() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn checkpoint_of_a_fresh_directory_reopens() {
+    // Nothing committed yet: the snapshot's group carries transaction id 0.
+    let dir = tmpdir("freshckpt");
+    {
+        let (db, _) = Database::open(&config(&dir)).unwrap();
+        db.checkpoint().unwrap();
+    }
+    let (db2, report) = Database::open(&config(&dir)).expect("fresh checkpoint reopens");
+    assert!(report.snapshot_loaded);
+    assert!(db2.session("admin").is_ok(), "admin survives the snapshot");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn failed_automatic_checkpoint_keeps_the_commit() {
+    // A directory where the snapshot's temp file goes makes every snapshot
+    // write fail (EISDIR); the commits that trigger one must still stand.
+    let dir = tmpdir("ckptfail");
+    let blocker = dir.join("snapshot.tmp");
+    std::fs::create_dir(&blocker).unwrap();
+    let cfg = DurabilityConfig::new(dir.clone()).with_snapshot_every(2);
+    let obs = obs::Obs::in_memory();
+    {
+        let (db, _) = Database::open_observed(&cfg, obs.clone()).unwrap();
+        let mut s = db.session("admin").unwrap();
+        s.execute_sql("CREATE TABLE t (id INTEGER PRIMARY KEY)")
+            .unwrap();
+        for i in 0..3 {
+            s.execute_sql(&format!("INSERT INTO t VALUES ({i})"))
+                .unwrap_or_else(|e| panic!("insert {i}: {e}"));
+        }
+        assert_eq!(db.table_rows("t").unwrap(), 3);
+    }
+    let snap = obs.snapshot();
+    assert!(snap.metrics.counter("wal.checkpoint_errors") >= 1);
+    assert!(
+        snap.spans
+            .iter()
+            .any(|s| s.name == "snapshot:write" && s.error.is_some()),
+        "the failed snapshot:write span is marked failed"
+    );
+    assert!(!dir.join("snapshot.db").exists());
+    assert_eq!(reopen(&dir).table_rows("t").unwrap(), 3);
+
+    // Once the obstruction is gone, the next trigger writes a snapshot.
+    std::fs::remove_dir(&blocker).unwrap();
+    {
+        let (db, _) = Database::open(&cfg).unwrap();
+        let mut s = db.session("admin").unwrap();
+        for i in 3..5 {
+            s.execute_sql(&format!("INSERT INTO t VALUES ({i})"))
+                .unwrap();
+        }
+    }
+    assert!(dir.join("snapshot.db").exists(), "snapshot written");
+    let (db2, report) = Database::open(&config(&dir)).unwrap();
+    assert!(report.snapshot_loaded);
+    assert_eq!(db2.table_rows("t").unwrap(), 5);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Checkpoint a database holding every kind of snapshot record (rows, an
+/// index, a view, a user with a grant, statistics) and return the
+/// snapshot's bytes.
+fn checkpointed_snapshot(dir: &Path) -> Vec<u8> {
+    let (db, _) = Database::open(&config(dir)).unwrap();
+    let mut s = db.session("admin").unwrap();
+    for sql in [
+        "CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)",
+        "INSERT INTO t VALUES (1, 'a'), (2, 'b'), (3, 'c')",
+        "DELETE FROM t WHERE id = 2",
+        "CREATE INDEX ix ON t (v)",
+        "CREATE VIEW vv AS SELECT v FROM t WHERE id > 1",
+        "ANALYZE",
+    ] {
+        s.execute_sql(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+    }
+    db.create_user("bob", false).unwrap();
+    db.grant("bob", sqlkit::Action::Select, "t").unwrap();
+    db.checkpoint().unwrap();
+    std::fs::read(dir.join("snapshot.db")).unwrap()
+}
+
+fn assert_open_is_storage_error(dir: &Path, what: &str) {
+    match Database::open(&config(dir)) {
+        Err(DbError::Storage(_)) => {}
+        Err(other) => panic!("{what}: expected a storage error, got {other:?}"),
+        Ok(_) => panic!("{what}: a damaged snapshot must not open"),
+    }
+}
+
+#[test]
+fn snapshot_truncated_at_every_offset_is_refused() {
+    let dir = tmpdir("snaptrunc");
+    let bytes = checkpointed_snapshot(&dir);
+    for offset in 0..bytes.len() {
+        std::fs::write(dir.join("snapshot.db"), &bytes[..offset]).unwrap();
+        assert_open_is_storage_error(&dir, &format!("truncated to {offset} bytes"));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn snapshot_with_any_byte_flipped_is_refused() {
+    let dir = tmpdir("snapflip");
+    let bytes = checkpointed_snapshot(&dir);
+    for at in 0..bytes.len() {
+        let mut damaged = bytes.clone();
+        damaged[at] ^= 0xFF;
+        std::fs::write(dir.join("snapshot.db"), &damaged).unwrap();
+        assert_open_is_storage_error(&dir, &format!("byte {at} flipped"));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 // ---------------------------------------------------------------------------
 // The torn-tail property
 // ---------------------------------------------------------------------------
